@@ -1,8 +1,11 @@
 """Bounded model checking over an obligation's augmented system.
 
 The transition relation is unrolled frame by frame into one growing
-AIG; each depth gets a fresh CNF for the cone of that frame's `bad`
-bit, so the first hit is guaranteed to be at the minimal depth.
+AIG, which an incremental Tseitin encoder feeds into one persistent
+solver.  Depths are checked shallowest first, each with its `bad` bit
+as an assumption, so the first hit is at the minimal depth; a depth
+shown clean keeps `not bad` as a permanent unit and is not checked
+again.
 """
 
 from __future__ import annotations
@@ -10,8 +13,8 @@ from __future__ import annotations
 import time
 
 from svsec.engine import sat
-from svsec.engine.aig import Aig, Frame, TRUE, FALSE, blast_frame
-from svsec.engine.cnf import CnfFormula, to_cnf
+from svsec.engine.aig import Aig, Frame, FALSE, blast_frame
+from svsec.engine.cnf import TseitinEncoder
 from svsec.engine.result import Falsified, NoCexUpTo, Unknown
 from svsec.engine.trace import Trace
 from svsec.props.obligation import SafetyObligation
@@ -20,12 +23,17 @@ DEFAULT_CONFLICT_BUDGET = 400_000
 
 
 class Unroller:
-    """Time-frame expansion with reset-constrained frame 0."""
+    """Time-frame expansion with reset-constrained frame 0, and the one
+    solver that all queries over its frames share."""
 
     def __init__(self, obl: SafetyObligation, free_initial: bool = False):
         self.obl = obl
         self.ts = obl.augmented
         self.aig = Aig()
+        self.cnf = TseitinEncoder(self.aig)
+        self.solver = sat.Solver()
+        # depths below this one are shown violation-free (bmc only)
+        self.clean = 0
         self.frames: list[Frame] = []
         self.initial_free: dict[str, tuple[int, ...]] = {}
         env: dict[str, tuple[int, ...]] = {}
@@ -56,21 +64,26 @@ class Unroller:
         frame = self.frames[depth]
         return [lit for n, _ in self.ts.inputs for lit in frame.bus(n)]
 
-    def extract_trace(self, f: CnfFormula, model: list[int],
-                      depth: int) -> Trace:
+    def state_lits(self, depth: int) -> list[int]:
+        frame = self.frames[depth]
+        return [lit for s in self.ts.states for lit in frame.bus(s.name)]
+
+    def add_unit(self, dimacs_lit: int) -> None:
+        """Assert a literal in every later query."""
+        self.cnf.clauses.append((dimacs_lit,))
+
+    def solve(self, assumptions, conflict_budget: int):
+        """Feed the clauses encoded since the last call to the solver
+        and solve under `assumptions`; returns (status, model)."""
+        clauses, self.cnf.clauses = self.cnf.clauses, []
+        return sat.solve(clauses, self.cnf.num_vars,
+                         conflict_budget=conflict_budget,
+                         solver=self.solver, assumptions=assumptions)
+
+    def extract_trace(self, model: list[int], depth: int) -> Trace:
         def bus_value(bus: tuple[int, ...]) -> int:
-            v = 0
-            for i, lit in enumerate(bus):
-                if lit == TRUE:
-                    bit = 1
-                elif lit == FALSE:
-                    bit = 0
-                elif (lit >> 1) in f.var_of_node:
-                    bit = model[f.var_of_node[lit >> 1] - 1] ^ (lit & 1)
-                else:
-                    bit = 0  # unconstrained
-                v |= bit << i
-            return v
+            return sum(self.cnf.value(model, lit) << i
+                       for i, lit in enumerate(bus))
 
         initial = {s.name: s.reset or 0 for s in self.ts.states}
         for name, bus in self.initial_free.items():
@@ -89,28 +102,35 @@ def bmc(obl: SafetyObligation, max_depth: int,
         conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
         budget_seconds: float | None = None,
         unroller: Unroller | None = None):
-    """Search for a violation at depths 0..max_depth, shallowest first."""
+    """Search for a violation at depths 0..max_depth, shallowest first.
+
+    With an `unroller` from an earlier call, the depths it already
+    showed clean are not searched again.
+    """
     from svsec.props.obligation import evaluate_on_trace
 
     deadline = None if budget_seconds is None \
         else time.monotonic() + budget_seconds
     un = unroller or Unroller(obl)
-    for d in range(max_depth + 1):
+    # encode every input a trace reads, so that models assign them all
+    un.cnf.encode(lit for bus in un.initial_free.values() for lit in bus)
+    for d in range(un.clean, max_depth + 1):
         if deadline is not None and time.monotonic() > deadline:
             return Unknown(max_k=d, reason="time budget exceeded")
         bad = un.bad(d)
-        if bad == FALSE:
-            continue
-        frozen = [lit for t in range(d + 1) for lit in un.input_lits(t)]
-        frozen += [lit for bus in un.initial_free.values() for lit in bus]
-        f = to_cnf(un.aig, [bad], frozen=frozen)
-        status, model = sat.solve(f.clauses, f.num_vars,
-                                  conflict_budget=conflict_budget)
-        if status == sat.UNKNOWN:
-            return Unknown(max_k=d, reason="solver conflict budget exceeded")
-        if status == sat.SAT:
-            tr = un.extract_trace(f, model, d)
-            hit = evaluate_on_trace(obl, tr)
-            assert hit == d, f"trace replay mismatch: {hit} != {d}"
-            return Falsified(trace=tr, depth=d)
+        un.cnf.encode(un.input_lits(d))
+        if bad != FALSE:
+            (bad_lit,) = un.cnf.encode([bad])
+            status, model = un.solve([bad_lit], conflict_budget)
+            if status == sat.UNKNOWN:
+                return Unknown(max_k=d, reason=(
+                    f"base case at depth {d} exceeded the solver conflict "
+                    f"budget of {conflict_budget}"))
+            if status == sat.SAT:
+                tr = un.extract_trace(model, d)
+                hit = evaluate_on_trace(obl, tr)
+                assert hit == d, f"trace replay mismatch: {hit} != {d}"
+                return Falsified(trace=tr, depth=d)
+            un.add_unit(-bad_lit)
+        un.clean = d + 1
     return NoCexUpTo(depth=max_depth)

@@ -1,4 +1,4 @@
-"""Tseitin transformation of an AIG cone into CNF, plus DIMACS export."""
+"""Tseitin transformation of AIG cones into CNF, plus DIMACS export."""
 
 from __future__ import annotations
 
@@ -13,11 +13,6 @@ class CnfFormula:
     clauses: list[tuple[int, ...]]
     # AIG literal -> DIMACS variable, for model read-back
     var_of_node: dict[int, int] = field(default_factory=dict)
-
-    def lit(self, aig_lit: int) -> int:
-        """DIMACS literal for an AIG literal (node must be encoded)."""
-        v = self.var_of_node[aig_lit >> 1]
-        return -v if aig_lit & 1 else v
 
     def to_dimacs(self) -> str:
         lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
@@ -43,6 +38,69 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(num_vars=num_vars, clauses=clauses)
 
 
+class TseitinEncoder:
+    """Incremental Tseitin encoding of one growing AIG.
+
+    The node -> variable map persists between calls, so each `encode`
+    emits clauses only for nodes of its cones not encoded before.  New
+    clauses collect in `clauses` until the owner takes them.  The
+    constant node is encoded as a variable forced false, so TRUE and
+    FALSE roots need no special case.
+    """
+
+    def __init__(self, aig: Aig):
+        self.aig = aig
+        self.num_vars = 0
+        self.var_of_node: dict[int, int] = {}
+        self.clauses: list[tuple[int, ...]] = []
+
+    def encode(self, lits) -> list[int]:
+        """Encode the cones of AIG literals; return their DIMACS literals."""
+        lits = list(lits)
+        done = self.var_of_node
+        nodes = self.aig.nodes
+        # walk the new part of the cones iteratively (deep ANDs would
+        # blow the stack)
+        seen: set[int] = set()
+        stack = [lit >> 1 for lit in lits]
+        while stack:
+            node = stack.pop()
+            if node in seen or node in done:
+                continue
+            seen.add(node)
+            fanin = nodes[node]
+            if fanin is not None:
+                stack.append(fanin[0] >> 1)
+                stack.append(fanin[1] >> 1)
+
+        for node in sorted(seen):
+            self.num_vars += 1
+            v = done[node] = self.num_vars
+            fanin = nodes[node]
+            if fanin is None:
+                if node == 0:
+                    self.clauses.append((-v,))
+                continue
+            la, lb = self.lit(fanin[0]), self.lit(fanin[1])
+            self.clauses.append((-v, la))
+            self.clauses.append((-v, lb))
+            self.clauses.append((v, -la, -lb))
+        return [self.lit(lit) for lit in lits]
+
+    def lit(self, aig_lit: int) -> int:
+        """DIMACS literal for an AIG literal (node must be encoded)."""
+        v = self.var_of_node[aig_lit >> 1]
+        return -v if aig_lit & 1 else v
+
+    def value(self, model: list[int], aig_lit: int) -> int:
+        """The literal's value in a solver model; 0 for a node never
+        encoded, which no clause constrains."""
+        if aig_lit == TRUE or aig_lit == FALSE:
+            return aig_lit
+        v = self.var_of_node.get(aig_lit >> 1)
+        return 0 if v is None else model[v - 1] ^ (aig_lit & 1)
+
+
 def to_cnf(aig: Aig, roots: list[int],
            frozen: list[int] | None = None) -> CnfFormula:
     """Encode the cone of `roots` and assert each root true.
@@ -50,59 +108,8 @@ def to_cnf(aig: Aig, roots: list[int],
     `frozen` literals get variables even if outside the cone, so
     models always assign them (useful for trace extraction).
     """
-    f = CnfFormula(num_vars=0, clauses=[])
-
-    def var(node: int) -> int:
-        v = f.var_of_node.get(node)
-        if v is None:
-            f.num_vars += 1
-            v = f.num_vars
-            f.var_of_node[node] = v
-        return v
-
-    # walk the cone iteratively (deep ANDs would blow the stack)
-    seen: set[int] = set()
-    stack = [r >> 1 for r in roots] + [x >> 1 for x in (frozen or [])]
-    order: list[int] = []
-    while stack:
-        node = stack.pop()
-        if node in seen or node == 0:
-            continue
-        seen.add(node)
-        order.append(node)
-        fanin = aig.nodes[node]
-        if fanin is not None:
-            stack.append(fanin[0] >> 1)
-            stack.append(fanin[1] >> 1)
-
-    for node in sorted(order):
-        fanin = aig.nodes[node]
-        v = var(node)
-        if fanin is None:
-            continue
-        a, b = fanin
-
-        def dlit(aig_lit: int) -> int:
-            if aig_lit == TRUE or aig_lit == FALSE:
-                # constants are folded away by the AIG; guard anyway
-                cv = var(0)
-                f.clauses.append((-cv,))
-                return -cv if aig_lit == TRUE else cv
-            x = var(aig_lit >> 1)
-            return -x if aig_lit & 1 else x
-
-        la, lb = dlit(a), dlit(b)
-        f.clauses.append((-v, la))
-        f.clauses.append((-v, lb))
-        f.clauses.append((v, -la, -lb))
-
-    for r in roots:
-        if r == TRUE:
-            continue
-        if r == FALSE:
-            f.num_vars += 1
-            f.clauses.append((f.num_vars,))
-            f.clauses.append((-f.num_vars,))
-            continue
-        f.clauses.append((f.lit(r),))
-    return f
+    enc = TseitinEncoder(aig)
+    units = enc.encode(list(roots) + list(frozen or []))[:len(roots)]
+    enc.clauses.extend((u,) for u in units)
+    return CnfFormula(num_vars=enc.num_vars, clauses=enc.clauses,
+                      var_of_node=enc.var_of_node)

@@ -6,6 +6,19 @@ k+1 (step, shown by unsatisfiability of the negation).  With the
 simple-path constraint the step only considers runs of pairwise
 distinct states, which makes the method complete for finite systems
 given a large enough k.
+
+Both phases are incremental (Een & Sorensson, "Temporal Induction by
+Incremental SAT Solving", BMC 2003): each keeps one unroller whose
+solver and Tseitin encoder persist across k.  The base case checks
+depth k only, since bmc already showed depths below k clean.  The step
+adds `not bad(k-1)` as a permanent unit and assumes `bad(k)`.
+Simple-path constraints are added lazily (Sheeran, Singh & Stalmarck,
+FMCAD 2000): only for the frame pairs that a step model does not show
+distinct, after which the step is solved again.  These constraints hold
+for every larger k, so they stay.  The step fails only on a model whose
+states are pairwise distinct however its unconstrained bits are set, so
+the verdict, and `k_used`, equal those of adding all O(k^2) constraints
+up front.
 """
 
 from __future__ import annotations
@@ -13,9 +26,7 @@ from __future__ import annotations
 import time
 
 from svsec.engine import sat
-from svsec.engine.aig import FALSE
 from svsec.engine.bmc import DEFAULT_CONFLICT_BUDGET, Unroller, bmc
-from svsec.engine.cnf import to_cnf
 from svsec.engine.result import Falsified, NoCexUpTo, Proven, Unknown
 from svsec.props.obligation import SafetyObligation
 
@@ -41,38 +52,57 @@ def k_induction(obl: SafetyObligation, max_k: int, simple_path: bool = True,
 
         if deadline is not None and time.monotonic() > deadline:
             return Unknown(max_k=k, reason="time budget exceeded")
-        if _step_holds(obl, step_un, k, simple_path, conflict_budget):
+        status = _step(step_un, k, simple_path, conflict_budget)
+        if status == sat.UNSAT:
             return Proven(k_used=k)
+        if status == sat.UNKNOWN:
+            return Unknown(max_k=k, reason=(
+                f"induction step at k={k} exceeded the solver conflict "
+                f"budget of {conflict_budget}"))
     return Unknown(max_k=max_k, reason="induction depth exhausted")
 
 
-def _step_holds(obl: SafetyObligation, un: Unroller, k: int,
-                simple_path: bool, conflict_budget: int) -> bool:
-    """UNSAT of: frames 0..k-1 good, frame k bad, states distinct."""
-    bad_k = un.bad(k)
-    if bad_k == FALSE:
-        return True
-    roots = [bad_k]
-    for t in range(k):
-        good = un.bad(t) ^ 1
-        if good != FALSE:
-            roots.append(good)
-        elif good == FALSE:
-            return True  # a good frame is impossible; vacuously holds
-    if simple_path:
-        aig = un.aig
-        state_names = [s.name for s in un.ts.states]
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                diff = FALSE
-                for name in state_names:
-                    a = un.frames[i].bus(name)
-                    b = un.frames[j].bus(name)
-                    diff = aig.lor(diff, aig.bus_eq(a, b) ^ 1)
-                roots.append(diff)
-    if any(r == FALSE for r in roots):
-        return True
-    f = to_cnf(un.aig, roots)
-    status, _ = sat.solve(f.clauses, f.num_vars,
-                          conflict_budget=conflict_budget)
-    return status == sat.UNSAT
+def _step(un: Unroller, k: int, simple_path: bool,
+          conflict_budget: int) -> int:
+    """Solve: frames 0..k-1 good, frame k bad, states distinct.
+
+    Called for k = 0, 1, 2, ... on the same unroller.  UNSAT means the
+    step holds at k.
+    """
+    if k > 0:
+        un.add_unit(-un.cnf.encode([un.bad(k - 1)])[0])
+    (bad_lit,) = un.cnf.encode([un.bad(k)])
+    states = [un.state_lits(t) for t in range(k + 1)]
+    while True:
+        status, model = un.solve([bad_lit], conflict_budget)
+        if status != sat.SAT or not simple_path:
+            return status
+        known = [_known_state(un, model, lits) for lits in states]
+        # a pair is distinct in every extension of the model when some
+        # bit is known in both frames and differs
+        same = [(i, j) for j in range(k + 1) for i in range(j)
+                if not (known[i][1] ^ known[j][1])
+                & known[i][0] & known[j][0]]
+        if not same:
+            return status  # a simple path: the step fails at k
+        for i, j in same:
+            diff = un.aig.bus_eq(states[i], states[j]) ^ 1
+            un.add_unit(un.cnf.encode([diff])[0])
+
+
+def _known_state(un: Unroller, model: list[int],
+                 lits: list[int]) -> tuple[int, int]:
+    """(mask, value) of a frame's state in a model, as ints over the
+    bit positions; the mask marks the known bits.
+
+    Only constants and encoded nodes are known.  The other state bits
+    are in no clause yet, so the model says nothing about them; encoding
+    them up front would make every step call assign every state bit of
+    every frame.
+    """
+    mask = value = 0
+    for pos, lit in enumerate(lits):
+        if (lit >> 1) == 0 or (lit >> 1) in un.cnf.var_of_node:
+            mask |= 1 << pos
+            value |= un.cnf.value(model, lit) << pos
+    return mask, value

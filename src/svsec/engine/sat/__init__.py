@@ -34,14 +34,22 @@ solve_formula = _core.solve_formula
 _work_units = 0
 
 
-def solve(clauses, num_vars: int, conflict_budget: int | None = None):
+def solve(clauses, num_vars: int, conflict_budget: int | None = None,
+          solver=None, assumptions=()):
+    """Add `clauses` to `solver` (a fresh one if None) and solve under
+    `assumptions`; returns (status, model or None).
+
+    A given solver keeps the clauses, and what it learned, for later
+    calls.  `conflict_budget` bounds the conflicts of this call.
+    """
     global _work_units
-    s = Solver()
+    s = Solver() if solver is None else solver
+    before = s.propagations + s.decisions + s.conflicts
     s.ensure_vars(num_vars)
     for c in clauses:
         s.add_clause(c)
-    status = s.solve(conflict_budget=conflict_budget)
-    _work_units += s.propagations + s.decisions + s.conflicts
+    status = s.solve(assumptions, conflict_budget=conflict_budget)
+    _work_units += s.propagations + s.decisions + s.conflicts - before
     return status, (list(s.model) if status == SAT else None)
 
 

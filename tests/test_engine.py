@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from svsec.check import check_design
+from svsec.engine import sat
+from svsec.engine.aig import FALSE
 from svsec.engine.bmc import Unroller, bmc
+from svsec.engine.cnf import to_cnf
 from svsec.engine.induction import k_induction
 from svsec.engine.oracle import OracleRefused, explicit_state_oracle
 from svsec.engine.result import (CompileError, Falsified, NoCexUpTo, Proven,
@@ -13,6 +17,8 @@ from svsec.engine.result import (CompileError, Falsified, NoCexUpTo, Proven,
 from svsec.props import compile_obligation, parse_property
 
 from conftest import COUNTER, compile_ts
+from test_acceptance import (_gen_counter, _gen_lock, _gen_once,
+                             _gen_regfile, _random_property)
 
 BY_TWO = """\
 module bytwo(
@@ -146,3 +152,133 @@ def test_check_design_end_to_end():
                         "no_such_signal == 1").status == "compile_error"
     assert isinstance(check_design(COUNTER, "wrong_top", "count_out == 0"),
                       CompileError)
+
+
+def test_step_out_of_budget_is_unknown_not_a_failed_step():
+    # with one conflict allowed, the step query at k=1 runs out; that
+    # must end the search rather than count as a step that fails
+    obl = obligation(COUNTER, "counter",
+                     "disable iff (!rst_n_in) count_out != 4'h3")
+    res = k_induction(obl, max_k=12, conflict_budget=1)
+    assert isinstance(res, Unknown) and res.max_k == 1
+    assert res.reason == ("induction step at k=1 exceeded the solver "
+                          "conflict budget of 1")
+
+
+def _eager_step_holds(un: Unroller, k: int, simple_path: bool) -> bool:
+    """Reference step: one fresh CNF with every pairwise distinctness
+    constraint up front."""
+    bad_k = un.bad(k)
+    if bad_k == FALSE:
+        return True
+    roots = [bad_k]
+    for t in range(k):
+        good = un.bad(t) ^ 1
+        if good == FALSE:
+            return True  # a good frame is impossible; vacuously holds
+        roots.append(good)
+    if simple_path:
+        for i in range(k + 1):
+            for j in range(i + 1, k + 1):
+                roots.append(un.aig.bus_eq(un.state_lits(i),
+                                           un.state_lits(j)) ^ 1)
+    if FALSE in roots:
+        return True
+    f = to_cnf(un.aig, roots)
+    return sat.solve(f.clauses, f.num_vars)[0] == sat.UNSAT
+
+
+def _eager_k_induction(obl, max_k: int, simple_path: bool = True):
+    base, step = Unroller(obl), Unroller(obl, free_initial=True)
+    for k in range(max_k + 1):
+        res = bmc(obl, max_depth=k, unroller=base)
+        if isinstance(res, Falsified):
+            return res
+        if _eager_step_holds(step, k, simple_path):
+            return Proven(k_used=k)
+    return Unknown(max_k=max_k, reason="induction depth exhausted")
+
+
+def _summary(verdict):
+    return (verdict.status, getattr(verdict, "k_used", None),
+            getattr(verdict, "depth", None))
+
+
+# State 1 loops on itself until go_in sends it to the bad state 2, and
+# reset only reaches 0, so only the simple-path constraint closes the step.
+STUCK = """\
+module stuck(
+  input logic clk_in,
+  input logic rst_n_in,
+  input logic go_in,
+  output logic [1:0] state_out
+);
+  always_ff @(posedge clk_in or negedge rst_n_in) begin
+    if (!rst_n_in) begin
+      state_out <= 2'd0;
+    end else if (state_out == 2'd1 && go_in) begin
+      state_out <= 2'd2;
+    end
+  end
+endmodule
+"""
+
+
+@pytest.mark.parametrize("simple_path", [True, False])
+@pytest.mark.parametrize("source, top, text, k_used", [
+    (BY_TWO, "bytwo", "disable iff (!rst_n_in) count_out != 4'h9", 8),
+    (STUCK, "stuck", "disable iff (!rst_n_in) state_out != 2'd2", 2),
+], ids=["bytwo", "stuck"])
+def test_lazy_simple_path_matches_eager(source, top, text, k_used,
+                                        simple_path):
+    obl = obligation(source, top, text)
+    eager = _eager_k_induction(obl, max_k=12, simple_path=simple_path)
+    lazy = k_induction(obl, max_k=12, simple_path=simple_path)
+    assert _summary(lazy) == _summary(eager)
+    if simple_path:
+        assert _summary(lazy) == ("proven", k_used, None)
+
+
+def test_lazy_simple_path_matches_eager_on_random_designs():
+    rng = random.Random(4242)
+    generators = (_gen_counter, _gen_regfile, _gen_lock, _gen_once)
+    statuses = set()
+    for _ in range(50):
+        src, ins, outs, candidates = rng.choice(generators)(rng)
+        obl = obligation(src, "duv",
+                         _random_property(rng, ins, outs, candidates))
+        lazy = k_induction(obl, max_k=32)
+        assert _summary(lazy) == _summary(_eager_k_induction(obl, 32))
+        statuses.add(lazy.status)
+    assert statuses == {"proven", "falsified"}
+
+
+def _pipeline_design(depth: int, width: int, masked_bit: int) -> str:
+    """A depth-stage register pipeline whose input has one bit masked."""
+    regs = [f"s{i}_q" for i in range(depth - 1)] + ["q_out"]
+    mask = ((1 << width) - 1) & ~(1 << masked_bit)
+    lines = ["module pipe(",
+             "  input logic clk_in,",
+             "  input logic rst_n_in,",
+             f"  input logic [{width - 1}:0] d_in,",
+             f"  output logic [{width - 1}:0] q_out",
+             ");"]
+    lines += [f"  logic [{width - 1}:0] {r};" for r in regs[:-1]]
+    lines += ["  always_ff @(posedge clk_in or negedge rst_n_in) begin",
+              "    if (!rst_n_in) begin"]
+    lines += [f"      {r} <= {width}'d0;" for r in regs]
+    lines += ["    end else begin",
+              f"      {regs[0]} <= d_in & {width}'d{mask};"]
+    lines += [f"      {regs[i]} <= {regs[i - 1]};" for i in range(1, depth)]
+    lines += ["    end", "  end", "endmodule"]
+    return "\n".join(lines) + "\n"
+
+
+def test_deep_induction_work_stays_small():
+    # the masked bit needs k = 16 to prove; solver work, unlike time,
+    # is deterministic, so it guards the incremental step directly
+    before = sat.work_units()
+    res = check_design(_pipeline_design(16, 8, 7), "pipe", "!q_out[7]")
+    work = sat.work_units() - before
+    assert res.status == "proven" and res.k_used == 16
+    assert work < 5_000, work

@@ -63,6 +63,34 @@ def test_assumptions():
     assert s.solve() == SAT
 
 
+def test_incremental_solving_matches_fresh_solves():
+    # clauses arrive in batches between solves under varying assumptions,
+    # as the incremental BMC and induction step use the solver
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(80):
+        n = rng.randint(3, 10)
+        s = pycore.Solver()
+        s.ensure_vars(n)
+        clauses = []
+        for _ in range(6):
+            batch = random_cnf(rng, n, rng.randint(1, n))
+            for c in batch:
+                s.add_clause(c)
+            clauses += batch
+            assumptions = [v if rng.random() < 0.5 else -v
+                           for v in rng.sample(range(1, n + 1),
+                                               rng.randint(0, 3))]
+            status = s.solve(assumptions=assumptions)
+            units = [(a,) for a in assumptions]
+            assert status == solve(clauses + units, n)[0]
+            if status == SAT:
+                assert model_satisfies(clauses + units, s.model)
+            outcomes.add((status, bool(assumptions)))
+    assert outcomes == {(SAT, False), (SAT, True), (UNSAT, False),
+                        (UNSAT, True)}
+
+
 def test_conflict_budget_gives_unknown():
     # pigeonhole: 7 pigeons in 6 holes, hard for CDCL, trivially UNSAT
     holes, pigeons = 6, 7
