@@ -122,6 +122,8 @@ def label(cache_dir, out_dir, seed, max_k, budget_seconds):
     if not gens:
         raise click.ClickException(
             f"no cached generations under {cache_dir}; run generate first")
+    # Before labeling, so a missing directory cannot discard its work.
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     specs = list_problems()
     rows = label_batch(gens, specs, seed=seed, max_k=max_k,
                        budget_seconds=budget_seconds)
@@ -166,6 +168,7 @@ def metrics(dataset, cache_dir, out_dir, seed):
             f"{dataset} not found; run label first")
     rows = import_csv(dataset)
     out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     write_heatmap_json(rows, out / "heatmap.json", seed=seed)
 

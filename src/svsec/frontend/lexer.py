@@ -3,12 +3,21 @@
 Total: any input yields a token stream plus zero or more diagnostics,
 never an exception.  Comments and whitespace produce no tokens.  Based
 literals (8'b0101, 'h1, '0) are single tokens.
+
+One compiled master regex of named groups scans the source, one match
+per token or skipped run; line and column come from the offset of the
+last newline.  The classes follow `str.isalpha`/`isalnum`/`isdigit`:
+`\\w` is exactly `isalnum` or `_`, but `\\d` is narrower than
+`isdigit` (it misses e.g. '²'), so the regex only starts words and
+numbers at ASCII characters and a non-ASCII letter or digit takes the
+`other` branch, which applies the `str` predicates directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum
+from typing import NamedTuple
 
 from svsec.frontend.diagnostics import Diagnostic, Severity
 
@@ -49,8 +58,7 @@ class TokenKind(Enum):
     PUNCT = "punctuation"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int
@@ -60,171 +68,134 @@ class Token:
         return f"Token({self.kind.value}, {self.text!r}, {self.line}:{self.col})"
 
 
-_PUNCT = frozenset("()[]{};,.@#")
-
 # Longest-match-first operator table.
 _OPERATORS = (
     "|->", "|=>", ">>>", "<<<",
     "<=", ">=", "==", "!=", "&&", "||", "<<", ">>", "->",
     "+", "-", "*", "/", "%", "&", "|", "^", "~", "!",
-    "<", ">", "=", "?", ":", "$",
+    "<", ">", "=", "?", ":",
 )
 
-_BASE_CHARS = "bodhBODH"
+# A base after the ' of a literal: 'b, 'sh, ...
+_BASE = r"'[sS]?[bodhBODH]"
+
+# Tried in order at each offset; the first group that matches wins.
+# Each match also takes the blanks after it, so blanks cost no match of
+# their own except at the very start.  No group holds an inner capture,
+# so `lastgroup` names the group that matched.
+_GROUPS = (
+    ("word", r"[A-Za-z_][\w$]*"),
+    ("punct", r"[()\[\]{};,.@#]"),
+    ("newline", r"\n[ \t\r\n]*"),
+    ("line_comment", r"//[^\n]*"),
+    ("block_comment", r"/\*(?s:.*?)\*/"),
+    ("open_comment", r"/\*"),
+    ("op", "|".join(map(re.escape, _OPERATORS))),
+    ("number", r"[0-9][0-9_]*"),
+    # Unbased forms ('0, 'x, 'sz) only without a size prefix.
+    ("based", rf"{_BASE}\w+|'[sS]?[01xXzZ]"),
+    ("based_no_digits", rf"(?={_BASE}(?!\w))'"),
+    ("tick", r"'"),
+    ("string", r'"[^"\n]*"'),
+    ("open_string", r'"[^"\n]*'),
+    ("system_name", r"\$\w+"),
+    ("dollar", r"\$"),
+    ("space", r"[ \t\r]+"),
+    ("other", r"(?s:.)"),
+)
+_MASTER = re.compile("(?:" + "|".join(f"(?P<{name}>{pattern})"
+                                      for name, pattern in _GROUPS)
+                     + r")[ \t\r]*")
+
+# What may follow the digits of a number: a base makes it one sized
+# literal, and a base without digits is an error.
+_SIZE = re.compile(rf"{_BASE}(\w*)")
+_WORD_TAIL = re.compile(r"[\w$]*")
+
+# Groups whose whole text is one token of a fixed kind.
+_KIND_OF_GROUP = {
+    "punct": TokenKind.PUNCT,
+    "op": TokenKind.OP,
+    "based": TokenKind.UNSIZED_LIT,
+    "string": TokenKind.UNSIZED_LIT,
+    "system_name": TokenKind.IDENT,
+}
 
 
 def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    i = 0
-    line = 1
-    col = 1
+    match = _MASTER.match
     n = len(source)
+    pos = 0
+    line = 1
+    line_start = 0  # offset of the first character of `line`
 
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            advance(1)
+    while pos < n:
+        m = match(source, pos)
+        group = m.lastgroup
+        col = pos - line_start + 1
+        if group == "word":
+            text = m.group(group)
+            tokens.append(Token(TokenKind.KEYWORD if text in KEYWORDS
+                                else TokenKind.IDENT, text, line, col))
+        elif group in _KIND_OF_GROUP:
+            tokens.append(Token(_KIND_OF_GROUP[group], m.group(group), line, col))
+        elif group == "newline" or group == "block_comment":
+            text = m.group(group)
+            breaks = text.count("\n")
+            if breaks:
+                line += breaks
+                line_start = pos + text.rindex("\n") + 1
+        elif group == "number":
+            pos = _number(source, pos, m.end(group), line, col, tokens, diags)
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        if source.startswith("/*", i):
-            start_line, start_col = line, col
-            advance(2)
-            while i < n and not source.startswith("*/", i):
-                advance(1)
-            if i >= n:
-                diags.append(Diagnostic(Severity.ERROR, "unterminated block comment",
-                                        start_line, start_col))
-                break
-            advance(2)
-            continue
-        if c == '"':
-            start_line, start_col = line, col
-            j = i + 1
-            while j < n and source[j] not in '"\n':
-                j += 1
-            if j >= n or source[j] != '"':
-                diags.append(Diagnostic(Severity.ERROR, "unterminated string literal",
-                                        start_line, start_col))
-                advance(j - i)
+        elif group == "based_no_digits":
+            diags.append(Diagnostic(Severity.ERROR, "based literal missing digits",
+                                    line, col))
+            diags.append(Diagnostic(Severity.ERROR, "stray ' in input", line, col))
+        elif group == "tick":
+            diags.append(Diagnostic(Severity.ERROR, "stray ' in input", line, col))
+        elif group == "dollar":
+            diags.append(Diagnostic(Severity.ERROR, "stray $ in input", line, col))
+        elif group == "open_string":
+            diags.append(Diagnostic(Severity.ERROR, "unterminated string literal",
+                                    line, col))
+        elif group == "open_comment":
+            diags.append(Diagnostic(Severity.ERROR, "unterminated block comment",
+                                    line, col))
+            break
+        elif group == "other":  # one character no ASCII-only group takes
+            c = m.group(group)
+            if c.isalpha():  # not a keyword: keywords are ASCII
+                end = _WORD_TAIL.match(source, pos + 1).end()
+                tokens.append(Token(TokenKind.IDENT, source[pos:end], line, col))
+                pos = end
                 continue
-            tokens.append(Token(TokenKind.UNSIZED_LIT, source[i:j + 1], start_line, start_col))
-            advance(j + 1 - i)
-            continue
-
-        if c.isalpha() or c == "_":
-            start_line, start_col = line, col
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "_$"):
-                j += 1
-            word = source[i:j]
-            # A size prefix glued to a based literal: 8'hFF
-            if j < n and source[j] == "'" and word.isdigit():
-                pass  # handled by the numeric branch below; cannot occur here
-            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, word, start_line, start_col))
-            advance(j - i)
-            continue
-
-        if c.isdigit():
-            start_line, start_col = line, col
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "_"):
-                j += 1
-            if j < n and source[j] == "'":
-                lit = _lex_based(source, i, j, diags, start_line, start_col)
-                if lit is not None:
-                    tokens.append(Token(TokenKind.SIZED_LIT, lit, start_line, start_col))
-                    advance(len(lit))
-                    continue
-            tokens.append(Token(TokenKind.UNSIZED_LIT, source[i:j], start_line, start_col))
-            advance(j - i)
-            continue
-
-        if c == "'":
-            start_line, start_col = line, col
-            lit = _lex_based(source, i, i, diags, start_line, start_col)
-            if lit is not None:
-                tokens.append(Token(TokenKind.UNSIZED_LIT, lit, start_line, start_col))
-                advance(len(lit))
+            if c.isdigit():
+                pos = _number(source, pos, pos + 1, line, col, tokens, diags)
                 continue
-            diags.append(Diagnostic(Severity.ERROR, "stray ' in input", start_line, start_col))
-            advance(1)
-            continue
-
-        if c == "$":
-            start_line, start_col = line, col
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            if j > i + 1:
-                tokens.append(Token(TokenKind.IDENT, source[i:j], start_line, start_col))
-                advance(j - i)
-                continue
-            diags.append(Diagnostic(Severity.ERROR, "stray $ in input", start_line, start_col))
-            advance(1)
-            continue
-
-        if c in _PUNCT:
-            tokens.append(Token(TokenKind.PUNCT, c, line, col))
-            advance(1)
-            continue
-
-        matched = False
-        for op in _OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token(TokenKind.OP, op, line, col))
-                advance(len(op))
-                matched = True
-                break
-        if matched:
-            continue
-
-        diags.append(Diagnostic(Severity.ERROR, f"unexpected character {c!r}", line, col))
-        advance(1)
+            diags.append(Diagnostic(Severity.ERROR, f"unexpected character {c!r}",
+                                    line, col))
+        pos = m.end()
 
     return tokens, diags
 
 
-def _lex_based(source: str, start: int, tick: int, diags, line: int, col: int):
-    """Lex a based literal starting at `start` with the ' at `tick`.
-
-    Returns the lexeme text, or None if this is not a based literal.
-    Handles 8'b0101, 'hFF, and the unbased forms '0 / '1.
-    """
+def _number(source, start, end, line, col, tokens, diags) -> int:
+    """Lex the number whose first digits span source[start:end]; returns
+    where it ends.  Digits run on as far as `str.isdigit` (or `_`) does,
+    and a following base (8'hFF) makes the number a sized literal."""
     n = len(source)
-    j = tick + 1
-    if j >= n:
-        return None
-    c = source[j]
-    if c in "sS":
-        j += 1
-        if j >= n:
-            return None
-        c = source[j]
-    if c in _BASE_CHARS:
-        j += 1
-        k = j
-        while k < n and (source[k].isalnum() or source[k] == "_"):
-            k += 1
-        if k == j:
-            diags.append(Diagnostic(Severity.ERROR, "based literal missing digits", line, col))
-            return None
-        return source[start:k]
-    if c in "01xXzZ" and tick == start:
-        # Unbased unsized literal: '0, '1, 'x, 'z
-        return source[start:j + 1]
-    return None
+    while end < n and (source[end].isdigit() or source[end] == "_"):
+        end += 1
+    size = _SIZE.match(source, end)
+    if size is not None:
+        if size.group(1):
+            tokens.append(Token(TokenKind.SIZED_LIT, source[start:size.end()],
+                                line, col))
+            return size.end()
+        diags.append(Diagnostic(Severity.ERROR, "based literal missing digits",
+                                line, col))
+    tokens.append(Token(TokenKind.UNSIZED_LIT, source[start:end], line, col))
+    return end

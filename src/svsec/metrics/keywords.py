@@ -4,11 +4,16 @@ Counts language-keyword tokens only — comments, string-free prose, and
 identifiers never contribute — over a configurable set of 44 commonly
 used SystemVerilog keywords.  Untokenizable files are skipped and
 tallied as warnings.
+
+Regenerations often repeat a source verbatim, so each distinct source is
+tokenized once and its counts (or its skip) weigh by how many times it
+occurs in the input.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import Counter
 
 from svsec.frontend.lexer import TokenKind, tokenize
 
@@ -29,16 +34,15 @@ def keyword_frequency(sources,
                       keywords=DEFAULT_KEYWORDS) -> tuple[dict, int]:
     """Returns ({keyword: count} over the full set, skipped-file count)."""
     hist = {kw: 0 for kw in keywords}
-    wanted = set(keywords)
     skipped = 0
-    for source in sources:
+    for source, copies in Counter(sources).items():
         tokens, diags = tokenize(source)
         if any(d.is_fatal for d in diags):
-            skipped += 1
+            skipped += copies
             continue
         for tok in tokens:
-            if tok.kind is TokenKind.KEYWORD and tok.text in wanted:
-                hist[tok.text] += 1
+            if tok.kind is TokenKind.KEYWORD and tok.text in hist:
+                hist[tok.text] += copies
     return hist, skipped
 
 

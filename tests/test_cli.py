@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from svsec.catalog import list_problems
@@ -99,6 +100,35 @@ def test_metrics_without_dataset_fails(tmp_path):
                  "--out", str(tmp_path))
     assert res.exit_code == 1
     assert "run label first" in res.output
+
+
+@pytest.fixture(scope="module")
+def stub_run(tmp_path_factory):
+    """A stub cache (n=1) and its labeled dataset.csv."""
+    root = tmp_path_factory.mktemp("stub")
+    res = invoke("generate", "--stub", "--n", "1", "--out", str(root))
+    assert res.exit_code == 0, res.output
+    res = invoke("label", "--cache", str(root / "cache"), "--out", str(root))
+    assert res.exit_code == 0, res.output
+    return root
+
+
+def test_label_creates_a_missing_out_dir(tmp_path, stub_run):
+    out = tmp_path / "not" / "yet"
+    res = invoke("label", "--cache", str(stub_run / "cache"),
+                 "--out", str(out))
+    assert res.exit_code == 0, res.output
+    assert "120 rows" in res.output
+    assert (out / "dataset.csv").exists()
+
+
+def test_metrics_creates_a_missing_out_dir(tmp_path, stub_run):
+    out = tmp_path / "not" / "yet"
+    res = invoke("metrics", "--dataset", str(stub_run / "dataset.csv"),
+                 "--cache", str(stub_run / "cache"), "--out", str(out))
+    assert res.exit_code == 0, res.output
+    for artifact in ("heatmap.json", "passatk.csv", "keywords.csv"):
+        assert (out / artifact).exists(), artifact
 
 
 def test_full_pipeline(tmp_path):

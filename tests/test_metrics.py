@@ -6,6 +6,7 @@ import pytest
 
 from svsec.catalog import CWE_IDS, DIFFICULTIES, list_problems
 from svsec.catalog.problems import design_text
+from svsec.frontend.lexer import tokenize
 from svsec.gen.batch import Generation
 from svsec.metrics import (DatasetRow, RowError, ScopeError, export_csv,
                            heatmap, import_csv, keyword_frequency,
@@ -221,10 +222,68 @@ def test_keyword_identifiers_do_not_count():
     assert hist["module"] == 1 and hist["begin"] == 0
 
 
+BROKEN = "wire w = 'h0' ;"
+
+
 def test_untokenizable_sources_are_skipped():
-    hist, skipped = keyword_frequency([SNIPPET, "wire w = 'h0' ;"])
+    hist, skipped = keyword_frequency([SNIPPET, BROKEN])
     assert skipped == 1
     assert hist["module"] == 1
+
+
+def _per_source_sum(sources):
+    """The histogram summed over one keyword_frequency call per source."""
+    total = {kw: 0 for kw in DEFAULT_KEYWORDS}
+    skipped = 0
+    for source in sources:
+        hist, s = keyword_frequency([source])
+        skipped += s
+        for kw, count in hist.items():
+            total[kw] += count
+    return total, skipped
+
+
+def test_duplicated_sources_count_with_their_multiplicity():
+    once, _ = keyword_frequency([SNIPPET])
+    thrice, skipped = keyword_frequency([SNIPPET, SNIPPET, SNIPPET])
+    assert skipped == 0
+    assert thrice == {kw: 3 * count for kw, count in once.items()}
+    assert thrice["logic"] == 9
+
+
+def test_duplicated_untokenizable_source_is_skipped_per_copy():
+    hist, skipped = keyword_frequency([BROKEN, SNIPPET, BROKEN, BROKEN])
+    assert skipped == 3
+    assert hist == keyword_frequency([SNIPPET])[0]
+
+
+def test_histogram_equals_the_per_source_sum():
+    designs = []
+    for spec in list_problems():
+        designs += [design_text(spec.correct_file),
+                    design_text(spec.vulnerable_file)]
+    # Uneven multiplicities, interleaved, plus untokenizable copies.
+    sources = [d for i, d in enumerate(designs) for _ in range(1 + i % 4)]
+    sources = sources[::2] + sources[1::2] + [BROKEN] * 5
+    assert keyword_frequency(sources) == _per_source_sum(sources)
+
+
+def test_each_distinct_source_is_tokenized_once(monkeypatch):
+    import svsec.metrics.keywords as keywords
+
+    seen = []
+
+    def counting_tokenize(source):
+        seen.append(source)
+        return tokenize(source)
+
+    monkeypatch.setattr(keywords, "tokenize", counting_tokenize)
+    other = SNIPPET.replace("posedge", "negedge")
+    hist, skipped = keyword_frequency([SNIPPET, other, BROKEN, SNIPPET,
+                                       BROKEN, other, SNIPPET])
+    assert sorted(seen) == sorted([SNIPPET, other, BROKEN])
+    assert skipped == 2
+    assert hist["posedge"] == 3 and hist["negedge"] == 2
 
 
 def test_keywords_csv(tmp_path):
