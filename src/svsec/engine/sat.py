@@ -1,9 +1,18 @@
-# cython: language_level=3, boundscheck=False, wraparound=False, initializedcheck=False, cdivision=True
-"""Compiled conflict-driven clause learning SAT solver.
+"""Conflict-driven clause learning SAT solver.
 
-Algorithmic twin of svsec.engine.sat.pycore with typed hot loops; both
-cores make identical decisions and return identical models.
+Two-literal watching, first-UIP learning, activity-ordered decisions
+with phase saving, and Luby restarts.  Fully deterministic: ties in
+the decision order break on the lowest variable index.
+
+Literals use DIMACS convention at the API (nonzero ints, negative for
+negation) and the packed form 2*v / 2*v+1 internally.
+
+Every caller solves through `solve`, which also keeps the cumulative
+solver effort (propagations + decisions + conflicts): a
+machine-independent, reproducible stand-in for wall-clock time.
 """
+
+from __future__ import annotations
 
 import heapq
 
@@ -11,57 +20,42 @@ SAT = 1
 UNSAT = 0
 UNKNOWN = -1
 
-DEF UNASSIGNED = 2
+# There is one core, and it is not compiled; perfbench/worker.py records this.
+COMPILED = False
+
+_UNASSIGNED = 2
 
 
-cdef inline int _pack(int dimacs_lit):
-    cdef int v = dimacs_lit if dimacs_lit > 0 else -dimacs_lit
-    return 2 * (v - 1) + (1 if dimacs_lit < 0 else 0)
+def _pack(dimacs_lit: int) -> int:
+    v = abs(dimacs_lit) - 1
+    return 2 * v + (1 if dimacs_lit < 0 else 0)
 
 
-cdef class Solver:
-    cdef public list clauses
-    cdef public list watches
-    cdef public list assign
-    cdef public list level
-    cdef public list reason
-    cdef public list phase
-    cdef public list activity
-    cdef public list heap
-    cdef public list trail
-    cdef public list trail_lim
-    cdef public Py_ssize_t qhead
-    cdef public double var_inc
-    cdef public bint ok
-    cdef public long conflicts
-    cdef public long decisions
-    cdef public long propagations
-    cdef public list model
-
+class Solver:
     def __init__(self):
-        self.clauses = []
-        self.watches = []
-        self.assign = []
-        self.level = []
-        self.reason = []
-        self.phase = []
-        self.activity = []
-        self.heap = []
-        self.trail = []
-        self.trail_lim = []
+        self.clauses: list[list[int]] = []
+        self.watches: list[list[int]] = []  # packed lit -> clause indices
+        self.assign: list[int] = []         # var -> 0/1/_UNASSIGNED
+        self.level: list[int] = []
+        self.reason: list[int] = []         # var -> clause index or -1
+        self.phase: list[int] = []
+        self.activity: list[float] = []
+        self.heap: list[tuple[float, int]] = []
+        self.trail: list[int] = []          # packed lits in assignment order
+        self.trail_lim: list[int] = []
         self.qhead = 0
         self.var_inc = 1.0
         self.ok = True
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
-        self.model = []
+        self.model: list[int] = []
 
     # ---- problem construction ------------------------------------------
 
-    cpdef ensure_vars(self, int n):
+    def ensure_vars(self, n: int) -> None:
         while len(self.assign) < n:
-            self.assign.append(UNASSIGNED)
+            self.assign.append(_UNASSIGNED)
             self.level.append(0)
             self.reason.append(-1)
             self.phase.append(0)
@@ -70,14 +64,13 @@ cdef class Solver:
             self.watches.append([])
             heapq.heappush(self.heap, (0.0, len(self.assign) - 1))
 
-    def add_clause(self, dimacs_lits):
-        cdef int dl, p, v
+    def add_clause(self, dimacs_lits) -> bool:
         if not self.ok:
             return False
         lits = []
         seen = set()
         for dl in dimacs_lits:
-            self.ensure_vars(dl if dl > 0 else -dl)
+            self.ensure_vars(abs(dl))
             p = _pack(dl)
             if p ^ 1 in seen:
                 return True  # tautology
@@ -85,7 +78,7 @@ cdef class Solver:
                 continue
             seen.add(p)
             v = self.assign[p >> 1]
-            if v != UNASSIGNED and self.level[p >> 1] == 0:
+            if v != _UNASSIGNED and self.level[p >> 1] == 0:
                 if v == (p & 1) ^ 1:
                     return True  # satisfied at root
                 continue  # falsified at root, drop literal
@@ -97,28 +90,28 @@ cdef class Solver:
             if not self._enqueue(lits[0], -1):
                 self.ok = False
                 return False
-            if self._propagate() != -1:
+            conf = self._propagate()
+            if conf != -1:
                 self.ok = False
                 return False
             return True
-        cdef Py_ssize_t ci = len(self.clauses)
+        ci = len(self.clauses)
         self.clauses.append(lits)
-        (<list>self.watches[(<int>lits[0]) ^ 1]).append(ci)
-        (<list>self.watches[(<int>lits[1]) ^ 1]).append(ci)
+        self.watches[lits[0] ^ 1].append(ci)
+        self.watches[lits[1] ^ 1].append(ci)
         return True
 
     # ---- assignment ----------------------------------------------------
 
-    cdef inline int _value(self, int p):
-        cdef int v = self.assign[p >> 1]
-        if v == UNASSIGNED:
-            return UNASSIGNED
+    def _value(self, p: int) -> int:
+        v = self.assign[p >> 1]
+        if v == _UNASSIGNED:
+            return _UNASSIGNED
         return v ^ (p & 1)
 
-    cdef bint _enqueue(self, int p, Py_ssize_t reason):
-        cdef int val = self._value(p)
-        cdef int var
-        if val != UNASSIGNED:
+    def _enqueue(self, p: int, reason: int) -> bool:
+        val = self._value(p)
+        if val != _UNASSIGNED:
             return val == 1
         var = p >> 1
         self.assign[var] = (p & 1) ^ 1
@@ -127,44 +120,35 @@ cdef class Solver:
         self.trail.append(p)
         return True
 
-    cdef Py_ssize_t _propagate(self):
-        cdef int p, first, other, q
-        cdef Py_ssize_t i, k, ci, n
-        cdef list ws, c
+    def _propagate(self) -> int:
         while self.qhead < len(self.trail):
             p = self.trail[self.qhead]
             self.qhead += 1
             self.propagations += 1
-            ws = <list>self.watches[p]
+            ws = self.watches[p]
             i = 0
             while i < len(ws):
                 ci = ws[i]
-                c = <list>self.clauses[ci]
+                c = self.clauses[ci]
                 # make sure the falsified literal is in slot 1
-                first = c[0]
-                if first == p ^ 1:
-                    c[0] = c[1]
-                    c[1] = first
-                    first = c[0]
-                if self._value(first) == 1:
+                if c[0] == p ^ 1:
+                    c[0], c[1] = c[1], c[0]
+                if self._value(c[0]) == 1:
                     i += 1
                     continue
                 moved = False
-                n = len(c)
-                for k in range(2, n):
-                    q = c[k]
-                    if self._value(q) != 0:
-                        c[k] = c[1]
-                        c[1] = q
-                        (<list>self.watches[q ^ 1]).append(ci)
-                        ws[i] = ws[len(ws) - 1]
+                for k in range(2, len(c)):
+                    if self._value(c[k]) != 0:
+                        c[1], c[k] = c[k], c[1]
+                        self.watches[c[1] ^ 1].append(ci)
+                        ws[i] = ws[-1]
                         ws.pop()
                         moved = True
                         break
                 if moved:
                     continue
                 # unit or conflicting
-                if not self._enqueue(first, ci):
+                if not self._enqueue(c[0], ci):
                     self.qhead = len(self.trail)
                     return ci
                 i += 1
@@ -172,36 +156,31 @@ cdef class Solver:
 
     # ---- conflict analysis ---------------------------------------------
 
-    cdef _bump(self, int var):
-        cdef Py_ssize_t v
-        self.activity[var] = <double>self.activity[var] + self.var_inc
-        if <double>self.activity[var] > 1e100:
+    def _bump(self, var: int) -> None:
+        self.activity[var] += self.var_inc
+        if self.activity[var] > 1e100:
             for v in range(len(self.activity)):
-                self.activity[v] = <double>self.activity[v] * 1e-100
+                self.activity[v] *= 1e-100
             self.var_inc *= 1e-100
-        if self.assign[var] == UNASSIGNED:
-            heapq.heappush(self.heap, (-<double>self.activity[var], var))
+        if self.assign[var] == _UNASSIGNED:
+            heapq.heappush(self.heap, (-self.activity[var], var))
 
-    cdef tuple _analyze(self, Py_ssize_t confl):
-        cdef list learned = [0]  # slot for the asserting literal
-        cdef list seen = [False] * len(self.assign)
-        cdef int counter = 0
-        cdef int p = -1
-        cdef Py_ssize_t index = len(self.trail) - 1
-        cdef int cur_level = len(self.trail_lim)
-        cdef int q, var, x, back, lev, hi_lev
-        cdef Py_ssize_t start, j, r, hi, ix
-        cdef list c
+    def _analyze(self, confl: int) -> tuple[list[int], int]:
+        learned = [0]  # slot for the asserting literal
+        seen = [False] * len(self.assign)
+        counter = 0
+        p = -1
+        index = len(self.trail) - 1
+        cur_level = len(self.trail_lim)
         while True:
-            c = <list>self.clauses[confl]
+            c = self.clauses[confl]
             start = 0 if p == -1 else 1
-            for j in range(start, len(c)):
-                q = c[j]
+            for q in c[start:]:
                 var = q >> 1
-                if not seen[var] and <int>self.level[var] > 0:
+                if not seen[var] and self.level[var] > 0:
                     seen[var] = True
                     self._bump(var)
-                    if <int>self.level[var] >= cur_level:
+                    if self.level[var] >= cur_level:
                         counter += 1
                     else:
                         learned.append(q)
@@ -218,21 +197,14 @@ cdef class Solver:
         learned[0] = p ^ 1
 
         # clause minimization: drop literals implied by the rest
-        cdef list keep = [learned[0]]
-        for j in range(1, len(learned)):
-            q = learned[j]
+        keep = [learned[0]]
+        for q in learned[1:]:
             r = self.reason[q >> 1]
             if r == -1:
                 keep.append(q)
                 continue
-            redundant = True
-            for x in <list>self.clauses[r]:
-                if x == (q ^ 1):
-                    continue
-                if not seen[x >> 1] and <int>self.level[x >> 1] > 0:
-                    redundant = False
-                    break
-            if not redundant:
+            if any(not seen[x >> 1] and self.level[x >> 1] > 0
+                   for x in self.clauses[r] if x != (q ^ 1)):
                 keep.append(q)
         learned = keep
 
@@ -240,61 +212,41 @@ cdef class Solver:
             back = 0
         else:
             # second-highest decision level in the clause
-            back = 0
-            hi = 1
-            hi_lev = -1
-            for ix in range(1, len(learned)):
-                lev = self.level[(<int>learned[ix]) >> 1]
-                if lev > back:
-                    back = lev
-                if lev > hi_lev:
-                    hi_lev = lev
-                    hi = ix
+            back = max(self.level[q >> 1] for q in learned[1:])
+            hi = max(range(1, len(learned)),
+                     key=lambda ix: self.level[learned[ix] >> 1])
             learned[1], learned[hi] = learned[hi], learned[1]
         return learned, back
 
-    cdef _backtrack(self, int target_level):
-        cdef Py_ssize_t start, j
-        cdef int p, var
+    def _backtrack(self, target_level: int) -> None:
         while len(self.trail_lim) > target_level:
             start = self.trail_lim.pop()
-            for j in range(len(self.trail) - 1, start - 1, -1):
-                p = self.trail[j]
+            for p in reversed(self.trail[start:]):
                 var = p >> 1
                 self.phase[var] = self.assign[var]
-                self.assign[var] = UNASSIGNED
-                heapq.heappush(self.heap, (-<double>self.activity[var], var))
+                self.assign[var] = _UNASSIGNED
+                heapq.heappush(self.heap, (-self.activity[var], var))
             del self.trail[start:]
         self.qhead = len(self.trail)
 
     # ---- search --------------------------------------------------------
 
-    cdef int _decide(self):
-        cdef int var
-        cdef double act
+    def _decide(self) -> int:
         while self.heap:
             act, var = heapq.heappop(self.heap)
-            if self.assign[var] == UNASSIGNED \
-                    and -act == <double>self.activity[var]:
+            if self.assign[var] == _UNASSIGNED and -act == self.activity[var]:
                 return 2 * var + (1 if self.phase[var] == 0 else 0)
         for var in range(len(self.assign)):
-            if self.assign[var] == UNASSIGNED:
+            if self.assign[var] == _UNASSIGNED:
                 return 2 * var + (1 if self.phase[var] == 0 else 0)
         return -1
 
-    def solve(self, assumptions=(), conflict_budget=None):
-        cdef int dl, p, val, restart_count
-        cdef long limit, base_conflicts, budget
-        cdef Py_ssize_t confl, ci
-        cdef int back
-        cdef list learned
-        cdef bint has_budget = conflict_budget is not None
-        budget = conflict_budget if has_budget else 0
+    def solve(self, assumptions=(), conflict_budget: int | None = None) -> int:
         if not self.ok:
             return UNSAT
-        cdef list packed_assumps = []
+        packed_assumps = []
         for dl in assumptions:
-            self.ensure_vars(dl if dl > 0 else -dl)
+            self.ensure_vars(abs(dl))
             packed_assumps.append(_pack(dl))
         restart_count = 0
         limit = _luby(restart_count) * 100
@@ -314,11 +266,12 @@ cdef class Solver:
                 else:
                     ci = len(self.clauses)
                     self.clauses.append(learned)
-                    (<list>self.watches[(<int>learned[0]) ^ 1]).append(ci)
-                    (<list>self.watches[(<int>learned[1]) ^ 1]).append(ci)
+                    self.watches[learned[0] ^ 1].append(ci)
+                    self.watches[learned[1] ^ 1].append(ci)
                     self._enqueue(learned[0], ci)
                 self.var_inc /= 0.95
-                if has_budget and self.conflicts - base_conflicts >= budget:
+                if conflict_budget is not None \
+                        and self.conflicts - base_conflicts >= conflict_budget:
                     self._backtrack(0)
                     return UNKNOWN
                 if self.conflicts - base_conflicts >= limit:
@@ -335,7 +288,7 @@ cdef class Solver:
                     self._backtrack(0)
                     return UNSAT
                 self.trail_lim.append(len(self.trail))
-                if val == UNASSIGNED:
+                if val == _UNASSIGNED:
                     self._enqueue(p, -1)
                 continue
             p = self._decide()
@@ -347,30 +300,41 @@ cdef class Solver:
             self.trail_lim.append(len(self.trail))
             self._enqueue(p, -1)
 
-    def model_value(self, int dimacs_var):
+    def model_value(self, dimacs_var: int) -> int:
         return self.model[dimacs_var - 1]
 
 
-cdef long _luby(long i):
-    cdef int k
-    cdef long t
+def _luby(i: int) -> int:
     i += 1
     while True:
-        k = 0
-        t = i
-        while t:
-            t >>= 1
-            k += 1
-        if i == (<long>1 << k) - 1:
-            return <long>1 << (k - 1)
-        i -= (<long>1 << (k - 1)) - 1
+        k = i.bit_length()
+        if i == (1 << k) - 1:
+            return 1 << (k - 1)
+        i -= (1 << (k - 1)) - 1
 
 
-def solve_formula(clauses, num_vars, conflict_budget=None):
-    """One-shot interface: returns (status, model|None)."""
-    s = Solver()
+# Cumulative solver effort over every `solve` call.
+_work_units = 0
+
+
+def solve(clauses, num_vars: int, conflict_budget: int | None = None,
+          solver=None, assumptions=()):
+    """Add `clauses` to `solver` (a fresh one if None) and solve under
+    `assumptions`; returns (status, model or None).
+
+    A given solver keeps the clauses, and what it learned, for later
+    calls.  `conflict_budget` bounds the conflicts of this call.
+    """
+    global _work_units
+    s = Solver() if solver is None else solver
+    before = s.propagations + s.decisions + s.conflicts
     s.ensure_vars(num_vars)
     for c in clauses:
         s.add_clause(c)
-    status = s.solve(conflict_budget=conflict_budget)
+    status = s.solve(assumptions, conflict_budget=conflict_budget)
+    _work_units += s.propagations + s.decisions + s.conflicts - before
     return status, (list(s.model) if status == SAT else None)
+
+
+def work_units() -> int:
+    return _work_units

@@ -26,17 +26,6 @@ class Trace:
     def depth(self) -> int:
         return len(self.inputs) - 1
 
-    @classmethod
-    def from_inputs(cls, ts: TransitionSystem, initial: dict[str, int],
-                    inputs: list[dict[str, int]]) -> "Trace":
-        """Simulate `ts` from `initial` under `inputs` and record everything.
-
-        States missing from `initial` take their reset value (0 if free).
-        """
-        tr = cls(initial=dict(initial), inputs=[dict(v) for v in inputs])
-        tr.replay(ts)
-        return tr
-
     def replay(self, ts: TransitionSystem) -> None:
         """Recompute states/values from initial+inputs against `ts`."""
         step = compile_stepper(ts)

@@ -24,7 +24,3 @@ class Diagnostic:
     @property
     def is_fatal(self) -> bool:
         return self.severity in (Severity.ERROR, Severity.UNSUPPORTED)
-
-
-def has_fatal(diags) -> bool:
-    return any(d.is_fatal for d in diags)

@@ -39,9 +39,6 @@ class ArrayInfo:
     hi: int
     width: int
 
-    def element(self, name: str, i: int) -> str:
-        return f"{name}[{i}]"
-
 
 @dataclass
 class Scope:

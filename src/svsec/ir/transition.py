@@ -37,12 +37,6 @@ class TransitionSystem:
     def input_bits(self) -> int:
         return sum(w for _, w in self.inputs)
 
-    def initial_states(self):
-        """(fixed, free) split of the state variables."""
-        fixed = [s for s in self.states if s.reset is not None]
-        free = [s for s in self.states if s.reset is None]
-        return fixed, free
-
     def with_extra(self, extra_states: list[StateVar],
                    extra_next: dict[str, ex.Expr],
                    extra_defines: list[tuple[str, ex.Expr]]) -> "TransitionSystem":
