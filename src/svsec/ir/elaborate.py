@@ -261,7 +261,7 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
             cp = child_ports[conn.port]
             if cp.direction == "input":
                 if conn.expr is not None:
-                    in_exprs[conn.port] = _elab_expr(conn.expr, scope, col)
+                    in_exprs[conn.port] = _elab_expr(conn.expr, scope, {})
             else:
                 if conn.expr is None:
                     continue
@@ -331,8 +331,14 @@ def _const_eval(e: ast.Expr, scope: Scope) -> int:
 
 # --------------------------------------------------------------------------
 # Expression elaboration
+#
+# `blocking` maps the names (and `name[i]` array elements) that an always
+# block has assigned so far to their current values; reads check it first.
+# Outside always blocks it is empty.
 
-def _lookup(name: str, scope: Scope, col: Collected) -> ex.Expr:
+def _lookup(name: str, scope: Scope, blocking: dict[str, ex.Expr]) -> ex.Expr:
+    if name in blocking:
+        return blocking[name]
     if name in scope.params:
         return ex.BV(32, scope.params[name])
     if name in scope.widths:
@@ -347,14 +353,26 @@ def _balance(a: ex.Expr, b: ex.Expr) -> tuple[ex.Expr, ex.Expr]:
     return ex.resize(a, w), ex.resize(b, w)
 
 
-def _elab_expr(e: ast.Expr, scope: Scope, col: Collected) -> ex.Expr:
+def _equals(idx: ex.Expr, i: int) -> ex.Expr:
+    return ex.binop("eq", *_balance(idx, ex.BV(idx.width, i)))
+
+
+def _const_or_none(e: ast.Expr, scope: Scope) -> int | None:
+    try:
+        return _const_eval(e, scope)
+    except ElabError:
+        return None
+
+
+def _elab_expr(e: ast.Expr, scope: Scope,
+               blocking: dict[str, ex.Expr]) -> ex.Expr:
     if isinstance(e, ast.Number):
         width = e.width if e.width is not None else 32
         return ex.BV(width, e.value)
     if isinstance(e, ast.Ident):
-        return _lookup(e.name, scope, col)
+        return _lookup(e.name, scope, blocking)
     if isinstance(e, ast.Unary):
-        a = _elab_expr(e.operand, scope, col)
+        a = _elab_expr(e.operand, scope, blocking)
         if e.op == "~":
             return ex.unop("not", a)
         if e.op == "-":
@@ -369,19 +387,19 @@ def _elab_expr(e: ast.Expr, scope: Scope, col: Collected) -> ex.Expr:
             return ex.unop("redxor", a)
         raise _err(f"unsupported unary operator {e.op!r}", sev=Severity.UNSUPPORTED)
     if isinstance(e, ast.Binary):
-        return _elab_binary(e, scope, col)
+        return _elab_binary(e, scope, blocking)
     if isinstance(e, ast.Ternary):
-        c = ex.boolify(_elab_expr(e.cond, scope, col))
-        t, o = _balance(_elab_expr(e.then, scope, col),
-                        _elab_expr(e.other, scope, col))
+        c = ex.boolify(_elab_expr(e.cond, scope, blocking))
+        t, o = _balance(_elab_expr(e.then, scope, blocking),
+                        _elab_expr(e.other, scope, blocking))
         return ex.mux(c, t, o)
     if isinstance(e, ast.Index):
-        return _elab_index(e, scope, col)
+        return _elab_index(e, scope, blocking)
     if isinstance(e, ast.RangeSelect):
         if not isinstance(e.base, ast.Ident):
             raise _err("part select base must be an identifier",
                        sev=Severity.UNSUPPORTED)
-        base = _lookup(e.base.name, scope, col)
+        base = _lookup(e.base.name, scope, blocking)
         hi = _const_eval(e.msb, scope)
         lo = _const_eval(e.lsb, scope)
         if not (0 <= lo <= hi < base.width):
@@ -389,10 +407,10 @@ def _elab_expr(e: ast.Expr, scope: Scope, col: Collected) -> ex.Expr:
                        f"{e.base.name!r} (width {base.width})")
         return ex.slice_(base, hi, lo)
     if isinstance(e, ast.Concat):
-        return ex.concat(tuple(_elab_expr(p, scope, col) for p in e.parts))
+        return ex.concat(tuple(_elab_expr(p, scope, blocking) for p in e.parts))
     if isinstance(e, ast.Replicate):
         n = _const_eval(e.count, scope)
-        v = _elab_expr(e.value, scope, col)
+        v = _elab_expr(e.value, scope, blocking)
         return ex.concat(tuple(v for _ in range(max(n, 0))))
     if isinstance(e, ast.SysCall):
         raise _err(f"system function {e.name} is not supported in module context",
@@ -401,9 +419,10 @@ def _elab_expr(e: ast.Expr, scope: Scope, col: Collected) -> ex.Expr:
                sev=Severity.UNSUPPORTED)
 
 
-def _elab_binary(e: ast.Binary, scope: Scope, col: Collected) -> ex.Expr:
-    a = _elab_expr(e.left, scope, col)
-    b = _elab_expr(e.right, scope, col)
+def _elab_binary(e: ast.Binary, scope: Scope,
+                 blocking: dict[str, ex.Expr]) -> ex.Expr:
+    a = _elab_expr(e.left, scope, blocking)
+    b = _elab_expr(e.right, scope, blocking)
     op = e.op
     if op in ("&&", "||"):
         a, b = ex.boolify(a), ex.boolify(b)
@@ -437,39 +456,32 @@ def _elab_binary(e: ast.Binary, scope: Scope, col: Collected) -> ex.Expr:
     raise _err(f"unsupported operator {op!r}", sev=Severity.UNSUPPORTED)
 
 
-def _elab_index(e: ast.Index, scope: Scope, col: Collected) -> ex.Expr:
+def _elab_index(e: ast.Index, scope: Scope,
+                blocking: dict[str, ex.Expr]) -> ex.Expr:
     if not isinstance(e.base, ast.Ident):
         raise _err("index base must be an identifier", sev=Severity.UNSUPPORTED)
     name = e.base.name
+    idx = _const_or_none(e.index, scope)
     if name in scope.arrays:
         info = scope.arrays[name]
-        try:
-            idx = _const_eval(e.index, scope)
-        except ElabError:
-            idx = None
         if idx is not None:
             if not (info.lo <= idx <= info.hi):
                 raise _err(f"index {idx} out of range for array {name!r} "
                            f"[{info.lo}:{info.hi}]")
-            return ex.Ref(info.width, scope.qual(f"{name}[{idx}]"))
-        idx_e = _elab_expr(e.index, scope, col)
-        result = ex.Ref(info.width, scope.qual(f"{name}[{info.hi}]"))
+            return _lookup(f"{name}[{idx}]", scope, blocking)
+        idx_e = _elab_expr(e.index, scope, blocking)
+        result = _lookup(f"{name}[{info.hi}]", scope, blocking)
         for i in range(info.hi - 1, info.lo - 1, -1):
-            cond = ex.binop("eq", *_balance(idx_e, ex.BV(idx_e.width, i)))
-            result = ex.mux(cond, ex.Ref(info.width, scope.qual(f"{name}[{i}]")),
-                            result)
+            result = ex.mux(_equals(idx_e, i),
+                            _lookup(f"{name}[{i}]", scope, blocking), result)
         return result
-    base = _lookup(name, scope, col)
-    try:
-        idx = _const_eval(e.index, scope)
-    except ElabError:
-        idx = None
+    base = _lookup(name, scope, blocking)
     if idx is not None:
         if not (0 <= idx < base.width):
             raise _err(f"bit index {idx} out of range for {name!r} "
                        f"(width {base.width})")
         return ex.slice_(base, idx, idx)
-    idx_e = _elab_expr(e.index, scope, col)
+    idx_e = _elab_expr(e.index, scope, blocking)
     return ex.slice_(ex.binop("shr", base, idx_e, width=base.width), 0, 0)
 
 
@@ -483,9 +495,8 @@ class _Env:
     deferred: nonblocking updates, applied at the end of the tick.
     """
 
-    def __init__(self, scope: Scope, col: Collected):
+    def __init__(self, scope: Scope):
         self.scope = scope
-        self.col = col
         self.blocking: dict[str, ex.Expr] = {}
         self.deferred: dict[str, ex.Expr] = {}
         # Source line of the assignment that produced the current value,
@@ -494,16 +505,11 @@ class _Env:
         self.lines: dict[str, ex.Expr] = {}
 
     def copy(self) -> "_Env":
-        c = _Env(self.scope, self.col)
+        c = _Env(self.scope)
         c.blocking = dict(self.blocking)
         c.deferred = dict(self.deferred)
         c.lines = dict(self.lines)
         return c
-
-    def read(self, local: str) -> ex.Expr:
-        if local in self.blocking:
-            return self.blocking[local]
-        return ex.Ref(self.scope.widths[local], self.scope.qual(local))
 
 
 def _merge(cond: ex.Expr, a: _Env, b: _Env) -> _Env:
@@ -528,13 +534,13 @@ def _merge_maps(cond, env: _Env, ma: dict, mb: dict) -> dict:
 
 
 def _exec_stmt(s: ast.Stmt, env: _Env, clocked: bool) -> None:
-    scope, col = env.scope, env.col
+    scope = env.scope
     if isinstance(s, ast.Block):
         for sub in s.stmts:
             _exec_stmt(sub, env, clocked)
         return
     if isinstance(s, ast.If):
-        cond = ex.boolify(_elab_expr_env(s.cond, env))
+        cond = ex.boolify(_elab_expr(s.cond, scope, env.blocking))
         then_env = env.copy()
         else_env = env.copy()
         _exec_stmt(s.then, then_env, clocked)
@@ -546,7 +552,7 @@ def _exec_stmt(s: ast.Stmt, env: _Env, clocked: bool) -> None:
         env.lines = merged.lines
         return
     if isinstance(s, ast.Case):
-        subject = _elab_expr_env(s.subject, env)
+        subject = _elab_expr(s.subject, scope, env.blocking)
         default_env = env.copy()
         arms: list[tuple[ex.Expr, _Env]] = []
         for item in s.items:
@@ -555,7 +561,7 @@ def _exec_stmt(s: ast.Stmt, env: _Env, clocked: bool) -> None:
                 continue
             conds = []
             for pat in item.patterns:
-                p = _elab_expr_env(pat, env)
+                p = _elab_expr(pat, scope, env.blocking)
                 a, b = _balance(subject, p)
                 conds.append(ex.binop("eq", a, b))
             cond = conds[0]
@@ -578,126 +584,6 @@ def _exec_stmt(s: ast.Stmt, env: _Env, clocked: bool) -> None:
                Severity.UNSUPPORTED)
 
 
-def _elab_expr_env(e: ast.Expr, env: _Env) -> ex.Expr:
-    """Elaborate an expression reading through the block-local environment."""
-    scope, col = env.scope, env.col
-    if isinstance(e, ast.Ident) and e.name in env.blocking:
-        return env.blocking[e.name]
-    if isinstance(e, ast.Index) and isinstance(e.base, ast.Ident):
-        name = e.base.name
-        if name in scope.arrays:
-            info = scope.arrays[name]
-            try:
-                idx = _const_eval(e.index, scope)
-            except ElabError:
-                idx = None
-            if idx is not None:
-                if not (info.lo <= idx <= info.hi):
-                    raise _err(f"index {idx} out of range for array {name!r} "
-                               f"[{info.lo}:{info.hi}]")
-                return env.read(f"{name}[{idx}]")
-            else:
-                idx_e = _elab_expr_env(e.index, env)
-                result = env.read(f"{name}[{info.hi}]")
-                for i in range(info.hi - 1, info.lo - 1, -1):
-                    cond = ex.binop("eq", *_balance(idx_e, ex.BV(idx_e.width, i)))
-                    result = ex.mux(cond, env.read(f"{name}[{i}]"), result)
-                return result
-    if isinstance(e, (ast.Unary, ast.Binary, ast.Ternary, ast.Concat,
-                      ast.Replicate, ast.Index, ast.RangeSelect)):
-        rebuilt = _rebuild_with_env(e, env)
-        return rebuilt
-    return _elab_expr(e, scope, col)
-
-
-def _rebuild_with_env(e: ast.Expr, env: _Env) -> ex.Expr:
-    """Like _elab_expr but every sub-identifier reads through env."""
-    scope, col = env.scope, env.col
-    if isinstance(e, ast.Unary):
-        return _apply_unary(e.op, _elab_expr_env(e.operand, env))
-    if isinstance(e, ast.Binary):
-        return _elab_binary_env(e, env)
-    if isinstance(e, ast.Ternary):
-        c = ex.boolify(_elab_expr_env(e.cond, env))
-        t, o = _balance(_elab_expr_env(e.then, env), _elab_expr_env(e.other, env))
-        return ex.mux(c, t, o)
-    if isinstance(e, ast.Concat):
-        return ex.concat(tuple(_elab_expr_env(p, env) for p in e.parts))
-    if isinstance(e, ast.Replicate):
-        n = _const_eval(e.count, scope)
-        v = _elab_expr_env(e.value, env)
-        return ex.concat(tuple(v for _ in range(max(n, 0))))
-    if isinstance(e, ast.RangeSelect):
-        if not isinstance(e.base, ast.Ident):
-            raise _err("part select base must be an identifier",
-                       sev=Severity.UNSUPPORTED)
-        base = _elab_expr_env(ast.Ident(e.base.name), env) \
-            if e.base.name in env.blocking else _lookup(e.base.name, scope, col)
-        hi = _const_eval(e.msb, scope)
-        lo = _const_eval(e.lsb, scope)
-        if not (0 <= lo <= hi < base.width):
-            raise _err(f"part select [{hi}:{lo}] out of range")
-        return ex.slice_(base, hi, lo)
-    if isinstance(e, ast.Index):
-        if isinstance(e.base, ast.Ident):
-            name = e.base.name
-            if name not in scope.arrays:
-                base = env.read(name) if name in scope.widths \
-                    else _lookup(name, scope, col)
-                try:
-                    idx = _const_eval(e.index, scope)
-                except ElabError:
-                    idx = None
-                if idx is not None:
-                    if not (0 <= idx < base.width):
-                        raise _err(f"bit index {idx} out of range for {name!r}")
-                    return ex.slice_(base, idx, idx)
-                idx_e = _elab_expr_env(e.index, env)
-                return ex.slice_(ex.binop("shr", base, idx_e, width=base.width), 0, 0)
-        return _elab_expr_env(e, env)
-    raise _err(f"unsupported expression {type(e).__name__}",
-               sev=Severity.UNSUPPORTED)
-
-
-def _apply_unary(op: str, a: ex.Expr) -> ex.Expr:
-    table = {"~": lambda: ex.unop("not", a), "-": lambda: ex.unop("neg", a),
-             "!": lambda: ex.lognot(a), "&": lambda: ex.unop("redand", a),
-             "|": lambda: ex.unop("redor", a), "^": lambda: ex.unop("redxor", a)}
-    if op in table:
-        return table[op]()
-    raise _err(f"unsupported unary operator {op!r}", sev=Severity.UNSUPPORTED)
-
-
-def _elab_binary_env(e: ast.Binary, env: _Env) -> ex.Expr:
-    a = _elab_expr_env(e.left, env)
-    b = _elab_expr_env(e.right, env)
-    op = e.op
-    if op in ("&&", "||"):
-        return ex.binop("and" if op == "&&" else "or", ex.boolify(a), ex.boolify(b))
-    if op in ("&", "|", "^"):
-        a, b = _balance(a, b)
-        return ex.binop({"&": "and", "|": "or", "^": "xor"}[op], a, b)
-    if op in ("+", "-", "*"):
-        a, b = _balance(a, b)
-        return ex.binop({"+": "add", "-": "sub", "*": "mul"}[op], a, b)
-    if op in ("==", "!="):
-        a, b = _balance(a, b)
-        eq = ex.binop("eq", a, b)
-        return ex.unop("not", eq) if op == "!=" else eq
-    if op in ("<", "<=", ">", ">="):
-        a, b = _balance(a, b)
-        if op == "<":
-            return ex.binop("ult", a, b)
-        if op == "<=":
-            return ex.binop("ule", a, b)
-        if op == ">":
-            return ex.binop("ult", b, a)
-        return ex.binop("ule", b, a)
-    if op in ("<<", ">>"):
-        return ex.binop({"<<": "shl", ">>": "shr"}[op], a, b, width=a.width)
-    raise _err(f"unsupported operator {op!r}", sev=Severity.UNSUPPORTED)
-
-
 def _exec_assign(s: ast.Assign, env: _Env, clocked: bool) -> None:
     scope = env.scope
     lv = s.target
@@ -705,38 +591,34 @@ def _exec_assign(s: ast.Assign, env: _Env, clocked: bool) -> None:
     store = env.deferred if (s.nonblocking and clocked) else env.blocking
 
     def current(local: str) -> ex.Expr:
-        if store is env.deferred and local in env.deferred:
-            return env.deferred[local]
-        if store is env.blocking and local in env.blocking:
-            return env.blocking[local]
-        if store is env.deferred:
-            # RHS reads see the pre-tick value, but the merge default for a
-            # deferred slot is the pre-tick value too.
-            return ex.Ref(scope.widths[local], scope.qual(local))
-        return env.read(local)
+        # An unwritten slot holds the pre-tick value, which is also the
+        # merge default of a deferred slot.
+        if local in store:
+            return store[local]
+        return ex.Ref(scope.widths[local], scope.qual(local))
 
+    def rhs(width: int) -> ex.Expr:
+        return ex.resize(_elab_expr(s.value, scope, env.blocking), width)
+
+    idx = None if lv.index is None else _const_or_none(lv.index, scope)
     if name in scope.arrays:
         info = scope.arrays[name]
         if lv.index is None:
             raise _err(f"whole-array assignment to {name!r} is not supported",
                        s.line, Severity.UNSUPPORTED)
-        rhs = ex.resize(_elab_expr_env(s.value, env), info.width)
-        try:
-            idx = _const_eval(lv.index, scope)
-        except ElabError:
-            idx = None
+        value = rhs(info.width)
         if idx is not None:
             if not (info.lo <= idx <= info.hi):
                 raise _err(f"index {idx} out of range for array {name!r}", s.line)
             key = f"{name}[{idx}]"
-            store[key] = rhs
+            store[key] = value
             env.lines[key] = ex.BV(32, s.line)
         else:
-            idx_e = _elab_expr_env(lv.index, env)
+            idx_e = _elab_expr(lv.index, scope, env.blocking)
             for i in range(info.lo, info.hi + 1):
-                cond = ex.binop("eq", *_balance(idx_e, ex.BV(idx_e.width, i)))
+                cond = _equals(idx_e, i)
                 key = f"{name}[{i}]"
-                store[key] = ex.mux(cond, rhs, current(key))
+                store[key] = ex.mux(cond, value, current(key))
                 env.lines[key] = ex.mux(cond, ex.BV(32, s.line),
                                         env.lines.get(key, ex.BV(32, 0)))
         return
@@ -745,49 +627,39 @@ def _exec_assign(s: ast.Assign, env: _Env, clocked: bool) -> None:
         raise _err(f"assignment to undeclared signal {name!r}", s.line)
     w = scope.widths[name]
     if lv.index is not None:
-        try:
-            idx = _const_eval(lv.index, scope)
-        except ElabError:
-            idx = None
-        rhs = ex.resize(_elab_expr_env(s.value, env), 1)
+        bit = rhs(1)
         cur = current(name)
         if idx is not None:
             if not (0 <= idx < w):
                 raise _err(f"bit index {idx} out of range for {name!r}", s.line)
-            parts = []
-            if idx < w - 1:
-                parts.append(ex.slice_(cur, w - 1, idx + 1))
-            parts.append(rhs)
-            if idx > 0:
-                parts.append(ex.slice_(cur, idx - 1, 0))
-            store[name] = ex.concat(tuple(parts))
+            store[name] = _splice(cur, w, idx, idx, bit)
         else:
-            idx_e = ex.resize(_elab_expr_env(lv.index, env), w)
-            bit = ex.binop("shl", ex.BV(w, 1), idx_e, width=w)
-            cleared = ex.binop("and", cur, ex.unop("not", bit))
-            setbit = ex.binop("shl", ex.resize(rhs, w), idx_e, width=w)
-            masked = ex.mux(ex.boolify(rhs), ex.binop("or", cleared, setbit), cleared)
-            store[name] = masked
-        env.lines[name] = ex.BV(32, s.line)
-        return
-    if lv.msb is not None:
+            idx_e = ex.resize(_elab_expr(lv.index, scope, env.blocking), w)
+            one = ex.binop("shl", ex.BV(w, 1), idx_e, width=w)
+            cleared = ex.binop("and", cur, ex.unop("not", one))
+            setbit = ex.binop("shl", ex.resize(bit, w), idx_e, width=w)
+            store[name] = ex.mux(ex.boolify(bit), ex.binop("or", cleared, setbit),
+                                 cleared)
+    elif lv.msb is not None:
         hi = _const_eval(lv.msb, scope)
         lo = _const_eval(lv.lsb, scope)
         if not (0 <= lo <= hi < w):
             raise _err(f"part select [{hi}:{lo}] out of range for {name!r}", s.line)
-        rhs = ex.resize(_elab_expr_env(s.value, env), hi - lo + 1)
-        cur = current(name)
-        parts = []
-        if hi < w - 1:
-            parts.append(ex.slice_(cur, w - 1, hi + 1))
-        parts.append(rhs)
-        if lo > 0:
-            parts.append(ex.slice_(cur, lo - 1, 0))
-        store[name] = ex.concat(tuple(parts))
-        env.lines[name] = ex.BV(32, s.line)
-        return
-    store[name] = ex.resize(_elab_expr_env(s.value, env), w)
+        store[name] = _splice(current(name), w, hi, lo, rhs(hi - lo + 1))
+    else:
+        store[name] = rhs(w)
     env.lines[name] = ex.BV(32, s.line)
+
+
+def _splice(cur: ex.Expr, w: int, hi: int, lo: int, part: ex.Expr) -> ex.Expr:
+    """`cur` (width w) with bits [hi:lo] replaced by `part`."""
+    parts = []
+    if hi < w - 1:
+        parts.append(ex.slice_(cur, w - 1, hi + 1))
+    parts.append(part)
+    if lo > 0:
+        parts.append(ex.slice_(cur, lo - 1, 0))
+    return ex.concat(tuple(parts))
 
 
 def _elab_continuous(a: ast.ContinuousAssign, scope: Scope, col: Collected,
@@ -798,7 +670,7 @@ def _elab_continuous(a: ast.ContinuousAssign, scope: Scope, col: Collected,
                    a.line, Severity.UNSUPPORTED)
     if lv.name not in scope.widths:
         raise _err(f"assignment to undeclared signal {lv.name!r}", a.line)
-    value = ex.resize(_elab_expr(a.value, scope, col), scope.widths[lv.name])
+    value = ex.resize(_elab_expr(a.value, scope, {}), scope.widths[lv.name])
     _add_define(col, scope.qual(lv.name), value, a.line)
     driven.add(lv.name)
 
@@ -827,7 +699,7 @@ def _elab_always(blk: ast.AlwaysBlock, scope: Scope, col: Collected,
     clock_local = posedges[0].signal
     col.clock_candidates.add(scope.qual(clock_local))
 
-    env = _Env(scope, col)
+    env = _Env(scope)
     _exec_stmt(blk.body, env, clocked=True)
 
     assigned = dict(env.deferred)
@@ -887,7 +759,7 @@ def _last_assign_line(stmt: ast.Stmt, local: str) -> int:
 
 def _elab_comb_block(blk: ast.AlwaysBlock, scope: Scope, col: Collected,
                      driven: set[str]) -> None:
-    env = _Env(scope, col)
+    env = _Env(scope)
     _exec_stmt(blk.body, env, clocked=False)
     if env.deferred:
         names = ", ".join(sorted(env.deferred))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from svsec.frontend import ast
 from svsec.ir import expr as ex
-from svsec.ir.elaborate import Collected, Scope, _elab_expr
+from svsec.ir.elaborate import Scope, _elab_expr
 from svsec.ir.transition import StateVar, TransitionSystem
 from svsec.props.parse import PropertyAst
 
@@ -111,7 +111,7 @@ def _resolve_past(e: ast.Expr, scope: Scope, hist: _History) -> ast.Expr:
         assert e.name == "$past"
         inner = _resolve_past(e.args[0], scope, hist)
         depth = e.args[1].value if len(e.args) > 1 else 1
-        ir = _elab_expr(inner, scope, Collected())
+        ir = _elab_expr(inner, scope, {})
         name = hist.register(ir, depth)
         scope.widths[name] = ir.width
         return ast.Ident(name=name)
@@ -141,7 +141,7 @@ def compile_obligation(prop: PropertyAst,
         if e is None:
             return None
         resolved = _resolve_past(_rewrite_sampled(e), scope, hist)
-        return ex.boolify(_elab_expr(resolved, scope, Collected()))
+        return ex.boolify(_elab_expr(resolved, scope, {}))
 
     disable = lower(prop.disable)
     antecedent = lower(prop.antecedent)

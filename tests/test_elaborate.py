@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from svsec.check import check_design
+from svsec.engine.result import CompileError
 from svsec.ir import StateVar, elaborate, simulate_step
+from svsec.ir import expr as ex
 from svsec.ir.expr import eval_expr
 from svsec.ir.transition import compile_stepper
 from svsec.frontend import parse_source
@@ -129,8 +133,6 @@ def test_missing_top_module_is_a_diagnostic():
 
 
 def test_value_range_checks(counter_ts):
-    import pytest
-
     with pytest.raises(ValueError):
         simulate_step(counter_ts, {"count_out": 16},
                       {"rst_n_in": 1, "en_in": 0})
@@ -156,3 +158,63 @@ def test_compiled_stepper_matches_interpreter(stimuli):
         assert fast_state == tuple(state[s.name] for s in ts.states)
         for n in ts.outputs:
             assert env[n] == outs[n]
+
+
+PARITY = """\
+module m(
+  input logic clk_in,
+  input logic [3:0] a_in,
+  input logic [3:0] b_in,
+  input logic [1:0] i_in,
+  output logic [7:0] y_out
+);
+  logic [3:0] mem_q [0:3];
+
+  always_ff @(posedge clk_in) begin
+    mem_q[i_in] <= a_in;
+  end
+
+  {driver}
+endmodule
+"""
+
+SUPPORTED_FORMS = [
+    "a_in + b_in * 4'd3", "a_in - b_in", "a_in < b_in", "a_in != b_in",
+    "^a_in", "&b_in", "a_in[0] ? a_in : b_in", "{a_in, b_in}", "{2{a_in}}",
+    "a_in[2]", "a_in[i_in]", "mem_q[1]", "mem_q[i_in]", "a_in[2:1]",
+    "a_in << i_in",
+]
+UNSUPPORTED_FORMS = [
+    "a_in >>> 1", "a_in / b_in", "a_in % b_in", "a_in[7]", "a_in[5:1]",
+    "mem_q[7]", "mem_q", "a_in[1][0]", "{a_in, a_in}[0]",
+]
+
+
+def _define_or_diagnostics(driver: str):
+    unit, diags = parse_source(PARITY.format(driver=driver))
+    assert unit is not None, [d.message for d in diags]
+    ts, _, ediags = elaborate(unit, "m")
+    if ts is None:
+        return [(d.severity, d.message, d.line) for d in ediags]
+    return dict(ts.defines)["y_out"]
+
+
+@pytest.mark.parametrize("form", SUPPORTED_FORMS + UNSUPPORTED_FORMS)
+def test_assign_and_always_comb_elaborate_alike(form):
+    assign = _define_or_diagnostics(f"assign y_out = {form};")
+    block = _define_or_diagnostics(f"always_comb begin\n    y_out = {form};\n  end")
+    assert assign == block
+    assert isinstance(assign, ex.Expr) == (form in SUPPORTED_FORMS)
+
+
+@pytest.mark.parametrize("block", [
+    "always_comb begin\n    y_out = {form};\n  end",
+    "always_ff @(posedge clk_in) begin\n    y_out <= {form};\n  end",
+], ids=["always_comb", "always_ff"])
+@pytest.mark.parametrize("form", ["a_in[1][0]", "{a_in, a_in}[0]"])
+def test_index_of_an_expression_in_a_block_is_a_compile_error(block, form):
+    source = PARITY.format(driver=block.format(form=form))
+    verdict = check_design(source, "m", "y_out == 8'd0")
+    assert isinstance(verdict, CompileError)
+    assert [d.message for d in verdict.diagnostics] == \
+        ["index base must be an identifier"]
