@@ -148,7 +148,7 @@ def _check_refs(ts: TransitionSystem, clock: str | None) -> None:
     known = set(ts.widths)
     all_exprs = list(ts.next.items()) + list(ts.defines)
     for name, e in all_exprs:
-        for r in ex.refs(e):
+        for r in sorted(ex.refs(e)):
             if r == clock:
                 raise _err(f"clock {clock!r} used as data in {name!r}",
                            sev=Severity.UNSUPPORTED)
@@ -517,7 +517,7 @@ def _merge(cond: ex.Expr, a: _Env, b: _Env) -> _Env:
     out.blocking = _merge_maps(cond, a, a.blocking, b.blocking)
     out.deferred = _merge_maps(cond, a, a.deferred, b.deferred)
     out.lines = {}
-    for k in set(a.lines) | set(b.lines):
+    for k in dict.fromkeys([*a.lines, *b.lines]):
         default = ex.BV(32, 0)
         out.lines[k] = ex.mux(cond, a.lines.get(k, default), b.lines.get(k, default))
     return out
@@ -525,7 +525,7 @@ def _merge(cond: ex.Expr, a: _Env, b: _Env) -> _Env:
 
 def _merge_maps(cond, env: _Env, ma: dict, mb: dict) -> dict:
     out = {}
-    for k in set(ma) | set(mb):
+    for k in dict.fromkeys([*ma, *mb]):
         default = ex.Ref(env.scope.widths[k], env.scope.qual(k))
         va = ma.get(k, default)
         vb = mb.get(k, default)

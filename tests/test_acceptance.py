@@ -7,12 +7,17 @@ criterion.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import svsec
 from svsec.catalog import list_problems
 from svsec.catalog.problems import design_text, instantiate_property_text
 from svsec.check import check_design
@@ -490,19 +495,36 @@ def test_criterion_8_keyword_metric():
           "always_ff=1 match and survive comment/whitespace injection")
 
 
+ARTIFACTS = ("dataset.csv", "heatmap.json", "keywords.csv")
+
+
+def write_pipeline_artifacts(out) -> None:
+    """Run the seed-0 stub pipeline and write its artifacts into `out`."""
+    out = Path(out)
+    out.mkdir()
+    gens, rows = run_pipeline(out, seed=0)
+    export_csv(rows, out / "dataset.csv")
+    write_heatmap_json(rows, out / "heatmap.json", seed=0)
+    hist, _ = keyword_frequency([g.source for g in gens if g.source])
+    write_keywords_csv(hist, out / "keywords.csv")
+
+
 def test_criterion_9_determinism(tmp_path):
-    artifacts = []
-    for run in ("one", "two"):
-        out = tmp_path / run
-        out.mkdir()
-        gens, rows = run_pipeline(out, seed=0)
-        export_csv(rows, out / "dataset.csv")
-        write_heatmap_json(rows, out / "heatmap.json", seed=0)
-        hist, _ = keyword_frequency([g.source for g in gens if g.source])
-        write_keywords_csv(hist, out / "keywords.csv")
-        artifacts.append({name: (out / name).read_bytes()
-                          for name in ("dataset.csv", "heatmap.json",
-                                       "keywords.csv")})
-    assert artifacts[0] == artifacts[1]
-    print("criterion 9: PASS — two same-seed pipeline runs produced "
+    write_pipeline_artifacts(tmp_path / "one")
+    # The second run is another process under another hash seed, so
+    # set iteration order cannot agree by accident.
+    hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    path = [str(Path(svsec.__file__).parents[1]), str(Path(__file__).parent),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(p for p in path if p))
+    code = ("import sys, test_acceptance; "
+            "test_acceptance.write_pipeline_artifacts(sys.argv[1])")
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "two")],
+                   env=env, check=True, timeout=600)
+    for name in ARTIFACTS:
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "two" / name).read_bytes(), name
+    print("criterion 9: PASS — same-seed pipeline runs in two processes "
+          f"(PYTHONHASHSEED={hash_seed} in the second) produced "
           "byte-identical dataset.csv, heatmap.json, keywords.csv")
