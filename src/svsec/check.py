@@ -17,8 +17,7 @@ DEFAULT_BUDGET_SECONDS = 60.0
 
 def check_design(source: str, top: str, property_text: str,
                  max_k: int = DEFAULT_MAX_K,
-                 budget_seconds: float | None = DEFAULT_BUDGET_SECONDS,
-                 simple_path: bool = True):
+                 budget_seconds: float | None = DEFAULT_BUDGET_SECONDS):
     """Parse, elaborate, compile the property, and run k-induction.
 
     Returns Proven | Falsified | Unknown | CompileError.  Falsified
@@ -35,8 +34,7 @@ def check_design(source: str, top: str, property_text: str,
     if prop is None:
         return CompileError(diagnostics=pdiags)
     obl = compile_obligation(prop, ts)
-    verdict = k_induction(obl, max_k=max_k, simple_path=simple_path,
-                          budget_seconds=budget_seconds)
+    verdict = k_induction(obl, max_k=max_k, budget_seconds=budget_seconds)
     if isinstance(verdict, Falsified):
         sig, line = locate_culprit(obl, line_map, verdict)
         verdict.culprit_signal = sig

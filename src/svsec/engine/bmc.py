@@ -107,8 +107,6 @@ def bmc(obl: SafetyObligation, max_depth: int,
     With an `unroller` from an earlier call, the depths it already
     showed clean are not searched again.
     """
-    from svsec.props.obligation import evaluate_on_trace
-
     deadline = None if budget_seconds is None \
         else time.monotonic() + budget_seconds
     un = unroller or Unroller(obl)
@@ -128,7 +126,8 @@ def bmc(obl: SafetyObligation, max_depth: int,
                     f"budget of {conflict_budget}"))
             if status == sat.SAT:
                 tr = un.extract_trace(model, d)
-                hit = evaluate_on_trace(obl, tr)
+                hit = next((t for t, env in enumerate(tr.values)
+                            if env[obl.bad_name]), None)
                 assert hit == d, f"trace replay mismatch: {hit} != {d}"
                 return Falsified(trace=tr, depth=d)
             un.add_unit(-bad_lit)

@@ -2,16 +2,15 @@
 
 The pipeline is extract -> parse -> elaborate -> property ->
 k-induction; the first failing stage fixes the verdict.  Identical
-(source, property) pairs are adjudicated once and memoized.  In
-deterministic mode runtime_ms records cumulative solver effort
-(propagations + decisions + conflicts), which is reproducible across
-machines, instead of wall-clock milliseconds.
+(source, property) pairs are adjudicated once and memoized.  runtime_ms
+records cumulative solver effort (propagations + decisions + conflicts),
+not wall-clock milliseconds, so it is reproducible across runs and
+machines.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 
 import svsec
 from svsec.catalog.problems import ProblemSpec
@@ -30,15 +29,13 @@ def _lines_of_code(source: str | None) -> int:
 def label_design(gen: Generation, spec: ProblemSpec,
                  max_k: int = 32,
                  budget_seconds: float | None = 60.0,
-                 deterministic: bool = True,
                  seed: int = 0,
                  source_path: str = "",
                  memo: dict | None = None) -> DatasetRow:
     if gen.problem_id != spec.problem_id:
         raise ValueError(f"generation {gen.problem_id} labeled against "
                          f"spec {spec.problem_id}")
-    outcome, work = _adjudicate(gen.source, spec, max_k, budget_seconds,
-                                deterministic, memo)
+    outcome, work = _adjudicate(gen.source, spec, max_k, budget_seconds, memo)
     verdict, cex_depth, k_used = outcome
     return DatasetRow(
         design_id=f"{gen.provider_id}:{spec.problem_id}:{gen.regen_index}",
@@ -59,8 +56,7 @@ def label_design(gen: Generation, spec: ProblemSpec,
 
 
 def _adjudicate(source: str | None, spec: ProblemSpec, max_k: int,
-                budget_seconds: float | None, deterministic: bool,
-                memo: dict | None):
+                budget_seconds: float | None, memo: dict | None):
     if source is None:
         return ("compile_error", None, None), 0
     key = (hashlib.sha256(source.encode()).hexdigest(), spec.problem_id)
@@ -69,14 +65,10 @@ def _adjudicate(source: str | None, spec: ProblemSpec, max_k: int,
     from svsec.catalog.problems import instantiate_property_text
 
     start_work = sat.work_units()
-    start_wall = time.perf_counter()
     verdict = check_design(source, spec.module_name,
                            instantiate_property_text(spec),
                            max_k=max_k, budget_seconds=budget_seconds)
-    if deterministic:
-        work = sat.work_units() - start_work
-    else:
-        work = int((time.perf_counter() - start_wall) * 1000)
+    work = sat.work_units() - start_work
     outcome = (verdict.status,
                verdict.depth if verdict.status == "falsified" else None,
                verdict.k_used if verdict.status == "proven" else None)

@@ -192,17 +192,9 @@ def evaluate_on_trace(obl: SafetyObligation, trace) -> int | None:
 
     Returns the first cycle whose `__bad` is set, or None.  The trace
     only needs `initial` and `inputs`; augmented registers start at
-    their reset values.
+    their reset values.  The replay fills in the trace's `states` and
+    `values`.
     """
-    from svsec.ir.transition import compile_stepper
-
-    ts = obl.augmented
-    step = compile_stepper(ts)
-    state = tuple(trace.initial.get(s.name, s.reset or 0) for s in ts.states)
-    for t, vals in enumerate(trace.inputs):
-        ins = tuple(vals[n] for n, _ in ts.inputs)
-        nxt, env = step(state, ins)
-        if env[obl.bad_name]:
-            return t
-        state = nxt
-    return None
+    trace.replay(obl.augmented)
+    return next((t for t, env in enumerate(trace.values)
+                 if env[obl.bad_name]), None)

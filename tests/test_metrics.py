@@ -349,8 +349,8 @@ def test_memoization_reuses_verdicts():
 def test_deterministic_runtime_is_reproducible():
     (spec,) = list_problems(cwe=1258, difficulty="basic")
     src = design_text(spec.vulnerable_file)
-    r1 = label_design(gen_for(spec, src), spec, deterministic=True)
-    r2 = label_design(gen_for(spec, src), spec, deterministic=True)
+    r1 = label_design(gen_for(spec, src), spec)
+    r2 = label_design(gen_for(spec, src), spec)
     assert r1.runtime_ms == r2.runtime_ms > 0
 
 
