@@ -113,7 +113,7 @@ def _resolve_clock(col: Collected) -> str | None:
     if not col.clock_candidates:
         return None
     roots = set()
-    for c in col.clock_candidates:
+    for c in sorted(col.clock_candidates):
         seen = set()
         cur = c
         while cur in col.defines and isinstance(col.defines[cur], ex.Ref):

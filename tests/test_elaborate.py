@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -218,3 +222,41 @@ def test_index_of_an_expression_in_a_block_is_a_compile_error(block, form):
     assert isinstance(verdict, CompileError)
     assert [d.message for d in verdict.diagnostics] == \
         ["index base must be an identifier"]
+
+
+FIRST_DIAGNOSTICS = '''\
+from svsec.frontend import parse_source
+from svsec.ir import elaborate
+
+CLOCK_CYCLE = """module m(input logic d, output logic q, output logic r);
+  logic ca;
+  logic cb;
+  assign ca = cb;
+  assign cb = ca;
+  always_ff @(posedge ca) begin q <= d; end
+  always_ff @(posedge cb) begin r <= d; end
+endmodule
+"""
+UNDRIVEN = """module m(input logic d, output logic y);
+  logic zd;
+  logic zc;
+  logic zb;
+  logic za;
+  assign y = zd & zc & zb & za & d;
+endmodule
+"""
+for source in (CLOCK_CYCLE, UNDRIVEN):
+    print(elaborate(parse_source(source)[0], "m")[2][0].message)
+'''
+
+
+def test_first_diagnostic_does_not_depend_on_the_hash_seed():
+    outputs = set()
+    for hash_seed in "1234":
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        run = subprocess.run([sys.executable, "-c", FIRST_DIAGNOSTICS],
+                             env=env, capture_output=True, text=True,
+                             check=True, timeout=60)
+        outputs.add(run.stdout)
+    assert outputs == {"clock alias cycle through 'ca'\n"
+                       "undriven signal 'za' referenced by 'y'\n"}
