@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from svsec.engine.induction import k_induction
 from svsec.engine.result import CompileError, Falsified, Proven, Unknown
-from svsec.frontend import parse_source
-from svsec.frontend.ast import Expr as AstExpr
+from svsec.frontend import ast, parse_source
 from svsec.ir import expr as ex
 from svsec.ir.elaborate import elaborate
 from svsec.props import compile_obligation, parse_property
@@ -72,23 +71,11 @@ def locate_culprit(obl: SafetyObligation, line_map: dict,
     return "", 0
 
 
-def _ast_idents(e: AstExpr, acc: set[str] | None = None) -> set[str]:
+def _ast_idents(e: ast.Expr, acc: set[str] | None = None) -> set[str]:
     if acc is None:
         acc = set()
-    from svsec.frontend import ast
     if isinstance(e, ast.Ident):
         acc.add(e.name)
-    elif isinstance(e, ast.Unary):
-        _ast_idents(e.operand, acc)
-    elif isinstance(e, ast.Binary):
-        _ast_idents(e.left, acc)
-        _ast_idents(e.right, acc)
-    elif isinstance(e, ast.Ternary):
-        for sub in (e.cond, e.then, e.other):
-            _ast_idents(sub, acc)
-    elif isinstance(e, (ast.Index, ast.RangeSelect)):
-        _ast_idents(e.base, acc)
-    elif isinstance(e, ast.SysCall):
-        for a in e.args:
-            _ast_idents(a, acc)
+    for sub in ast.children(e):
+        _ast_idents(sub, acc)
     return acc

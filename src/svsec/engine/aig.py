@@ -19,11 +19,9 @@ class Aig:
         # nodes[i] is None for inputs/constant, (a, b) literals for ANDs
         self.nodes: list[tuple[int, int] | None] = [None]
         self.hash: dict[tuple[int, int], int] = {}
-        self.num_inputs = 0
 
     def new_input(self) -> int:
         self.nodes.append(None)
-        self.num_inputs += 1
         return (len(self.nodes) - 1) * 2
 
     def land(self, a: int, b: int) -> int:
@@ -225,26 +223,13 @@ def blast_expr(aig: Aig, e: ex.Expr,
     raise ValueError(f"unknown op {op!r}")
 
 
-class Frame:
-    """One unrolled time step: buses for every TS signal."""
-
-    def __init__(self, env: dict[str, tuple[int, ...]]):
-        self.env = env
-
-    def bus(self, name: str) -> tuple[int, ...]:
-        return self.env[name]
-
-    def bit(self, name: str) -> int:
-        return self.env[name][0]
-
-
 def blast_frame(aig: Aig, ts: TransitionSystem,
-                state_env: dict[str, tuple[int, ...]]) -> tuple[Frame, dict]:
+                state_env: dict[str, tuple[int, ...]]) -> tuple[dict, dict]:
     """Blast defines and next-state functions for one frame.
 
     `state_env` provides buses for the state variables; fresh inputs
-    are allocated for the TS inputs.  Returns the frame and the buses
-    of the next state.
+    are allocated for the TS inputs.  Returns the frame (a bus for
+    every TS signal) and the buses of the next state.
     """
     env = dict(state_env)
     for n, w in ts.inputs:
@@ -252,4 +237,4 @@ def blast_frame(aig: Aig, ts: TransitionSystem,
     for n, e in ts.defines:
         env[n] = blast_expr(aig, e, env)
     nxt = {s.name: blast_expr(aig, ts.next[s.name], env) for s in ts.states}
-    return Frame(env), nxt
+    return env, nxt

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 
 from svsec.engine import sat
-from svsec.engine.aig import Aig, Frame, FALSE, blast_frame
+from svsec.engine.aig import Aig, FALSE, blast_frame
 from svsec.engine.cnf import TseitinEncoder
 from svsec.engine.result import Falsified, NoCexUpTo, Unknown
 from svsec.engine.trace import Trace
@@ -34,7 +34,8 @@ class Unroller:
         self.solver = sat.Solver()
         # depths below this one are shown violation-free (bmc only)
         self.clean = 0
-        self.frames: list[Frame] = []
+        # one bus per TS signal in each unrolled time step
+        self.frames: list[dict[str, tuple[int, ...]]] = []
         self.initial_free: dict[str, tuple[int, ...]] = {}
         env: dict[str, tuple[int, ...]] = {}
         for s in self.ts.states:
@@ -46,11 +47,10 @@ class Unroller:
             env[s.name] = bus
         self._next_state_env = env
 
-    def extend(self) -> Frame:
+    def extend(self) -> None:
         frame, nxt = blast_frame(self.aig, self.ts, self._next_state_env)
         self.frames.append(frame)
         self._next_state_env = nxt
-        return frame
 
     def at_least(self, depth: int) -> None:
         while len(self.frames) <= depth:
@@ -58,15 +58,15 @@ class Unroller:
 
     def bad(self, depth: int) -> int:
         self.at_least(depth)
-        return self.frames[depth].bit(self.obl.bad_name)
+        return self.frames[depth][self.obl.bad_name][0]
 
     def input_lits(self, depth: int) -> list[int]:
         frame = self.frames[depth]
-        return [lit for n, _ in self.ts.inputs for lit in frame.bus(n)]
+        return [lit for n, _ in self.ts.inputs for lit in frame[n]]
 
     def state_lits(self, depth: int) -> list[int]:
         frame = self.frames[depth]
-        return [lit for s in self.ts.states for lit in frame.bus(s.name)]
+        return [lit for s in self.ts.states for lit in frame[s.name]]
 
     def add_unit(self, dimacs_lit: int) -> None:
         """Assert a literal in every later query."""
@@ -90,8 +90,7 @@ class Unroller:
             initial[name] = bus_value(bus)
         inputs = []
         for t in range(depth + 1):
-            frame = self.frames[t]
-            inputs.append({n: bus_value(frame.bus(n))
+            inputs.append({n: bus_value(self.frames[t][n])
                            for n, _ in self.ts.inputs})
         tr = Trace(initial=initial, inputs=inputs)
         tr.replay(self.ts)

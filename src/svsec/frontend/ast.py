@@ -7,7 +7,7 @@ ignores locations so that round-trip tests can compare trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 # --------------------------------------------------------------------------
@@ -84,6 +84,48 @@ class SysCall(Expr):
     """
     name: str
     args: tuple[Expr, ...]
+
+
+# Sub-expression fields of each node class; a tuple field holds several.
+_SUBEXPRS: dict[type, tuple[str, ...]] = {
+    Unary: ("operand",),
+    Binary: ("left", "right"),
+    Ternary: ("cond", "then", "other"),
+    Index: ("base", "index"),
+    RangeSelect: ("base", "msb", "lsb"),
+    Concat: ("parts",),
+    Replicate: ("count", "value"),
+    SysCall: ("args",),
+}
+
+
+def children(e: Expr) -> list[Expr]:
+    """The direct sub-expressions of `e`, in field order."""
+    out: list[Expr] = []
+    for name in _SUBEXPRS.get(type(e), ()):
+        sub = getattr(e, name)
+        if isinstance(sub, tuple):
+            out.extend(sub)
+        else:
+            out.append(sub)
+    return out
+
+
+def map_children(e: Expr, fn) -> Expr:
+    """`e` with each direct sub-expression replaced by `fn` of it; `e`
+    itself when `fn` returns every sub-expression unchanged."""
+    changed = {}
+    for name in _SUBEXPRS.get(type(e), ()):
+        sub = getattr(e, name)
+        if isinstance(sub, tuple):
+            new = tuple(fn(s) for s in sub)
+            if any(a is not b for a, b in zip(new, sub)):
+                changed[name] = new
+        else:
+            new = fn(sub)
+            if new is not sub:
+                changed[name] = new
+    return replace(e, **changed) if changed else e
 
 
 # --------------------------------------------------------------------------

@@ -57,7 +57,7 @@ class Collected:
     input_widths: dict[str, int] = field(default_factory=dict)
     defines: dict[str, ex.Expr] = field(default_factory=dict)
     define_lines: dict[str, int] = field(default_factory=dict)
-    # state name -> (next expr, reset value or None, source line of driving block)
+    # state name -> (next expr, reset value or None)
     states: dict[str, tuple[ex.Expr, int | None]] = field(default_factory=dict)
     state_widths: dict[str, int] = field(default_factory=dict)
     assign_lines: dict[str, int] = field(default_factory=dict)  # state -> last NBA line
@@ -66,8 +66,8 @@ class Collected:
 
 
 def elaborate(unit: ast.SourceUnit, top: str):
-    """Returns (TransitionSystem, line_map) or raises nothing: on failure
-    returns (None, diagnostics)."""
+    """Returns (TransitionSystem, line_map, []), or on failure
+    (None, {}, diagnostics); raises nothing."""
     try:
         ts, line_map = _elaborate(unit, top)
         return ts, line_map, []
@@ -195,9 +195,11 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
         if port.direction == "inout":
             raise _err(f"inout port {port.name!r} is not supported", port.line,
                        Severity.UNSUPPORTED)
+        _check_not_param(port.name, "port", scope, port.line)
         w = _range_width(port.msb, port.lsb, scope, port.line)
         scope.widths[port.name] = w
     for d in mod.decls:
+        _check_not_param(d.name, "net", scope, d.line)
         if d.name in scope.widths:
             # Redeclaration of a port with its net kind.
             continue
@@ -269,9 +271,6 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
                     raise _err("output port connections must be plain identifiers",
                                inst.line, Severity.UNSUPPORTED)
                 out_conns.append((conn.expr.name, conn.port, inst.line))
-        # Override child param defaults before width evaluation happens inside.
-        merged = dict(child_scope.params)
-        child_scope.params = merged
         _elab_module(modules, child, child_scope, col, is_top=False,
                      port_exprs=in_exprs)
         for parent_net, child_port, line in out_conns:
@@ -289,6 +288,11 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
             if port.direction == "output" and port.name not in driven \
                     and scope.qual(port.name) not in col.states:
                 raise _err(f"output port {port.name!r} is never driven", port.line)
+
+
+def _check_not_param(name: str, kind: str, scope: Scope, line: int) -> None:
+    if name in scope.params:
+        raise _err(f"{kind} {name!r} has the same name as a parameter", line)
 
 
 def _add_define(col: Collected, name: str, e: ex.Expr, line: int) -> None:
@@ -402,9 +406,7 @@ def _elab_expr(e: ast.Expr, scope: Scope,
         base = _lookup(e.base.name, scope, blocking)
         hi = _const_eval(e.msb, scope)
         lo = _const_eval(e.lsb, scope)
-        if not (0 <= lo <= hi < base.width):
-            raise _err(f"part select [{hi}:{lo}] out of range for "
-                       f"{e.base.name!r} (width {base.width})")
+        _check_part(e.base.name, base.width, hi, lo)
         return ex.slice_(base, hi, lo)
     if isinstance(e, ast.Concat):
         return ex.concat(tuple(_elab_expr(p, scope, blocking) for p in e.parts))
@@ -465,9 +467,7 @@ def _elab_index(e: ast.Index, scope: Scope,
     if name in scope.arrays:
         info = scope.arrays[name]
         if idx is not None:
-            if not (info.lo <= idx <= info.hi):
-                raise _err(f"index {idx} out of range for array {name!r} "
-                           f"[{info.lo}:{info.hi}]")
+            _check_element(name, info, idx)
             return _lookup(f"{name}[{idx}]", scope, blocking)
         idx_e = _elab_expr(e.index, scope, blocking)
         result = _lookup(f"{name}[{info.hi}]", scope, blocking)
@@ -477,12 +477,30 @@ def _elab_index(e: ast.Index, scope: Scope,
         return result
     base = _lookup(name, scope, blocking)
     if idx is not None:
-        if not (0 <= idx < base.width):
-            raise _err(f"bit index {idx} out of range for {name!r} "
-                       f"(width {base.width})")
+        _check_bit(name, base.width, idx)
         return ex.slice_(base, idx, idx)
     idx_e = _elab_expr(e.index, scope, blocking)
     return ex.slice_(ex.binop("shr", base, idx_e, width=base.width), 0, 0)
+
+
+# Constant selects out of range: reads and assignment targets share these.
+
+def _check_element(name: str, info: ArrayInfo, idx: int, line: int = 0) -> None:
+    if not (info.lo <= idx <= info.hi):
+        raise _err(f"index {idx} out of range for array {name!r} "
+                   f"[{info.lo}:{info.hi}]", line)
+
+
+def _check_bit(name: str, width: int, idx: int, line: int = 0) -> None:
+    if not (0 <= idx < width):
+        raise _err(f"bit index {idx} out of range for {name!r} "
+                   f"(width {width})", line)
+
+
+def _check_part(name: str, width: int, hi: int, lo: int, line: int = 0) -> None:
+    if not (0 <= lo <= hi < width):
+        raise _err(f"part select [{hi}:{lo}] out of range for {name!r} "
+                   f"(width {width})", line)
 
 
 # --------------------------------------------------------------------------
@@ -608,8 +626,7 @@ def _exec_assign(s: ast.Assign, env: _Env, clocked: bool) -> None:
                        s.line, Severity.UNSUPPORTED)
         value = rhs(info.width)
         if idx is not None:
-            if not (info.lo <= idx <= info.hi):
-                raise _err(f"index {idx} out of range for array {name!r}", s.line)
+            _check_element(name, info, idx, s.line)
             key = f"{name}[{idx}]"
             store[key] = value
             env.lines[key] = ex.BV(32, s.line)
@@ -630,8 +647,7 @@ def _exec_assign(s: ast.Assign, env: _Env, clocked: bool) -> None:
         bit = rhs(1)
         cur = current(name)
         if idx is not None:
-            if not (0 <= idx < w):
-                raise _err(f"bit index {idx} out of range for {name!r}", s.line)
+            _check_bit(name, w, idx, s.line)
             store[name] = _splice(cur, w, idx, idx, bit)
         else:
             idx_e = ex.resize(_elab_expr(lv.index, scope, env.blocking), w)
@@ -643,8 +659,7 @@ def _exec_assign(s: ast.Assign, env: _Env, clocked: bool) -> None:
     elif lv.msb is not None:
         hi = _const_eval(lv.msb, scope)
         lo = _const_eval(lv.lsb, scope)
-        if not (0 <= lo <= hi < w):
-            raise _err(f"part select [{hi}:{lo}] out of range for {name!r}", s.line)
+        _check_part(name, w, hi, lo, s.line)
         store[name] = _splice(current(name), w, hi, lo, rhs(hi - lo + 1))
     else:
         store[name] = rhs(w)

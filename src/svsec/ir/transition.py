@@ -22,7 +22,6 @@ class TransitionSystem:
     defines: list[tuple[str, ex.Expr]]  # topologically ordered
     outputs: list[str]
     clock: str | None = None
-    reset_signal: str | None = None  # input treated as reset, if known
     widths: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -47,35 +46,9 @@ class TransitionSystem:
             defines=self.defines + extra_defines,
             outputs=list(self.outputs),
             clock=self.clock,
-            reset_signal=self.reset_signal,
             widths={},
         )
         return ts
-
-    def dump(self) -> str:
-        """Line-oriented text dump with S-expression bodies, for debugging."""
-        lines = []
-        for n, w in self.inputs:
-            lines.append(f"input {n} {w}")
-        for s in self.states:
-            r = "free" if s.reset is None else str(s.reset)
-            lines.append(f"state {s.name} {s.width} {r}")
-            lines.append(f"next {s.name} {sexpr(self.next[s.name])}")
-        for n, e in self.defines:
-            lines.append(f"define {n} {e.width} {sexpr(e)}")
-        for n in self.outputs:
-            lines.append(f"output {n}")
-        return "\n".join(lines) + "\n"
-
-
-def sexpr(e: ex.Expr) -> str:
-    if isinstance(e, ex.BV):
-        return f"(bv {e.width} {e.value})"
-    if isinstance(e, ex.Ref):
-        return e.name
-    assert isinstance(e, ex.Op)
-    parts = [e.op] + [str(p) for p in e.params] + [sexpr(a) for a in e.args]
-    return "(" + " ".join(parts) + ")"
 
 
 def simulate_step(ts: TransitionSystem, state_val: dict[str, int],

@@ -28,7 +28,6 @@ class SafetyObligation:
     """Augmented transition system with a single violation indicator."""
     augmented: TransitionSystem
     prop: PropertyAst
-    lookback: int
     bad_name: str = BAD
 
     def bad_expr(self) -> ex.Expr:
@@ -41,21 +40,12 @@ class SafetyObligation:
 class _History:
     """Allocates $past shift-register chains, shared across the property."""
 
-    def __init__(self, ts: TransitionSystem):
-        self.ts = ts
+    def __init__(self):
         self.chains: dict[ex.Expr, tuple[str, int]] = {}  # expr -> (base, depth)
-        self.widths: dict[str, int] = {}
 
     def register(self, e: ex.Expr, depth: int) -> str:
-        if e in self.chains:
-            base, have = self.chains[e]
-            self.chains[e] = (base, max(have, depth))
-        else:
-            base = f"__p{len(self.chains)}"
-            self.chains[e] = (base, depth)
-        base = self.chains[e][0]
-        for k in range(1, self.chains[e][1] + 1):
-            self.widths[f"{base}_{k}"] = e.width
+        base, have = self.chains.get(e, (f"__p{len(self.chains)}", 0))
+        self.chains[e] = (base, max(have, depth))
         return f"{base}_{depth}"
 
     def states(self) -> tuple[list[StateVar], dict[str, ex.Expr]]:
@@ -69,79 +59,40 @@ class _History:
         return extra, nxt
 
 
-def _rewrite_sampled(e: ast.Expr) -> ast.Expr:
-    """Lower $rose/$fell/$stable into $past before history allocation."""
-    if isinstance(e, ast.SysCall):
-        arg = _rewrite_sampled(e.args[0]) if e.args else None
-        if e.name == "$rose":
-            return ast.Binary(op="&&", left=arg,
-                              right=ast.Unary(op="!",
-                                              operand=ast.SysCall(name="$past",
-                                                                  args=(arg,))))
-        if e.name == "$fell":
-            return ast.Binary(op="&&", left=ast.Unary(op="!", operand=arg),
-                              right=ast.SysCall(name="$past", args=(arg,)))
-        if e.name == "$stable":
-            return ast.Binary(op="==", left=arg,
-                              right=ast.SysCall(name="$past", args=(arg,)))
-        if e.name == "$past":
-            rest = tuple(e.args[1:])
-            return ast.SysCall(name="$past", args=(arg,) + rest)
-        return e
-    if isinstance(e, ast.Unary):
-        return ast.Unary(op=e.op, operand=_rewrite_sampled(e.operand))
-    if isinstance(e, ast.Binary):
-        return ast.Binary(op=e.op, left=_rewrite_sampled(e.left),
-                          right=_rewrite_sampled(e.right))
-    if isinstance(e, ast.Ternary):
-        return ast.Ternary(cond=_rewrite_sampled(e.cond),
-                           then=_rewrite_sampled(e.then),
-                           other=_rewrite_sampled(e.other))
-    if isinstance(e, ast.Index):
-        return ast.Index(base=_rewrite_sampled(e.base), index=e.index)
-    if isinstance(e, ast.RangeSelect):
-        return ast.RangeSelect(base=_rewrite_sampled(e.base), msb=e.msb,
-                               lsb=e.lsb)
-    return e
+def _lower_sampled(e: ast.Expr, scope: Scope, hist: _History) -> ast.Expr:
+    """Replace each sampled-value call with a reference to the history
+    register of its (lowered) argument: $past directly, $rose, $fell and
+    $stable as the comparison of the argument with that reference.
 
-
-def _resolve_past(e: ast.Expr, scope: Scope, hist: _History) -> ast.Expr:
-    """Replace each $past call with a reference to its history register."""
-    if isinstance(e, ast.SysCall):
-        assert e.name == "$past"
-        inner = _resolve_past(e.args[0], scope, hist)
-        depth = e.args[1].value if len(e.args) > 1 else 1
-        ir = _elab_expr(inner, scope, {})
-        name = hist.register(ir, depth)
-        scope.widths[name] = ir.width
-        return ast.Ident(name=name)
-    if isinstance(e, ast.Unary):
-        return ast.Unary(op=e.op, operand=_resolve_past(e.operand, scope, hist))
-    if isinstance(e, ast.Binary):
-        return ast.Binary(op=e.op, left=_resolve_past(e.left, scope, hist),
-                          right=_resolve_past(e.right, scope, hist))
-    if isinstance(e, ast.Ternary):
-        return ast.Ternary(cond=_resolve_past(e.cond, scope, hist),
-                           then=_resolve_past(e.then, scope, hist),
-                           other=_resolve_past(e.other, scope, hist))
-    if isinstance(e, ast.Index):
-        return ast.Index(base=_resolve_past(e.base, scope, hist), index=e.index)
-    if isinstance(e, ast.RangeSelect):
-        return ast.RangeSelect(base=_resolve_past(e.base, scope, hist),
-                               msb=e.msb, lsb=e.lsb)
-    return e
+    The argument is lowered before its own chain is registered, so
+    chains are allocated in post-order; their order fixes the variable
+    order of everything downstream.
+    """
+    if not isinstance(e, ast.SysCall):
+        return ast.map_children(e, lambda sub: _lower_sampled(sub, scope, hist))
+    arg = _lower_sampled(e.args[0], scope, hist)
+    ir = _elab_expr(arg, scope, {})
+    name = hist.register(ir, e.args[1].value if len(e.args) > 1 else 1)
+    scope.widths[name] = ir.width
+    past = ast.Ident(name=name)
+    if e.name == "$rose":
+        return ast.Binary(op="&&", left=arg, right=ast.Unary(op="!", operand=past))
+    if e.name == "$fell":
+        return ast.Binary(op="&&", left=ast.Unary(op="!", operand=arg), right=past)
+    if e.name == "$stable":
+        return ast.Binary(op="==", left=arg, right=past)
+    return past
 
 
 def compile_obligation(prop: PropertyAst,
                        ts: TransitionSystem) -> SafetyObligation:
     scope = Scope(prefix="", widths=dict(ts.widths))
-    hist = _History(ts)
+    hist = _History()
 
     def lower(e: ast.Expr | None) -> ex.Expr | None:
         if e is None:
             return None
-        resolved = _resolve_past(_rewrite_sampled(e), scope, hist)
-        return ex.boolify(_elab_expr(resolved, scope, {}))
+        return ex.boolify(_elab_expr(_lower_sampled(e, scope, hist), scope, {}))
 
     disable = lower(prop.disable)
     antecedent = lower(prop.antecedent)
@@ -174,8 +125,7 @@ def compile_obligation(prop: PropertyAst,
 
     # Warm-up: no obligation until every history register holds real
     # data, counting the extra cycle a delayed antecedent looks back.
-    lookback = prop.lookback()
-    warm = lookback if hist.chains else 0
+    warm = prop.lookback() if hist.chains else 0
     for k in range(1, warm + 1):
         name = f"__v_{k}"
         extra_states.append(StateVar(name=name, width=1, reset=0))
@@ -184,7 +134,7 @@ def compile_obligation(prop: PropertyAst,
         bad = ex.binop("and", bad, ex.Ref(1, f"__v_{warm}"))
 
     augmented = ts.with_extra(extra_states, extra_next, [(BAD, bad)])
-    return SafetyObligation(augmented=augmented, prop=prop, lookback=lookback)
+    return SafetyObligation(augmented=augmented, prop=prop)
 
 
 def evaluate_on_trace(obl: SafetyObligation, trace) -> int | None:

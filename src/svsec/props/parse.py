@@ -126,13 +126,8 @@ def _validate(e: ast.Expr, ts: TransitionSystem, errs: list[Diagnostic]) -> None
             return
         _validate(e.args[0], ts, errs)
         return
-    if isinstance(e, ast.Unary):
-        _validate(e.operand, ts, errs)
-    elif isinstance(e, ast.Binary):
-        _validate(e.left, ts, errs)
-        _validate(e.right, ts, errs)
-    elif isinstance(e, ast.Ternary):
-        for sub in (e.cond, e.then, e.other):
+    if isinstance(e, (ast.Unary, ast.Binary, ast.Ternary)):
+        for sub in ast.children(e):
             _validate(sub, ts, errs)
     elif isinstance(e, ast.Index):
         _validate(e.base, ts, errs)
@@ -170,12 +165,4 @@ def _max_past(e: ast.Expr) -> int:
         if e.name in ("$rose", "$fell", "$stable"):
             return 1 + _max_past(e.args[0])
         return 0
-    if isinstance(e, ast.Unary):
-        return _max_past(e.operand)
-    if isinstance(e, ast.Binary):
-        return max(_max_past(e.left), _max_past(e.right))
-    if isinstance(e, ast.Ternary):
-        return max(_max_past(e.cond), _max_past(e.then), _max_past(e.other))
-    if isinstance(e, (ast.Index, ast.RangeSelect)):
-        return _max_past(e.base)
-    return 0
+    return max(map(_max_past, ast.children(e)), default=0)

@@ -212,6 +212,18 @@ def test_assign_and_always_comb_elaborate_alike(form):
 
 
 @pytest.mark.parametrize("block", [
+    "always_comb begin\n    {select} = a_in;\n  end",
+    "always_ff @(posedge clk_in) begin\n    {select} <= a_in;\n  end",
+], ids=["always_comb", "always_ff"])
+@pytest.mark.parametrize("select", ["y_out[9]", "y_out[9:1]", "mem_q[7]"])
+def test_out_of_range_target_is_worded_like_a_read(block, select):
+    write = _define_or_diagnostics(block.format(select=select))
+    read = _define_or_diagnostics(f"assign y_out = {select};")
+    assert [message for _, message, _ in write] == \
+        [message for _, message, _ in read]
+
+
+@pytest.mark.parametrize("block", [
     "always_comb begin\n    y_out = {form};\n  end",
     "always_ff @(posedge clk_in) begin\n    y_out <= {form};\n  end",
 ], ids=["always_comb", "always_ff"])
@@ -222,6 +234,22 @@ def test_index_of_an_expression_in_a_block_is_a_compile_error(block, form):
     assert isinstance(verdict, CompileError)
     assert [d.message for d in verdict.diagnostics] == \
         ["index base must be an identifier"]
+
+
+@pytest.mark.parametrize("ports, net, kind", [
+    ("input logic [3:0] A, ", "", "port"),
+    ("output logic [3:0] A, ", "", "port"),
+    ("", "logic [3:0] A;", "net"),
+])
+def test_parameter_name_cannot_be_reused_by_a_port_or_net(ports, net, kind):
+    source = (f"module m #(parameter A = 5) ({ports}output logic [3:0] y);\n"
+              f"  {net}\n  assign y = 4'd0;\nendmodule\n")
+    unit, diags = parse_source(source)
+    assert unit is not None, [d.message for d in diags]
+    ts, _, ediags = elaborate(unit, "m")
+    assert ts is None
+    assert [d.message for d in ediags] == \
+        [f"{kind} 'A' has the same name as a parameter"]
 
 
 FIRST_DIAGNOSTICS = '''\

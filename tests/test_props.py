@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from svsec.engine import Trace
+from svsec.ir import expr as ex
 from svsec.props import (BAD, PAST_DEPTH_CAP, compile_obligation,
                          evaluate_on_trace, parse_property)
 
@@ -90,6 +91,31 @@ def test_obligation_structure(counter_ts):
     assert obl.bad_expr().width == 1
     # original system is untouched
     assert {s.name for s in counter_ts.states} == {"count_out"}
+
+
+def test_history_chains_are_allocated_in_post_order(counter_ts):
+    # The chain order fixes the AIG and CNF variable order, and with it
+    # the solver's work.  The inner `$past(count_out)` gets its chain
+    # before the `$past` around it; chains are numbered left to right;
+    # `$past(en_in, 2)` deepens the chain `$rose(en_in)` opened.
+    prop = parse_ok("$past($past(count_out)) != 4'h1 |-> "
+                    "$stable(rst_n_in) || $rose(en_in) && $past(en_in, 2)",
+                    counter_ts)
+    obl = compile_obligation(prop, counter_ts)
+    assert [(s.name, s.width, s.reset) for s in obl.augmented.states] == [
+        ("count_out", 4, 0),
+        ("__p0_1", 4, 0),
+        ("__p1_1", 4, 0),
+        ("__p2_1", 1, 0),
+        ("__p3_1", 1, 0), ("__p3_2", 1, 0),
+        ("__v_1", 1, 0), ("__v_2", 1, 0),
+    ]
+    nxt = obl.augmented.next
+    assert nxt["__p0_1"] == ex.Ref(4, "count_out")
+    assert nxt["__p1_1"] == ex.Ref(4, "__p0_1")
+    assert nxt["__p2_1"] == ex.Ref(1, "rst_n_in")
+    assert nxt["__p3_1"] == ex.Ref(1, "en_in")
+    assert nxt["__p3_2"] == ex.Ref(1, "__p3_1")
 
 
 def trace_cycle(rst, en):
