@@ -46,6 +46,16 @@ class TseitinEncoder:
     clauses collect in `clauses` until the owner takes them.  The
     constant node is encoded as a variable forced false, so TRUE and
     FALSE roots need no special case.
+
+    Two three-AND patterns are encoded as gates over their leaves, one
+    variable each (Een, Mishchenko & Sorensson, "Applying Logic
+    Synthesis for Speeding Up SAT", SAT 2007):
+    `AND(!AND(p,q), !AND(!p,!q))` is the XOR `p ^ q` (4 clauses) and
+    `AND(!AND(c,t), !AND(!c,e))` is `!mux(c,t,e)` (6 clauses, two of
+    them redundant).  A gate's two inner ANDs get no variable.  An
+    inner node that some other node or root reads, in the same call or
+    a later one, is encoded on demand with its own clauses, so every
+    variable still equals its node's function of the leaves.
     """
 
     def __init__(self, aig: Aig):
@@ -60,8 +70,9 @@ class TseitinEncoder:
         done = self.var_of_node
         nodes = self.aig.nodes
         # walk the new part of the cones iteratively (deep ANDs would
-        # blow the stack)
+        # blow the stack); a gate's walk skips its inner ANDs
         seen: set[int] = set()
+        gates: dict[int, tuple[int, ...]] = {}
         stack = [lit >> 1 for lit in lits]
         while stack:
             node = stack.pop()
@@ -69,22 +80,43 @@ class TseitinEncoder:
                 continue
             seen.add(node)
             fanin = nodes[node]
-            if fanin is not None:
-                stack.append(fanin[0] >> 1)
-                stack.append(fanin[1] >> 1)
+            if fanin is None:
+                continue
+            a, b = fanin
+            leaves = fanin
+            if a & b & 1 and nodes[a >> 1] and nodes[b >> 1]:
+                (x0, x1), (y0, y1) = nodes[a >> 1], nodes[b >> 1]
+                if x0 ^ 1 == y0 and x1 ^ 1 == y1:
+                    leaves = gates[node] = (x0, x1)
+                elif x0 ^ 1 in (y0, y1):
+                    leaves = gates[node] = (x0, x1, y0 + y1 - (x0 ^ 1))
+                elif x1 ^ 1 in (y0, y1):
+                    leaves = gates[node] = (x1, x0, y0 + y1 - (x1 ^ 1))
+            stack.extend(lit >> 1 for lit in leaves)
 
+        add = self.clauses.append
         for node in sorted(seen):
             self.num_vars += 1
             v = done[node] = self.num_vars
             fanin = nodes[node]
             if fanin is None:
                 if node == 0:
-                    self.clauses.append((-v,))
+                    add((-v,))
                 continue
-            la, lb = self.lit(fanin[0]), self.lit(fanin[1])
-            self.clauses.append((-v, la))
-            self.clauses.append((-v, lb))
-            self.clauses.append((v, -la, -lb))
+            gate = gates.get(node)
+            if gate is None:
+                la, lb = self.lit(fanin[0]), self.lit(fanin[1])
+                add((-v, la))
+                add((-v, lb))
+                add((v, -la, -lb))
+            elif len(gate) == 2:  # v = p ^ q
+                p, q = self.lit(gate[0]), self.lit(gate[1])
+                self.clauses += [(-v, p, q), (-v, -p, -q),
+                                 (v, -p, q), (v, p, -q)]
+            else:  # -v = c ? t : e
+                c, t, e = (self.lit(x) for x in gate)
+                self.clauses += [(-c, -t, -v), (-c, t, v), (c, -e, -v),
+                                 (c, e, v), (-t, -e, -v), (t, e, v)]
         return [self.lit(lit) for lit in lits]
 
     def lit(self, aig_lit: int) -> int:

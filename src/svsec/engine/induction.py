@@ -98,7 +98,8 @@ def _known_state(un: Unroller, model: list[int],
     Only constants and encoded nodes are known.  The other state bits
     are in no clause yet, so the model says nothing about them; encoding
     them up front would make every step call assign every state bit of
-    every frame.
+    every frame.  That includes the inner ANDs of the XOR and MUX gates
+    the encoder skips, even when the gate's own variable is assigned.
     """
     mask = value = 0
     for pos, lit in enumerate(lits):

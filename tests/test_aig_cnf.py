@@ -5,7 +5,7 @@ from itertools import product
 from hypothesis import given, settings, strategies as st
 
 from svsec.engine.aig import Aig, FALSE, TRUE, blast_expr
-from svsec.engine.cnf import parse_dimacs, to_cnf
+from svsec.engine.cnf import TseitinEncoder, parse_dimacs, to_cnf
 from svsec.engine.sat import SAT, UNSAT, solve
 from svsec.ir import expr as ex
 from svsec.ir.expr import eval_expr, mask
@@ -87,12 +87,20 @@ def test_slice_concat_mux():
 
 
 def _random_aig(rng, n_inputs, n_gates):
+    """Random ANDs, XORs and MUXes; each XOR's and MUX's inner ANDs join
+    the pool, so later nodes read them too."""
     aig = Aig()
     lits = [aig.new_input() for _ in range(n_inputs)]
     for _ in range(n_gates):
-        a = rng.choice(lits) ^ rng.randint(0, 1)
-        b = rng.choice(lits) ^ rng.randint(0, 1)
-        lits.append(aig.land(a, b))
+        a, b, c = (rng.choice(lits) ^ rng.randint(0, 1) for _ in range(3))
+        kind = rng.choice(("and", "xor", "mux"))
+        if kind == "and":
+            lits.append(aig.land(a, b))
+            continue
+        out = aig.lxor(a, b) if kind == "xor" else aig.lmux(c, a, b)
+        lits.append(out)
+        if aig.nodes[out >> 1] is not None:
+            lits.extend(aig.nodes[out >> 1])
     root = rng.choice(lits[n_inputs:] or lits) ^ rng.randint(0, 1)
     return aig, lits[:n_inputs], root
 
@@ -152,3 +160,70 @@ def test_dimacs_round_trip():
     text = "c comment line\np cnf 3 2\n1 -2 0\n-1 3 0\n"
     f = parse_dimacs(text)
     assert f.num_vars == 3 and f.clauses == [(1, -2), (-1, 3)]
+
+
+def _cost(aig, inputs, root):
+    """Variables and clauses that encoding `root` adds once its inputs
+    are encoded."""
+    enc = TseitinEncoder(aig)
+    enc.encode(inputs)
+    before = enc.num_vars, len(enc.clauses)
+    enc.encode([root])
+    return enc.num_vars - before[0], len(enc.clauses) - before[1]
+
+
+def test_xor_and_mux_are_encoded_as_gates():
+    aig = Aig()
+    c, t, e = aig.bus_input(3)
+    assert _cost(aig, [t, e], aig.lxor(t, e)) == (1, 4)
+    assert _cost(aig, [c, t, e], aig.lmux(c, t, e)) == (1, 6)
+    # a plain AND keeps its three clauses
+    assert _cost(aig, [c, t], aig.land(c, t ^ 1)) == (1, 3)
+
+
+def _assert_encoding_is_functional(aig, enc, inputs):
+    """Under every input assignment the clauses have exactly the AIG's
+    values: the model assigns each encoded node its evaluated value."""
+    encoded = sorted(enc.var_of_node)
+    for vals in product((0, 1), repeat=len(inputs)):
+        units = [(enc.lit(lit) if v else -enc.lit(lit),)
+                 for lit, v in zip(inputs, vals)]
+        status, model = solve(enc.clauses + units, enc.num_vars)
+        assert status == SAT
+        want = aig.evaluate(dict(zip(inputs, vals)),
+                            [2 * n for n in encoded])
+        got = [enc.value(model, 2 * n) for n in encoded]
+        assert got == want, vals
+
+
+def test_inner_nodes_encoded_later_stay_consistent():
+    aig = Aig()
+    p, q, c = aig.bus_input(3)
+    x = aig.lxor(p, q)
+    m = aig.lmux(c, p, q)
+    enc = TseitinEncoder(aig)
+    enc.encode([p, q, c, x, m])
+    inner = [lit for g in (x, m) for lit in aig.nodes[g >> 1]]
+    assert not any(lit >> 1 in enc.var_of_node for lit in inner)
+    for lit in inner:  # one later call per inner AND
+        enc.encode([lit])
+        _assert_encoding_is_functional(aig, enc, [p, q, c])
+    assert all(lit >> 1 in enc.var_of_node for lit in inner)
+
+
+def test_incremental_encoding_of_random_gates_is_functional():
+    import random
+
+    rng = random.Random(11)
+    for trial in range(60):
+        aig, inputs, _ = _random_aig(rng, rng.randint(2, 5),
+                                     rng.randint(1, 10))
+        enc = TseitinEncoder(aig)
+        enc.encode(inputs)
+        lits = [2 * n for n in range(1, len(aig.nodes))]
+        rng.shuffle(lits)
+        while lits:  # encode the nodes in a few random batches
+            k = rng.randint(1, 4)
+            enc.encode(lits[:k])
+            lits = lits[k:]
+        _assert_encoding_is_functional(aig, enc, inputs)
