@@ -188,7 +188,9 @@ def _toposort_defines(col: Collected) -> list[str]:
 def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
                  is_top: bool, port_exprs: dict[str, ex.Expr] | None) -> None:
     for p in mod.params:
-        scope.params[p.name] = _const_eval(p.value, scope)
+        # an instantiation site's override (already in scope) wins
+        if p.name not in scope.params:
+            scope.params[p.name] = _const_eval(p.value, scope)
 
     # Declare ports and nets.
     for port in mod.ports:
@@ -251,7 +253,11 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
             raise _err(f"unknown module {inst.module!r}", inst.line)
         child = modules[inst.module]
         child_scope = Scope(prefix=scope.prefix + inst.name + ".")
+        overridable = {p.name for p in child.params if not p.local}
         for pname, pval in inst.param_overrides:
+            if pname not in overridable:
+                raise _err(f"module {inst.module!r} has no parameter "
+                           f"{pname!r} to override", inst.line)
             child_scope.params[pname] = _const_eval(pval, scope)
         child_ports = {p.name: p for p in child.ports}
         in_exprs: dict[str, ex.Expr] = {}

@@ -288,3 +288,32 @@ def test_first_diagnostic_does_not_depend_on_the_hash_seed():
         outputs.add(run.stdout)
     assert outputs == {"clock alias cycle through 'ca'\n"
                        "undriven signal 'za' referenced by 'y'\n"}
+
+
+CHILD_W = """module c #(parameter W = 2) (
+  input logic [W-1:0] a,
+  output logic [L-1:0] y
+);
+  localparam L = W;
+  assign y = a;
+endmodule
+module top(input logic [7:0] d, output logic [7:0] q);
+  c #({overrides}) u(.a(d), .y(q));
+endmodule
+"""
+
+
+@pytest.mark.parametrize("overrides, width", [(".W(8)", 8), ("", 2)])
+def test_instance_parameter_override_beats_the_default(overrides, width):
+    ts, _ = compile_ts(CHILD_W.replace("{overrides}", overrides), "top")
+    assert ts.widths["u.a"] == ts.widths["u.y"] == width
+
+
+@pytest.mark.parametrize("name", ["N", "L"])
+def test_override_of_an_undeclared_parameter_is_a_diagnostic(name):
+    unit, diags = parse_source(CHILD_W.replace("{overrides}", f".{name}(8)"))
+    assert unit is not None, [d.message for d in diags]
+    ts, _, ediags = elaborate(unit, "top")
+    assert ts is None
+    assert [d.message for d in ediags] == \
+        [f"module 'c' has no parameter '{name}' to override"]
