@@ -92,9 +92,9 @@ _GROUPS = (
     ("open_comment", r"/\*"),
     ("op", "|".join(map(re.escape, _OPERATORS))),
     ("number", r"[0-9][0-9_]*"),
-    # Unbased forms ('0, 'x, 'sz) only without a size prefix.
-    ("based", rf"{_BASE}\w+|'[sS]?[01xXzZ]"),
-    ("based_no_digits", rf"(?={_BASE}(?!\w))'"),
+    # Unbased forms ('0, 'x) only without a size prefix or a sign.
+    ("based", rf"{_BASE}\w+|'[01xXzZ]"),
+    ("based_no_digits", rf"{_BASE}(?!\w)"),
     ("tick", r"'"),
     ("string", r'"[^"\n]*"'),
     ("open_string", r'"[^"\n]*'),
@@ -153,7 +153,6 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
         elif group == "based_no_digits":
             diags.append(Diagnostic(Severity.ERROR, "based literal missing digits",
                                     line, col))
-            diags.append(Diagnostic(Severity.ERROR, "stray ' in input", line, col))
         elif group == "tick":
             diags.append(Diagnostic(Severity.ERROR, "stray ' in input", line, col))
         elif group == "dollar":
@@ -185,7 +184,8 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
 def _number(source, start, end, line, col, tokens, diags) -> int:
     """Lex the number whose first digits span source[start:end]; returns
     where it ends.  Digits run on as far as `str.isdigit` (or `_`) does,
-    and a following base (8'hFF) makes the number a sized literal."""
+    and a following base (8'hFF) makes the number a sized literal.  A
+    base without digits (8'h) is reported once and yields no token."""
     n = len(source)
     while end < n and (source[end].isdigit() or source[end] == "_"):
         end += 1
@@ -197,5 +197,6 @@ def _number(source, start, end, line, col, tokens, diags) -> int:
             return size.end()
         diags.append(Diagnostic(Severity.ERROR, "based literal missing digits",
                                 line, col))
+        return size.end()
     tokens.append(Token(TokenKind.UNSIZED_LIT, source[start:end], line, col))
     return end

@@ -672,6 +672,9 @@ def parse_number_token(t: Token) -> ast.Number:
     if text.startswith('"'):
         raise ParseError(Diagnostic(Severity.UNSUPPORTED,
                                     "string literals are not supported", t.line, t.col))
+    if not text.isascii():  # int() would take any Unicode digit
+        raise ParseError(Diagnostic(
+            Severity.ERROR, f"invalid digits in literal {text!r}", t.line, t.col))
     if "'" not in text:
         return ast.Number(value=int(text.replace("_", "")), width=None, base=None)
     size_part, rest = text.split("'", 1)
@@ -691,6 +694,9 @@ def parse_number_token(t: Token) -> ast.Number:
                 Severity.ERROR, f"invalid digits in based literal {text!r}",
                 t.line, t.col)) from None
         width = int(size_part) if size_part else None
+        if width == 0:
+            raise ParseError(Diagnostic(
+                Severity.ERROR, f"literal {text!r} has zero width", t.line, t.col))
         if width is not None:
             value &= (1 << width) - 1
         return ast.Number(value=value, width=width, base=base)

@@ -202,9 +202,11 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
         scope.widths[port.name] = w
     for d in mod.decls:
         _check_not_param(d.name, "net", scope, d.line)
-        if d.name in scope.widths:
+        if any(p.name == d.name for p in mod.ports):
             # Redeclaration of a port with its net kind.
             continue
+        if d.name in scope.widths or d.name in scope.arrays:
+            raise _err(f"{d.name!r} is declared twice", d.line)
         w = _range_width(d.msb, d.lsb, scope, d.line)
         if d.unpacked is not None:
             lo = _const_eval(d.unpacked[0], scope)

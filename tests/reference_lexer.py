@@ -107,9 +107,12 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
             while j < n and (source[j].isdigit() or source[j] == "_"):
                 j += 1
             if j < n and source[j] == "'":
-                lit = _lex_based(source, i, j, diags, start_line, start_col)
-                if lit is not None:
-                    tokens.append(Token(TokenKind.SIZED_LIT, lit, start_line, start_col))
+                based = _lex_based(source, i, j, diags, start_line, start_col)
+                if based is not None:
+                    lit, has_digits = based
+                    if has_digits:
+                        tokens.append(Token(TokenKind.SIZED_LIT, lit, start_line,
+                                            start_col))
                     advance(len(lit))
                     continue
             tokens.append(Token(TokenKind.UNSIZED_LIT, source[i:j], start_line, start_col))
@@ -118,9 +121,12 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
 
         if c == "'":
             start_line, start_col = line, col
-            lit = _lex_based(source, i, i, diags, start_line, start_col)
-            if lit is not None:
-                tokens.append(Token(TokenKind.UNSIZED_LIT, lit, start_line, start_col))
+            based = _lex_based(source, i, i, diags, start_line, start_col)
+            if based is not None:
+                lit, has_digits = based
+                if has_digits:
+                    tokens.append(Token(TokenKind.UNSIZED_LIT, lit, start_line,
+                                        start_col))
                 advance(len(lit))
                 continue
             diags.append(Diagnostic(Severity.ERROR, "stray ' in input", start_line, start_col))
@@ -164,8 +170,10 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
 def _lex_based(source: str, start: int, tick: int, diags, line: int, col: int):
     """Lex a based literal starting at `start` with the ' at `tick`.
 
-    Returns the lexeme text, or None if this is not a based literal.
-    Handles 8'b0101, 'hFF, and the unbased forms '0 / '1.
+    Returns (lexeme text, whether it has digits), or None if this is
+    not a based literal.  A base without digits (8'h) is reported here,
+    once.  Handles 8'b0101, 'hFF, and the unbased forms '0 / '1, which
+    take no sign ('s1 is not a literal).
     """
     n = len(source)
     j = tick + 1
@@ -184,9 +192,9 @@ def _lex_based(source: str, start: int, tick: int, diags, line: int, col: int):
             k += 1
         if k == j:
             diags.append(Diagnostic(Severity.ERROR, "based literal missing digits", line, col))
-            return None
-        return source[start:k]
-    if c in "01xXzZ" and tick == start:
+            return source[start:k], False
+        return source[start:k], True
+    if c in "01xXzZ" and tick == start and j == tick + 1:
         # Unbased unsized literal: '0, '1, 'x, 'z
-        return source[start:j + 1]
+        return source[start:j + 1], True
     return None

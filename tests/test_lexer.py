@@ -43,6 +43,22 @@ def test_stray_quote_after_literal_is_an_error():
     assert diags, "stray quote must produce a diagnostic"
 
 
+@pytest.mark.parametrize("src, col", [("8'h;", 1), ("'h;", 1),
+                                      ("x = 4'sb ;", 5)])
+def test_base_without_digits_is_reported_once(src, col):
+    toks, diags = tokenize(src)
+    assert [(d.message, d.line, d.col) for d in diags] == \
+        [("based literal missing digits", 1, col)]
+    assert toks[-1].text == ";"
+
+
+@pytest.mark.parametrize("src", ["'s0", "'s1", "'sx", "'sz", "'S1"])
+def test_signed_unbased_forms_are_not_literals(src):
+    toks, diags = tokenize(src)
+    assert [(d.message, d.col) for d in diags] == [("stray ' in input", 1)]
+    assert [t.kind for t in toks] == [TokenKind.IDENT]
+
+
 def test_operators_longest_match():
     assert [text for _, text in kinds("a |-> b |=> c <= d == e")] \
         == ["a", "|->", "b", "|=>", "c", "<=", "d", "==", "e"]
