@@ -8,7 +8,9 @@ CSV_HEADER; files are UTF-8 with RFC-4180 quoting.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 VERDICTS = ("proven", "falsified", "unknown", "compile_error")
 
@@ -56,20 +58,28 @@ def _cell(v) -> str:
 
 
 def export_csv(rows, path) -> None:
+    """Write `rows` to `path` through a temporary file in the same
+    directory, so an interrupted write leaves any old file whole."""
     keys = set()
     for r in rows:
         if r.key() in keys:
             raise RowError(f"duplicate row {r.key()}")
         keys.add(r.key())
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_HEADER)
-        for r in rows:
-            w.writerow([r.design_id, r.provider, r.cwe_id, r.difficulty,
-                        r.regen_index, r.verdict, _cell(r.cex_depth),
-                        _cell(r.k_used), r.lines_of_code, r.runtime_ms,
-                        r.source_path, r.property_id, r.toolkit_version,
-                        r.seed])
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(CSV_HEADER)
+            for r in rows:
+                w.writerow([r.design_id, r.provider, r.cwe_id, r.difficulty,
+                            r.regen_index, r.verdict, _cell(r.cex_depth),
+                            _cell(r.k_used), r.lines_of_code, r.runtime_ms,
+                            r.source_path, r.property_id, r.toolkit_version,
+                            r.seed])
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def import_csv(path) -> list:

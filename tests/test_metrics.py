@@ -71,6 +71,27 @@ def test_csv_round_trip_is_lossless(tmp_path):
     assert import_csv(out) == rows
 
 
+def test_failed_export_leaves_the_old_dataset_whole(tmp_path, monkeypatch):
+    out = tmp_path / "dataset.csv"
+    export_csv([make_row(regen=0)], out)
+    before = out.read_bytes()
+
+    class FailingWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def writerow(self, cells):
+            if cells[0] != "design_id":
+                raise OSError("disk full")
+            self.fh.write("design_id,partial\n")
+
+    monkeypatch.setattr("svsec.metrics.rows.csv.writer", FailingWriter)
+    with pytest.raises(OSError, match="disk full"):
+        export_csv([make_row(regen=1)], out)
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["dataset.csv"]
+
+
 def test_duplicate_keys_rejected(tmp_path):
     rows = [make_row(regen=0), make_row(regen=0)]
     with pytest.raises(RowError, match="duplicate"):
