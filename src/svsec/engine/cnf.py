@@ -86,29 +86,30 @@ class TseitinEncoder:
             leaves = fanin
             if a & b & 1 and nodes[a >> 1] and nodes[b >> 1]:
                 (x0, x1), (y0, y1) = nodes[a >> 1], nodes[b >> 1]
-                if x0 ^ 1 == y0 and x1 ^ 1 == y1:
+                if x0 ^ 1 == y0 and x1 ^ 1 == y1:  # an XOR of x0, x1
                     leaves = gates[node] = (x0, x1)
-                elif x0 ^ 1 in (y0, y1):
-                    leaves = gates[node] = (x0, x1, y0 + y1 - (x0 ^ 1))
-                elif x1 ^ 1 in (y0, y1):
-                    leaves = gates[node] = (x1, x0, y0 + y1 - (x1 ^ 1))
+                elif x0 ^ 1 in (y0, y1):  # a MUX selected by x0
+                    leaves = gates[node] = (x0, x1,
+                                            y1 if y0 == x0 ^ 1 else y0)
+                elif x1 ^ 1 in (y0, y1):  # a MUX selected by x1
+                    leaves = gates[node] = (x1, x0,
+                                            y1 if y0 == x1 ^ 1 else y0)
             stack.extend(lit >> 1 for lit in leaves)
 
-        add = self.clauses.append
         for node in sorted(seen):
             self.num_vars += 1
             v = done[node] = self.num_vars
             fanin = nodes[node]
             if fanin is None:
                 if node == 0:
-                    add((-v,))
+                    self.clauses.append((-v,))
                 continue
             gate = gates.get(node)
             if gate is None:
                 la, lb = self.lit(fanin[0]), self.lit(fanin[1])
-                add((-v, la))
-                add((-v, lb))
-                add((v, -la, -lb))
+                self.clauses.append((-v, la))
+                self.clauses.append((-v, lb))
+                self.clauses.append((v, -la, -lb))
             elif len(gate) == 2:  # v = p ^ q
                 p, q = self.lit(gate[0]), self.lit(gate[1])
                 self.clauses += [(-v, p, q), (-v, -p, -q),
