@@ -83,18 +83,21 @@ class TseitinEncoder:
             if fanin is None:
                 continue
             a, b = fanin
-            leaves = fanin
+            gate = None
             if a & b & 1 and nodes[a >> 1] and nodes[b >> 1]:
                 (x0, x1), (y0, y1) = nodes[a >> 1], nodes[b >> 1]
                 if x0 ^ 1 == y0 and x1 ^ 1 == y1:  # an XOR of x0, x1
-                    leaves = gates[node] = (x0, x1)
+                    gate = (x0, x1)
                 elif x0 ^ 1 in (y0, y1):  # a MUX selected by x0
-                    leaves = gates[node] = (x0, x1,
-                                            y1 if y0 == x0 ^ 1 else y0)
+                    gate = (x0, x1, y1 if y0 == x0 ^ 1 else y0)
                 elif x1 ^ 1 in (y0, y1):  # a MUX selected by x1
-                    leaves = gates[node] = (x1, x0,
-                                            y1 if y0 == x1 ^ 1 else y0)
-            stack.extend(lit >> 1 for lit in leaves)
+                    gate = (x1, x0, y1 if y0 == x1 ^ 1 else y0)
+            if gate is None:
+                stack.append(a >> 1)
+                stack.append(b >> 1)
+            else:
+                gates[node] = gate
+                stack += [lit >> 1 for lit in gate]
 
         for node in sorted(seen):
             self.num_vars += 1
