@@ -20,7 +20,6 @@ endmodule
 
 CHILD = """module c #(parameter W = 4) (input logic [W-1:0] a,
   output logic [W-1:0] y);
-  localparam L = W;
   assign y = a;
 endmodule
 """
@@ -46,20 +45,17 @@ BODIES = {
     "keyword as a name": "  logic [3:0] module;\n  assign q_out = d_in;",
     "literal as a target": "  assign 4'd3 = d_in;\n  assign q_out = d_in;",
     "unclosed begin": "  always_comb begin\n    q_out = d_in;\n",
-    # declarations and drivers
+    # declarations and multiple assignment
     "undeclared name": "  assign q_out = nope;",
     "net declared twice": "  logic [3:0] t;\n  logic [3:0] t;\n"
                           "  assign t = d_in;\n  assign q_out = t;",
-    "two continuous drivers": "  assign q_out = d_in;\n  assign q_out = ~d_in;",
+    "two continuous assigns": "  assign q_out = d_in;\n  assign q_out = ~d_in;",
     "assign and flip-flop drive": "  assign q_out = d_in;\n"
                                   "  always_ff @(posedge clk_in) q_out <= d_in;",
     "non-constant range": "  logic [d_in:0] t;\n  assign q_out = d_in;",
     "unknown system function": "  assign q_out = $nope(d_in);",
     "unknown module": "  nope u(.a(d_in));\n  assign q_out = d_in;",
-    # instances
-    "override of an undeclared parameter":
-        "  c #(.N(4)) u(.a(d_in), .y(q_out));",
-    "override of a localparam": "  c #(.L(4)) u(.a(d_in), .y(q_out));",
+    # instances (overrides of undeclared parameters: test_elaborate.py)
     "unknown port": "  c u(.a(d_in), .b(d_in), .y(q_out));",
 }
 
