@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from svsec.engine.bmc import DEFAULT_BUDGET
 from svsec.engine.induction import k_induction
 from svsec.engine.result import CompileError, Falsified, Proven, Unknown
 from svsec.frontend import ast, parse_source
@@ -11,17 +12,18 @@ from svsec.props import compile_obligation, parse_property
 from svsec.props.obligation import SafetyObligation
 
 DEFAULT_MAX_K = 32
-DEFAULT_BUDGET_SECONDS = 60.0
 
 
 def check_design(source: str, top: str, property_text: str,
                  max_k: int = DEFAULT_MAX_K,
-                 budget_seconds: float | None = DEFAULT_BUDGET_SECONDS):
+                 budget: int = DEFAULT_BUDGET):
     """Parse, elaborate, compile the property, and run k-induction.
 
     Returns Proven | Falsified | Unknown | CompileError.  Falsified
     verdicts carry the source line whose assignment produced the
-    violating value.
+    violating value.  `budget` bounds the check's solver work in the
+    units of `sat.work_units()`; a check that runs out of it is Unknown,
+    on every machine and under any load.
     """
     unit, diags = parse_source(source)
     if unit is None:
@@ -33,7 +35,7 @@ def check_design(source: str, top: str, property_text: str,
     if prop is None:
         return CompileError(diagnostics=pdiags)
     obl = compile_obligation(prop, ts)
-    verdict = k_induction(obl, max_k=max_k, budget_seconds=budget_seconds)
+    verdict = k_induction(obl, max_k=max_k, budget=budget)
     if isinstance(verdict, Falsified):
         sig, line = locate_culprit(obl, line_map, verdict)
         verdict.culprit_signal = sig

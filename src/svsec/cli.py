@@ -32,8 +32,10 @@ def main():
               help="File holding a property expression (overrides catalog).")
 @click.option("--top", help="Top module (defaults to the catalog problem's).")
 @click.option("--max-k", default=32, show_default=True)
-@click.option("--budget-seconds", default=60.0, show_default=True)
-def verify(file, cwe, difficulty, property_file, top, max_k, budget_seconds):
+@click.option("--budget", default=10_000_000, show_default=True,
+              help="Solver work units (propagations + decisions + "
+                   "conflicts) per check.")
+def verify(file, cwe, difficulty, property_file, top, max_k, budget):
     """Check one design file; exit 0 proven, 1 falsified, 2 unknown,
     3 compile error."""
     from svsec.check import check_design
@@ -56,7 +58,7 @@ def verify(file, cwe, difficulty, property_file, top, max_k, budget_seconds):
 
     source = Path(file).read_text(encoding="utf-8")
     verdict = check_design(source, top, property_text,
-                           max_k=max_k, budget_seconds=budget_seconds)
+                           max_k=max_k, budget=budget)
     status = verdict.status
     if status == "proven":
         click.echo(f"proven (k={verdict.k_used})")
@@ -113,8 +115,10 @@ def generate(stub, providers_file, n, seed, workers, out_dir):
 @click.option("--out", "out_dir", default=".", show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--max-k", default=32, show_default=True)
-@click.option("--budget-seconds", default=60.0, show_default=True)
-def label(cache_dir, out_dir, seed, max_k, budget_seconds):
+@click.option("--budget", default=10_000_000, show_default=True,
+              help="Solver work units (propagations + decisions + "
+                   "conflicts) per check.")
+def label(cache_dir, out_dir, seed, max_k, budget):
     """Adjudicate every cached generation into OUT/dataset.csv."""
     from svsec.metrics import export_csv, label_batch, verdict_counts
 
@@ -125,8 +129,7 @@ def label(cache_dir, out_dir, seed, max_k, budget_seconds):
     # Before labeling, so a missing directory cannot discard its work.
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     specs = list_problems()
-    rows = label_batch(gens, specs, seed=seed, max_k=max_k,
-                       budget_seconds=budget_seconds)
+    rows = label_batch(gens, specs, seed=seed, max_k=max_k, budget=budget)
     out = Path(out_dir) / "dataset.csv"
     export_csv(rows, out)
     click.echo(f"{len(rows)} rows -> {out}")

@@ -10,8 +10,6 @@ again.
 
 from __future__ import annotations
 
-import time
-
 from svsec.engine import sat
 from svsec.engine.aig import Aig, FALSE, blast_frame
 from svsec.engine.cnf import TseitinEncoder
@@ -19,7 +17,8 @@ from svsec.engine.result import Falsified, NoCexUpTo, Unknown
 from svsec.engine.trace import Trace
 from svsec.props.obligation import SafetyObligation
 
-DEFAULT_CONFLICT_BUDGET = 400_000
+# Work units (solver propagations + decisions + conflicts) per check.
+DEFAULT_BUDGET = 10_000_000
 
 
 class Unroller:
@@ -72,12 +71,12 @@ class Unroller:
         """Assert a literal in every later query."""
         self.cnf.clauses.append((dimacs_lit,))
 
-    def solve(self, assumptions, conflict_budget: int):
+    def solve(self, assumptions, budget: int):
         """Feed the clauses encoded since the last call to the solver
-        and solve under `assumptions`; returns (status, model)."""
+        and solve under `assumptions` with at most `budget` work units;
+        returns (status, model)."""
         clauses, self.cnf.clauses = self.cnf.clauses, []
-        return sat.solve(clauses, self.cnf.num_vars,
-                         conflict_budget=conflict_budget,
+        return sat.solve(clauses, self.cnf.num_vars, budget=budget,
                          solver=self.solver, assumptions=assumptions)
 
     def extract_trace(self, model: list[int], depth: int) -> Trace:
@@ -97,32 +96,34 @@ class Unroller:
         return tr
 
 
+def out_of_budget(phase: str, k: int, budget: int) -> Unknown:
+    return Unknown(max_k=k, reason=(
+        f"{phase} at k={k} exceeded the work budget of {budget}"))
+
+
 def bmc(obl: SafetyObligation, max_depth: int,
-        conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
-        budget_seconds: float | None = None,
+        budget: int = DEFAULT_BUDGET,
         unroller: Unroller | None = None):
     """Search for a violation at depths 0..max_depth, shallowest first.
 
-    With an `unroller` from an earlier call, the depths it already
-    showed clean are not searched again.
+    `budget` bounds the solver work of the whole search; a depth whose
+    query runs out of it gives Unknown.  With an `unroller` from an
+    earlier call, the depths it already showed clean are not searched
+    again.
     """
-    deadline = None if budget_seconds is None \
-        else time.monotonic() + budget_seconds
     un = unroller or Unroller(obl)
+    start = un.solver.work()
     # encode every input a trace reads, so that models assign them all
     un.cnf.encode(lit for bus in un.initial_free.values() for lit in bus)
     for d in range(un.clean, max_depth + 1):
-        if deadline is not None and time.monotonic() > deadline:
-            return Unknown(max_k=d, reason="time budget exceeded")
         bad = un.bad(d)
         un.cnf.encode(un.input_lits(d))
         if bad != FALSE:
             (bad_lit,) = un.cnf.encode([bad])
-            status, model = un.solve([bad_lit], conflict_budget)
+            status, model = un.solve(
+                [bad_lit], budget - (un.solver.work() - start))
             if status == sat.UNKNOWN:
-                return Unknown(max_k=d, reason=(
-                    f"base case at depth {d} exceeded the solver conflict "
-                    f"budget of {conflict_budget}"))
+                return out_of_budget("base case", d, budget)
             if status == sat.SAT:
                 tr = un.extract_trace(model, d)
                 hit = next((t for t, env in enumerate(tr.values)

@@ -23,58 +23,55 @@ up front.
 
 from __future__ import annotations
 
-import time
-
 from svsec.engine import sat
-from svsec.engine.bmc import DEFAULT_CONFLICT_BUDGET, Unroller, bmc
+from svsec.engine.bmc import DEFAULT_BUDGET, Unroller, bmc, out_of_budget
 from svsec.engine.result import Falsified, NoCexUpTo, Proven, Unknown
 from svsec.props.obligation import SafetyObligation
 
 
 def k_induction(obl: SafetyObligation, max_k: int, simple_path: bool = True,
-                conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
-                budget_seconds: float | None = None):
-    deadline = None if budget_seconds is None \
-        else time.monotonic() + budget_seconds
+                budget: int = DEFAULT_BUDGET):
+    """Prove, falsify, or give up on `obl` with k up to `max_k`.
+
+    `budget` bounds the solver work of the whole check, base case and
+    step together; the query that runs out of it gives Unknown naming
+    its phase and k.  The work counts are deterministic, so the verdict
+    does not depend on machine speed or load.
+    """
     base_un = Unroller(obl)
     step_un = Unroller(obl, free_initial=True)
 
+    def left() -> int:
+        return budget - base_un.solver.work() - step_un.solver.work()
+
     for k in range(max_k + 1):
-        remaining = None if deadline is None \
-            else max(deadline - time.monotonic(), 0.0)
-        res = bmc(obl, max_depth=k, conflict_budget=conflict_budget,
-                  budget_seconds=remaining, unroller=base_un)
+        res = bmc(obl, max_depth=k, budget=left(), unroller=base_un)
         if isinstance(res, Falsified):
             return res
         if isinstance(res, Unknown):
-            return Unknown(max_k=k, reason=res.reason)
+            return out_of_budget("base case", k, budget)
         assert isinstance(res, NoCexUpTo)
 
-        if deadline is not None and time.monotonic() > deadline:
-            return Unknown(max_k=k, reason="time budget exceeded")
-        status = _step(step_un, k, simple_path, conflict_budget)
+        status = _step(step_un, k, simple_path, left)
         if status == sat.UNSAT:
             return Proven(k_used=k)
         if status == sat.UNKNOWN:
-            return Unknown(max_k=k, reason=(
-                f"induction step at k={k} exceeded the solver conflict "
-                f"budget of {conflict_budget}"))
+            return out_of_budget("induction step", k, budget)
     return Unknown(max_k=max_k, reason="induction depth exhausted")
 
 
-def _step(un: Unroller, k: int, simple_path: bool,
-          conflict_budget: int) -> int:
+def _step(un: Unroller, k: int, simple_path: bool, left) -> int:
     """Solve: frames 0..k-1 good, frame k bad, states distinct.
 
-    Called for k = 0, 1, 2, ... on the same unroller.  UNSAT means the
-    step holds at k.
+    Called for k = 0, 1, 2, ... on the same unroller, each solve with
+    the `left()` work of the check.  UNSAT means the step holds at k.
     """
     if k > 0:
         un.add_unit(-un.cnf.encode([un.bad(k - 1)])[0])
     (bad_lit,) = un.cnf.encode([un.bad(k)])
     states = [un.state_lits(t) for t in range(k + 1)]
     while True:
-        status, model = un.solve([bad_lit], conflict_budget)
+        status, model = un.solve([bad_lit], left())
         if status != sat.SAT or not simple_path:
             return status
         known = [_known_state(un, model, lits) for lits in states]

@@ -241,7 +241,18 @@ class Solver:
                 return 2 * var + (1 if self.phase[var] == 0 else 0)
         return -1
 
-    def solve(self, assumptions=(), conflict_budget: int | None = None) -> int:
+    def work(self) -> int:
+        """Effort spent so far: propagations + decisions + conflicts."""
+        return self.propagations + self.decisions + self.conflicts
+
+    def solve(self, assumptions=(), budget: int | None = None) -> int:
+        """SAT, UNSAT, or UNKNOWN once this call has spent more than
+        `budget` work units.
+
+        The budget is checked once per search step, so a call that runs
+        out charges at most `budget` plus one propagation pass plus one
+        decision or conflict.
+        """
         if not self.ok:
             return UNSAT
         packed_assumps = []
@@ -251,7 +262,12 @@ class Solver:
         restart_count = 0
         limit = _luby(restart_count) * 100
         base_conflicts = self.conflicts
+        stop = None if budget is None else self.work() + budget
         while True:
+            if stop is not None and \
+                    self.propagations + self.decisions + self.conflicts > stop:
+                self._backtrack(0)
+                return UNKNOWN
             confl = self._propagate()
             if confl != -1:
                 self.conflicts += 1
@@ -270,10 +286,6 @@ class Solver:
                     self.watches[learned[1] ^ 1].append(ci)
                     self._enqueue(learned[0], ci)
                 self.var_inc /= 0.95
-                if conflict_budget is not None \
-                        and self.conflicts - base_conflicts >= conflict_budget:
-                    self._backtrack(0)
-                    return UNKNOWN
                 if self.conflicts - base_conflicts >= limit:
                     restart_count += 1
                     limit = (self.conflicts - base_conflicts
@@ -317,22 +329,22 @@ def _luby(i: int) -> int:
 _work_units = 0
 
 
-def solve(clauses, num_vars: int, conflict_budget: int | None = None,
+def solve(clauses, num_vars: int, budget: int | None = None,
           solver=None, assumptions=()):
     """Add `clauses` to `solver` (a fresh one if None) and solve under
     `assumptions`; returns (status, model or None).
 
     A given solver keeps the clauses, and what it learned, for later
-    calls.  `conflict_budget` bounds the conflicts of this call.
+    calls.  `budget` bounds the work of this call (see `Solver.solve`).
     """
     global _work_units
     s = Solver() if solver is None else solver
-    before = s.propagations + s.decisions + s.conflicts
+    before = s.work()
     s.ensure_vars(num_vars)
     for c in clauses:
         s.add_clause(c)
-    status = s.solve(assumptions, conflict_budget=conflict_budget)
-    _work_units += s.propagations + s.decisions + s.conflicts - before
+    status = s.solve(assumptions, budget=budget)
+    _work_units += s.work() - before
     return status, (list(s.model) if status == SAT else None)
 
 

@@ -14,7 +14,7 @@ import hashlib
 
 import svsec
 from svsec.catalog.problems import ProblemSpec
-from svsec.check import check_design
+from svsec.check import DEFAULT_BUDGET, DEFAULT_MAX_K, check_design
 from svsec.engine import sat
 from svsec.gen.batch import Generation
 from svsec.metrics.rows import DatasetRow
@@ -27,15 +27,15 @@ def _lines_of_code(source: str | None) -> int:
 
 
 def label_design(gen: Generation, spec: ProblemSpec,
-                 max_k: int = 32,
-                 budget_seconds: float | None = 60.0,
+                 max_k: int = DEFAULT_MAX_K,
+                 budget: int = DEFAULT_BUDGET,
                  seed: int = 0,
                  source_path: str = "",
                  memo: dict | None = None) -> DatasetRow:
     if gen.problem_id != spec.problem_id:
         raise ValueError(f"generation {gen.problem_id} labeled against "
                          f"spec {spec.problem_id}")
-    outcome, work = _adjudicate(gen.source, spec, max_k, budget_seconds, memo)
+    outcome, work = _adjudicate(gen.source, spec, max_k, budget, memo)
     verdict, cex_depth, k_used = outcome
     return DatasetRow(
         design_id=f"{gen.provider_id}:{spec.problem_id}:{gen.regen_index}",
@@ -56,7 +56,7 @@ def label_design(gen: Generation, spec: ProblemSpec,
 
 
 def _adjudicate(source: str | None, spec: ProblemSpec, max_k: int,
-                budget_seconds: float | None, memo: dict | None):
+                budget: int, memo: dict | None):
     if source is None:
         return ("compile_error", None, None), 0
     key = (hashlib.sha256(source.encode()).hexdigest(), spec.problem_id)
@@ -67,7 +67,7 @@ def _adjudicate(source: str | None, spec: ProblemSpec, max_k: int,
     start_work = sat.work_units()
     verdict = check_design(source, spec.module_name,
                            instantiate_property_text(spec),
-                           max_k=max_k, budget_seconds=budget_seconds)
+                           max_k=max_k, budget=budget)
     work = sat.work_units() - start_work
     outcome = (verdict.status,
                verdict.depth if verdict.status == "falsified" else None,

@@ -252,7 +252,7 @@ def test_criterion_2_oracle_equivalence():
         obl = compile_obligation(prop, ts)
 
         oracle = explicit_state_oracle(obl)
-        verdict = k_induction(obl, max_k=64, budget_seconds=30.0)
+        verdict = k_induction(obl, max_k=64)
         if oracle.violated:
             assert isinstance(verdict, Falsified), (prop_text, verdict)
             assert verdict.depth == oracle.min_depth, \
@@ -282,7 +282,7 @@ def test_criterion_3_catalog_soundness():
                                 (spec.vulnerable_file, "falsified")):
             t1 = time.monotonic()
             verdict = check_design(design_text(fname), spec.module_name,
-                                   prop_text, budget_seconds=60.0)
+                                   prop_text)
             per = time.monotonic() - t1
             assert verdict.status == expected, (fname, verdict)
             assert per < 60.0, fname

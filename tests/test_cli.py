@@ -58,7 +58,7 @@ def test_verify_unknown_budget(tmp_path):
     (spec,) = list_problems(cwe=1234, difficulty="basic")
     res = invoke("verify", write_design(tmp_path, spec, "correct"),
                  "--cwe", "1234", "--difficulty", "basic",
-                 "--budget-seconds", "0")
+                 "--budget", "0")
     assert res.exit_code == 2
     assert res.output.startswith("unknown (")
 

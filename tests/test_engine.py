@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -102,11 +103,46 @@ def test_k_induction_finds_bugs_at_minimal_depth():
     assert explicit_state_oracle(obl).min_depth == 4
 
 
-def test_time_budget_yields_unknown():
+def test_work_budget_yields_unknown():
     obl = obligation(COUNTER, "counter",
-                     "disable iff (!rst_n_in) count_out <= 4'hF")
-    res = k_induction(obl, max_k=32, budget_seconds=0.0)
-    assert isinstance(res, Unknown) and "budget" in res.reason
+                     "disable iff (!rst_n_in) count_out != 4'h3")
+    res = k_induction(obl, max_k=32, budget=0)
+    assert isinstance(res, Unknown)
+    assert res.reason.endswith("exceeded the work budget of 0")
+    # a check that needs no search is not cut short
+    trivial = obligation(COUNTER, "counter",
+                         "disable iff (!rst_n_in) count_out <= 4'hF")
+    assert isinstance(k_induction(trivial, max_k=32, budget=0), Proven)
+
+
+def test_work_budget_is_deterministic_and_monotonic():
+    obl = obligation(COUNTER, "counter",
+                     "disable iff (!rst_n_in) count_out != 4'h3")
+    before = sat.work_units()
+    full = k_induction(obl, max_k=12)
+    work = sat.work_units() - before
+    assert isinstance(full, Falsified) and full.depth == 3
+
+    # the budget bounds the whole check: exactly its work is enough
+    res = k_induction(obl, max_k=12, budget=work)
+    assert isinstance(res, Falsified) and res.depth == 3
+
+    phases = set()
+    last_k = 0
+    for budget in range(0, work, 7):
+        res = k_induction(obl, max_k=12, budget=budget)
+        assert isinstance(res, Unknown), budget
+        phase, k = re.fullmatch(
+            rf"(base case|induction step) at k=(\d+) exceeded the work "
+            rf"budget of {budget}", res.reason).groups()
+        assert int(k) == res.max_k
+        phases.add(phase)
+        # more budget never stops the check earlier
+        assert res.max_k >= last_k
+        last_k = res.max_k
+        again = k_induction(obl, max_k=12, budget=budget)
+        assert (again.max_k, again.reason) == (res.max_k, res.reason)
+    assert phases == {"base case", "induction step"}
 
 
 def test_oracle_refuses_oversized_designs(counter_ts):
@@ -155,14 +191,13 @@ def test_check_design_end_to_end():
 
 
 def test_step_out_of_budget_is_unknown_not_a_failed_step():
-    # with one conflict allowed, the step query at k=1 runs out; that
-    # must end the search rather than count as a step that fails
+    # with 50 work units, the step query at k=2 runs out; that must end
+    # the search rather than count as a step that fails
     obl = obligation(COUNTER, "counter",
                      "disable iff (!rst_n_in) count_out != 4'h3")
-    res = k_induction(obl, max_k=12, conflict_budget=1)
-    assert isinstance(res, Unknown) and res.max_k == 1
-    assert res.reason == ("induction step at k=1 exceeded the solver "
-                          "conflict budget of 1")
+    res = k_induction(obl, max_k=12, budget=50)
+    assert isinstance(res, Unknown) and res.max_k == 2
+    assert res.reason == "induction step at k=2 exceeded the work budget of 50"
 
 
 def _eager_step_holds(un: Unroller, k: int, simple_path: bool) -> bool:

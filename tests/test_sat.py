@@ -88,19 +88,39 @@ def test_incremental_solving_matches_fresh_solves():
                         (UNSAT, True)}
 
 
-def test_conflict_budget_gives_unknown():
-    # pigeonhole: 7 pigeons in 6 holes, hard for CDCL, trivially UNSAT
-    holes, pigeons = 6, 7
+def _pigeonhole(pigeons, holes):
+    # hard for CDCL, trivially UNSAT
     v = lambda p, h: p * holes + h + 1
     clauses = [tuple(v(p, h) for h in range(holes)) for p in range(pigeons)]
     for h in range(holes):
         for p1 in range(pigeons):
             for p2 in range(p1 + 1, pigeons):
                 clauses.append((-v(p1, h), -v(p2, h)))
-    status, _ = solve(clauses, pigeons * holes, conflict_budget=10)
+    return clauses
+
+
+def test_work_budget_gives_unknown():
+    clauses = _pigeonhole(7, 6)
+    status, _ = solve(clauses, 7 * 6, budget=10)
     assert status == UNKNOWN
-    status, _ = solve(clauses, pigeons * holes)
+    status, _ = solve(clauses, 7 * 6)
     assert status == UNSAT
+
+
+def test_work_budget_bounds_the_work_of_a_call():
+    clauses = _pigeonhole(7, 6)
+    num_vars = 7 * 6
+    for budget in (0, 1, 10, 100, 1000, 5000):
+        s = sat.Solver()
+        for c in clauses:
+            s.add_clause(c)
+        before = s.work()
+        assert s.solve(budget=budget) == UNKNOWN
+        # checked once per step: one propagation pass, then one
+        # decision or conflict, may run past the budget
+        assert s.work() - before <= budget + num_vars + 1
+        # an exhausted call leaves the solver usable
+        assert s.solve() == UNSAT
 
 
 def test_work_units_are_monotonic_and_deterministic():
