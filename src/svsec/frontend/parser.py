@@ -201,14 +201,16 @@ class Parser:
     def _parse_header_params(self) -> list[ast.ParamDecl]:
         self.expect("(")
         out = []
+        # an entry without a keyword is of the kind of the last keyword
+        local = False
         while not self.at(")"):
             if self.at("parameter") or self.at("localparam"):
-                self.next()
+                local = self.next().text == "localparam"
             self._skip_type_words()
             t = self.peek()
             name = self._expect_ident("parameter name")
             self.expect("=")
-            out.append(ast.ParamDecl(name=name, value=self.parse_expr(), local=False,
+            out.append(ast.ParamDecl(name=name, value=self.parse_expr(), local=local,
                                      line=t.line))
             if self.at(","):
                 self.next()

@@ -47,6 +47,7 @@ class Scope:
     params: dict[str, int] = field(default_factory=dict)
     widths: dict[str, int] = field(default_factory=dict)  # local name -> width
     arrays: dict[str, ArrayInfo] = field(default_factory=dict)
+    inputs: set[str] = field(default_factory=set)  # input port names
 
     def qual(self, name: str) -> str:
         return self.prefix + name
@@ -200,6 +201,8 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
         _check_not_param(port.name, "port", scope, port.line)
         w = _range_width(port.msb, port.lsb, scope, port.line)
         scope.widths[port.name] = w
+        if port.direction == "input":
+            scope.inputs.add(port.name)
     for d in mod.decls:
         _check_not_param(d.name, "net", scope, d.line)
         if any(p.name == d.name for p in mod.ports):
@@ -284,6 +287,7 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
         for parent_net, child_port, line in out_conns:
             if parent_net not in scope.widths:
                 raise _err(f"undeclared net {parent_net!r} in connection", line)
+            _check_not_input(parent_net, scope, line)
             q_child = child_scope.qual(child_port)
             w = scope.widths[parent_net]
             _add_define(col, scope.qual(parent_net),
@@ -301,6 +305,17 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
 def _check_not_param(name: str, kind: str, scope: Scope, line: int) -> None:
     if name in scope.params:
         raise _err(f"{kind} {name!r} has the same name as a parameter", line)
+
+
+def _check_target(name: str, scope: Scope, line: int) -> None:
+    if name not in scope.widths:
+        raise _err(f"assignment to undeclared signal {name!r}", line)
+    _check_not_input(name, scope, line)
+
+
+def _check_not_input(name: str, scope: Scope, line: int) -> None:
+    if name in scope.inputs:
+        raise _err(f"cannot assign to input port {name!r}", line)
 
 
 def _add_define(col: Collected, name: str, e: ex.Expr, line: int) -> None:
@@ -648,8 +663,7 @@ def _exec_assign(s: ast.Assign, env: _Env, clocked: bool) -> None:
                                         env.lines.get(key, ex.BV(32, 0)))
         return
 
-    if name not in scope.widths:
-        raise _err(f"assignment to undeclared signal {name!r}", s.line)
+    _check_target(name, scope, s.line)
     w = scope.widths[name]
     if lv.index is not None:
         bit = rhs(1)
@@ -691,8 +705,7 @@ def _elab_continuous(a: ast.ContinuousAssign, scope: Scope, col: Collected,
     if lv.index is not None or lv.msb is not None:
         raise _err("continuous assignment to a bit/part select is not supported",
                    a.line, Severity.UNSUPPORTED)
-    if lv.name not in scope.widths:
-        raise _err(f"assignment to undeclared signal {lv.name!r}", a.line)
+    _check_target(lv.name, scope, a.line)
     value = ex.resize(_elab_expr(a.value, scope, {}), scope.widths[lv.name])
     _add_define(col, scope.qual(lv.name), value, a.line)
     driven.add(lv.name)

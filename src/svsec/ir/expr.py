@@ -51,10 +51,6 @@ def _const(e: Expr) -> int | None:
     return e.value if isinstance(e, BV) else None
 
 
-def bv(width: int, value: int) -> BV:
-    return BV(width, value)
-
-
 def unop(op: str, a: Expr, width: int | None = None) -> Expr:
     if width is None:
         width = 1 if op.startswith("red") else a.width

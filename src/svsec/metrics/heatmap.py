@@ -25,12 +25,13 @@ def heatmap(rows, include_noncompilable: bool = False) -> dict:
 
 
 def write_heatmap_json(rows, path, seed: int = 0) -> None:
+    exclude = heatmap(rows, False)
     doc = {
         "toolkit_version": svsec.__version__,
         "seed": seed,
-        "providers": heatmap(rows)["providers"],
+        "providers": exclude["providers"],
         "cwes": list(CWE_IDS),
-        "exclude_noncompilable": heatmap(rows, False)["matrix"],
+        "exclude_noncompilable": exclude["matrix"],
         "include_noncompilable": heatmap(rows, True)["matrix"],
     }
     with open(path, "w", encoding="utf-8") as fh:

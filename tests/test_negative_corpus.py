@@ -22,7 +22,20 @@ CHILD = """module c #(parameter W = 4) (input logic [W-1:0] a,
   output logic [W-1:0] y);
   assign y = a;
 endmodule
+module h #(localparam L = 2, W = 4) (input logic [W-1:0] a,
+  output logic [W-1:0] y);
+  assign y = a;
+endmodule
 """
+
+INPUT_PORT_DRIVES = {
+    "assign to an input port": "  assign d_in = 4'd0;\n  assign q_out = d_in;",
+    "flip-flop drive of an input port":
+        "  always_ff @(posedge clk_in) d_in <= d_in + 1;\n"
+        "  assign q_out = d_in;",
+    "instance output into an input port":
+        "  c u(.a(q_out), .y(d_in));\n  assign q_out = 4'd1;",
+}
 
 BODIES = {
     # literals
@@ -57,6 +70,10 @@ BODIES = {
     "unknown module": "  nope u(.a(d_in));\n  assign q_out = d_in;",
     # instances (overrides of undeclared parameters: test_elaborate.py)
     "unknown port": "  c u(.a(d_in), .b(d_in), .y(q_out));",
+    "override of a header localparam": "  h #(.L(3)) u(.a(d_in), .y(q_out));",
+    "override of an entry after a header localparam":
+        "  h #(.W(4)) u(.a(d_in), .y(q_out));",
+    **INPUT_PORT_DRIVES,
 }
 
 
@@ -65,3 +82,11 @@ def test_illegal_snippet_is_a_compile_error(name):
     source = CHILD + MODULE.format(body=BODIES[name])
     verdict = check_design(source, "m", "q_out == q_out")
     assert isinstance(verdict, CompileError), (name, verdict.status)
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_PORT_DRIVES))
+def test_drive_of_an_input_port_names_the_port(name):
+    source = CHILD + MODULE.format(body=INPUT_PORT_DRIVES[name])
+    verdict = check_design(source, "m", "q_out == q_out")
+    assert [d.message for d in verdict.diagnostics] == \
+        ["cannot assign to input port 'd_in'"]
