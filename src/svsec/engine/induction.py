@@ -23,6 +23,8 @@ up front.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from svsec.engine import sat
 from svsec.engine.bmc import DEFAULT_BUDGET, Unroller, bmc, out_of_budget
 from svsec.engine.result import Falsified, NoCexUpTo, Proven, Unknown
@@ -60,7 +62,8 @@ def k_induction(obl: SafetyObligation, max_k: int, simple_path: bool = True,
     return Unknown(max_k=max_k, reason="induction depth exhausted")
 
 
-def _step(un: Unroller, k: int, simple_path: bool, left) -> int:
+def _step(un: Unroller, k: int, simple_path: bool,
+          left: Callable[[], int]) -> int:
     """Solve: frames 0..k-1 good, frame k bad, states distinct.
 
     Called for k = 0, 1, 2, ... on the same unroller, each solve with

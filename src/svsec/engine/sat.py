@@ -264,8 +264,7 @@ class Solver:
         base_conflicts = self.conflicts
         stop = None if budget is None else self.work() + budget
         while True:
-            if stop is not None and \
-                    self.propagations + self.decisions + self.conflicts > stop:
+            if stop is not None and self.work() > stop:
                 self._backtrack(0)
                 return UNKNOWN
             confl = self._propagate()

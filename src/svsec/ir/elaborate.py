@@ -287,7 +287,7 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
         for parent_net, child_port, line in out_conns:
             if parent_net not in scope.widths:
                 raise _err(f"undeclared net {parent_net!r} in connection", line)
-            _check_not_input(parent_net, scope, line)
+            _check_target(parent_net, scope, line)
             q_child = child_scope.qual(child_port)
             w = scope.widths[parent_net]
             _add_define(col, scope.qual(parent_net),
@@ -310,10 +310,6 @@ def _check_not_param(name: str, kind: str, scope: Scope, line: int) -> None:
 def _check_target(name: str, scope: Scope, line: int) -> None:
     if name not in scope.widths:
         raise _err(f"assignment to undeclared signal {name!r}", line)
-    _check_not_input(name, scope, line)
-
-
-def _check_not_input(name: str, scope: Scope, line: int) -> None:
     if name in scope.inputs:
         raise _err(f"cannot assign to input port {name!r}", line)
 

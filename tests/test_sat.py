@@ -88,28 +88,20 @@ def test_incremental_solving_matches_fresh_solves():
                         (UNSAT, True)}
 
 
-def _pigeonhole(pigeons, holes):
-    # hard for CDCL, trivially UNSAT
+def test_work_budget_gives_unknown():
+    # pigeonhole: 7 pigeons in 6 holes, hard for CDCL, trivially UNSAT
+    holes, pigeons = 6, 7
     v = lambda p, h: p * holes + h + 1
     clauses = [tuple(v(p, h) for h in range(holes)) for p in range(pigeons)]
     for h in range(holes):
         for p1 in range(pigeons):
             for p2 in range(p1 + 1, pigeons):
                 clauses.append((-v(p1, h), -v(p2, h)))
-    return clauses
-
-
-def test_work_budget_gives_unknown():
-    clauses = _pigeonhole(7, 6)
-    status, _ = solve(clauses, 7 * 6, budget=10)
+    num_vars = pigeons * holes
+    status, _ = solve(clauses, num_vars, budget=10)
     assert status == UNKNOWN
-    status, _ = solve(clauses, 7 * 6)
+    status, _ = solve(clauses, num_vars)
     assert status == UNSAT
-
-
-def test_work_budget_bounds_the_work_of_a_call():
-    clauses = _pigeonhole(7, 6)
-    num_vars = 7 * 6
     for budget in (0, 1, 10, 100, 1000, 5000):
         s = sat.Solver()
         for c in clauses:
