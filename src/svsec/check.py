@@ -7,7 +7,7 @@ from svsec.engine.induction import k_induction
 from svsec.engine.result import CompileError, Falsified, Proven, Unknown
 from svsec.frontend import ast, parse_source
 from svsec.ir import expr as ex
-from svsec.ir.elaborate import elaborate
+from svsec.ir.elaborate import ElabError, elaborate
 from svsec.props import compile_obligation, parse_property
 from svsec.props.obligation import SafetyObligation
 
@@ -34,7 +34,10 @@ def check_design(source: str, top: str, property_text: str,
     prop, pdiags = parse_property(property_text, ts)
     if prop is None:
         return CompileError(diagnostics=pdiags)
-    obl = compile_obligation(prop, ts)
+    try:
+        obl = compile_obligation(prop, ts)
+    except ElabError as e:
+        return CompileError(diagnostics=[e.diag])
     verdict = k_induction(obl, max_k=max_k, budget=budget)
     if isinstance(verdict, Falsified):
         sig, line = locate_culprit(obl, line_map, verdict)

@@ -11,6 +11,9 @@ import click
 import svsec
 from svsec.catalog import CWE_IDS, DIFFICULTIES, list_problems
 from svsec.catalog.problems import instantiate_property_text
+from svsec.check import DEFAULT_BUDGET, DEFAULT_MAX_K, check_design
+from svsec.gen import StubProvider, generate_batch, load_providers
+from svsec.gen.batch import DEFAULT_WORKERS
 
 EXIT_CODES = {"proven": 0, "falsified": 1, "unknown": 2, "compile_error": 3}
 
@@ -31,15 +34,13 @@ def main():
 @click.option("--property", "property_file", type=click.Path(exists=True),
               help="File holding a property expression (overrides catalog).")
 @click.option("--top", help="Top module (defaults to the catalog problem's).")
-@click.option("--max-k", default=32, show_default=True)
-@click.option("--budget", default=10_000_000, show_default=True,
+@click.option("--max-k", default=DEFAULT_MAX_K, show_default=True)
+@click.option("--budget", default=DEFAULT_BUDGET, show_default=True,
               help="Solver work units (propagations + decisions + "
                    "conflicts) per check.")
 def verify(file, cwe, difficulty, property_file, top, max_k, budget):
     """Check one design file; exit 0 proven, 1 falsified, 2 unknown,
     3 compile error."""
-    from svsec.check import check_design
-
     if property_file:
         property_text = Path(property_file).read_text(encoding="utf-8").strip()
         if not top:
@@ -88,13 +89,11 @@ def verify(file, cwe, difficulty, property_file, top, max_k, budget):
 @click.option("--n", default=20, show_default=True,
               help="Regenerations per (provider, problem).")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--workers", default=4, show_default=True)
+@click.option("--workers", default=DEFAULT_WORKERS, show_default=True)
 @click.option("--out", "out_dir", default=".", show_default=True,
               help="Output directory (cache lands in OUT/cache).")
 def generate(stub, providers_file, n, seed, workers, out_dir):
     """Produce the generation corpus into OUT/cache."""
-    from svsec.gen import StubProvider, generate_batch, load_providers
-
     if not stub and not providers_file:
         raise click.UsageError("pass --stub or --providers <file>")
     providers = load_providers(providers_file) if providers_file else None
@@ -114,8 +113,8 @@ def generate(stub, providers_file, n, seed, workers, out_dir):
               type=click.Path(file_okay=False))
 @click.option("--out", "out_dir", default=".", show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--max-k", default=32, show_default=True)
-@click.option("--budget", default=10_000_000, show_default=True,
+@click.option("--max-k", default=DEFAULT_MAX_K, show_default=True)
+@click.option("--budget", default=DEFAULT_BUDGET, show_default=True,
               help="Solver work units (propagations + decisions + "
                    "conflicts) per check.")
 def label(cache_dir, out_dir, seed, max_k, budget):

@@ -78,6 +78,17 @@ class Parser:
         self.pos += 1
         return t
 
+    def _comma_list(self, item, close: str, empty: bool = False) -> list:
+        """`item {, item} close`; with `empty`, a bare `close` too."""
+        out = []
+        if not (empty and self.at(close)):
+            out.append(item())
+            while self.at(","):
+                self.next()
+                out.append(item())
+        self.expect(close)
+        return out
+
     def _last_loc(self) -> tuple[int, int]:
         if self.tokens:
             t = self.tokens[min(self.pos, len(self.tokens) - 1)]
@@ -200,22 +211,24 @@ class Parser:
 
     def _parse_header_params(self) -> list[ast.ParamDecl]:
         self.expect("(")
-        out = []
         # an entry without a keyword is of the kind of the last keyword
         local = False
-        while not self.at(")"):
+
+        def entry() -> ast.ParamDecl:
+            nonlocal local
             if self.at("parameter") or self.at("localparam"):
                 local = self.next().text == "localparam"
             self._skip_type_words()
-            t = self.peek()
-            name = self._expect_ident("parameter name")
-            self.expect("=")
-            out.append(ast.ParamDecl(name=name, value=self.parse_expr(), local=local,
-                                     line=t.line))
-            if self.at(","):
-                self.next()
-        self.expect(")")
-        return out
+            return self._param_entry(local)
+
+        return self._comma_list(entry, ")", empty=True)
+
+    def _param_entry(self, local: bool) -> ast.ParamDecl:
+        t = self.peek()
+        name = self._expect_ident("parameter name")
+        self.expect("=")
+        return ast.ParamDecl(name=name, value=self.parse_expr(), local=local,
+                             line=t.line)
 
     def _skip_type_words(self) -> None:
         while self.peek() is not None and self.peek().text in ("logic", "reg", "wire",
@@ -235,18 +248,16 @@ class Parser:
 
     def _parse_port_list(self) -> list[ast.Port]:
         self.expect("(")
-        ports: list[ast.Port] = []
+        # an entry without a direction, kind or range keeps the last one's
         direction = "input"
         net_kind = "logic"
         msb: ast.Expr | None = None
         lsb: ast.Expr | None = None
-        while not self.at(")"):
+
+        def port() -> ast.Port:
+            nonlocal direction, net_kind, msb, lsb
             t = self.peek()
-            if t is None:
-                raise ParseError(Diagnostic(
-                    Severity.ERROR, "unexpected end of input in port list",
-                    *self._last_loc()))
-            if t.text in _DIRECTIONS:
+            if t is not None and t.text in _DIRECTIONS:
                 direction = t.text
                 net_kind = "logic"
                 msb = lsb = None
@@ -262,39 +273,17 @@ class Parser:
                 msb, lsb = self._parse_range()
             t = self.peek()
             name = self._expect_ident("port name")
-            ports.append(ast.Port(name=name, direction=direction, net_kind=net_kind,
-                                  msb=msb, lsb=lsb, line=t.line))
-            if self.at(","):
-                self.next()
-            elif not self.at(")"):
-                t = self.peek()
-                got = t.text if t else "end of input"
-                line, col = (t.line, t.col) if t else self._last_loc()
-                raise ParseError(Diagnostic(
-                    Severity.ERROR, f"expected ',' or ')' in port list, got {got!r}",
-                    line, col))
-        self.expect(")")
-        return ports
+            return ast.Port(name=name, direction=direction, net_kind=net_kind,
+                            msb=msb, lsb=lsb, line=t.line)
+
+        return self._comma_list(port, ")", empty=True)
 
     # -- module items ------------------------------------------------------
 
     def _parse_param_decl(self) -> list[ast.ParamDecl]:
-        kw = self.next()
-        local = kw.text == "localparam"
+        local = self.next().text == "localparam"
         self._skip_type_words()
-        out = []
-        while True:
-            t = self.peek()
-            name = self._expect_ident("parameter name")
-            self.expect("=")
-            out.append(ast.ParamDecl(name=name, value=self.parse_expr(), local=local,
-                                     line=t.line))
-            if self.at(","):
-                self.next()
-                continue
-            break
-        self.expect(";")
-        return out
+        return self._comma_list(lambda: self._param_entry(local), ";")
 
     def _parse_net_decl(self) -> list[ast.NetDecl]:
         t = self.peek()
@@ -310,26 +299,19 @@ class Parser:
         msb = lsb = None
         if self.at("["):
             msb, lsb = self._parse_range()
-        out = []
-        while True:
+
+        def net() -> ast.NetDecl:
             t = self.peek()
             name = self._expect_ident("signal name")
-            unpacked = None
-            if self.at("["):
-                lo, hi = self._parse_range()
-                unpacked = (lo, hi)
+            unpacked = self._parse_range() if self.at("[") else None
             if self.at("="):
                 raise ParseError(Diagnostic(
                     Severity.UNSUPPORTED,
                     "declaration initializers are not supported", t.line, t.col))
-            out.append(ast.NetDecl(name=name, net_kind=net_kind, msb=msb, lsb=lsb,
-                                   unpacked=unpacked, line=t.line))
-            if self.at(","):
-                self.next()
-                continue
-            break
-        self.expect(";")
-        return out
+            return ast.NetDecl(name=name, net_kind=net_kind, msb=msb, lsb=lsb,
+                               unpacked=unpacked, line=t.line)
+
+        return self._comma_list(net, ";")
 
     def _parse_continuous_assign(self) -> ast.ContinuousAssign:
         kw = self.expect("assign")
@@ -394,38 +376,30 @@ class Parser:
         if self.at("#"):
             self.next()
             self.expect("(")
-            while not self.at(")"):
-                self.expect(".")
-                pname = self._expect_ident("parameter name")
-                self.expect("(")
-                overrides.append((pname, self.parse_expr()))
-                self.expect(")")
-                if self.at(","):
-                    self.next()
-            self.expect(")")
+            overrides = self._comma_list(
+                lambda: self._named_conn("parameter name", optional=False), ")",
+                empty=True)
         name = self._expect_ident("instance name")
         self.expect("(")
-        conns: list[ast.PortConn] = []
-        if not self.at(")"):
-            if not self.at("."):
-                raise ParseError(Diagnostic(
-                    Severity.UNSUPPORTED,
-                    "positional port connections are not supported", t.line, t.col))
-            while True:
-                self.expect(".")
-                pname = self._expect_ident("port name")
-                self.expect("(")
-                expr = None if self.at(")") else self.parse_expr()
-                self.expect(")")
-                conns.append(ast.PortConn(port=pname, expr=expr))
-                if self.at(","):
-                    self.next()
-                    continue
-                break
-        self.expect(")")
+        if not (self.at(")") or self.at(".")):
+            raise ParseError(Diagnostic(
+                Severity.UNSUPPORTED,
+                "positional port connections are not supported", t.line, t.col))
+        conns = self._comma_list(
+            lambda: ast.PortConn(*self._named_conn("port name", optional=True)), ")",
+            empty=True)
         self.expect(";")
         return ast.Instance(module=module, name=name, conns=tuple(conns),
                             param_overrides=tuple(overrides), line=t.line)
+
+    def _named_conn(self, what: str, optional: bool) -> tuple[str, ast.Expr | None]:
+        """`.name(expr)`; with `optional`, also `.name()`."""
+        self.expect(".")
+        name = self._expect_ident(what)
+        self.expect("(")
+        expr = None if optional and self.at(")") else self.parse_expr()
+        self.expect(")")
+        return name, expr
 
     # -- statements --------------------------------------------------------
 
@@ -519,11 +493,7 @@ class Parser:
                     self.next()
                 items.append(ast.CaseItem(patterns=(), body=self.parse_stmt()))
                 continue
-            patterns = [self.parse_expr()]
-            while self.at(","):
-                self.next()
-                patterns.append(self.parse_expr())
-            self.expect(":")
+            patterns = self._comma_list(self.parse_expr, ":")
             items.append(ast.CaseItem(patterns=tuple(patterns), body=self.parse_stmt()))
         self.expect("endcase")
         return ast.Case(kind=kw.text, subject=subject, items=tuple(items), line=kw.line)
@@ -533,17 +503,23 @@ class Parser:
         name = self._expect_ident("assignment target")
         index = msb = lsb = None
         if self.at("["):
-            self.next()
-            first = self.parse_expr()
-            if self.at(":"):
-                self.next()
-                second = self.parse_expr()
-                self.expect("]")
-                msb, lsb = first, second
-            else:
-                self.expect("]")
+            first, second = self._parse_select()
+            if second is None:
                 index = first
+            else:
+                msb, lsb = first, second
         return ast.LValue(name=name, index=index, msb=msb, lsb=lsb, line=t.line)
+
+    def _parse_select(self) -> tuple[ast.Expr, ast.Expr | None]:
+        """`[e]` or `[e:e]`; the second bound is None for `[e]`."""
+        self.expect("[")
+        first = self.parse_expr()
+        second = None
+        if self.at(":"):
+            self.next()
+            second = self.parse_expr()
+        self.expect("]")
+        return first, second
 
     # -- expressions -------------------------------------------------------
 
@@ -596,16 +572,11 @@ class Parser:
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
         while self.at("["):
-            self.next()
-            first = self.parse_expr()
-            if self.at(":"):
-                self.next()
-                second = self.parse_expr()
-                self.expect("]")
-                expr = ast.RangeSelect(base=expr, msb=first, lsb=second)
-            else:
-                self.expect("]")
+            first, second = self._parse_select()
+            if second is None:
                 expr = ast.Index(base=expr, index=first)
+            else:
+                expr = ast.RangeSelect(base=expr, msb=first, lsb=second)
         return expr
 
     def _parse_primary(self) -> ast.Expr:
@@ -615,7 +586,7 @@ class Parser:
                                         "unexpected end of expression", *self._last_loc()))
         if t.kind in (TokenKind.SIZED_LIT, TokenKind.UNSIZED_LIT):
             self.next()
-            return self._parse_number(t)
+            return parse_number_token(t)
         if t.kind == TokenKind.IDENT:
             self.next()
             name = t.text
@@ -623,11 +594,7 @@ class Parser:
                 args: list[ast.Expr] = []
                 if self.at("("):
                     self.next()
-                    while not self.at(")"):
-                        args.append(self.parse_expr())
-                        if self.at(","):
-                            self.next()
-                    self.expect(")")
+                    args = self._comma_list(self.parse_expr, ")", empty=True)
                 return ast.SysCall(name=name, args=tuple(args))
             while self.at(".") and self.peek(1) is not None \
                     and self.peek(1).kind == TokenKind.IDENT:
@@ -661,9 +628,6 @@ class Parser:
             parts.append(self.parse_expr())
         self.expect("}")
         return ast.Concat(parts=tuple(parts))
-
-    def _parse_number(self, t: Token) -> ast.Number:
-        return parse_number_token(t)
 
 
 _BASE_RADIX = {"b": 2, "o": 8, "d": 10, "h": 16}

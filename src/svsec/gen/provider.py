@@ -13,7 +13,6 @@ import os
 import time
 from dataclasses import dataclass, field
 
-import requests
 import yaml
 
 log = logging.getLogger(__name__)
@@ -68,6 +67,8 @@ def request_completion(cfg: ProviderConfig, prompt: str,
     object with .status_code and .json(); it defaults to requests.post
     and exists so tests can inject faults without a network.
     """
+    import requests  # here, not at module level: it slows every CLI start
+
     post = transport or _default_transport
     body = {
         "model": cfg.model,
@@ -109,4 +110,6 @@ def request_completion(cfg: ProviderConfig, prompt: str,
 
 
 def _default_transport(url, json, headers, timeout):
+    import requests
+
     return requests.post(url, json=json, headers=headers, timeout=timeout)

@@ -1,7 +1,7 @@
 """Keyword histogram over generated sources.
 
 Counts language-keyword tokens only — comments, string-free prose, and
-identifiers never contribute — over a configurable set of 44 commonly
+identifiers never contribute — over a fixed set of 44 commonly
 used SystemVerilog keywords.  Untokenizable files are skipped and
 tallied as warnings.
 
@@ -30,10 +30,9 @@ DEFAULT_KEYWORDS = (
 assert len(DEFAULT_KEYWORDS) == 44
 
 
-def keyword_frequency(sources,
-                      keywords=DEFAULT_KEYWORDS) -> tuple[dict, int]:
+def keyword_frequency(sources) -> tuple[dict, int]:
     """Returns ({keyword: count} over the full set, skipped-file count)."""
-    hist = {kw: 0 for kw in keywords}
+    hist = {kw: 0 for kw in DEFAULT_KEYWORDS}
     skipped = 0
     for source, copies in Counter(sources).items():
         tokens, diags = tokenize(source)

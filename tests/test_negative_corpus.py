@@ -3,6 +3,8 @@
 Each snippet is the body of one small module (or, where it needs a
 second module, a whole source).  A snippet that comes out `proven` or
 `falsified` would be labelled as a design when the tools reject it.
+Headers and port lists, which `MODULE` fixes, are whole sources, and
+properties the frontend or elaboration must reject run on one module.
 """
 
 from __future__ import annotations
@@ -90,3 +92,55 @@ def test_drive_of_an_input_port_names_the_port(name):
     verdict = check_design(source, "m", "q_out == q_out")
     assert [d.message for d in verdict.diagnostics] == \
         ["cannot assign to input port 'd_in'"]
+
+
+PAIR = """module p #(parameter A = 1, parameter B = 2) (input logic [3:0] a,
+  output logic [3:0] y);
+  assign y = a + A + B;
+endmodule
+"""
+
+SOURCES = {
+    "trailing comma in the port list":
+        "module m(input logic [3:0] d_in, output logic [3:0] q_out,);\n"
+        "  assign q_out = d_in;\nendmodule\n",
+    "header parameters without a comma":
+        "module m #(parameter A = 1 parameter B = 2) (input logic [3:0] d_in,\n"
+        "  output logic [3:0] q_out);\n  assign q_out = d_in;\nendmodule\n",
+    "trailing comma in the header parameters":
+        "module m #(parameter A = 1,) (input logic [3:0] d_in,\n"
+        "  output logic [3:0] q_out);\n  assign q_out = d_in;\nendmodule\n",
+    "overrides without a comma": PAIR + MODULE.format(
+        body="  p #(.A(3) .B(4)) u(.a(d_in), .y(q_out));"),
+    "trailing comma in the overrides": PAIR + MODULE.format(
+        body="  p #(.A(3),) u(.a(d_in), .y(q_out));"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_illegal_source_is_a_compile_error(name):
+    verdict = check_design(SOURCES[name], "m", "q_out == q_out")
+    assert isinstance(verdict, CompileError), (name, verdict.status)
+
+
+REGISTER = MODULE.format(body="  always_ff @(posedge clk_in) q_out <= d_in;")
+
+PROPERTIES = {
+    # rejected by the parser
+    "$past without a comma": "$past(q_out 1) == q_out",
+    "$past with a trailing comma": "$past(q_out,) == q_out",
+    # rejected by elaboration
+    "division": "q_out / 2 == 0",
+    "modulo": "q_out % 2 == 0",
+    "arithmetic shift": "(q_out >>> 1) == 0",
+    "bit index out of range": "q_out[9] == 0",
+    "part select out of range": "q_out[5:2] == 0",
+    "index of an expression": "(q_out + 1)[0] == 0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTIES))
+def test_illegal_property_is_a_compile_error(name):
+    verdict = check_design(REGISTER, "m", PROPERTIES[name])
+    assert isinstance(verdict, CompileError), (name, verdict.status)
+    assert verdict.diagnostics

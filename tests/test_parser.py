@@ -58,3 +58,12 @@ def test_multiple_modules_parse():
     unit, diags = parse_source(src)
     assert unit is not None and not diags
     assert [m.name for m in unit.modules] == ["a", "b"]
+
+
+def test_empty_lists_parse():
+    src = ("module c #() ();\nendmodule\n"
+           "module m();\n  c #() u();\nendmodule\n")
+    unit, diags = parse_source(src)
+    assert unit is not None and not diags
+    assert [(m.params, m.ports) for m in unit.modules] == [((), ()), ((), ())]
+    assert unit.modules[1].instances[0].param_overrides == ()
