@@ -1,7 +1,6 @@
 from svsec.catalog.problems import (CWE_IDS, DIFFICULTIES, Port, ProblemSpec,
-                                    instantiate_property, instantiate_property_text,
-                                    list_problems, load_catalog)
+                                    instantiate_property_text, list_problems,
+                                    load_catalog)
 
 __all__ = ["CWE_IDS", "DIFFICULTIES", "Port", "ProblemSpec",
-           "instantiate_property", "instantiate_property_text",
-           "list_problems", "load_catalog"]
+           "instantiate_property_text", "list_problems", "load_catalog"]

@@ -131,29 +131,3 @@ def instantiate_property_text(spec: ProblemSpec) -> str:
         raise CatalogError(f"{spec.problem_id}: missing template "
                            f"parameter {e}") from None
 
-
-def instantiate_property(spec: ProblemSpec, ts=None):
-    """Resolve the spec's property against a transition system.
-
-    Without an explicit `ts`, the shipped reference design is
-    elaborated to provide the namespace.
-    """
-    from svsec.frontend import parse_source
-    from svsec.ir.elaborate import elaborate
-    from svsec.props import parse_property
-
-    if ts is None:
-        unit, diags = parse_source(design_text(spec.correct_file))
-        if unit is None:
-            raise CatalogError(f"{spec.problem_id}: reference design does "
-                               f"not parse: {diags}")
-        ts, _, ediags = elaborate(unit, spec.module_name)
-        if ts is None:
-            raise CatalogError(f"{spec.problem_id}: reference design does "
-                               f"not elaborate: {ediags}")
-    text = instantiate_property_text(spec)
-    prop, diags = parse_property(text, ts)
-    if prop is None:
-        raise CatalogError(f"{spec.problem_id}: property does not resolve: "
-                           f"{[d.message for d in diags]}")
-    return prop

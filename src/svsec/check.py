@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 from svsec.engine.bmc import DEFAULT_BUDGET
 from svsec.engine.induction import k_induction
 from svsec.engine.result import CompileError, Falsified, Proven, Unknown
@@ -23,8 +25,18 @@ def check_design(source: str, top: str, property_text: str,
     verdicts carry the source line whose assignment produced the
     violating value.  `budget` bounds the check's solver work in the
     units of `sat.work_units()`; a check that runs out of it is Unknown,
-    on every machine and under any load.
+    on every machine and under any load.  So is a design whose
+    expressions nest deeper than the interpreter's recursion limit.
     """
+    try:
+        return _check(source, top, property_text, max_k, budget)
+    except RecursionError:
+        return Unknown(max_k=0, reason="expressions nest too deep for the "
+                       f"recursion limit of {sys.getrecursionlimit()}")
+
+
+def _check(source: str, top: str, property_text: str, max_k: int,
+           budget: int):
     unit, diags = parse_source(source)
     if unit is None:
         return CompileError(diagnostics=diags)
@@ -33,11 +45,11 @@ def check_design(source: str, top: str, property_text: str,
         return CompileError(diagnostics=ediags)
     prop, pdiags = parse_property(property_text, ts)
     if prop is None:
-        return CompileError(diagnostics=pdiags)
+        return CompileError(diagnostics=pdiags, in_property=True)
     try:
         obl = compile_obligation(prop, ts)
     except ElabError as e:
-        return CompileError(diagnostics=[e.diag])
+        return CompileError(diagnostics=[e.diag], in_property=True)
     verdict = k_induction(obl, max_k=max_k, budget=budget)
     if isinstance(verdict, Falsified):
         sig, line = locate_culprit(obl, line_map, verdict)

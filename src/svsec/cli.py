@@ -12,7 +12,7 @@ import svsec
 from svsec.catalog import CWE_IDS, DIFFICULTIES, list_problems
 from svsec.catalog.problems import instantiate_property_text
 from svsec.check import DEFAULT_BUDGET, DEFAULT_MAX_K, check_design
-from svsec.gen import StubProvider, generate_batch, load_providers
+from svsec.gen import StubProvider, generate_batch, load_cache, load_providers
 from svsec.gen.batch import DEFAULT_WORKERS
 
 EXIT_CODES = {"proven": 0, "falsified": 1, "unknown": 2, "compile_error": 3}
@@ -75,8 +75,10 @@ def verify(file, cwe, difficulty, property_file, top, max_k, budget):
         click.echo(f"unknown ({verdict.reason})")
     else:
         click.echo("compile error:")
+        where = ((property_file or "<property>") if verdict.in_property
+                 else file)
         for d in verdict.diagnostics:
-            click.echo(f"  {d.render(file)}")
+            click.echo(f"  {d.render(where)}")
     sys.exit(EXIT_CODES[status])
 
 
@@ -121,7 +123,7 @@ def label(cache_dir, out_dir, seed, max_k, budget):
     """Adjudicate every cached generation into OUT/dataset.csv."""
     from svsec.metrics import export_csv, label_batch, verdict_counts
 
-    gens = _load_cache(cache_dir)
+    gens = load_cache(cache_dir)
     if not gens:
         raise click.ClickException(
             f"no cached generations under {cache_dir}; run generate first")
@@ -133,19 +135,6 @@ def label(cache_dir, out_dir, seed, max_k, budget):
     export_csv(rows, out)
     click.echo(f"{len(rows)} rows -> {out}")
     click.echo(f"verdicts: {json.dumps(verdict_counts(rows), sort_keys=True)}")
-
-
-def _load_cache(cache_dir):
-    from svsec.gen.batch import _load_cached
-
-    root = Path(cache_dir)
-    gens = []
-    for path in sorted(root.glob("*/*/*.json")):
-        g = _load_cached(path)
-        if g is not None:
-            gens.append(g)
-    gens.sort(key=lambda g: (g.provider_id, g.problem_id, g.regen_index))
-    return gens
 
 
 # --------------------------------------------------------------- metrics
@@ -184,7 +173,7 @@ def metrics(dataset, cache_dir, out_dir, seed):
             w.writerow([key[0], key[1], round(excl[key], 6),
                         round(incl[key], 6)])
 
-    sources = [g.source for g in _load_cache(cache_dir) if g.source]
+    sources = [g.source for g in load_cache(cache_dir) if g.source]
     hist, skipped = keyword_frequency(sources)
     write_keywords_csv(hist, out / "keywords.csv")
     click.echo(f"wrote {out / 'heatmap.json'}, {out / 'passatk.csv'}, "
@@ -226,19 +215,14 @@ def report(dataset, as_json):
 
     click.echo(f"{len(rows)} rows; verdicts "
                f"{json.dumps(verdict_counts(rows), sort_keys=True)}")
-    click.echo()
     header = f"{'provider':<12}" + "".join(f"{d:>14}" for d in DIFFICULTIES)
-    click.echo("Pass@k (excluding non-compilable)")
-    click.echo(header)
-    for p in providers:
-        click.echo(f"{p:<12}" + "".join(f"{excl[(p, d)]:>14.3f}"
-                                        for d in DIFFICULTIES))
-    click.echo()
-    click.echo("Pass@k (including non-compilable)")
-    click.echo(header)
-    for p in providers:
-        click.echo(f"{p:<12}" + "".join(f"{incl[(p, d)]:>14.3f}"
-                                        for d in DIFFICULTIES))
+    for title, table in (("excluding", excl), ("including", incl)):
+        click.echo()
+        click.echo(f"Pass@k ({title} non-compilable)")
+        click.echo(header)
+        for p in providers:
+            click.echo(f"{p:<12}" + "".join(f"{table[(p, d)]:>14.3f}"
+                                            for d in DIFFICULTIES))
 
 
 if __name__ == "__main__":

@@ -169,30 +169,51 @@ class Aig:
         return out
 
 
-def blast_expr(aig: Aig, e: ex.Expr,
-               env: dict[str, tuple[int, ...]]) -> tuple[int, ...]:
-    """Lower one IR expression to a bus, resolving names through env."""
+def blast_expr(aig: Aig, e: ex.Expr, env: dict[str, tuple[int, ...]],
+               memo: dict[int, tuple[int, ...]] | None = None
+               ) -> tuple[int, ...]:
+    """Lower one IR expression to a bus, resolving names through env.
+
+    The IR is a DAG: an always block's values share the terms they
+    read.  `memo` maps the id of each operator node blasted so far to
+    its bus, so a shared node is blasted once; share one memo only
+    between calls over the same env.
+    """
     if isinstance(e, ex.BV):
         return aig.bus_const(e.width, e.value)
     if isinstance(e, ex.Ref):
         bus = env[e.name]
         assert len(bus) == e.width, e.name
         return bus
-    assert isinstance(e, ex.Op)
+    if memo is None:
+        memo = {}
+    bus = memo.get(id(e))
+    if bus is not None:
+        return bus
     op = e.op
     if op == "mux":
-        c = blast_expr(aig, e.args[0], env)[0]
-        return aig.bus_mux(c, blast_expr(aig, e.args[1], env),
-                           blast_expr(aig, e.args[2], env))
-    if op == "concat":
-        out: tuple[int, ...] = ()
+        c = blast_expr(aig, e.args[0], env, memo)[0]
+        bus = aig.bus_mux(c, blast_expr(aig, e.args[1], env, memo),
+                          blast_expr(aig, e.args[2], env, memo))
+    elif op == "concat":
+        bus = ()
         for part in reversed(e.args):  # args are msb-first
-            out = out + blast_expr(aig, part, env)
-        return out
-    if op == "slice":
+            bus = bus + blast_expr(aig, part, env, memo)
+    elif op == "slice":
         hi, lo = e.params
-        return blast_expr(aig, e.args[0], env)[lo:hi + 1]
-    bs = [blast_expr(aig, a, env) for a in e.args]
+        bus = blast_expr(aig, e.args[0], env, memo)[lo:hi + 1]
+    else:
+        bus = _blast_op(aig, e, [blast_expr(aig, a, env, memo)
+                                 for a in e.args])
+    memo[id(e)] = bus
+    return bus
+
+
+def _blast_op(aig: Aig, e: ex.Op, bs: list[tuple[int, ...]]
+              ) -> tuple[int, ...]:
+    """Apply a bitwise, arithmetic, compare or reduce node to the buses
+    of its arguments."""
+    op = e.op
     if op == "not":
         return aig.bus_not(bs[0])
     if op == "neg":
@@ -234,7 +255,9 @@ def blast_frame(aig: Aig, ts: TransitionSystem,
     env = dict(state_env)
     for n, w in ts.inputs:
         env[n] = aig.bus_input(w)
+    memo: dict[int, tuple[int, ...]] = {}
     for n, e in ts.defines:
-        env[n] = blast_expr(aig, e, env)
-    nxt = {s.name: blast_expr(aig, ts.next[s.name], env) for s in ts.states}
+        env[n] = blast_expr(aig, e, env, memo)
+    nxt = {s.name: blast_expr(aig, ts.next[s.name], env, memo)
+           for s in ts.states}
     return env, nxt

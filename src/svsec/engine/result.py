@@ -40,4 +40,7 @@ class Unknown:
 @dataclass
 class CompileError:
     diagnostics: list[Diagnostic] = field(default_factory=list)
+    # True when the diagnostics' lines and columns are in the property
+    # text, not in the design source.
+    in_property: bool = False
     status = "compile_error"

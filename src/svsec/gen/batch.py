@@ -14,7 +14,7 @@ import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from svsec.catalog.problems import ProblemSpec
@@ -44,9 +44,24 @@ class Generation:
         return not self.error
 
 
+# The Generation fields a cache entry holds, in the order written.
+_ENTRY_FIELDS = ("problem_id", "provider_id", "regen_index", "raw", "error",
+                 "timestamp")
+
+
 def cache_path(cache_dir: str | Path, provider_id: str, problem_id: str,
                regen_index: int) -> Path:
     return Path(cache_dir) / provider_id / problem_id / f"{regen_index}.json"
+
+
+def load_cache(cache_dir: str | Path) -> list[Generation]:
+    """Every readable entry under `cache_dir`, by (provider, problem,
+    regen index)."""
+    gens = [g for g in map(_load_cached,
+                           sorted(Path(cache_dir).glob("*/*/*.json")))
+            if g is not None]
+    gens.sort(key=lambda g: (g.provider_id, g.problem_id, g.regen_index))
+    return gens
 
 
 def _load_cached(path: Path) -> Generation | None:
@@ -56,12 +71,7 @@ def _load_cached(path: Path) -> Generation | None:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return None
-    gen = Generation(problem_id=doc["problem_id"],
-                     provider_id=doc["provider_id"],
-                     regen_index=doc["regen_index"],
-                     raw=doc.get("raw", ""),
-                     error=doc.get("error", ""),
-                     timestamp=doc.get("timestamp", 0.0),
+    gen = Generation(**{k: doc[k] for k in _ENTRY_FIELDS if k in doc},
                      from_cache=True)
     gen.source = extract_code(gen.raw) if gen.ok else None
     return gen
@@ -103,9 +113,7 @@ def generate_batch(specs: list[ProblemSpec],
             log.warning("generation failed: %s/%s/%d: %s", provider_id,
                         spec.problem_id, i, gen.error)
         gen.source = extract_code(gen.raw) if gen.ok else None
-        doc = {"problem_id": gen.problem_id, "provider_id": gen.provider_id,
-               "regen_index": gen.regen_index, "raw": gen.raw,
-               "error": gen.error, "timestamp": gen.timestamp}
+        doc = {k: getattr(gen, k) for k in _ENTRY_FIELDS}
         with write_lock:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(json.dumps(doc, indent=1), encoding="utf-8")

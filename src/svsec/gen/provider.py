@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 
 import yaml
 
@@ -41,22 +41,17 @@ class ProviderConfig:
 
 
 def load_providers(path: str) -> list[ProviderConfig]:
+    """Read provider configs from YAML; `id`, `endpoint` and `model` are
+    required, and every other field is optional with ProviderConfig's
+    default and the type of that default."""
     with open(path, encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
-    out = []
-    for item in doc["providers"]:
-        out.append(ProviderConfig(
-            provider_id=item["id"],
-            endpoint=item["endpoint"],
-            model=item["model"],
-            temperature=float(item.get("temperature", 1.0)),
-            max_tokens=int(item.get("max_tokens", 2048)),
-            auth_env=item.get("auth_env", ""),
-            timeout_seconds=float(item.get("timeout_seconds", 60.0)),
-            max_attempts=int(item.get("max_attempts", 3)),
-            backoff_base_seconds=float(item.get("backoff_base_seconds", 0.5)),
-        ))
-    return out
+    optional = [f for f in fields(ProviderConfig) if f.default is not MISSING]
+    return [ProviderConfig(provider_id=item["id"], endpoint=item["endpoint"],
+                           model=item["model"],
+                           **{f.name: type(f.default)(item[f.name])
+                              for f in optional if f.name in item})
+            for item in doc["providers"]]
 
 
 def request_completion(cfg: ProviderConfig, prompt: str,

@@ -3,8 +3,8 @@
 Four pseudo-providers answer every prompt from a seeded plan: a fixed
 mix of reference-correct designs, planted-vulnerable variants,
 syntactically broken output, and prose-only refusals.  The mix is
-exact per (provider, problem) — with the default 30/50/15/5 split and
-n=20, each cell holds 6 correct, 10 vulnerable, 3 broken, 1 refusal.
+exact per (provider, problem) — with DEFAULT_MIX's 30/50/15/5 split
+and n=20, each cell holds 6 correct, 10 vulnerable, 3 broken, 1 refusal.
 """
 
 from __future__ import annotations
@@ -33,17 +33,13 @@ _REFUSAL = (
 
 
 class StubProvider:
-    def __init__(self, seed: int = 0, n: int = 20,
-                 mix: tuple[float, float, float, float] = DEFAULT_MIX):
-        if abs(sum(mix) - 1.0) > 1e-9:
-            raise ValueError("mix fractions must sum to 1")
+    def __init__(self, seed: int = 0, n: int = 20):
         self.seed = seed
         self.n = n
-        self.mix = mix
 
     def counts(self) -> tuple[int, ...]:
         """Exact per-cell counts via largest-remainder apportionment."""
-        raw = [f * self.n for f in self.mix]
+        raw = [f * self.n for f in DEFAULT_MIX]
         base = [int(r) for r in raw]
         short = self.n - sum(base)
         order = sorted(range(len(raw)),

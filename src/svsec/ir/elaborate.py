@@ -756,8 +756,7 @@ def _elab_always(blk: ast.AlwaysBlock, scope: Scope, col: Collected,
         col.state_widths[q] = scope.widths[local]
         # Symbolic line tracker: evaluating this under a cycle's valuation
         # names the assignment that fired at that clock edge.
-        col.assign_lines[q] = env.lines.get(local,
-                                            _last_assign_line(blk.body, local))
+        col.assign_lines[q] = env.lines[local]
         base = local.split("[")[0]
         driven.add(base)
         driven.add(local)

@@ -165,53 +165,79 @@ def eval_op(op: str, vals: tuple[int, ...], widths: tuple[int, ...],
     raise ValueError(f"unknown op {op!r}")
 
 
-def eval_expr(e: Expr, env) -> int:
-    """Evaluate with `env` mapping names to int values."""
+def eval_expr(e: Expr, env, memo: dict[int, int] | None = None) -> int:
+    """Evaluate with `env` mapping names to int values.
+
+    Expressions are DAGs; `memo` maps the id of each operator node
+    evaluated so far to its value.  Share one memo only between calls
+    over the same env.
+    """
     if isinstance(e, BV):
         return e.value
     if isinstance(e, Ref):
         return env[e.name]
-    assert isinstance(e, Op)
+    if memo is None:
+        memo = {}
+    v = memo.get(id(e))
+    if v is not None:
+        return v
     if e.op == "mux":
-        c = eval_expr(e.args[0], env)
-        return eval_expr(e.args[1] if c else e.args[2], env)
-    if e.op == "concat":
+        c = eval_expr(e.args[0], env, memo)
+        v = eval_expr(e.args[1] if c else e.args[2], env, memo)
+    elif e.op == "concat":
         v = 0
         for p in e.args:
-            v = (v << p.width) | eval_expr(p, env)
-        return v
-    vals = tuple(eval_expr(a, env) for a in e.args)
-    widths = tuple(a.width for a in e.args)
-    return eval_op(e.op, vals, widths, e.params)
+            v = (v << p.width) | eval_expr(p, env, memo)
+    else:
+        vals = tuple(eval_expr(a, env, memo) for a in e.args)
+        v = eval_op(e.op, vals, tuple(a.width for a in e.args), e.params)
+    memo[id(e)] = v
+    return v
 
 
-def substitute(e: Expr, env: dict[str, int]) -> Expr:
-    """Partially evaluate: replace named refs with constants and fold."""
+def substitute(e: Expr, env: dict[str, int],
+               memo: dict[int, Expr] | None = None) -> Expr:
+    """Partially evaluate: replace named refs with constants and fold.
+
+    `memo` maps the id of each operator node done so far to its result,
+    so a node the DAG shares is folded once.
+    """
     if isinstance(e, BV):
         return e
     if isinstance(e, Ref):
         if e.name in env:
             return BV(e.width, env[e.name])
         return e
-    assert isinstance(e, Op)
-    args = tuple(substitute(a, env) for a in e.args)
+    if memo is None:
+        memo = {}
+    out = memo.get(id(e))
+    if out is not None:
+        return out
+    args = tuple(substitute(a, env, memo) for a in e.args)
     if e.op == "mux":
-        return mux(args[0], args[1], args[2])
-    if e.op == "concat":
-        return concat(args)
-    if e.op == "slice":
-        return slice_(args[0], e.params[0], e.params[1])
-    if len(args) == 1:
-        return unop(e.op, args[0], e.width)
-    return binop(e.op, args[0], args[1], e.width)
+        out = mux(args[0], args[1], args[2])
+    elif e.op == "concat":
+        out = concat(args)
+    elif e.op == "slice":
+        out = slice_(args[0], e.params[0], e.params[1])
+    elif len(args) == 1:
+        out = unop(e.op, args[0], e.width)
+    else:
+        out = binop(e.op, args[0], args[1], e.width)
+    memo[id(e)] = out
+    return out
 
 
-def refs(e: Expr, acc: set[str] | None = None) -> set[str]:
-    if acc is None:
-        acc = set()
-    if isinstance(e, Ref):
-        acc.add(e.name)
-    elif isinstance(e, Op):
-        for a in e.args:
-            refs(a, acc)
+def refs(e: Expr) -> set[str]:
+    """The names `e` reads, visiting each shared node once."""
+    acc: set[str] = set()
+    seen: set[int] = set()
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Ref):
+            acc.add(e.name)
+        elif isinstance(e, Op) and id(e) not in seen:
+            seen.add(id(e))
+            stack.extend(e.args)
     return acc

@@ -67,9 +67,11 @@ def simulate_step(ts: TransitionSystem, state_val: dict[str, int],
     for n, w in ts.inputs:
         if input_val[n] >> w:
             raise ValueError(f"input {n} value exceeds width {w}")
+    memo: dict[int, int] = {}
     for n, e in ts.defines:
-        env[n] = ex.eval_expr(e, env)
-    nxt = {s.name: ex.eval_expr(ts.next[s.name], env) for s in ts.states}
+        env[n] = ex.eval_expr(e, env, memo)
+    nxt = {s.name: ex.eval_expr(ts.next[s.name], env, memo)
+           for s in ts.states}
     outs = {n: env[n] for n in ts.outputs}
     return nxt, outs
 
@@ -80,7 +82,9 @@ def compile_stepper(ts: TransitionSystem):
     Returns step(state_tuple, input_tuple) -> (next_state_tuple, full_env)
     where tuples follow ts.states / ts.inputs order.  Used by the
     explicit-state oracle and randomized cross-checks, where the
-    interpreter would dominate runtime.
+    interpreter would dominate runtime.  Each operator node is bound
+    to a local once, so the code grows with the IR's DAG, not with the
+    tree it unfolds to.
     """
     names: dict[str, str] = {}
 
@@ -94,9 +98,23 @@ def compile_stepper(ts: TransitionSystem):
         lines.append(f"    {pyname(s.name)} = state[{i}]")
     for i, (n, _) in enumerate(ts.inputs):
         lines.append(f"    {pyname(n)} = inputs[{i}]")
+    temps: dict[int, str] = {}
+
+    def operand(e: ex.Expr) -> str:
+        """A constant, a signal's local, or the local bound to an Op."""
+        if isinstance(e, ex.BV):
+            return str(e.value)
+        if isinstance(e, ex.Ref):
+            return pyname(e.name)
+        if id(e) not in temps:
+            code = _pyexpr(e, [operand(a) for a in e.args])
+            temps[id(e)] = f"t{len(temps)}"
+            lines.append(f"    {temps[id(e)]} = {code}")
+        return temps[id(e)]
+
     for n, e in ts.defines:
-        lines.append(f"    {pyname(n)} = {_pyexpr(e, pyname)}")
-    nxt = ", ".join(_pyexpr(ts.next[s.name], pyname) for s in ts.states)
+        lines.append(f"    {pyname(n)} = {operand(e)}")
+    nxt = ", ".join(operand(ts.next[s.name]) for s in ts.states)
     env_items = ", ".join(f"{n!r}: {v}" for n, v in names.items())
     lines.append(f"    return ({nxt}{',' if len(ts.states) == 1 else ''}), {{{env_items}}}")
     ns: dict = {}
@@ -104,13 +122,8 @@ def compile_stepper(ts: TransitionSystem):
     return ns["step"]
 
 
-def _pyexpr(e: ex.Expr, pyname) -> str:
-    if isinstance(e, ex.BV):
-        return str(e.value)
-    if isinstance(e, ex.Ref):
-        return pyname(e.name)
-    assert isinstance(e, ex.Op)
-    a = [_pyexpr(x, pyname) for x in e.args]
+def _pyexpr(e: ex.Op, a: list[str]) -> str:
+    """Python for one operator node over its operands' code `a`."""
     w = [x.width for x in e.args]
     op = e.op
     if op == "not":

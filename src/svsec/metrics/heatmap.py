@@ -1,4 +1,4 @@
-"""Provider x CWE pass-rate matrices, serialized as JSON and CSV.
+"""Provider x CWE pass-rate matrices, serialized as JSON.
 
 Each cell aggregates all three difficulty tiers of one CWE for one
 provider.  Both variants ship side by side: excluding and including
@@ -7,7 +7,6 @@ non-compilable designs in the denominator.
 
 from __future__ import annotations
 
-import csv
 import json
 
 import svsec
@@ -38,11 +37,3 @@ def write_heatmap_json(rows, path, seed: int = 0) -> None:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
-
-def write_heatmap_csv(rows, path, include_noncompilable: bool = False) -> None:
-    hm = heatmap(rows, include_noncompilable=include_noncompilable)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["provider"] + [f"cwe{c}" for c in hm["cwes"]])
-        for provider, row in zip(hm["providers"], hm["matrix"]):
-            w.writerow([provider] + row)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 
 import svsec
-from svsec.catalog.problems import ProblemSpec
+from svsec.catalog.problems import ProblemSpec, instantiate_property_text
 from svsec.check import DEFAULT_BUDGET, DEFAULT_MAX_K, check_design
 from svsec.engine import sat
 from svsec.gen.batch import Generation
@@ -30,7 +30,6 @@ def label_design(gen: Generation, spec: ProblemSpec,
                  max_k: int = DEFAULT_MAX_K,
                  budget: int = DEFAULT_BUDGET,
                  seed: int = 0,
-                 source_path: str = "",
                  memo: dict | None = None) -> DatasetRow:
     if gen.problem_id != spec.problem_id:
         raise ValueError(f"generation {gen.problem_id} labeled against "
@@ -48,7 +47,7 @@ def label_design(gen: Generation, spec: ProblemSpec,
         k_used=k_used,
         lines_of_code=_lines_of_code(gen.source),
         runtime_ms=work,
-        source_path=source_path,
+        source_path="",
         property_id=spec.property_template_id,
         toolkit_version=svsec.__version__,
         seed=seed,
@@ -62,8 +61,6 @@ def _adjudicate(source: str | None, spec: ProblemSpec, max_k: int,
     key = (hashlib.sha256(source.encode()).hexdigest(), spec.problem_id)
     if memo is not None and key in memo:
         return memo[key]
-    from svsec.catalog.problems import instantiate_property_text
-
     start_work = sat.work_units()
     verdict = check_design(source, spec.module_name,
                            instantiate_property_text(spec),

@@ -1,22 +1,19 @@
 """Dataset rows and their CSV round-trip.
 
 One row per labeled generation, append-only, unique by
-(provider, cwe_id, difficulty, regen_index).  The schema is fixed by
-CSV_HEADER; files are UTF-8 with RFC-4180 quoting.
+(provider, cwe_id, difficulty, regen_index).  DatasetRow's fields, in
+order, are the CSV columns; files are UTF-8 with RFC-4180 quoting and
+an empty cell for None.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 VERDICTS = ("proven", "falsified", "unknown", "compile_error")
-
-CSV_HEADER = ["design_id", "provider", "cwe_id", "difficulty", "regen_index",
-              "verdict", "cex_depth", "k_used", "lines_of_code", "runtime_ms",
-              "source_path", "property_id", "toolkit_version", "seed"]
 
 
 class RowError(ValueError):
@@ -53,8 +50,11 @@ class DatasetRow:
         return (self.provider, self.cwe_id, self.difficulty, self.regen_index)
 
 
-def _cell(v) -> str:
-    return "" if v is None else str(v)
+# How a cell is read back, by the field's annotation.
+_PARSERS = {"str": str, "int": int,
+            "int | None": lambda cell: int(cell) if cell else None}
+_COLUMNS = [(f.name, _PARSERS[f.type]) for f in fields(DatasetRow)]
+CSV_HEADER = [name for name, _ in _COLUMNS]
 
 
 def export_csv(rows, path) -> None:
@@ -72,11 +72,8 @@ def export_csv(rows, path) -> None:
             w = csv.writer(fh)
             w.writerow(CSV_HEADER)
             for r in rows:
-                w.writerow([r.design_id, r.provider, r.cwe_id, r.difficulty,
-                            r.regen_index, r.verdict, _cell(r.cex_depth),
-                            _cell(r.k_used), r.lines_of_code, r.runtime_ms,
-                            r.source_path, r.property_id, r.toolkit_version,
-                            r.seed])
+                cells = (getattr(r, name) for name in CSV_HEADER)
+                w.writerow(["" if v is None else v for v in cells])
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -90,21 +87,9 @@ def import_csv(path) -> list:
         if header != CSV_HEADER:
             raise RowError(f"unexpected header {header}")
         for rec in reader:
-            d = dict(zip(CSV_HEADER, rec))
-            rows.append(DatasetRow(
-                design_id=d["design_id"],
-                provider=d["provider"],
-                cwe_id=int(d["cwe_id"]),
-                difficulty=d["difficulty"],
-                regen_index=int(d["regen_index"]),
-                verdict=d["verdict"],
-                cex_depth=int(d["cex_depth"]) if d["cex_depth"] else None,
-                k_used=int(d["k_used"]) if d["k_used"] else None,
-                lines_of_code=int(d["lines_of_code"]),
-                runtime_ms=int(d["runtime_ms"]),
-                source_path=d["source_path"],
-                property_id=d["property_id"],
-                toolkit_version=d["toolkit_version"],
-                seed=int(d["seed"]),
-            ))
+            if len(rec) != len(_COLUMNS):
+                raise RowError(f"line {reader.line_num} has {len(rec)} cells, "
+                               f"expected {len(_COLUMNS)}")
+            rows.append(DatasetRow(**{name: parse(cell) for (name, parse), cell
+                                      in zip(_COLUMNS, rec)}))
     return rows

@@ -4,7 +4,6 @@ import pytest
 
 from svsec.catalog import CWE_IDS, DIFFICULTIES, list_problems
 from svsec.catalog.problems import (CatalogError, design_text,
-                                    instantiate_property,
                                     instantiate_property_text, load_catalog)
 from svsec.frontend import parse_source
 from svsec.ir.elaborate import elaborate
@@ -56,10 +55,8 @@ def test_reference_designs_compile_and_expose_the_ports():
                 assert p.name in have, (fname, p.name)
 
 
-def test_properties_resolve_against_reference_designs():
+def test_property_templates_fill_every_placeholder():
     for spec in list_problems():
-        prop = instantiate_property(spec)
-        assert prop is not None
         text = instantiate_property_text(spec)
         assert "{" not in text, (spec.problem_id, text)
 

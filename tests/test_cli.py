@@ -72,6 +72,30 @@ def test_verify_explicit_property(tmp_path):
     assert res.exit_code == 0, res.output
 
 
+def test_property_diagnostics_name_the_property(tmp_path):
+    (spec,) = list_problems(cwe=1234, difficulty="basic")
+    design = write_design(tmp_path, spec, "correct")
+    prop = tmp_path / "division.prop"
+    prop.write_text("data_out / 2 == 0\n")
+    res = invoke("verify", design, "--property", str(prop),
+                 "--top", spec.module_name)
+    assert res.exit_code == 3
+    assert f"  {prop}:0:0: unsupported: operator '/'" in res.output
+    assert design not in res.output
+
+    # The catalog property reads ports this design lacks.
+    partial = tmp_path / "partial.sv"
+    partial.write_text("module locked_register(input logic clk_in,\n"
+                       "  input logic rst_n_in, output logic [3:0] data_out);\n"
+                       "  assign data_out = 4'd0;\n"
+                       "endmodule\n")
+    res = invoke("verify", str(partial), "--cwe", "1234",
+                 "--difficulty", "basic")
+    assert res.exit_code == 3
+    assert "  <property>:0:0: error: unknown signal 'locked_out'" in res.output
+    assert str(partial) not in res.output
+
+
 def test_verify_usage_errors(tmp_path):
     (spec,) = list_problems(cwe=1234, difficulty="basic")
     design = write_design(tmp_path, spec, "correct")

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import svsec
 from svsec.check import check_design
 from svsec.engine import sat
 from svsec.engine.aig import FALSE
@@ -317,3 +322,73 @@ def test_deep_induction_work_stays_small():
     work = sat.work_units() - before
     assert res.status == "proven" and res.k_used == 16
     assert work < 5_000, work
+
+
+SHARED_TERMS = r"""
+import sys
+from svsec.check import check_design
+from svsec.frontend import parse_source
+from svsec.ir.elaborate import elaborate
+from svsec.ir.transition import compile_stepper, simulate_step
+
+n = int(sys.argv[1])
+steps = [f"if (d_in[{i % 4}]) x = x + 4'd1;" for i in range(n)]
+comb = "\n".join(
+    ["module m(input logic clk, input logic [3:0] d_in,",
+     "         output logic [3:0] q);",
+     "  logic [3:0] x;", "  always_comb begin", "    x = 4'd0;"]
+    + ["    " + st for st in steps]
+    + ["  end", "  assign q = x;", "endmodule", ""])
+ff = "\n".join(
+    ["module m(input logic clk, input logic rst_n, input logic [3:0] d_in,",
+     "         output logic [3:0] x);",
+     "  always_ff @(posedge clk or negedge rst_n) begin",
+     "    if (!rst_n) x = 4'd0;", "    else begin"]
+    + ["      " + st for st in steps]
+    + ["    end", "  end", "endmodule", ""])
+for source, prop in ((comb, "q != 4'd14"), (ff, "x != 4'd14")):
+    v = check_design(source, "m", prop)
+    print(v.status, getattr(v, "depth", None), getattr(v, "culprit_line", 0))
+ts = elaborate(parse_source(comb)[0], "m")[0]
+ins = {n: 7 if n == "d_in" else 0 for n, _ in ts.inputs}
+print(compile_stepper(ts)((), tuple(ins.values()))[1]["q"],
+      simulate_step(ts, {}, ins)[1]["q"])
+"""
+
+
+def test_shared_terms_are_walked_once():
+    # Each statement reads the value the one before it wrote, so the
+    # IR shares every term; a walk that unfolds it into a tree takes
+    # 2**n steps and did not finish in 60 s at n = 40.
+    n = 40
+    path = [str(Path(svsec.__file__).parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    run = subprocess.run([sys.executable, "-c", SHARED_TERMS, str(n)],
+                         env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    # Three set bits of d_in fire 30 increments, and 30 mod 16 = 14:
+    # the always_comb form is falsified at once, on its `assign q = x`
+    # line, and the always_ff form in the first cycle, by its last
+    # increment.  The stepper and the simulator agree on d_in = 7.
+    assert run.stdout.splitlines() == [
+        f"falsified 0 {7 + n}", f"falsified 1 {5 + n}", "14 14"], run.stdout
+
+
+def test_nesting_past_the_recursion_limit_is_unknown():
+    def parity(n):
+        terms = " ^ ".join(f"d_in[{i}]" for i in range(n))
+        return (f"module m(input logic [{n - 1}:0] d_in, output logic p);\n"
+                f"  assign p = {terms};\nendmodule\n", "p == ^d_in")
+
+    def parens(n):
+        return ("module m(input logic a, output logic p);\n"
+                f"  assign p = {'(' * n}a{')' * n};\nendmodule\n", "p == a")
+
+    for design in (parity, parens):
+        source, prop = design(8)
+        assert check_design(source, "m", prop).status == "proven"
+        source, prop = design(2000)
+        deep = check_design(source, "m", prop)
+        assert isinstance(deep, Unknown) and deep.max_k == 0
+        assert "recursion limit" in deep.reason

@@ -79,8 +79,6 @@ def test_stub_counts_follow_the_mix_exactly():
     assert StubProvider(n=10).counts() == (3, 5, 2, 0)
     for n in (1, 7, 13, 20, 33):
         assert sum(StubProvider(n=n).counts()) == n
-    with pytest.raises(ValueError):
-        StubProvider(mix=(0.5, 0.5, 0.5, 0.0))
 
 
 def test_stub_plans_are_deterministic_and_distinct():

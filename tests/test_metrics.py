@@ -14,7 +14,6 @@ from svsec.metrics import (DatasetRow, RowError, ScopeError, export_csv,
                            passatk_by_cwe, passatk_by_difficulty,
                            verdict_counts, write_heatmap_json,
                            write_keywords_csv)
-from svsec.metrics.heatmap import write_heatmap_csv
 from svsec.metrics.keywords import DEFAULT_KEYWORDS
 
 
@@ -105,6 +104,14 @@ def test_import_rejects_foreign_header(tmp_path):
         import_csv(p)
 
 
+def test_import_rejects_a_row_of_the_wrong_length(tmp_path):
+    p = tmp_path / "x.csv"
+    export_csv([make_row(regen=0)], p)
+    p.write_text(p.read_text().rstrip("\n") + ",extra\n")
+    with pytest.raises(RowError, match="line 2 has 15 cells, expected 14"):
+        import_csv(p)
+
+
 # -------------------------------------------------------------- passatk
 
 def test_pass_at_k_definition():
@@ -192,11 +199,6 @@ def test_heatmap_outputs_are_deterministic(tmp_path):
     doc = json.loads(p1.read_text())
     assert doc["seed"] == 7 and doc["cwes"] == list(CWE_IDS)
     assert len(doc["exclude_noncompilable"][0]) == 10
-
-    write_heatmap_csv(rows, tmp_path / "h.csv")
-    lines = (tmp_path / "h.csv").read_text().splitlines()
-    assert lines[0].startswith("provider,cwe1209,")
-    assert len(lines) == 2
 
 
 # ------------------------------------------------------------- keywords
