@@ -170,14 +170,14 @@ class Aig:
 
 
 def blast_expr(aig: Aig, e: ex.Expr, env: dict[str, tuple[int, ...]],
-               memo: dict[int, tuple[int, ...]] | None = None
+               memo: dict[ex.Op, tuple[int, ...]] | None = None
                ) -> tuple[int, ...]:
     """Lower one IR expression to a bus, resolving names through env.
 
     The IR is a DAG: an always block's values share the terms they
-    read.  `memo` maps the id of each operator node blasted so far to
-    its bus, so a shared node is blasted once; share one memo only
-    between calls over the same env.
+    read.  `memo` maps each operator node blasted so far to its bus, so
+    a shared node is blasted once; share one memo only between calls
+    over the same env.
     """
     if isinstance(e, ex.BV):
         return aig.bus_const(e.width, e.value)
@@ -187,7 +187,7 @@ def blast_expr(aig: Aig, e: ex.Expr, env: dict[str, tuple[int, ...]],
         return bus
     if memo is None:
         memo = {}
-    bus = memo.get(id(e))
+    bus = memo.get(e)
     if bus is not None:
         return bus
     op = e.op
@@ -205,7 +205,7 @@ def blast_expr(aig: Aig, e: ex.Expr, env: dict[str, tuple[int, ...]],
     else:
         bus = _blast_op(aig, e, [blast_expr(aig, a, env, memo)
                                  for a in e.args])
-    memo[id(e)] = bus
+    memo[e] = bus
     return bus
 
 
@@ -255,7 +255,7 @@ def blast_frame(aig: Aig, ts: TransitionSystem,
     env = dict(state_env)
     for n, w in ts.inputs:
         env[n] = aig.bus_input(w)
-    memo: dict[int, tuple[int, ...]] = {}
+    memo: dict[ex.Op, tuple[int, ...]] = {}
     for n, e in ts.defines:
         env[n] = blast_expr(aig, e, env, memo)
     nxt = {s.name: blast_expr(aig, ts.next[s.name], env, memo)

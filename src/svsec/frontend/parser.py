@@ -523,24 +523,21 @@ class Parser:
 
     # -- expressions -------------------------------------------------------
 
-    _BINARY_LEVELS = (
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", "<=", ">", ">="),
-        ("<<", ">>", ">>>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    )
+    # Binding strength of each binary operator; all are left-associative.
+    _BINARY_PRECEDENCE = {
+        "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
+        "==": 6, "!=": 6,
+        "<": 7, "<=": 7, ">": 7, ">=": 7,
+        "<<": 8, ">>": 8, ">>>": 8,
+        "+": 9, "-": 9,
+        "*": 10, "/": 10, "%": 10,
+    }
 
     def parse_expr(self) -> ast.Expr:
         return self._parse_ternary()
 
     def _parse_ternary(self) -> ast.Expr:
-        cond = self._parse_binary(0)
+        cond = self._parse_binary(1)
         if self.at("?"):
             self.next()
             then = self._parse_ternary()
@@ -549,16 +546,18 @@ class Parser:
             return ast.Ternary(cond=cond, then=then, other=other)
         return cond
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self._parse_unary()
-        ops = self._BINARY_LEVELS[level]
-        left = self._parse_binary(level + 1)
-        while self.peek() is not None and self.peek().text in ops:
-            op = self.next().text
-            right = self._parse_binary(level + 1)
-            left = ast.Binary(op=op, left=left, right=right)
-        return left
+    def _parse_binary(self, min_prec: int) -> ast.Expr:
+        """Precedence climbing: the operand, then every operator that
+        binds at least as tightly as `min_prec`."""
+        left = self._parse_unary()
+        while True:
+            t = self.peek()
+            prec = 0 if t is None else self._BINARY_PRECEDENCE.get(t.text, 0)
+            if prec < min_prec:
+                return left
+            self.next()
+            right = self._parse_binary(prec + 1)
+            left = ast.Binary(op=t.text, left=left, right=right)
 
     def _parse_unary(self) -> ast.Expr:
         t = self.peek()

@@ -3,7 +3,8 @@
 Every response lands in `cache/<provider>/<problem>/<regen>.json`
 before use, so interrupted runs resume without repeating provider
 calls.  Failures are recorded on the Generation and never abort the
-batch; the result always holds exactly |providers| x |specs| x n
+batch; a resumed run asks the provider again for each recorded
+failure.  The result always holds exactly |providers| x |specs| x n
 entries.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -77,6 +79,19 @@ def _load_cached(path: Path) -> Generation | None:
     return gen
 
 
+def _write_entry(path: Path, text: str) -> None:
+    """Write through a temporary file in the same directory, which
+    `load_cache`'s glob does not match, so an interrupted write leaves
+    no partial entry."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def generate_batch(specs: list[ProblemSpec],
                    providers: list[ProviderConfig] | None,
                    n: int,
@@ -97,7 +112,7 @@ def generate_batch(specs: list[ProblemSpec],
     def one(provider_id: str, spec: ProblemSpec, i: int) -> Generation:
         path = cache_path(cache_dir, provider_id, spec.problem_id, i)
         cached = _load_cached(path)
-        if cached is not None:
+        if cached is not None and cached.ok:
             return cached
         gen = Generation(problem_id=spec.problem_id, provider_id=provider_id,
                          regen_index=i, timestamp=time.time())
@@ -115,8 +130,7 @@ def generate_batch(specs: list[ProblemSpec],
         gen.source = extract_code(gen.raw) if gen.ok else None
         doc = {k: getattr(gen, k) for k in _ENTRY_FIELDS}
         with write_lock:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(doc, indent=1), encoding="utf-8")
+            _write_entry(path, json.dumps(doc, indent=1))
         return gen
 
     jobs = [(pid, spec, i) for pid in provider_ids

@@ -798,14 +798,10 @@ def _elab_comb_block(blk: ast.AlwaysBlock, scope: Scope, col: Collected,
                    blk.line, Severity.UNSUPPORTED)
     for local, value in env.blocking.items():
         q = scope.qual(local)
-        if _reads_self(value, q):
+        if q in ex.refs(value):
             raise _err(f"latch inferred for {local!r} (incomplete assignment)",
                        blk.line, Severity.UNSUPPORTED)
         _add_define(col, q, value, blk.line)
         col.define_lines[q] = _last_assign_line(blk.body, local) or blk.line
         driven.add(local.split("[")[0])
         driven.add(local)
-
-
-def _reads_self(e: ex.Expr, name: str) -> bool:
-    return name in ex.refs(e)

@@ -6,6 +6,7 @@ unsigned; all values are Python ints masked to their width.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 
@@ -31,17 +32,40 @@ class Ref(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Op(Expr):
-    """Operator node.
+    """Operator node, hash-consed.
 
     ops: not neg and or xor add sub mul shl shr eq ult ule
          redor redand redxor mux concat slice
     slice carries (hi, lo) in params; concat args are msb-first.
+
+    Nodes are built only through the constructors below (`unop`,
+    `binop`, `mux`, `concat`, `slice_`), which intern them, so two
+    structurally equal nodes are one object: equality and hashing are
+    identity, and cost O(1) however much the DAG shares.  The intern
+    table is not locked; one thread builds IR at a time.
     """
     op: str
     args: tuple[Expr, ...]
     params: tuple[int, ...] = ()
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
+# Every live Op by (width, op, args, params).  Args hash by identity
+# (Op) or by value (BV, Ref), so a key hashes in O(arity).
+_interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _op(width: int, op: str, args: tuple[Expr, ...],
+        params: tuple[int, ...] = ()) -> Op:
+    key = (width, op, args, params)
+    node = _interned.get(key)
+    if node is None:
+        node = _interned[key] = Op(width, op, args, params)
+    return node
 
 
 # --------------------------------------------------------------------------
@@ -57,7 +81,7 @@ def unop(op: str, a: Expr, width: int | None = None) -> Expr:
     v = _const(a)
     if v is not None:
         return BV(width, eval_op(op, (v,), (a.width,), ()))
-    return Op(width, op, (a,))
+    return _op(width, op, (a,))
 
 
 def binop(op: str, a: Expr, b: Expr, width: int | None = None) -> Expr:
@@ -66,7 +90,7 @@ def binop(op: str, a: Expr, b: Expr, width: int | None = None) -> Expr:
     va, vb = _const(a), _const(b)
     if va is not None and vb is not None:
         return BV(width, eval_op(op, (va, vb), (a.width, b.width), ()))
-    return Op(width, op, (a, b))
+    return _op(width, op, (a, b))
 
 
 def mux(cond: Expr, then: Expr, other: Expr) -> Expr:
@@ -76,7 +100,7 @@ def mux(cond: Expr, then: Expr, other: Expr) -> Expr:
         return then if c else other
     if then == other:
         return then
-    return Op(then.width, "mux", (cond, then, other))
+    return _op(then.width, "mux", (cond, then, other))
 
 
 def concat(parts: tuple[Expr, ...]) -> Expr:
@@ -87,7 +111,7 @@ def concat(parts: tuple[Expr, ...]) -> Expr:
         for p in parts:
             v = (v << p.width) | p.value
         return BV(w, v)
-    return Op(w, "concat", tuple(parts))
+    return _op(w, "concat", tuple(parts))
 
 
 def slice_(a: Expr, hi: int, lo: int) -> Expr:
@@ -97,7 +121,7 @@ def slice_(a: Expr, hi: int, lo: int) -> Expr:
         return BV(w, v >> lo)
     if lo == 0 and hi == a.width - 1:
         return a
-    return Op(w, "slice", (a,), (hi, lo))
+    return _op(w, "slice", (a,), (hi, lo))
 
 
 def resize(a: Expr, width: int) -> Expr:
@@ -165,12 +189,12 @@ def eval_op(op: str, vals: tuple[int, ...], widths: tuple[int, ...],
     raise ValueError(f"unknown op {op!r}")
 
 
-def eval_expr(e: Expr, env, memo: dict[int, int] | None = None) -> int:
+def eval_expr(e: Expr, env, memo: dict[Op, int] | None = None) -> int:
     """Evaluate with `env` mapping names to int values.
 
-    Expressions are DAGs; `memo` maps the id of each operator node
-    evaluated so far to its value.  Share one memo only between calls
-    over the same env.
+    Expressions are DAGs; `memo` maps each operator node evaluated so
+    far to its value.  Share one memo only between calls over the same
+    env.
     """
     if isinstance(e, BV):
         return e.value
@@ -178,7 +202,7 @@ def eval_expr(e: Expr, env, memo: dict[int, int] | None = None) -> int:
         return env[e.name]
     if memo is None:
         memo = {}
-    v = memo.get(id(e))
+    v = memo.get(e)
     if v is not None:
         return v
     if e.op == "mux":
@@ -191,16 +215,16 @@ def eval_expr(e: Expr, env, memo: dict[int, int] | None = None) -> int:
     else:
         vals = tuple(eval_expr(a, env, memo) for a in e.args)
         v = eval_op(e.op, vals, tuple(a.width for a in e.args), e.params)
-    memo[id(e)] = v
+    memo[e] = v
     return v
 
 
 def substitute(e: Expr, env: dict[str, int],
-               memo: dict[int, Expr] | None = None) -> Expr:
+               memo: dict[Op, Expr] | None = None) -> Expr:
     """Partially evaluate: replace named refs with constants and fold.
 
-    `memo` maps the id of each operator node done so far to its result,
-    so a node the DAG shares is folded once.
+    `memo` maps each operator node done so far to its result, so a node
+    the DAG shares is folded once.
     """
     if isinstance(e, BV):
         return e
@@ -210,7 +234,7 @@ def substitute(e: Expr, env: dict[str, int],
         return e
     if memo is None:
         memo = {}
-    out = memo.get(id(e))
+    out = memo.get(e)
     if out is not None:
         return out
     args = tuple(substitute(a, env, memo) for a in e.args)
@@ -224,20 +248,20 @@ def substitute(e: Expr, env: dict[str, int],
         out = unop(e.op, args[0], e.width)
     else:
         out = binop(e.op, args[0], args[1], e.width)
-    memo[id(e)] = out
+    memo[e] = out
     return out
 
 
 def refs(e: Expr) -> set[str]:
     """The names `e` reads, visiting each shared node once."""
     acc: set[str] = set()
-    seen: set[int] = set()
+    seen: set[Op] = set()
     stack = [e]
     while stack:
         e = stack.pop()
         if isinstance(e, Ref):
             acc.add(e.name)
-        elif isinstance(e, Op) and id(e) not in seen:
-            seen.add(id(e))
+        elif isinstance(e, Op) and e not in seen:
+            seen.add(e)
             stack.extend(e.args)
     return acc

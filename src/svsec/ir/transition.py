@@ -67,7 +67,7 @@ def simulate_step(ts: TransitionSystem, state_val: dict[str, int],
     for n, w in ts.inputs:
         if input_val[n] >> w:
             raise ValueError(f"input {n} value exceeds width {w}")
-    memo: dict[int, int] = {}
+    memo: dict[ex.Op, int] = {}
     for n, e in ts.defines:
         env[n] = ex.eval_expr(e, env, memo)
     nxt = {s.name: ex.eval_expr(ts.next[s.name], env, memo)
@@ -98,7 +98,7 @@ def compile_stepper(ts: TransitionSystem):
         lines.append(f"    {pyname(s.name)} = state[{i}]")
     for i, (n, _) in enumerate(ts.inputs):
         lines.append(f"    {pyname(n)} = inputs[{i}]")
-    temps: dict[int, str] = {}
+    temps: dict[ex.Op, str] = {}
 
     def operand(e: ex.Expr) -> str:
         """A constant, a signal's local, or the local bound to an Op."""
@@ -106,11 +106,11 @@ def compile_stepper(ts: TransitionSystem):
             return str(e.value)
         if isinstance(e, ex.Ref):
             return pyname(e.name)
-        if id(e) not in temps:
+        if e not in temps:
             code = _pyexpr(e, [operand(a) for a in e.args])
-            temps[id(e)] = f"t{len(temps)}"
-            lines.append(f"    {temps[id(e)]} = {code}")
-        return temps[id(e)]
+            temps[e] = f"t{len(temps)}"
+            lines.append(f"    {temps[e]} = {code}")
+        return temps[e]
 
     for n, e in ts.defines:
         lines.append(f"    {pyname(n)} = {operand(e)}")

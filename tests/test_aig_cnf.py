@@ -72,15 +72,14 @@ def test_slice_concat_mux():
     a = aig.bus_input(4)
     b = aig.bus_input(4)
     env = {"a": a, "b": b}
-    e = ex.Op(width=8, op="concat",
-              args=(ex.Ref(4, "a"), ex.Ref(4, "b")), params=())
+    e = ex.concat((ex.Ref(4, "a"), ex.Ref(4, "b")))
     bus = blast_expr(aig, e, env)
     ins = {lit: (0xA >> i) & 1 for i, lit in enumerate(a)}
     ins.update({lit: (0x5 >> i) & 1 for i, lit in enumerate(b)})
     bits = aig.evaluate(ins, list(bus))
     assert sum(bit << i for i, bit in enumerate(bits)) == 0xA5
 
-    sl = ex.Op(width=2, op="slice", args=(e,), params=(6, 5))
+    sl = ex.slice_(e, 6, 5)
     bus2 = blast_expr(aig, sl, env)
     bits2 = aig.evaluate(ins, list(bus2))
     assert sum(bit << i for i, bit in enumerate(bits2)) == (0xA5 >> 5) & 3

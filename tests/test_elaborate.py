@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,6 +164,36 @@ def test_compiled_stepper_matches_interpreter(stimuli):
         assert fast_state == tuple(state[s.name] for s in ts.states)
         for n in ts.outputs:
             assert env[n] == outs[n]
+
+
+def test_constructors_intern_equal_nodes():
+    a, b, c = ex.Ref(4, "a"), ex.Ref(4, "b"), ex.Ref(1, "c")
+
+    def build():
+        return (ex.unop("not", a), ex.binop("add", a, ex.BV(4, 1)),
+                ex.mux(c, a, b), ex.concat((a, b)), ex.slice_(a, 2, 1))
+
+    for first, second in zip(build(), build()):
+        assert first is second
+    # Equal arguments are one object, so their parents are too.
+    assert ex.binop("xor", ex.unop("not", a), b) \
+        is ex.binop("xor", ex.unop("not", a), b)
+    # The intern table does not keep a node alive.
+    node = weakref.ref(ex.binop("sub", b, a))
+    gc.collect()
+    assert node() is None
+
+
+def test_different_ops_of_one_width_are_unequal():
+    # Op equality is identity, not the width-only comparison that a
+    # dataclass generates for the Expr base.
+    a, b = ex.Ref(4, "a"), ex.Ref(4, "b")
+    add, sub = ex.binop("add", a, b), ex.binop("sub", a, b)
+    assert add.width == sub.width and add != sub
+    assert ex.binop("add", b, a) != add
+    assert ex.slice_(a, 2, 1) != ex.slice_(a, 3, 2)
+    assert ex.mux(ex.Ref(1, "c"), add, sub) != ex.mux(ex.Ref(1, "c"), sub, add)
+    assert len({add, sub, ex.binop("add", a, b)}) == 2
 
 
 PARITY = """\

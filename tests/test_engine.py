@@ -346,7 +346,16 @@ ff = "\n".join(
      "    if (!rst_n) x = 4'd0;", "    else begin"]
     + ["      " + st for st in steps]
     + ["    end", "  end", "endmodule", ""])
-for source, prop in ((comb, "q != 4'd14"), (ff, "x != 4'd14")):
+arms = "\n".join(
+    ["module m(input logic clk, input logic c, input logic [3:0] d_in,",
+     "         output logic [3:0] q);",
+     "  logic [3:0] x;", "  always_comb begin", "    x = 4'd0;",
+     "    if (c) begin"]
+    + ["      " + st for st in steps] + ["    end else begin"]
+    + ["      " + st for st in steps]
+    + ["    end", "  end", "  assign q = x;", "endmodule", ""])
+for source, prop in ((comb, "q != 4'd14"), (ff, "x != 4'd14"),
+                     (arms, "q != 4'd14")):
     v = check_design(source, "m", prop)
     print(v.status, getattr(v, "depth", None), getattr(v, "culprit_line", 0))
 ts = elaborate(parse_source(comb)[0], "m")[0]
@@ -359,7 +368,10 @@ print(compile_stepper(ts)((), tuple(ins.values()))[1]["q"],
 def test_shared_terms_are_walked_once():
     # Each statement reads the value the one before it wrote, so the
     # IR shares every term; a walk that unfolds it into a tree takes
-    # 2**n steps and did not finish in 60 s at n = 40.
+    # 2**n steps and did not finish in 60 s at n = 40.  The third
+    # design repeats the statements in both arms of an `if (c)`, whose
+    # values the mux fold compares; compared as trees, that took 2**n
+    # steps too.
     n = 40
     path = [str(Path(svsec.__file__).parents[1]),
             os.environ.get("PYTHONPATH", "")]
@@ -370,9 +382,12 @@ def test_shared_terms_are_walked_once():
     # Three set bits of d_in fire 30 increments, and 30 mod 16 = 14:
     # the always_comb form is falsified at once, on its `assign q = x`
     # line, and the always_ff form in the first cycle, by its last
-    # increment.  The stepper and the simulator agree on d_in = 7.
+    # increment.  Identical arms fold to one value, so that design
+    # fails like the first.  The stepper and the simulator agree on
+    # d_in = 7.
     assert run.stdout.splitlines() == [
-        f"falsified 0 {7 + n}", f"falsified 1 {5 + n}", "14 14"], run.stdout
+        f"falsified 0 {7 + n}", f"falsified 1 {5 + n}",
+        f"falsified 0 {10 + 2 * n}", "14 14"], run.stdout
 
 
 def test_nesting_past_the_recursion_limit_is_unknown():
@@ -385,8 +400,8 @@ def test_nesting_past_the_recursion_limit_is_unknown():
         return ("module m(input logic a, output logic p);\n"
                 f"  assign p = {'(' * n}a{')' * n};\nendmodule\n", "p == a")
 
-    for design in (parity, parens):
-        source, prop = design(8)
+    for design, depth in ((parity, 8), (parens, 150)):
+        source, prop = design(depth)
         assert check_design(source, "m", prop).status == "proven"
         source, prop = design(2000)
         deep = check_design(source, "m", prop)

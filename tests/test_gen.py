@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 import requests
 
 from svsec.catalog import list_problems
 from svsec.gen import StubProvider, generate_batch
+from svsec.gen.batch import load_cache
 from svsec.gen.extract import extract_code
 from svsec.gen.prompts import FIXED_INSTRUCTIONS, render_prompt
 from svsec.gen.provider import (ProviderConfig, ProviderError,
@@ -265,6 +267,30 @@ def test_generate_batch_records_failures_without_aborting(tmp_path):
     assert len(gens) == 4
     assert sum(1 for g in gens if not g.ok) == 2
     assert all(g.source is None for g in gens if not g.ok)
+    # A resumed run asks the provider again for the two failures only.
+    again = generate_batch(specs, providers, 4, tmp_path, workers=1,
+                           transport=transport)
+    assert len(calls) == 6
+    assert [g.from_cache for g in again] == [g.ok for g in gens]
+    assert [g.raw for g in again if g.from_cache] == \
+        [g.raw for g in gens if g.ok]
+
+
+def test_interrupted_cache_write_leaves_no_entry(tmp_path, monkeypatch):
+    write_text = Path.write_text
+
+    def write_half(self, text, *args, **kwargs):
+        write_text(self, text[:len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half)
+    specs = list_problems(difficulty="basic")[:1]
+    with pytest.raises(OSError, match="disk full"):
+        generate_batch(specs, None, 1, tmp_path,
+                       stub=StubProvider(seed=0, n=1), workers=1)
+    monkeypatch.undo()
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+    assert load_cache(tmp_path) == []
 
 
 def test_cache_resume_skips_provider_calls(tmp_path):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
-from svsec.frontend import parse_source, pretty_print
+from itertools import combinations, product
+
+from svsec.frontend import ast, parse_source, pretty_print, tokenize
+from svsec.frontend.parser import Parser
 
 from conftest import COUNTER
 
@@ -67,3 +70,35 @@ def test_empty_lists_parse():
     assert unit is not None and not diags
     assert [(m.params, m.ports) for m in unit.modules] == [((), ()), ((), ())]
     assert unit.modules[1].instances[0].param_overrides == ()
+
+
+# The binary operators by level, loosest first.
+BINARY_LEVELS = [("||",), ("&&",), ("|",), ("^",), ("&",), ("==", "!="),
+                 ("<", "<=", ">", ">="), ("<<", ">>", ">>>"), ("+", "-"),
+                 ("*", "/", "%")]
+
+
+def _expr(text: str) -> ast.Expr:
+    tokens, diags = tokenize(text)
+    assert not diags
+    return Parser(tokens).parse_expr()
+
+
+def _bin(op: str, left: ast.Expr, right: ast.Expr) -> ast.Binary:
+    return ast.Binary(op=op, left=left, right=right)
+
+
+def test_binary_precedence_and_left_associativity():
+    a, b, c = (ast.Ident(name=n) for n in "abc")
+    assert _expr("a | b & c") == _bin("|", a, _bin("&", b, c))
+    assert _expr("a == b < c") == _bin("==", a, _bin("<", b, c))
+    assert _expr("a << b + c") == _bin("<<", a, _bin("+", b, c))
+    assert _expr("a - b - c") == _bin("-", _bin("-", a, b), c)
+    for loose, tight in combinations(BINARY_LEVELS, 2):
+        for lo, hi in product(loose, tight):
+            assert _expr(f"a {lo} b {hi} c") == _bin(lo, a, _bin(hi, b, c))
+            assert _expr(f"a {hi} b {lo} c") == _bin(lo, _bin(hi, a, b), c)
+    for level in BINARY_LEVELS:
+        for first, second in product(level, repeat=2):
+            assert _expr(f"a {first} b {second} c") \
+                == _bin(second, _bin(first, a, b), c)
