@@ -127,9 +127,14 @@ def label(cache_dir, out_dir, seed, max_k, budget):
     if not gens:
         raise click.ClickException(
             f"no cached generations under {cache_dir}; run generate first")
+    specs = list_problems()
+    unknown = {g.problem_id for g in gens} - {s.problem_id for s in specs}
+    if unknown:
+        raise click.ClickException(f"{cache_dir} holds generations for "
+                                   f"problems not in the catalog: "
+                                   f"{', '.join(sorted(unknown))}")
     # Before labeling, so a missing directory cannot discard its work.
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    specs = list_problems()
     rows = label_batch(gens, specs, seed=seed, max_k=max_k, budget=budget)
     out = Path(out_dir) / "dataset.csv"
     export_csv(rows, out)
@@ -138,6 +143,21 @@ def label(cache_dir, out_dir, seed, max_k, budget):
 
 
 # --------------------------------------------------------------- metrics
+
+def _dataset_rows(dataset: str) -> list:
+    """The rows of a labeled dataset, which must cover a complete scope."""
+    from svsec.metrics import import_csv
+    from svsec.metrics.passatk import ScopeError, check_scope
+
+    if not Path(dataset).exists():
+        raise click.ClickException(f"{dataset} not found; run label first")
+    rows = import_csv(dataset)
+    try:
+        check_scope(rows)
+    except ScopeError as exc:
+        raise click.ClickException(f"{dataset}: {exc}") from None
+    return rows
+
 
 @main.command()
 @click.option("--dataset", default="./dataset.csv", show_default=True,
@@ -150,14 +170,10 @@ def metrics(dataset, cache_dir, out_dir, seed):
     """Compute passatk.csv, heatmap.json, and keywords.csv."""
     import csv as _csv
 
-    from svsec.metrics import (import_csv, keyword_frequency,
-                               passatk_by_difficulty, write_heatmap_json,
-                               write_keywords_csv)
+    from svsec.metrics import (keyword_frequency, passatk_by_difficulty,
+                               write_heatmap_json, write_keywords_csv)
 
-    if not Path(dataset).exists():
-        raise click.ClickException(
-            f"{dataset} not found; run label first")
-    rows = import_csv(dataset)
+    rows = _dataset_rows(dataset)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -188,12 +204,10 @@ def metrics(dataset, cache_dir, out_dir, seed):
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 def report(dataset, as_json):
     """Summarize a labeled dataset: Pass@k per provider/difficulty."""
-    from svsec.metrics import (import_csv, passatk_by_cwe,
-                               passatk_by_difficulty, verdict_counts)
+    from svsec.metrics import (passatk_by_cwe, passatk_by_difficulty,
+                               verdict_counts)
 
-    if not Path(dataset).exists():
-        raise click.ClickException(f"{dataset} not found; run label first")
-    rows = import_csv(dataset)
+    rows = _dataset_rows(dataset)
     excl = passatk_by_difficulty(rows, include_noncompilable=False)
     incl = passatk_by_difficulty(rows, include_noncompilable=True)
     providers = sorted({p for p, _ in excl})

@@ -1,11 +1,11 @@
 """Regeneration loop: n completions per (provider, problem), cached.
 
-Every response lands in `cache/<provider>/<problem>/<regen>.json`
-before use, so interrupted runs resume without repeating provider
-calls.  Failures are recorded on the Generation and never abort the
-batch; a resumed run asks the provider again for each recorded
-failure.  The result always holds exactly |providers| x |specs| x n
-entries.
+Every response is appended, as one JSON line, to the log
+`generations.jsonl` in the cache directory before use, so interrupted
+runs resume without repeating provider calls.  Failures are recorded on
+the Generation and never abort the batch; a resumed run asks the
+provider again for each recorded failure.  The result always holds
+exactly |providers| x |specs| x n entries.
 """
 
 from __future__ import annotations
@@ -46,50 +46,38 @@ class Generation:
         return not self.error
 
 
-# The Generation fields a cache entry holds, in the order written.
-_ENTRY_FIELDS = ("problem_id", "provider_id", "regen_index", "raw", "error",
-                 "timestamp")
+CACHE_FILE = "generations.jsonl"
 
-
-def cache_path(cache_dir: str | Path, provider_id: str, problem_id: str,
-               regen_index: int) -> Path:
-    return Path(cache_dir) / provider_id / problem_id / f"{regen_index}.json"
+# The Generation fields a cache entry holds, in the order written, and
+# their JSON types.
+_ENTRY_FIELDS = {"problem_id": str, "provider_id": str, "regen_index": int,
+                 "raw": str, "error": str, "timestamp": (int, float)}
 
 
 def load_cache(cache_dir: str | Path) -> list[Generation]:
-    """Every readable entry under `cache_dir`, by (provider, problem,
-    regen index)."""
-    gens = [g for g in map(_load_cached,
-                           sorted(Path(cache_dir).glob("*/*/*.json")))
-            if g is not None]
-    gens.sort(key=lambda g: (g.provider_id, g.problem_id, g.regen_index))
+    """The last complete entry of each (provider, problem, regen index),
+    in that order; streams the log, skipping lines that are not entries."""
+    path = Path(cache_dir) / CACHE_FILE
+    if not path.exists():
+        return []
+    with open(path, "rb") as fh:
+        latest = {(g.provider_id, g.problem_id, g.regen_index): g
+                  for g in map(_entry, fh) if g is not None}
+    gens = [latest[key] for key in sorted(latest)]
+    for gen in gens:
+        gen.source = extract_code(gen.raw) if gen.ok else None
     return gens
 
 
-def _load_cached(path: Path) -> Generation | None:
-    if not path.exists():
-        return None
+def _entry(line: bytes) -> Generation | None:
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
+        doc = json.loads(line)
+    except ValueError:
         return None
-    gen = Generation(**{k: doc[k] for k in _ENTRY_FIELDS if k in doc},
-                     from_cache=True)
-    gen.source = extract_code(gen.raw) if gen.ok else None
-    return gen
-
-
-def _write_entry(path: Path, text: str) -> None:
-    """Write through a temporary file in the same directory, which
-    `load_cache`'s glob does not match, so an interrupted write leaves
-    no partial entry."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    if not isinstance(doc, dict) or not all(
+            isinstance(doc.get(k), t) for k, t in _ENTRY_FIELDS.items()):
+        return None
+    return Generation(**{k: doc[k] for k in _ENTRY_FIELDS}, from_cache=True)
 
 
 def generate_batch(specs: list[ProblemSpec],
@@ -107,13 +95,13 @@ def generate_batch(specs: list[ProblemSpec],
     provider_ids = ([p.provider_id for p in providers] if stub is None
                     else list(STUB_PROVIDERS))
     by_id = {p.provider_id: p for p in (providers or [])}
+    cached = {(g.provider_id, g.problem_id, g.regen_index): g
+              for g in load_cache(cache_dir) if g.ok}
     write_lock = threading.Lock()
 
     def one(provider_id: str, spec: ProblemSpec, i: int) -> Generation:
-        path = cache_path(cache_dir, provider_id, spec.problem_id, i)
-        cached = _load_cached(path)
-        if cached is not None and cached.ok:
-            return cached
+        if (provider_id, spec.problem_id, i) in cached:
+            return cached[provider_id, spec.problem_id, i]
         gen = Generation(problem_id=spec.problem_id, provider_id=provider_id,
                          regen_index=i, timestamp=time.time())
         try:
@@ -128,14 +116,26 @@ def generate_batch(specs: list[ProblemSpec],
             log.warning("generation failed: %s/%s/%d: %s", provider_id,
                         spec.problem_id, i, gen.error)
         gen.source = extract_code(gen.raw) if gen.ok else None
-        doc = {k: getattr(gen, k) for k in _ENTRY_FIELDS}
+        line = json.dumps({k: getattr(gen, k) for k in _ENTRY_FIELDS})
+        data = f"{line}\n".encode()
         with write_lock:
-            _write_entry(path, json.dumps(doc, indent=1))
+            if os.write(fd, data) != len(data):
+                raise OSError(f"short write to {CACHE_FILE}")
         return gen
 
     jobs = [(pid, spec, i) for pid in provider_ids
             for spec in specs for i in range(n)]
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        results = list(pool.map(lambda j: one(*j), jobs))
+    Path(cache_dir).mkdir(parents=True, exist_ok=True)
+    fd = os.open(Path(cache_dir) / CACHE_FILE,
+                 os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        # A torn last line must not swallow this run's first entry.
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            os.write(fd, b"\n")
+        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+            results = list(pool.map(lambda j: one(*j), jobs))
+    finally:
+        os.close(fd)
     assert len(results) == len(provider_ids) * len(specs) * n
     return results

@@ -155,6 +155,77 @@ def test_metrics_creates_a_missing_out_dir(tmp_path, stub_run):
         assert (out / artifact).exists(), artifact
 
 
+def one_line_error(res, *needles):
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    (line,) = res.output.splitlines()
+    assert line.startswith("Error: ")
+    for needle in needles:
+        assert needle in line
+    return line
+
+
+def scope_commands(dataset, tmp_path):
+    return (("metrics", "--dataset", dataset, "--cache", str(tmp_path),
+             "--out", str(tmp_path / "out")),
+            ("report", "--dataset", dataset),
+            ("report", "--dataset", dataset, "--json"))
+
+
+def test_header_only_dataset_is_one_line_error(tmp_path, stub_run):
+    header = (stub_run / "dataset.csv").read_text().splitlines()[0]
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text(header + "\n")
+    for args in scope_commands(str(dataset), tmp_path):
+        one_line_error(invoke(*args), str(dataset), "empty row set")
+    assert not (tmp_path / "out").exists()
+
+
+def test_incomplete_dataset_names_the_missing_cell(tmp_path, stub_run):
+    header, first, *rest = (stub_run / "dataset.csv").read_text(
+        ).splitlines()
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text("\n".join([header, *rest]) + "\n")
+    provider, problem, _ = first.split(",")[0].split(":")
+    cwe, difficulty = problem.removeprefix("cwe").split("_")
+    cell = f"('{provider}', {cwe}, '{difficulty}', 1)"
+    for args in scope_commands(str(dataset), tmp_path):
+        one_line_error(invoke(*args), "incomplete scope", cell)
+
+
+def test_label_names_a_problem_not_in_the_catalog(tmp_path):
+    entry = {"problem_id": "cwe9999_basic", "provider_id": "stub-a",
+             "regen_index": 0, "raw": "module m(); endmodule", "error": "",
+             "timestamp": 0.0}
+    (tmp_path / "generations.jsonl").write_text(json.dumps(entry) + "\n")
+    res = invoke("label", "--cache", str(tmp_path),
+                 "--out", str(tmp_path / "out"))
+    one_line_error(res, "cwe9999_basic", "not in the catalog")
+    assert not (tmp_path / "out").exists()
+
+
+def test_label_ignores_a_tree_of_entry_files(tmp_path):
+    old = tmp_path / "cache" / "stub-a" / "cwe1209_basic" / "0.json"
+    old.parent.mkdir(parents=True)
+    old.write_text(json.dumps({"problem_id": "cwe1209_basic",
+                               "provider_id": "stub-a", "regen_index": 0,
+                               "raw": "", "error": "", "timestamp": 0.0}))
+    res = invoke("label", "--cache", str(tmp_path / "cache"),
+                 "--out", str(tmp_path))
+    one_line_error(res, "run generate first")
+
+
+def test_resumed_generate_appends_nothing(tmp_path):
+    for _ in range(2):
+        res = invoke("generate", "--stub", "--n", "1", "--out",
+                     str(tmp_path))
+        assert res.exit_code == 0, res.output
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == \
+        ["generations.jsonl"]
+    log = (tmp_path / "cache" / "generations.jsonl").read_text()
+    assert len(log.splitlines()) == 120
+
+
 def test_full_pipeline(tmp_path):
     out = str(tmp_path)
     res = invoke("generate", "--stub", "--n", "2", "--seed", "1",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -277,20 +278,96 @@ def test_generate_batch_records_failures_without_aborting(tmp_path):
 
 
 def test_interrupted_cache_write_leaves_no_entry(tmp_path, monkeypatch):
-    write_text = Path.write_text
+    import svsec.gen.batch as batch
 
-    def write_half(self, text, *args, **kwargs):
-        write_text(self, text[:len(text) // 2], *args, **kwargs)
-        raise OSError("disk full")
+    write, cuts = batch.os.write, []
 
-    monkeypatch.setattr(Path, "write_text", write_half)
+    def cut_first_append(fd, data):
+        if not cuts:
+            cuts.append(data)
+            data = data[:len(data) // 2]
+        return write(fd, data)
+
+    def transport(url, json, headers, timeout):
+        return FakeResponse(200, "module m(); endmodule")
+
     specs = list_problems(difficulty="basic")[:1]
-    with pytest.raises(OSError, match="disk full"):
-        generate_batch(specs, None, 1, tmp_path,
-                       stub=StubProvider(seed=0, n=1), workers=1)
+    providers = [make_cfg(provider_id="only")]
+    monkeypatch.setattr(batch.os, "write", cut_first_append)
+    with pytest.raises(OSError, match="short write"):
+        generate_batch(specs, providers, 1, tmp_path, workers=1,
+                       transport=transport)
     monkeypatch.undo()
-    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+    log_file = tmp_path / "generations.jsonl"
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [log_file]
+    torn = log_file.read_bytes()
+    assert torn == cuts[0][:len(cuts[0]) // 2]
     assert load_cache(tmp_path) == []
+    # The next run starts on a new line, reading only the log's last
+    # byte to decide, so its first entry is kept.
+    pread, reads = batch.os.pread, []
+
+    def spy(fd, n, offset):
+        reads.append((n, offset))
+        return pread(fd, n, offset)
+
+    monkeypatch.setattr(batch.os, "pread", spy)
+    (gen,) = generate_batch(specs, providers, 1, tmp_path, workers=1,
+                            transport=transport)
+    monkeypatch.undo()
+    assert reads == [(1, len(torn) - 1)]
+    assert not gen.from_cache
+    assert log_file.read_bytes().splitlines()[0] == torn
+    (cached,) = load_cache(tmp_path)
+    assert (cached.regen_index, cached.raw) == (0, gen.raw)
+
+
+def write_log(cache_dir: Path, *lines: str) -> None:
+    (cache_dir / "generations.jsonl").write_text(
+        "".join(f"{ln}\n" for ln in lines), encoding="utf-8")
+
+
+def entry(regen_index=0, raw="module m(); endmodule", error=""):
+    return json.dumps({"problem_id": "cwe1209_basic", "provider_id": "only",
+                       "regen_index": regen_index, "raw": raw,
+                       "error": error, "timestamp": 1.5})
+
+
+def test_later_complete_line_wins_over_an_earlier_error(tmp_path):
+    write_log(tmp_path, entry(error="http 503"), entry(),
+              entry(regen_index=1, raw=""),
+              entry(regen_index=1, error="http 500"))
+    gens = load_cache(tmp_path)
+    assert [(g.regen_index, g.ok) for g in gens] == [(0, True), (1, False)]
+    assert gens[0].source == "module m(); endmodule\n"
+    assert gens[1].source is None
+
+
+def test_lines_that_are_not_entries_are_skipped(tmp_path):
+    missing = json.loads(entry())
+    del missing["timestamp"]
+    write_log(tmp_path, "{}", "[1,2]", "", "   ", "null", "not json",
+              json.dumps(missing), entry(regen_index="0"), entry()[:-1],
+              entry(regen_index=3))
+    assert [g.regen_index for g in load_cache(tmp_path)] == [3]
+
+
+def test_concurrent_workers_write_one_line_per_generation(tmp_path):
+    specs = list_problems(difficulty="basic")[:3]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        gens = generate_batch(specs, None, 4, tmp_path,
+                              stub=StubProvider(seed=0, n=4), workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    lines = (tmp_path / "generations.jsonl").read_text(
+        encoding="utf-8").splitlines()
+    assert len(lines) == len(gens) == len(STUB_PROVIDERS) * 3 * 4
+    keys = {(d["provider_id"], d["problem_id"], d["regen_index"])
+            for d in map(json.loads, lines)}
+    assert keys == {(g.provider_id, g.problem_id, g.regen_index)
+                    for g in gens}
 
 
 def test_cache_resume_skips_provider_calls(tmp_path):
@@ -320,5 +397,7 @@ def test_no_secrets_in_cache_files(tmp_path, monkeypatch):
     providers = [make_cfg(provider_id="only", auth_env="TEST_PROVIDER_KEY")]
     generate_batch(specs, providers, 2, tmp_path, workers=1,
                    transport=transport)
-    for path in tmp_path.rglob("*.json"):
-        assert "hunter2-secret" not in path.read_text(encoding="utf-8")
+    assert (tmp_path / "generations.jsonl").exists()
+    for path in tmp_path.rglob("*"):
+        if path.is_file():
+            assert b"hunter2-secret" not in path.read_bytes(), path
