@@ -7,14 +7,38 @@ the decision order break on the lowest variable index.
 Literals use DIMACS convention at the API (nonzero ints, negative for
 negation) and the packed form 2*v / 2*v+1 internally.
 
+Data layout:
+
+- `lval[p]` is the value of packed literal p: 1 true, 0 false,
+  `_UNASSIGNED` otherwise.  Both literals of a variable are written on
+  assignment, so every value test is one list read.
+- `heap` is an indexed binary heap of variables keyed on
+  (-activity, var), as in MiniSat: `heap_pos[v]` is v's slot, or -1.
+  It holds at most one entry per variable.  An assigned variable may
+  stay in it until `_decide` pops it, and `_backtrack` puts back the
+  popped ones, so every unassigned variable is always in it.  A bump
+  moves its variable up in place.  A rescale of all activities keeps
+  their order but can round two of them to a tie, so it re-sorts the
+  heap.
+- A clause is a list of packed literals whose first two are watched.
+  `watches[p]` lists the clauses that watch the negation of p, and
+  `reason[v]` is the clause that implied v, or None.  Both refer to
+  the clause lists themselves.
+- `add_clauses` adds a batch of clauses in one call, with the same
+  result as adding them one at a time: a unit clause is propagated
+  before the next clause is simplified against the root assignment.
+
+No clause is ever deleted: `clauses` holds every clause of two or more
+literals in the order it was added or learned, and every learned
+clause is implied by the clauses before it, so a reverse-unit-
+propagation log needs no deletion records.
+
 Every caller solves through `solve`, which also keeps the cumulative
 solver effort (propagations + decisions + conflicts): a
 machine-independent, reproducible stand-in for wall-clock time.
 """
 
 from __future__ import annotations
-
-import heapq
 
 SAT = 1
 UNSAT = 0
@@ -34,13 +58,15 @@ def _pack(dimacs_lit: int) -> int:
 class Solver:
     def __init__(self):
         self.clauses: list[list[int]] = []
-        self.watches: list[list[int]] = []  # packed lit -> clause indices
-        self.assign: list[int] = []         # var -> 0/1/_UNASSIGNED
+        self.watches: list[list[list[int]]] = []  # packed lit -> clauses
+        self.lval: list[int] = []           # packed lit -> 0/1/_UNASSIGNED
         self.level: list[int] = []
-        self.reason: list[int] = []         # var -> clause index or -1
+        self.reason: list = []              # var -> clause or None
         self.phase: list[int] = []
         self.activity: list[float] = []
-        self.heap: list[tuple[float, int]] = []
+        self.heap: list[int] = []           # vars, best first
+        self.heap_pos: list[int] = []       # var -> slot in heap, or -1
+        self.seen: list[bool] = []          # scratch for _analyze
         self.trail: list[int] = []          # packed lits in assignment order
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -54,138 +80,240 @@ class Solver:
     # ---- problem construction ------------------------------------------
 
     def ensure_vars(self, n: int) -> None:
-        while len(self.assign) < n:
-            self.assign.append(_UNASSIGNED)
-            self.level.append(0)
-            self.reason.append(-1)
-            self.phase.append(0)
-            self.activity.append(0.0)
-            self.watches.append([])
-            self.watches.append([])
-            heapq.heappush(self.heap, (0.0, len(self.assign) - 1))
+        old = len(self.level)
+        if n <= old:
+            return
+        k = n - old
+        self.lval += [_UNASSIGNED] * (2 * k)
+        self.watches += [[] for _ in range(2 * k)]
+        self.level += [0] * k
+        self.reason += [None] * k
+        self.phase += [0] * k
+        self.activity += [0.0] * k
+        self.seen += [False] * k
+        # a new variable has the lowest activity and the highest index,
+        # so it goes last in the heap without moving anything
+        self.heap_pos += range(len(self.heap), len(self.heap) + k)
+        self.heap += range(old, n)
 
     def add_clause(self, dimacs_lits) -> bool:
+        return self.add_clauses((dimacs_lits,))
+
+    def add_clauses(self, clauses) -> bool:
+        """Add DIMACS clauses between solves (at decision level 0).
+
+        Duplicate literals and literals false at the root are dropped;
+        tautologies and clauses true at the root are skipped; a unit is
+        assigned and propagated at once.  Returns False once the
+        clauses are unsatisfiable.
+        """
+        assert not self.trail_lim, "clauses are added at decision level 0"
         if not self.ok:
             return False
-        lits = []
-        seen = set()
-        for dl in dimacs_lits:
-            self.ensure_vars(abs(dl))
-            p = _pack(dl)
-            if p ^ 1 in seen:
-                return True  # tautology
-            if p in seen:
-                continue
-            seen.add(p)
-            v = self.assign[p >> 1]
-            if v != _UNASSIGNED and self.level[p >> 1] == 0:
-                if v == (p & 1) ^ 1:
-                    return True  # satisfied at root
-                continue  # falsified at root, drop literal
-            lits.append(p)
-        if not lits:
-            self.ok = False
-            return False
-        if len(lits) == 1:
-            if not self._enqueue(lits[0], -1):
-                self.ok = False
-                return False
-            conf = self._propagate()
-            if conf != -1:
-                self.ok = False
-                return False
-            return True
-        ci = len(self.clauses)
-        self.clauses.append(lits)
-        self.watches[lits[0] ^ 1].append(ci)
-        self.watches[lits[1] ^ 1].append(ci)
+        lval = self.lval
+        watches = self.watches
+        nlits = len(lval)
+        for clause in clauses:
+            lits = []
+            for dl in clause:
+                p = 2 * dl - 2 if dl > 0 else -2 * dl - 1  # _pack(dl)
+                if p >= nlits:
+                    self.ensure_vars((p >> 1) + 1)
+                    nlits = len(lval)
+                val = lval[p]
+                if val == _UNASSIGNED:
+                    if p ^ 1 in lits:
+                        break  # tautology
+                    if p not in lits:
+                        lits.append(p)
+                elif val == 1:
+                    break  # satisfied at root
+                # else: falsified at root, drop the literal
+            else:
+                if len(lits) > 1:
+                    self.clauses.append(lits)
+                    watches[lits[0] ^ 1].append(lits)
+                    watches[lits[1] ^ 1].append(lits)
+                    continue
+                if not lits:
+                    self.ok = False
+                    return False
+                self._enqueue(lits[0], None)
+                if self._propagate() is not None:
+                    self.ok = False
+                    return False
         return True
 
     # ---- assignment ----------------------------------------------------
 
-    def _value(self, p: int) -> int:
-        v = self.assign[p >> 1]
-        if v == _UNASSIGNED:
-            return _UNASSIGNED
-        return v ^ (p & 1)
-
-    def _enqueue(self, p: int, reason: int) -> bool:
-        val = self._value(p)
-        if val != _UNASSIGNED:
-            return val == 1
+    def _enqueue(self, p: int, reason) -> None:
+        """Assign the unassigned literal p true."""
+        self.lval[p] = 1
+        self.lval[p ^ 1] = 0
         var = p >> 1
-        self.assign[var] = (p & 1) ^ 1
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(p)
-        return True
 
-    def _propagate(self) -> int:
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            self.propagations += 1
-            ws = self.watches[p]
+    def _propagate(self):
+        """Propagate the trail from qhead; returns a conflicting clause,
+        or None."""
+        trail = self.trail
+        start = qhead = self.qhead
+        if qhead == len(trail):
+            return None
+        watches = self.watches
+        lval = self.lval
+        level = self.level
+        reason = self.reason
+        cur_level = len(self.trail_lim)
+        confl = None
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
+            false_lit = p ^ 1
+            ws = watches[p]
             i = 0
-            while i < len(ws):
-                ci = ws[i]
-                c = self.clauses[ci]
+            n = len(ws)
+            while i < n:
+                c = ws[i]
                 # make sure the falsified literal is in slot 1
-                if c[0] == p ^ 1:
-                    c[0], c[1] = c[1], c[0]
-                if self._value(c[0]) == 1:
+                first = c[0]
+                if first == false_lit:
+                    first = c[1]
+                    c[0] = first
+                    c[1] = false_lit
+                if lval[first] == 1:
                     i += 1
                     continue
-                moved = False
                 for k in range(2, len(c)):
-                    if self._value(c[k]) != 0:
-                        c[1], c[k] = c[k], c[1]
-                        self.watches[c[1] ^ 1].append(ci)
-                        ws[i] = ws[-1]
+                    q = c[k]
+                    if lval[q] != 0:
+                        c[1] = q
+                        c[k] = false_lit
+                        watches[q ^ 1].append(c)
+                        n -= 1
+                        ws[i] = ws[n]
                         ws.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                # unit or conflicting
-                if not self._enqueue(c[0], ci):
-                    self.qhead = len(self.trail)
-                    return ci
-                i += 1
-        return -1
+                else:
+                    # unit or conflicting
+                    if lval[first] == 0:
+                        confl = c
+                        break
+                    lval[first] = 1
+                    lval[first ^ 1] = 0
+                    var = first >> 1
+                    level[var] = cur_level
+                    reason[var] = c
+                    trail.append(first)
+                    i += 1
+            if confl is not None:
+                break
+        self.propagations += qhead - start
+        self.qhead = len(trail)
+        return confl
+
+    # ---- decision order ------------------------------------------------
+
+    def _heap_up(self, i: int) -> None:
+        """Move the variable in heap slot i up to its place."""
+        heap = self.heap
+        pos = self.heap_pos
+        act = self.activity
+        v = heap[i]
+        a = act[v]
+        while i > 0:
+            up = (i - 1) >> 1
+            u = heap[up]
+            b = act[u]
+            if a < b or (a == b and v > u):
+                break
+            heap[i] = u
+            pos[u] = i
+            i = up
+        heap[i] = v
+        pos[v] = i
+
+    def _heap_pop(self) -> int:
+        """Remove and return the variable of highest activity."""
+        heap = self.heap
+        pos = self.heap_pos
+        act = self.activity
+        top = heap[0]
+        pos[top] = -1
+        v = heap.pop()
+        n = len(heap)
+        if n == 0:
+            return top
+        a = act[v]
+        i = 0
+        while True:
+            c = 2 * i + 1
+            if c >= n:
+                break
+            u = heap[c]
+            b = act[u]
+            if c + 1 < n:
+                w = heap[c + 1]
+                bw = act[w]
+                if bw > b or (bw == b and w < u):
+                    c += 1
+                    u = w
+                    b = bw
+            if a > b or (a == b and v < u):
+                break
+            heap[i] = u
+            pos[u] = i
+            i = c
+        heap[i] = v
+        pos[v] = i
+        return top
+
+    def _bump(self, variables: list[int]) -> None:
+        """Add var_inc to each variable's activity, in order."""
+        act = self.activity
+        pos = self.heap_pos
+        for v in variables:
+            a = act[v] + self.var_inc
+            act[v] = a
+            if a > 1e100:
+                for u in range(len(act)):
+                    act[u] *= 1e-100
+                self.var_inc *= 1e-100
+                # rounding may tie two activities; re-sort so that
+                # ties break on the index
+                self.heap.sort(key=lambda u: (-act[u], u))
+                for slot, u in enumerate(self.heap):
+                    pos[u] = slot
+            if pos[v] > 0:
+                self._heap_up(pos[v])
 
     # ---- conflict analysis ---------------------------------------------
 
-    def _bump(self, var: int) -> None:
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
-            for v in range(len(self.activity)):
-                self.activity[v] *= 1e-100
-            self.var_inc *= 1e-100
-        if self.assign[var] == _UNASSIGNED:
-            heapq.heappush(self.heap, (-self.activity[var], var))
-
-    def _analyze(self, confl: int) -> tuple[list[int], int]:
+    def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        seen = self.seen
         learned = [0]  # slot for the asserting literal
-        seen = [False] * len(self.assign)
+        marked = []    # the variables seen, in order: bumped and cleared
         counter = 0
         p = -1
-        index = len(self.trail) - 1
+        index = len(trail) - 1
         cur_level = len(self.trail_lim)
         while True:
-            c = self.clauses[confl]
-            start = 0 if p == -1 else 1
-            for q in c[start:]:
+            for q in (confl if p == -1 else confl[1:]):
                 var = q >> 1
-                if not seen[var] and self.level[var] > 0:
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
-                    self._bump(var)
-                    if self.level[var] >= cur_level:
+                    marked.append(var)
+                    if level[var] >= cur_level:
                         counter += 1
                     else:
                         learned.append(q)
             while True:
-                p = self.trail[index]
+                p = trail[index]
                 index -= 1
                 if seen[p >> 1]:
                     break
@@ -193,51 +321,67 @@ class Solver:
             seen[p >> 1] = False
             if counter == 0:
                 break
-            confl = self.reason[p >> 1]
+            confl = reason[p >> 1]
         learned[0] = p ^ 1
+        self._bump(marked)
 
         # clause minimization: drop literals implied by the rest
         keep = [learned[0]]
         for q in learned[1:]:
-            r = self.reason[q >> 1]
-            if r == -1:
+            r = reason[q >> 1]
+            if r is None:
                 keep.append(q)
                 continue
-            if any(not seen[x >> 1] and self.level[x >> 1] > 0
-                   for x in self.clauses[r] if x != (q ^ 1)):
-                keep.append(q)
+            implied = q ^ 1
+            for x in r:
+                if x != implied and not seen[x >> 1] and level[x >> 1] > 0:
+                    keep.append(q)
+                    break
         learned = keep
+        for var in marked:
+            seen[var] = False
 
         if len(learned) == 1:
-            back = 0
-        else:
-            # second-highest decision level in the clause
-            back = max(self.level[q >> 1] for q in learned[1:])
-            hi = max(range(1, len(learned)),
-                     key=lambda ix: self.level[learned[ix] >> 1])
-            learned[1], learned[hi] = learned[hi], learned[1]
+            return learned, 0
+        # second-highest decision level in the clause, moved to slot 1
+        hi = 1
+        back = level[learned[1] >> 1]
+        for ix in range(2, len(learned)):
+            lv = level[learned[ix] >> 1]
+            if lv > back:
+                hi = ix
+                back = lv
+        learned[1], learned[hi] = learned[hi], learned[1]
         return learned, back
 
     def _backtrack(self, target_level: int) -> None:
-        while len(self.trail_lim) > target_level:
-            start = self.trail_lim.pop()
-            for p in reversed(self.trail[start:]):
+        if len(self.trail_lim) > target_level:
+            trail = self.trail
+            lval = self.lval
+            phase = self.phase
+            heap = self.heap
+            pos = self.heap_pos
+            start = self.trail_lim[target_level]
+            for ix in range(len(trail) - 1, start - 1, -1):
+                p = trail[ix]
                 var = p >> 1
-                self.phase[var] = self.assign[var]
-                self.assign[var] = _UNASSIGNED
-                heapq.heappush(self.heap, (-self.activity[var], var))
-            del self.trail[start:]
+                phase[var] = lval[p & ~1]
+                lval[p] = lval[p ^ 1] = _UNASSIGNED
+                if pos[var] < 0:
+                    pos[var] = len(heap)
+                    heap.append(var)
+                    self._heap_up(pos[var])
+            del trail[start:]
+            del self.trail_lim[target_level:]
         self.qhead = len(self.trail)
 
     # ---- search --------------------------------------------------------
 
     def _decide(self) -> int:
+        lval = self.lval
         while self.heap:
-            act, var = heapq.heappop(self.heap)
-            if self.assign[var] == _UNASSIGNED and -act == self.activity[var]:
-                return 2 * var + (1 if self.phase[var] == 0 else 0)
-        for var in range(len(self.assign)):
-            if self.assign[var] == _UNASSIGNED:
+            var = self._heap_pop()
+            if lval[2 * var] == _UNASSIGNED:
                 return 2 * var + (1 if self.phase[var] == 0 else 0)
         return -1
 
@@ -259,6 +403,10 @@ class Solver:
         for dl in assumptions:
             self.ensure_vars(abs(dl))
             packed_assumps.append(_pack(dl))
+        n_assumps = len(packed_assumps)
+        trail = self.trail
+        trail_lim = self.trail_lim
+        lval = self.lval
         restart_count = 0
         limit = _luby(restart_count) * 100
         base_conflicts = self.conflicts
@@ -268,22 +416,20 @@ class Solver:
                 self._backtrack(0)
                 return UNKNOWN
             confl = self._propagate()
-            if confl != -1:
+            if confl is not None:
                 self.conflicts += 1
-                if len(self.trail_lim) <= len(packed_assumps):
+                if len(trail_lim) <= n_assumps:
                     self._backtrack(0)
                     return UNSAT
                 learned, back = self._analyze(confl)
                 self._backtrack(back)
                 if len(learned) == 1:
-                    if not self._enqueue(learned[0], -1):
-                        return UNSAT
+                    self._enqueue(learned[0], None)
                 else:
-                    ci = len(self.clauses)
                     self.clauses.append(learned)
-                    self.watches[learned[0] ^ 1].append(ci)
-                    self.watches[learned[1] ^ 1].append(ci)
-                    self._enqueue(learned[0], ci)
+                    self.watches[learned[0] ^ 1].append(learned)
+                    self.watches[learned[1] ^ 1].append(learned)
+                    self._enqueue(learned[0], learned)
                 self.var_inc /= 0.95
                 if self.conflicts - base_conflicts >= limit:
                     restart_count += 1
@@ -292,24 +438,24 @@ class Solver:
                     self._backtrack(0)
                 continue
             # extend with assumptions, then decisions
-            if len(self.trail_lim) < len(packed_assumps):
-                p = packed_assumps[len(self.trail_lim)]
-                val = self._value(p)
+            if len(trail_lim) < n_assumps:
+                p = packed_assumps[len(trail_lim)]
+                val = lval[p]
                 if val == 0:
                     self._backtrack(0)
                     return UNSAT
-                self.trail_lim.append(len(self.trail))
+                trail_lim.append(len(trail))
                 if val == _UNASSIGNED:
-                    self._enqueue(p, -1)
+                    self._enqueue(p, None)
                 continue
             p = self._decide()
             if p == -1:
-                self.model = [1 if a == 1 else 0 for a in self.assign]
+                self.model = [1 if x == 1 else 0 for x in lval[0::2]]
                 self._backtrack(0)
                 return SAT
             self.decisions += 1
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(p, -1)
+            trail_lim.append(len(trail))
+            self._enqueue(p, None)
 
     def model_value(self, dimacs_var: int) -> int:
         return self.model[dimacs_var - 1]
@@ -340,8 +486,7 @@ def solve(clauses, num_vars: int, budget: int | None = None,
     s = Solver() if solver is None else solver
     before = s.work()
     s.ensure_vars(num_vars)
-    for c in clauses:
-        s.add_clause(c)
+    s.add_clauses(clauses)
     status = s.solve(assumptions, budget=budget)
     _work_units += s.work() - before
     return status, (list(s.model) if status == SAT else None)

@@ -22,7 +22,7 @@ from svsec.engine.result import (CompileError, Falsified, NoCexUpTo, Proven,
                                  Unknown)
 from svsec.props import compile_obligation, parse_property
 
-from conftest import COUNTER, compile_ts
+from conftest import COUNTER, compile_ts, pipeline_design
 from test_acceptance import (_gen_counter, _gen_lock, _gen_once,
                              _gen_regfile, _random_property)
 
@@ -293,32 +293,11 @@ def test_lazy_simple_path_matches_eager_on_random_designs():
     assert statuses == {"proven", "falsified"}
 
 
-def _pipeline_design(depth: int, width: int, masked_bit: int) -> str:
-    """A depth-stage register pipeline whose input has one bit masked."""
-    regs = [f"s{i}_q" for i in range(depth - 1)] + ["q_out"]
-    mask = ((1 << width) - 1) & ~(1 << masked_bit)
-    lines = ["module pipe(",
-             "  input logic clk_in,",
-             "  input logic rst_n_in,",
-             f"  input logic [{width - 1}:0] d_in,",
-             f"  output logic [{width - 1}:0] q_out",
-             ");"]
-    lines += [f"  logic [{width - 1}:0] {r};" for r in regs[:-1]]
-    lines += ["  always_ff @(posedge clk_in or negedge rst_n_in) begin",
-              "    if (!rst_n_in) begin"]
-    lines += [f"      {r} <= {width}'d0;" for r in regs]
-    lines += ["    end else begin",
-              f"      {regs[0]} <= d_in & {width}'d{mask};"]
-    lines += [f"      {regs[i]} <= {regs[i - 1]};" for i in range(1, depth)]
-    lines += ["    end", "  end", "endmodule"]
-    return "\n".join(lines) + "\n"
-
-
 def test_deep_induction_work_stays_small():
     # the masked bit needs k = 16 to prove; solver work, unlike time,
     # is deterministic, so it guards the incremental step directly
     before = sat.work_units()
-    res = check_design(_pipeline_design(16, 8, 7), "pipe", "!q_out[7]")
+    res = check_design(pipeline_design(16, 8, 7), "pipe", "!q_out[7]")
     work = sat.work_units() - before
     assert res.status == "proven" and res.k_used == 16
     assert work < 5_000, work

@@ -166,3 +166,107 @@ def test_sympy_cross_check():
         f = And(*[Or(*[syms[abs(l) - 1] if l > 0 else Not(syms[abs(l) - 1])
                        for l in c]) for c in clauses])
         assert (satisfiable(f) is not False) == (status == SAT)
+
+
+def _messy_batch(rng, n, size):
+    """Clauses with duplicate literals, tautologies and units mixed in."""
+    batch = []
+    for _ in range(size):
+        kind = rng.random()
+        lits = [v if rng.random() < 0.5 else -v
+                for v in (rng.randint(1, n) for _ in range(rng.randint(1, 4)))]
+        if kind < 0.15:
+            lits = lits[:1]                       # unit
+        elif kind < 0.3:
+            lits.append(lits[0])                  # duplicate literal
+        elif kind < 0.4:
+            lits.append(-lits[0])                 # tautology
+        batch.append(tuple(lits))
+    return batch
+
+
+def test_bulk_clause_adds_match_single_adds():
+    # the units of one batch propagate to the root before later clauses
+    # of the same batch are simplified, and later batches meet literals
+    # already true or false at the root
+    rng = random.Random(43)
+    statuses = set()
+    for _ in range(120):
+        n = rng.randint(2, 9)
+        bulk, single = sat.Solver(), sat.Solver()
+        clauses = []
+        for _ in range(5):
+            batch = _messy_batch(rng, n, rng.randint(1, 2 * n))
+            ok = bulk.add_clauses(batch)
+            assert ok == all([single.add_clause(c) for c in batch])
+            clauses += batch
+            assumptions = [v if rng.random() < 0.5 else -v
+                           for v in rng.sample(range(1, n + 1),
+                                               rng.randint(0, 2))]
+            status = bulk.solve(assumptions=assumptions)
+            assert single.solve(assumptions=assumptions) == status
+            units = [(a,) for a in assumptions]
+            assert status == brute_force(clauses + units, n)
+            if status == SAT:
+                assert bulk.model == single.model
+                assert model_satisfies(clauses + units, bulk.model)
+            assert bulk.work() == single.work()
+            assert bulk.clauses == single.clauses
+            statuses.add(status)
+    assert statuses == {SAT, UNSAT}
+
+
+def test_decisions_follow_activity_after_a_rescale():
+    # a bump past 1e100 scales every activity down by 1e-100; the
+    # decision order must still be by activity
+    s = sat.Solver()
+    s.ensure_vars(3)
+    s._bump([0, 1, 1])          # activities 1, 2, 0
+    s.add_clause((3,))          # var 2 is assigned at the root
+    s.var_inc = 1e100
+    s._bump([2, 2])             # 2e100 > 1e100: rescale
+    assert s.activity[1] > s.activity[0]
+    assert s._decide() >> 1 == 1
+
+
+def test_a_rescale_that_ties_two_activities_breaks_the_tie_on_the_index():
+    # two adjacent doubles can round to one value when scaled by 1e-100
+    low, high = 1.5000000000000007, 1.5000000000000009
+    assert low < high and low * 1e-100 == high * 1e-100
+    s = sat.Solver()
+    s.ensure_vars(5)
+    s.var_inc = low
+    s._bump([0])
+    s.var_inc = high
+    s._bump([1])                # var 1 ranks above var 0
+    s.add_clause((4,))          # var 3 is assigned at the root
+    s.var_inc = 1e100
+    s._bump([3, 3])             # rescale: var 0 and var 1 tie
+    assert s.activity[0] == s.activity[1]
+    assert s._decide() >> 1 == 0
+
+
+def test_order_heap_holds_one_entry_per_variable(monkeypatch):
+    # every bump and backtrack used to push an entry, so the heap grew
+    # with the search instead of with the problem
+    from svsec.catalog import list_problems
+    from svsec.catalog.problems import design_text, instantiate_property_text
+    from svsec.check import check_design
+
+    solvers = []
+
+    class Recorded(sat.Solver):
+        def __init__(self):
+            super().__init__()
+            solvers.append(self)
+
+    monkeypatch.setattr(sat, "Solver", Recorded)
+    (spec,) = list_problems(cwe=1261, difficulty="advanced")
+    verdict = check_design(design_text(spec.correct_file), spec.module_name,
+                           instantiate_property_text(spec))
+    assert verdict.status == "proven" and verdict.k_used == 1
+    step = max(solvers, key=lambda s: s.conflicts)
+    assert step.conflicts > 500
+    for s in solvers:
+        assert len(s.heap) <= len(s.activity)
+        assert len(set(s.heap)) == len(s.heap)
