@@ -7,6 +7,8 @@ Buses are tuples of literals, lsb first.
 
 from __future__ import annotations
 
+from functools import partial
+
 from svsec.ir import expr as ex
 from svsec.ir.transition import TransitionSystem
 
@@ -47,6 +49,21 @@ class Aig:
 
     def lmux(self, c: int, t: int, e: int) -> int:
         return self.lor(self.land(c, t), self.land(c ^ 1, e))
+
+    def copy(self, src: "Aig", bound: list[int]) -> list[int]:
+        """Copy `src` in node order; returns each src node's literal.
+        Src inputs 1..len(bound) take the literals `bound`, the others
+        fresh inputs; ANDs go through `land`, so they fold and hash
+        against what this AIG holds."""
+        lits = [FALSE, *bound]
+        for node in src.nodes[len(lits):]:
+            if node is None:
+                lits.append(self.new_input())
+            else:
+                a, b = node
+                lits.append(self.land(lits[a >> 1] ^ (a & 1),
+                                      lits[b >> 1] ^ (b & 1)))
+        return lits
 
     def evaluate(self, inputs: dict[int, int], roots: list[int]) -> list[int]:
         """Evaluate root literals given values for input literals."""
@@ -174,74 +191,47 @@ def blast_expr(aig: Aig, e: ex.Expr, env: dict[str, tuple[int, ...]],
                ) -> tuple[int, ...]:
     """Lower one IR expression to a bus, resolving names through env.
 
-    The IR is a DAG: an always block's values share the terms they
-    read.  `memo` maps each operator node blasted so far to its bus, so
-    a shared node is blasted once; share one memo only between calls
-    over the same env.
+    Share one memo only between calls over the same env.
     """
-    if isinstance(e, ex.BV):
-        return aig.bus_const(e.width, e.value)
-    if isinstance(e, ex.Ref):
-        bus = env[e.name]
-        assert len(bus) == e.width, e.name
+    def leaf(x: ex.Expr) -> tuple[int, ...]:
+        if isinstance(x, ex.BV):
+            return aig.bus_const(x.width, x.value)
+        bus = env[x.name]
+        assert len(bus) == x.width, x.name
         return bus
-    if memo is None:
-        memo = {}
-    bus = memo.get(e)
-    if bus is not None:
-        return bus
-    op = e.op
-    if op == "mux":
-        c = blast_expr(aig, e.args[0], env, memo)[0]
-        bus = aig.bus_mux(c, blast_expr(aig, e.args[1], env, memo),
-                          blast_expr(aig, e.args[2], env, memo))
-    elif op == "concat":
-        bus = ()
-        for part in reversed(e.args):  # args are msb-first
-            bus = bus + blast_expr(aig, part, env, memo)
-    elif op == "slice":
-        hi, lo = e.params
-        bus = blast_expr(aig, e.args[0], env, memo)[lo:hi + 1]
-    else:
-        bus = _blast_op(aig, e, [blast_expr(aig, a, env, memo)
-                                 for a in e.args])
-    memo[e] = bus
-    return bus
+
+    return ex.fold(e, leaf, partial(_blast_op, aig), memo)
+
+
+# The bus method of each operator but mux, concat and slice.  Binary
+# operands are zero-extended to a common width; a compare or a
+# reduction gives one literal.
+_BUS_OPS = {
+    "not": Aig.bus_not, "neg": Aig.bus_neg, "redor": Aig.bus_redor,
+    "redand": Aig.bus_redand, "redxor": Aig.bus_redxor,
+    "and": Aig.bus_and, "or": Aig.bus_or, "xor": Aig.bus_xor,
+    "add": Aig.bus_add, "sub": Aig.bus_sub, "mul": Aig.bus_mul,
+    "shl": Aig.bus_shl, "shr": Aig.bus_shr,
+    "eq": Aig.bus_eq, "ult": Aig.bus_ult, "ule": Aig.bus_ule,
+}
 
 
 def _blast_op(aig: Aig, e: ex.Op, bs: list[tuple[int, ...]]
               ) -> tuple[int, ...]:
-    """Apply a bitwise, arithmetic, compare or reduce node to the buses
-    of its arguments."""
+    """Apply an operator node to the buses of its arguments."""
     op = e.op
-    if op == "not":
-        return aig.bus_not(bs[0])
-    if op == "neg":
-        return aig.bus_neg(bs[0])
-    if op in ("and", "or", "xor", "add", "sub", "mul", "shl", "shr",
-              "ult", "ule", "eq"):
-        a, b = bs
-        w = max(len(a), len(b))
-        a = a + (FALSE,) * (w - len(a))
-        b = b + (FALSE,) * (w - len(b))
-        if op == "eq":
-            return (aig.bus_eq(a, b),)
-        if op == "ult":
-            return (aig.bus_ult(a, b),)
-        if op == "ule":
-            return (aig.bus_ule(a, b),)
-        fn = {"and": aig.bus_and, "or": aig.bus_or, "xor": aig.bus_xor,
-              "add": aig.bus_add, "sub": aig.bus_sub, "mul": aig.bus_mul,
-              "shl": aig.bus_shl, "shr": aig.bus_shr}[op]
-        out = fn(a, b)
-        return out[:e.width]
-    if op == "redor":
-        return (aig.bus_redor(bs[0]),)
-    if op == "redand":
-        return (aig.bus_redand(bs[0]),)
-    if op == "redxor":
-        return (aig.bus_redxor(bs[0]),)
-    raise ValueError(f"unknown op {op!r}")
+    if op == "mux":
+        return aig.bus_mux(bs[0][0], bs[1], bs[2])
+    if op == "concat":
+        return tuple(lit for bus in reversed(bs) for lit in bus)
+    if op == "slice":
+        hi, lo = e.params
+        return bs[0][lo:hi + 1]
+    if len(bs) == 2:
+        w = max(map(len, bs))
+        bs = [b + (FALSE,) * (w - len(b)) for b in bs]
+    out = _BUS_OPS[op](aig, *bs)
+    return (out,) if isinstance(out, int) else out[:e.width]
 
 
 def blast_frame(aig: Aig, ts: TransitionSystem,

@@ -1,17 +1,17 @@
 """Bounded model checking over an obligation's augmented system.
 
-The transition relation is unrolled frame by frame into one growing
-AIG, which an incremental Tseitin encoder feeds into one persistent
-solver.  Depths are checked shallowest first, each with its `bad` bit
-as an assumption, so the first hit is at the minimal depth; a depth
-shown clean keeps `not bad` as a permanent unit and is not checked
-again.
+The transition relation is blasted once into a template AIG, and each
+frame copies the template into one growing AIG, which an incremental
+Tseitin encoder feeds into one persistent solver.  Depths are checked
+shallowest first, each with its `bad` bit as an assumption, so the
+first hit is at the minimal depth; a depth shown clean keeps `not bad`
+as a permanent unit and is not checked again.
 """
 
 from __future__ import annotations
 
 from svsec.engine import sat
-from svsec.engine.aig import Aig, FALSE, blast_frame
+from svsec.engine.aig import Aig, FALSE, TRUE, blast_frame
 from svsec.engine.cnf import TseitinEncoder
 from svsec.engine.result import Falsified, NoCexUpTo, Unknown
 from svsec.engine.trace import Trace
@@ -23,49 +23,63 @@ DEFAULT_BUDGET = 10_000_000
 
 class Unroller:
     """Time-frame expansion with reset-constrained frame 0, and the one
-    solver that all queries over its frames share."""
+    solver that all queries over its frames share.
+
+    The transition relation is blasted once, into a template AIG whose
+    inputs are placeholder state bits, then the system inputs.  A frame
+    copies the template into the unrolled AIG, its placeholders taking
+    the previous frame's next state (or the initial state), and keeps
+    the unrolled literal of every template node.
+    """
 
     def __init__(self, obl: SafetyObligation, free_initial: bool = False):
         self.obl = obl
         self.ts = obl.augmented
+        self.template = Aig()
+        state = {s.name: self.template.bus_input(s.width)
+                 for s in self.ts.states}
+        # template buses of every TS signal, and of the next state
+        self._buses, nxt = blast_frame(self.template, self.ts, state)
+        self._next = [lit for s in self.ts.states for lit in nxt[s.name]]
         self.aig = Aig()
         self.cnf = TseitinEncoder(self.aig)
         self.solver = sat.Solver()
         # depths below this one are shown violation-free (bmc only)
         self.clean = 0
-        # one bus per TS signal in each unrolled time step
-        self.frames: list[dict[str, tuple[int, ...]]] = []
-        self.initial_free: dict[str, tuple[int, ...]] = {}
-        env: dict[str, tuple[int, ...]] = {}
+        self.frames: list[list[int]] = []
+        # the state bits the next frame starts from
+        self._state: list[int] = []
         for s in self.ts.states:
             if s.reset is None or free_initial:
-                bus = self.aig.bus_input(s.width)
-                self.initial_free[s.name] = bus
+                self._state += self.aig.bus_input(s.width)
             else:
-                bus = self.aig.bus_const(s.width, s.reset)
-            env[s.name] = bus
-        self._next_state_env = env
+                self._state += self.aig.bus_const(s.width, s.reset)
 
     def extend(self) -> None:
-        frame, nxt = blast_frame(self.aig, self.ts, self._next_state_env)
+        frame = self.aig.copy(self.template, self._state)
         self.frames.append(frame)
-        self._next_state_env = nxt
+        self._state = [frame[lit >> 1] ^ (lit & 1) for lit in self._next]
 
-    def at_least(self, depth: int) -> None:
+    def frame(self, depth: int) -> list[int]:
+        """The frame at `depth`, unrolling up to it first."""
         while len(self.frames) <= depth:
             self.extend()
+        return self.frames[depth]
+
+    def bus(self, depth: int, name: str) -> tuple[int, ...]:
+        frame = self.frame(depth)
+        return tuple(frame[lit >> 1] ^ (lit & 1) for lit in self._buses[name])
 
     def bad(self, depth: int) -> int:
-        self.at_least(depth)
-        return self.frames[depth][self.obl.bad_name][0]
-
-    def input_lits(self, depth: int) -> list[int]:
-        frame = self.frames[depth]
-        return [lit for n, _ in self.ts.inputs for lit in frame[n]]
+        return self.bus(depth, self.obl.bad_name)[0]
 
     def state_lits(self, depth: int) -> list[int]:
-        frame = self.frames[depth]
-        return [lit for s in self.ts.states for lit in frame[s.name]]
+        # template nodes 1..n are the placeholders
+        return self.frame(depth)[1:1 + len(self._next)]
+
+    def input_lits(self, depth: int) -> list[int]:
+        start = 1 + len(self._next)
+        return self.frame(depth)[start:start + self.ts.input_bits()]
 
     def add_unit(self, dimacs_lit: int) -> None:
         """Assert a literal in every later query."""
@@ -80,17 +94,13 @@ class Unroller:
                          solver=self.solver, assumptions=assumptions)
 
     def extract_trace(self, model: list[int], depth: int) -> Trace:
-        def bus_value(bus: tuple[int, ...]) -> int:
+        def value(t: int, name: str) -> int:
             return sum(self.cnf.value(model, lit) << i
-                       for i, lit in enumerate(bus))
+                       for i, lit in enumerate(self.bus(t, name)))
 
-        initial = {s.name: s.reset or 0 for s in self.ts.states}
-        for name, bus in self.initial_free.items():
-            initial[name] = bus_value(bus)
-        inputs = []
-        for t in range(depth + 1):
-            inputs.append({n: bus_value(self.frames[t][n])
-                           for n, _ in self.ts.inputs})
+        initial = {s.name: value(0, s.name) for s in self.ts.states}
+        inputs = [{n: value(t, n) for n, _ in self.ts.inputs}
+                  for t in range(depth + 1)]
         tr = Trace(initial=initial, inputs=inputs)
         tr.replay(self.ts)
         return tr
@@ -114,7 +124,7 @@ def bmc(obl: SafetyObligation, max_depth: int,
     un = unroller or Unroller(obl)
     start = un.solver.work()
     # encode every input a trace reads, so that models assign them all
-    un.cnf.encode(lit for bus in un.initial_free.values() for lit in bus)
+    un.cnf.encode(lit for lit in un.state_lits(0) if lit > TRUE)
     for d in range(un.clean, max_depth + 1):
         bad = un.bad(d)
         un.cnf.encode(un.input_lits(d))

@@ -31,7 +31,7 @@ from svsec.engine.result import Falsified, NoCexUpTo, Proven, Unknown
 from svsec.props.obligation import SafetyObligation
 
 
-def k_induction(obl: SafetyObligation, max_k: int, simple_path: bool = True,
+def k_induction(obl: SafetyObligation, max_k: int,
                 budget: int = DEFAULT_BUDGET):
     """Prove, falsify, or give up on `obl` with k up to `max_k`.
 
@@ -54,7 +54,7 @@ def k_induction(obl: SafetyObligation, max_k: int, simple_path: bool = True,
             return out_of_budget("base case", k, budget)
         assert isinstance(res, NoCexUpTo)
 
-        status = _step(step_un, k, simple_path, left)
+        status = _step(step_un, k, left)
         if status == sat.UNSAT:
             return Proven(k_used=k)
         if status == sat.UNKNOWN:
@@ -62,8 +62,7 @@ def k_induction(obl: SafetyObligation, max_k: int, simple_path: bool = True,
     return Unknown(max_k=max_k, reason="induction depth exhausted")
 
 
-def _step(un: Unroller, k: int, simple_path: bool,
-          left: Callable[[], int]) -> int:
+def _step(un: Unroller, k: int, left: Callable[[], int]) -> int:
     """Solve: frames 0..k-1 good, frame k bad, states distinct.
 
     Called for k = 0, 1, 2, ... on the same unroller, each solve with
@@ -75,7 +74,7 @@ def _step(un: Unroller, k: int, simple_path: bool,
     states = [un.state_lits(t) for t in range(k + 1)]
     while True:
         status, model = un.solve([bad_lit], left())
-        if status != sat.SAT or not simple_path:
+        if status != sat.SAT:
             return status
         known = [_known_state(un, model, lits) for lits in states]
         # a pair is distinct in every extension of the model when some

@@ -7,6 +7,7 @@ unsigned; all values are Python ints masked to their width.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 
@@ -107,10 +108,8 @@ def concat(parts: tuple[Expr, ...]) -> Expr:
     """parts are msb-first."""
     w = sum(p.width for p in parts)
     if all(isinstance(p, BV) for p in parts):
-        v = 0
-        for p in parts:
-            v = (v << p.width) | p.value
-        return BV(w, v)
+        return BV(w, eval_op("concat", [p.value for p in parts],
+                             [p.width for p in parts], ()))
     return _op(w, "concat", tuple(parts))
 
 
@@ -146,7 +145,7 @@ def lognot(a: Expr) -> Expr:
 # --------------------------------------------------------------------------
 # Evaluation
 
-def eval_op(op: str, vals: tuple[int, ...], widths: tuple[int, ...],
+def eval_op(op: str, vals: Sequence[int], widths: Sequence[int],
             params: tuple[int, ...]) -> int:
     if op == "not":
         return ~vals[0] & mask(widths[0])
@@ -186,70 +185,83 @@ def eval_op(op: str, vals: tuple[int, ...], widths: tuple[int, ...],
     if op == "slice":
         hi, lo = params
         return (vals[0] >> lo) & mask(hi - lo + 1)
+    if op == "mux":
+        return vals[1] if vals[0] else vals[2]
+    if op == "concat":
+        v = 0
+        for x, w in zip(vals, widths):
+            v = (v << w) | x
+        return v
     raise ValueError(f"unknown op {op!r}")
+
+
+def fold(e: Expr, leaf, node, memo: dict | None = None):
+    """Fold the DAG under `e` in post-order: `leaf(x)` values a BV or
+    Ref, and `node(op, vals)` an Op from its args' values.
+
+    `memo` maps each Op folded so far to its value, so `node` runs once
+    per distinct Op; share it only between folds with the same `leaf`
+    and `node`.  Args are visited in order, but a concat's lsb first:
+    the `node` calls number a blasted AIG's nodes.  The walk keeps its
+    own stack, so no depth reaches the interpreter's recursion limit.
+    """
+    if not isinstance(e, Op):
+        return leaf(e)
+    if memo is None:
+        memo = {}
+    # (op, True) folds op, whose args are done; (op, False) first
+    # pushes it so, then its args above it, the first to visit on top
+    stack = [(e, False)]
+    while stack:
+        top, ready = stack.pop()
+        if ready:
+            memo[top] = node(top, [memo[a] if isinstance(a, Op) else leaf(a)
+                                   for a in top.args])
+        elif top not in memo:
+            stack.append((top, True))
+            args = top.args if top.op == "concat" else reversed(top.args)
+            stack.extend((a, False) for a in args
+                         if isinstance(a, Op) and a not in memo)
+    return memo[e]
 
 
 def eval_expr(e: Expr, env, memo: dict[Op, int] | None = None) -> int:
     """Evaluate with `env` mapping names to int values.
 
-    Expressions are DAGs; `memo` maps each operator node evaluated so
-    far to its value.  Share one memo only between calls over the same
-    env.
+    Share one memo only between calls over the same env.
     """
-    if isinstance(e, BV):
-        return e.value
-    if isinstance(e, Ref):
-        return env[e.name]
-    if memo is None:
-        memo = {}
-    v = memo.get(e)
-    if v is not None:
-        return v
-    if e.op == "mux":
-        c = eval_expr(e.args[0], env, memo)
-        v = eval_expr(e.args[1] if c else e.args[2], env, memo)
-    elif e.op == "concat":
-        v = 0
-        for p in e.args:
-            v = (v << p.width) | eval_expr(p, env, memo)
-    else:
-        vals = tuple(eval_expr(a, env, memo) for a in e.args)
-        v = eval_op(e.op, vals, tuple(a.width for a in e.args), e.params)
-    memo[e] = v
-    return v
+    def leaf(x: Expr) -> int:
+        return x.value if isinstance(x, BV) else env[x.name]
+
+    return fold(e, leaf, lambda op, vals: eval_op(
+        op.op, vals, tuple(a.width for a in op.args), op.params), memo)
 
 
 def substitute(e: Expr, env: dict[str, int],
                memo: dict[Op, Expr] | None = None) -> Expr:
     """Partially evaluate: replace named refs with constants and fold.
 
-    `memo` maps each operator node done so far to its result, so a node
-    the DAG shares is folded once.
+    Share one memo only between calls over the same env.
     """
-    if isinstance(e, BV):
-        return e
-    if isinstance(e, Ref):
-        if e.name in env:
-            return BV(e.width, env[e.name])
-        return e
-    if memo is None:
-        memo = {}
-    out = memo.get(e)
-    if out is not None:
-        return out
-    args = tuple(substitute(a, env, memo) for a in e.args)
+    def leaf(x: Expr) -> Expr:
+        if isinstance(x, Ref) and x.name in env:
+            return BV(x.width, env[x.name])
+        return x
+
+    return fold(e, leaf, _rebuild, memo)
+
+
+def _rebuild(e: Op, args: list[Expr]) -> Expr:
+    """`e` over new args, through the folding constructors."""
     if e.op == "mux":
-        out = mux(args[0], args[1], args[2])
-    elif e.op == "concat":
-        out = concat(args)
-    elif e.op == "slice":
-        out = slice_(args[0], e.params[0], e.params[1])
-    elif len(args) == 1:
-        out = unop(e.op, args[0], e.width)
-    else:
-        out = binop(e.op, args[0], args[1], e.width)
-    memo[e] = out
-    return out
+        return mux(*args)
+    if e.op == "concat":
+        return concat(tuple(args))
+    if e.op == "slice":
+        return slice_(args[0], *e.params)
+    if len(args) == 1:
+        return unop(e.op, args[0], e.width)
+    return binop(e.op, args[0], args[1], e.width)
 
 
 def refs(e: Expr) -> set[str]:

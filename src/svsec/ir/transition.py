@@ -86,35 +86,29 @@ def compile_stepper(ts: TransitionSystem):
     to a local once, so the code grows with the IR's DAG, not with the
     tree it unfolds to.
     """
-    names: dict[str, str] = {}
-
-    def pyname(n: str) -> str:
-        if n not in names:
-            names[n] = f"v{len(names)}"
-        return names[n]
-
+    signals = ([s.name for s in ts.states] + [n for n, _ in ts.inputs]
+               + [n for n, _ in ts.defines])
+    names = {n: f"v{i}" for i, n in enumerate(signals)}
     lines = ["def step(state, inputs):"]
     for i, s in enumerate(ts.states):
-        lines.append(f"    {pyname(s.name)} = state[{i}]")
+        lines.append(f"    {names[s.name]} = state[{i}]")
     for i, (n, _) in enumerate(ts.inputs):
-        lines.append(f"    {pyname(n)} = inputs[{i}]")
+        lines.append(f"    {names[n]} = inputs[{i}]")
     temps: dict[ex.Op, str] = {}
 
-    def operand(e: ex.Expr) -> str:
-        """A constant, a signal's local, or the local bound to an Op."""
-        if isinstance(e, ex.BV):
-            return str(e.value)
-        if isinstance(e, ex.Ref):
-            return pyname(e.name)
-        if e not in temps:
-            code = _pyexpr(e, [operand(a) for a in e.args])
-            temps[e] = f"t{len(temps)}"
-            lines.append(f"    {temps[e]} = {code}")
-        return temps[e]
+    def leaf(e: ex.Expr) -> str:
+        return str(e.value) if isinstance(e, ex.BV) else names[e.name]
+
+    def bind(e: ex.Op, args: list[str]) -> str:
+        """Bind an operator node to a new local; returns its name."""
+        name = f"t{len(temps)}"
+        lines.append(f"    {name} = {_pyexpr(e, args)}")
+        return name
 
     for n, e in ts.defines:
-        lines.append(f"    {pyname(n)} = {operand(e)}")
-    nxt = ", ".join(operand(ts.next[s.name]) for s in ts.states)
+        lines.append(f"    {names[n]} = {ex.fold(e, leaf, bind, temps)}")
+    nxt = ", ".join(ex.fold(ts.next[s.name], leaf, bind, temps)
+                    for s in ts.states)
     env_items = ", ".join(f"{n!r}: {v}" for n, v in names.items())
     lines.append(f"    return ({nxt}{',' if len(ts.states) == 1 else ''}), {{{env_items}}}")
     ns: dict = {}

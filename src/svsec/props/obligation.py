@@ -30,12 +30,6 @@ class SafetyObligation:
     prop: PropertyAst
     bad_name: str = BAD
 
-    def bad_expr(self) -> ex.Expr:
-        for name, e in self.augmented.defines:
-            if name == self.bad_name:
-                return e
-        raise KeyError(self.bad_name)
-
 
 class _History:
     """Allocates $past shift-register chains, shared across the property."""

@@ -13,7 +13,7 @@ import pytest
 import svsec
 from svsec.check import check_design
 from svsec.engine import sat
-from svsec.engine.aig import FALSE
+from svsec.engine.aig import FALSE, Aig, blast_frame
 from svsec.engine.bmc import Unroller, bmc
 from svsec.engine.cnf import to_cnf
 from svsec.engine.induction import k_induction
@@ -25,6 +25,7 @@ from svsec.props import compile_obligation, parse_property
 from conftest import COUNTER, compile_ts, pipeline_design
 from test_acceptance import (_gen_counter, _gen_lock, _gen_once,
                              _gen_regfile, _random_property)
+from test_search_golden import GOLDEN, _check
 
 BY_TWO = """\
 module bytwo(
@@ -92,10 +93,8 @@ def test_deep_induction_on_unreachable_odd_states():
     # induction step only closes once k covers that whole cycle.
     obl = obligation(BY_TWO, "bytwo",
                      "disable iff (!rst_n_in) count_out != 4'h9")
-    strong = k_induction(obl, max_k=12, simple_path=True)
-    assert isinstance(strong, Proven) and strong.k_used == 8
-    plain = k_induction(obl, max_k=12, simple_path=False)
-    assert isinstance(plain, Proven) and plain.k_used >= strong.k_used
+    res = k_induction(obl, max_k=12)
+    assert isinstance(res, Proven) and res.k_used == 8
     oracle = explicit_state_oracle(obl)
     assert not oracle.violated
 
@@ -205,7 +204,39 @@ def test_step_out_of_budget_is_unknown_not_a_failed_step():
     assert res.reason == "induction step at k=2 exceeded the work budget of 50"
 
 
-def _eager_step_holds(un: Unroller, k: int, simple_path: bool) -> bool:
+def _blasted_frames(obl, free_initial: bool, depth: int):
+    """Reference unrolling: blast every frame anew into one AIG.
+    Returns the AIG and each frame's bus of every TS signal."""
+    ts = obl.augmented
+    aig = Aig()
+    state = {s.name: aig.bus_input(s.width)
+             if s.reset is None or free_initial
+             else aig.bus_const(s.width, s.reset) for s in ts.states}
+    frames = []
+    for _ in range(depth + 1):
+        frame, state = blast_frame(aig, ts, state)
+        frames.append(frame)
+    return aig, frames
+
+
+@pytest.mark.parametrize("name", [n for n in GOLDEN if n.startswith("cwe")]
+                         + ["prove8", "leak8"])
+def test_copying_the_template_builds_the_blasted_aig(name):
+    # The copies must number their nodes as blasting each frame would,
+    # or CNF variables, and so the search, change.  The fold visits a
+    # concat's parts lsb first for this reason.
+    source, top, text = _check(name)
+    obl = obligation(source, top, text)
+    for free_initial in (False, True):
+        un = Unroller(obl, free_initial)
+        un.bad(2)
+        aig, frames = _blasted_frames(obl, free_initial, 2)
+        assert un.aig.nodes == aig.nodes, free_initial
+        for t, frame in enumerate(frames):
+            assert {n: un.bus(t, n) for n in frame} == frame
+
+
+def _eager_step_holds(un: Unroller, k: int) -> bool:
     """Reference step: one fresh CNF with every pairwise distinctness
     constraint up front."""
     bad_k = un.bad(k)
@@ -217,24 +248,23 @@ def _eager_step_holds(un: Unroller, k: int, simple_path: bool) -> bool:
         if good == FALSE:
             return True  # a good frame is impossible; vacuously holds
         roots.append(good)
-    if simple_path:
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                roots.append(un.aig.bus_eq(un.state_lits(i),
-                                           un.state_lits(j)) ^ 1)
+    for i in range(k + 1):
+        for j in range(i + 1, k + 1):
+            roots.append(un.aig.bus_eq(un.state_lits(i),
+                                       un.state_lits(j)) ^ 1)
     if FALSE in roots:
         return True
     f = to_cnf(un.aig, roots)
     return sat.solve(f.clauses, f.num_vars)[0] == sat.UNSAT
 
 
-def _eager_k_induction(obl, max_k: int, simple_path: bool = True):
+def _eager_k_induction(obl, max_k: int):
     base, step = Unroller(obl), Unroller(obl, free_initial=True)
     for k in range(max_k + 1):
         res = bmc(obl, max_depth=k, unroller=base)
         if isinstance(res, Falsified):
             return res
-        if _eager_step_holds(step, k, simple_path):
+        if _eager_step_holds(step, k):
             return Proven(k_used=k)
     return Unknown(max_k=max_k, reason="induction depth exhausted")
 
@@ -264,19 +294,15 @@ endmodule
 """
 
 
-@pytest.mark.parametrize("simple_path", [True, False])
 @pytest.mark.parametrize("source, top, text, k_used", [
     (BY_TWO, "bytwo", "disable iff (!rst_n_in) count_out != 4'h9", 8),
     (STUCK, "stuck", "disable iff (!rst_n_in) state_out != 2'd2", 2),
 ], ids=["bytwo", "stuck"])
-def test_lazy_simple_path_matches_eager(source, top, text, k_used,
-                                        simple_path):
+def test_lazy_simple_path_matches_eager(source, top, text, k_used):
     obl = obligation(source, top, text)
-    eager = _eager_k_induction(obl, max_k=12, simple_path=simple_path)
-    lazy = k_induction(obl, max_k=12, simple_path=simple_path)
-    assert _summary(lazy) == _summary(eager)
-    if simple_path:
-        assert _summary(lazy) == ("proven", k_used, None)
+    eager = _eager_k_induction(obl, max_k=12)
+    lazy = k_induction(obl, max_k=12)
+    assert _summary(lazy) == _summary(eager) == ("proven", k_used, None)
 
 
 def test_lazy_simple_path_matches_eager_on_random_designs():

@@ -88,7 +88,7 @@ def test_obligation_structure(counter_ts):
     assert "__v_1" in names          # warm-up chain
     assert any(n.startswith("__p") for n in names)  # history register
     assert obl.bad_name == BAD
-    assert obl.bad_expr().width == 1
+    assert obl.augmented.widths[obl.bad_name] == 1
     # original system is untouched
     assert {s.name for s in counter_ts.states} == {"count_out"}
 
