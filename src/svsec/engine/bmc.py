@@ -1,8 +1,13 @@
 """Bounded model checking over an obligation's augmented system.
 
-The transition relation is blasted once into a template AIG, and each
-frame copies the template into one growing AIG, which an incremental
-Tseitin encoder feeds into one persistent solver.  Depths are checked
+A check blasts its transition relation once, into one `Template` that
+the base case and the induction step share and that keeps only the
+cone of influence of `bad`: the logic that `bad` reads, directly or
+through the next state of the state bits it reads.  The
+property sees nothing outside the cone, so dropping it keeps every
+verdict (Clarke, Grumberg & Peled, "Model Checking", 1999).  Each frame
+copies the template into one growing AIG, which an incremental Tseitin
+encoder feeds into one persistent solver.  Depths are checked
 shallowest first, each with its `bad` bit as an assumption, so the
 first hit is at the minimal depth; a depth shown clean keeps `not bad`
 as a permanent unit and is not checked again.
@@ -21,26 +26,81 @@ from svsec.props.obligation import SafetyObligation
 DEFAULT_BUDGET = 10_000_000
 
 
+class Template:
+    """One frame of the augmented system, cut to the cone of `bad`.
+
+    The whole frame is blasted once, with placeholder inputs for the
+    state bits.  The cone is found at the bit level, from `bad` back
+    through AND fan-ins and from each state placeholder to its
+    next-state literal, and copied in node order into `aig`.  So the
+    template's inputs are the cone's state bits, named in `state_bits`
+    as (state, bit), and then its input bits; `next` holds the template
+    literal of each of those state bits' next state.  `buses` has every
+    signal's bus, with each bit outside the cone read as FALSE.
+    """
+
+    def __init__(self, obl: SafetyObligation):
+        ts = obl.augmented
+        full = Aig()
+        state = {s.name: full.bus_input(s.width) for s in ts.states}
+        buses, nxt = blast_frame(full, ts, state)
+        full_next = [lit for s in ts.states for lit in nxt[s.name]]
+        cone = {0}
+        stack = [buses[obl.bad_name][0] >> 1]
+        while stack:
+            node = stack.pop()
+            if node in cone:
+                continue
+            cone.add(node)
+            fanin = full.nodes[node]
+            if fanin is not None:
+                stack += (fanin[0] >> 1, fanin[1] >> 1)
+            elif node <= len(full_next):  # a state placeholder
+                stack.append(full_next[node - 1] >> 1)
+        self.aig = Aig()
+        # the template literal of each full node in the cone
+        lits = {0: FALSE}
+        order = sorted(cone)[1:]
+        for node in order:
+            fanin = full.nodes[node]
+            if fanin is None:
+                lits[node] = self.aig.new_input()
+            else:
+                a, b = fanin
+                lits[node] = self.aig.land(lits[a >> 1] ^ (a & 1),
+                                           lits[b >> 1] ^ (b & 1))
+
+        def lift(lit: int) -> int:
+            node = lit >> 1
+            return lits[node] ^ (lit & 1) if node in lits else FALSE
+
+        self.buses = {n: tuple(map(lift, bus)) for n, bus in buses.items()}
+        bits = [(s.name, i) for s in ts.states for i in range(s.width)]
+        placeholders = [node for node in order if node <= len(bits)]
+        self.state_bits = [bits[node - 1] for node in placeholders]
+        self.next = [lift(full_next[node - 1]) for node in placeholders]
+        self.input_bits = sum(full.nodes[node] is None
+                              for node in order) - len(placeholders)
+
+
 class Unroller:
     """Time-frame expansion with reset-constrained frame 0, and the one
     solver that all queries over its frames share.
 
-    The transition relation is blasted once, into a template AIG whose
-    inputs are placeholder state bits, then the system inputs.  A frame
-    copies the template into the unrolled AIG, its placeholders taking
-    the previous frame's next state (or the initial state), and keeps
-    the unrolled literal of every template node.
+    A frame copies a check's `Template` into the unrolled AIG, its
+    placeholders taking the previous frame's next state (or the initial
+    state), and keeps the unrolled literal of every template node.
+    `k_induction` builds one template and gives it to both its base and
+    its step unroller; without one, the unroller builds its own.  Only
+    the cone's state bits are unrolled, so `state_lits` covers only
+    them, and a bus bit outside the cone reads as FALSE.
     """
 
-    def __init__(self, obl: SafetyObligation, free_initial: bool = False):
+    def __init__(self, obl: SafetyObligation, free_initial: bool = False,
+                 template: Template | None = None):
         self.obl = obl
         self.ts = obl.augmented
-        self.template = Aig()
-        state = {s.name: self.template.bus_input(s.width)
-                 for s in self.ts.states}
-        # template buses of every TS signal, and of the next state
-        self._buses, nxt = blast_frame(self.template, self.ts, state)
-        self._next = [lit for s in self.ts.states for lit in nxt[s.name]]
+        self.template = template or Template(obl)
         self.aig = Aig()
         self.cnf = TseitinEncoder(self.aig)
         self.solver = sat.Solver()
@@ -48,17 +108,20 @@ class Unroller:
         self.clean = 0
         self.frames: list[list[int]] = []
         # the state bits the next frame starts from
+        resets = {s.name: s.reset for s in self.ts.states}
         self._state: list[int] = []
-        for s in self.ts.states:
-            if s.reset is None or free_initial:
-                self._state += self.aig.bus_input(s.width)
+        for name, i in self.template.state_bits:
+            reset = resets[name]
+            if reset is None or free_initial:
+                self._state.append(self.aig.new_input())
             else:
-                self._state += self.aig.bus_const(s.width, s.reset)
+                self._state.append(TRUE if (reset >> i) & 1 else FALSE)
 
     def extend(self) -> None:
-        frame = self.aig.copy(self.template, self._state)
+        frame = self.aig.copy(self.template.aig, self._state)
         self.frames.append(frame)
-        self._state = [frame[lit >> 1] ^ (lit & 1) for lit in self._next]
+        self._state = [frame[lit >> 1] ^ (lit & 1)
+                       for lit in self.template.next]
 
     def frame(self, depth: int) -> list[int]:
         """The frame at `depth`, unrolling up to it first."""
@@ -68,18 +131,19 @@ class Unroller:
 
     def bus(self, depth: int, name: str) -> tuple[int, ...]:
         frame = self.frame(depth)
-        return tuple(frame[lit >> 1] ^ (lit & 1) for lit in self._buses[name])
+        return tuple(frame[lit >> 1] ^ (lit & 1)
+                     for lit in self.template.buses[name])
 
     def bad(self, depth: int) -> int:
         return self.bus(depth, self.obl.bad_name)[0]
 
     def state_lits(self, depth: int) -> list[int]:
         # template nodes 1..n are the placeholders
-        return self.frame(depth)[1:1 + len(self._next)]
+        return self.frame(depth)[1:1 + len(self.template.next)]
 
     def input_lits(self, depth: int) -> list[int]:
-        start = 1 + len(self._next)
-        return self.frame(depth)[start:start + self.ts.input_bits()]
+        start = 1 + len(self.template.next)
+        return self.frame(depth)[start:start + self.template.input_bits]
 
     def add_unit(self, dimacs_lit: int) -> None:
         """Assert a literal in every later query."""
@@ -94,12 +158,17 @@ class Unroller:
                          solver=self.solver, assumptions=assumptions)
 
     def extract_trace(self, model: list[int], depth: int) -> Trace:
-        def value(t: int, name: str) -> int:
-            return sum(self.cnf.value(model, lit) << i
-                       for i, lit in enumerate(self.bus(t, name)))
-
-        initial = {s.name: value(0, s.name) for s in self.ts.states}
-        inputs = [{n: value(t, n) for n, _ in self.ts.inputs}
+        """The model's run to `depth`.  A state bit outside the cone
+        starts at its reset value (0 without one), and an input bit
+        outside the cone is 0; replay computes the rest."""
+        initial = {s.name: s.reset or 0 for s in self.ts.states}
+        for (name, i), lit in zip(self.template.state_bits,
+                                  self.state_lits(0)):
+            bit = self.cnf.value(model, lit) << i
+            initial[name] = initial[name] & ~(1 << i) | bit
+        inputs = [{n: sum(self.cnf.value(model, lit) << i
+                          for i, lit in enumerate(self.bus(t, n)))
+                   for n, _ in self.ts.inputs}
                   for t in range(depth + 1)]
         tr = Trace(initial=initial, inputs=inputs)
         tr.replay(self.ts)

@@ -19,6 +19,15 @@ for every larger k, so they stay.  The step fails only on a model whose
 states are pairwise distinct however its unconstrained bits are set, so
 the verdict, and `k_used`, equal those of adding all O(k^2) constraints
 up front.
+
+Both unrollers copy one template, cut to the cone of influence of
+`bad` (`bmc.Template`), so a state is the cone's state bits and simple
+paths range over those alone.  The cone is a closed system whose runs
+are the projections of the design's runs, so `bad` is reachable in one
+exactly when in the other.  States distinct on the cone are distinct
+on the whole state, so a simple path of the cone is one of the design,
+and the step can only hold sooner: on a design with state outside the
+cone, `k_used` can go down but never up, and verdicts are unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from svsec.engine import sat
-from svsec.engine.bmc import DEFAULT_BUDGET, Unroller, bmc, out_of_budget
+from svsec.engine.bmc import (DEFAULT_BUDGET, Template, Unroller, bmc,
+                              out_of_budget)
 from svsec.engine.result import Falsified, NoCexUpTo, Proven, Unknown
 from svsec.props.obligation import SafetyObligation
 
@@ -40,8 +50,9 @@ def k_induction(obl: SafetyObligation, max_k: int,
     its phase and k.  The work counts are deterministic, so the verdict
     does not depend on machine speed or load.
     """
-    base_un = Unroller(obl)
-    step_un = Unroller(obl, free_initial=True)
+    template = Template(obl)
+    base_un = Unroller(obl, template=template)
+    step_un = Unroller(obl, free_initial=True, template=template)
 
     def left() -> int:
         return budget - base_un.solver.work() - step_un.solver.work()

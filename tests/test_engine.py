@@ -21,6 +21,7 @@ from svsec.engine.oracle import OracleRefused, explicit_state_oracle
 from svsec.engine.result import (CompileError, Falsified, NoCexUpTo, Proven,
                                  Unknown)
 from svsec.props import compile_obligation, parse_property
+from svsec.props.obligation import evaluate_on_trace
 
 from conftest import COUNTER, compile_ts, pipeline_design
 from test_acceptance import (_gen_counter, _gen_lock, _gen_once,
@@ -219,43 +220,76 @@ def _blasted_frames(obl, free_initial: bool, depth: int):
     return aig, frames
 
 
+def _input_values(aig: Aig, named_buses, seed: int) -> dict:
+    """A random value for every AIG input among the bits of the named
+    buses, drawn from the seed and the bit's name, so that two AIGs of
+    the same system get the same valuation."""
+    values = {}
+    for key, bus in named_buses:
+        for i, lit in enumerate(bus):
+            if lit > 1 and aig.nodes[lit >> 1] is None:
+                rng = random.Random(f"{seed}/{key}/{i}")
+                values[lit] = rng.getrandbits(1)
+    return values
+
+
 @pytest.mark.parametrize("name", [n for n in GOLDEN if n.startswith("cwe")]
                          + ["prove8", "leak8"])
 def test_copying_the_template_builds_the_blasted_aig(name):
-    # The copies must number their nodes as blasting each frame would,
-    # or CNF variables, and so the search, change.  The fold visits a
-    # concat's parts lsb first for this reason.
+    # The unroller copies only the cone of `bad`; a per-frame blast of
+    # the whole system is the reference.  Under the same random inputs
+    # and initial state, `bad` and every cone state bit must agree.
     source, top, text = _check(name)
     obl = obligation(source, top, text)
+    ts = obl.augmented
     for free_initial in (False, True):
         un = Unroller(obl, free_initial)
         un.bad(2)
         aig, frames = _blasted_frames(obl, free_initial, 2)
-        assert un.aig.nodes == aig.nodes, free_initial
-        for t, frame in enumerate(frames):
-            assert {n: un.bus(t, n) for n in frame} == frame
+        assert len(un.aig.nodes) <= len(aig.nodes)
+        names = [n for n, _ in ts.inputs]
+        for seed in range(8):
+            def valuation(target, bus):
+                keys = [((0, s.name), bus(0, s.name)) for s in ts.states]
+                keys += [((t, n), bus(t, n)) for t in range(3) for n in names]
+                return _input_values(target, keys, seed)
+
+            full = valuation(aig, lambda t, n: frames[t][n])
+            cone = valuation(un.aig, un.bus)
+            for t, frame in enumerate(frames):
+                want = [frame[obl.bad_name][0]] + [
+                    frame[n][i] for n, i in un.template.state_bits]
+                got = [un.bad(t)] + un.state_lits(t)
+                assert (un.aig.evaluate(cone, got)
+                        == aig.evaluate(full, want)), (free_initial, t)
 
 
-def _eager_step_holds(un: Unroller, k: int) -> bool:
-    """Reference step: one fresh CNF with every pairwise distinctness
-    constraint up front."""
-    bad_k = un.bad(k)
-    if bad_k == FALSE:
-        return True
-    roots = [bad_k]
+def _eager_step_cnf(aig: Aig, bads: list[int], states: list[list[int]]):
+    """One fresh CNF of the step at k = len(bads) - 1, with every
+    pairwise distinctness constraint up front; None when the step holds
+    vacuously."""
+    k = len(bads) - 1
+    if bads[k] == FALSE:
+        return None
+    roots = [bads[k]]
     for t in range(k):
-        good = un.bad(t) ^ 1
+        good = bads[t] ^ 1
         if good == FALSE:
-            return True  # a good frame is impossible; vacuously holds
+            return None  # a good frame is impossible; vacuously holds
         roots.append(good)
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
-            roots.append(un.aig.bus_eq(un.state_lits(i),
-                                       un.state_lits(j)) ^ 1)
+            roots.append(aig.bus_eq(states[i], states[j]) ^ 1)
     if FALSE in roots:
-        return True
-    f = to_cnf(un.aig, roots)
-    return sat.solve(f.clauses, f.num_vars)[0] == sat.UNSAT
+        return None
+    return to_cnf(aig, roots)
+
+
+def _eager_step_holds(un: Unroller, k: int) -> bool:
+    """Reference step over the unroller's frames."""
+    f = _eager_step_cnf(un.aig, [un.bad(t) for t in range(k + 1)],
+                        [un.state_lits(t) for t in range(k + 1)])
+    return f is None or sat.solve(f.clauses, f.num_vars)[0] == sat.UNSAT
 
 
 def _eager_k_induction(obl, max_k: int):
@@ -317,6 +351,68 @@ def test_lazy_simple_path_matches_eager_on_random_designs():
         assert _summary(lazy) == _summary(_eager_k_induction(obl, 32))
         statuses.add(lazy.status)
     assert statuses == {"proven", "falsified"}
+
+
+def _beside_a_counter(source: str, reset: int) -> str:
+    """`source` with a free-running 8-bit counter, `tick_out`, that
+    starts at `reset` and that no property reads."""
+    block = ("  always_ff @(posedge clk_in or negedge rst_n_in) begin\n"
+             "    if (!rst_n_in) begin\n"
+             f"      tick_out <= 8'd{reset};\n"
+             "    end else begin\n"
+             "      tick_out <= tick_out + 8'd1;\n"
+             "    end\n"
+             "  end\n")
+    port = ",\n  output logic [7:0] tick_out\n);\n"
+    return (source.replace("\n);\n", port, 1)
+            .replace("endmodule\n", block + "endmodule\n"))
+
+
+def test_state_outside_the_cone_is_not_unrolled():
+    # Only the simple-path constraint closes STUCK's step.  Unrolled,
+    # the counter would make every path simple, and the step would not
+    # close at any k below 256.
+    text = "disable iff (!rst_n_in) state_out != 2'd2"
+    obl = obligation(_beside_a_counter(STUCK, 0), "stuck", text)
+    alone = obligation(STUCK, "stuck", text)
+    step, step_alone = (Unroller(o, free_initial=True) for o in (obl, alone))
+    assert all(name != "tick_out" for name, _ in step.template.state_bits)
+    assert step.bus(0, "tick_out") == (FALSE,) * 8
+    assert step.template.state_bits == step_alone.template.state_bits
+    assert len(step.state_lits(2)) == len(step_alone.state_lits(2))
+    assert (_summary(k_induction(obl, max_k=12))
+            == _summary(k_induction(alone, max_k=12))
+            == ("proven", 2, None))
+
+    # the step at k = 2 over the cone, and over the whole system
+    cone = _eager_step_cnf(step.aig, [step.bad(t) for t in range(3)],
+                           [step.state_lits(t) for t in range(3)])
+    aig, frames = _blasted_frames(obl, True, 2)
+    full = _eager_step_cnf(
+        aig, [frame[obl.bad_name][0] for frame in frames],
+        [[lit for s in obl.augmented.states for lit in frame[s.name]]
+         for frame in frames])
+    assert cone.num_vars < full.num_vars
+    assert sat.solve(cone.clauses, cone.num_vars)[0] == sat.UNSAT
+    assert sat.solve(full.clauses, full.num_vars)[0] == sat.SAT
+
+
+def test_trace_starts_state_outside_the_cone_at_reset():
+    text = "disable iff (!rst_n_in) count_out != 4'h3"
+    source = _beside_a_counter(COUNTER, 0xA5)
+    obl = obligation(source, "counter", text)
+    res = k_induction(obl, max_k=12)
+    assert isinstance(res, Falsified) and res.depth == 3
+    tr = res.trace
+    assert tr.initial["tick_out"] == 0xA5
+    assert tr.states[3]["tick_out"] == 0xA8
+    assert evaluate_on_trace(obl, tr) == 3
+    # the culprit is the increment, as without the counter
+    verdict = check_design(source, "counter", text)
+    line = source.splitlines()[verdict.culprit_line - 1]
+    assert line.strip() == "count_out <= count_out + 4'h1;"
+    assert verdict.culprit_line == check_design(COUNTER, "counter",
+                                                text).culprit_line + 1
 
 
 def test_deep_induction_work_stays_small():

@@ -52,7 +52,7 @@ GOLDEN = {
     'cwe1234_intermediate_correct': ('proven', 1, None, None, 2615),
     'cwe1234_intermediate_vulnerable': ('falsified', None, 2, 16, 587),
     'cwe1234_advanced_correct': ('proven', 1, None, None, 30),
-    'cwe1234_advanced_vulnerable': ('falsified', None, 2, 20, 460),
+    'cwe1234_advanced_vulnerable': ('falsified', None, 2, 20, 76),
     'cwe1280_basic_correct': ('proven', 1, None, None, 45),
     'cwe1280_basic_vulnerable': ('falsified', None, 2, 29, 182),
     'cwe1280_intermediate_correct': ('proven', 1, None, None, 40),
@@ -70,7 +70,7 @@ GOLDEN = {
     'cwe1276_intermediate_correct': ('proven', 1, None, None, 450),
     'cwe1276_intermediate_vulnerable': ('falsified', None, 1, 37, 171),
     'cwe1276_advanced_correct': ('proven', 1, None, None, 239),
-    'cwe1276_advanced_vulnerable': ('falsified', None, 1, 67, 126),
+    'cwe1276_advanced_vulnerable': ('falsified', None, 1, 67, 94),
     'cwe1302_basic_correct': ('proven', 1, None, None, 158),
     'cwe1302_basic_vulnerable': ('falsified', None, 1, 12, 72),
     'cwe1302_intermediate_correct': ('proven', 1, None, None, 192),
@@ -84,13 +84,13 @@ GOLDEN = {
     'cwe1258_advanced_correct': ('proven', 1, None, None, 49),
     'cwe1258_advanced_vulnerable': ('falsified', None, 2, 14, 200),
     'prove8': ('proven', 8, None, None, 129),
-    'leak8': ('falsified', None, 8, 32, 216),
+    'leak8': ('falsified', None, 8, 32, 162),
     'prove10': ('proven', 10, None, None, 231),
-    'leak10': ('falsified', None, 10, 38, 338),
+    'leak10': ('falsified', None, 10, 38, 272),
     'prove12': ('proven', 12, None, None, 377),
-    'leak12': ('falsified', None, 12, 44, 504),
+    'leak12': ('falsified', None, 12, 44, 426),
     'prove14': ('proven', 14, None, None, 575),
-    'leak14': ('falsified', None, 14, 50, 722),
+    'leak14': ('falsified', None, 14, 50, 632),
 }
 
 # The deep family: d-stage 4-bit pipelines.  The proving form masks the
