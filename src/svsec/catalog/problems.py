@@ -44,9 +44,6 @@ class ProblemSpec:
     # module-name instruction lines with their own lettered text.
     prompt_io: tuple[str, ...] = ()
 
-    def port_names(self) -> list[str]:
-        return [p.name for p in self.ports]
-
 
 class CatalogError(Exception):
     pass

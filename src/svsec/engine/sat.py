@@ -96,9 +96,6 @@ class Solver:
         self.heap_pos += range(len(self.heap), len(self.heap) + k)
         self.heap += range(old, n)
 
-    def add_clause(self, dimacs_lits) -> bool:
-        return self.add_clauses((dimacs_lits,))
-
     def add_clauses(self, clauses) -> bool:
         """Add DIMACS clauses between solves (at decision level 0).
 
@@ -456,9 +453,6 @@ class Solver:
             self.decisions += 1
             trail_lim.append(len(trail))
             self._enqueue(p, None)
-
-    def model_value(self, dimacs_var: int) -> int:
-        return self.model[dimacs_var - 1]
 
 
 def _luby(i: int) -> int:

@@ -488,7 +488,11 @@ class Parser:
                 raise ParseError(Diagnostic(Severity.ERROR, "missing 'endcase'",
                                             kw.line, kw.col))
             if self.at("default"):
-                self.next()
+                t = self.next()
+                if any(not item.patterns for item in items):
+                    raise ParseError(Diagnostic(
+                        Severity.ERROR, "case statement has a second default",
+                        t.line, t.col))
                 if self.at(":"):
                     self.next()
                 items.append(ast.CaseItem(patterns=(), body=self.parse_stmt()))

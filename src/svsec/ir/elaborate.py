@@ -4,15 +4,24 @@ Flattens the module hierarchy (instance signals become `inst.sig`),
 turns clocked always blocks into state variables with next-state
 expressions, and combinational logic into ordered defines.
 
+Always blocks are executed symbolically.  `if` (a one-arm `case`) and
+`case` run each arm in source order on its own copy of the block's
+environment, and merge the arms back into one mux per slot.  Line
+numbers come from the same run: a clocked slot carries a line tracker,
+merged like its value, and a combinational define takes the largest
+line that assigns its name.
+
 Reset handling: a `negedge rst` (or `posedge rst`) companion in a
 clocked sensitivity list is modelled as a synchronous-at-cycle-boundary
 reset; reset values are recovered by partially evaluating each
 next-state expression with the reset asserted.  States whose next
-expression does not fold to a constant under reset start free.
+expression does not fold to a constant under reset start free.  Of two
+posedges, the clock is the one the block does not read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from svsec.frontend import ast
@@ -57,11 +66,10 @@ class Scope:
 class Collected:
     input_widths: dict[str, int] = field(default_factory=dict)
     defines: dict[str, ex.Expr] = field(default_factory=dict)
-    define_lines: dict[str, int] = field(default_factory=dict)
     # state name -> (next expr, reset value or None)
     states: dict[str, tuple[ex.Expr, int | None]] = field(default_factory=dict)
-    state_widths: dict[str, int] = field(default_factory=dict)
-    assign_lines: dict[str, int] = field(default_factory=dict)  # state -> last NBA line
+    # define -> its line; state -> a line tracker over the cycle's values
+    lines: dict[str, int | ex.Expr] = field(default_factory=dict)
     clock_candidates: set[str] = field(default_factory=set)
     outputs: list[str] = field(default_factory=list)
 
@@ -90,11 +98,9 @@ def _elaborate(unit: ast.SourceUnit, top: str):
     # Topologically order defines; detect combinational cycles.
     order = _toposort_defines(col)
 
-    states = []
-    nxt = {}
-    for name, (next_e, reset) in col.states.items():
-        states.append(StateVar(name=name, width=col.state_widths[name], reset=reset))
-        nxt[name] = next_e
+    states = [StateVar(name=n, width=next_e.width, reset=reset)
+              for n, (next_e, reset) in col.states.items()]
+    nxt = {n: next_e for n, (next_e, _) in col.states.items()}
 
     ts = TransitionSystem(
         inputs=inputs,
@@ -105,9 +111,7 @@ def _elaborate(unit: ast.SourceUnit, top: str):
         clock=clock,
     )
     _check_refs(ts, clock)
-    line_map = dict(col.assign_lines)
-    line_map.update(col.define_lines)
-    return ts, line_map
+    return ts, col.lines
 
 
 def _resolve_clock(col: Collected) -> str | None:
@@ -139,7 +143,7 @@ def _resolve_clock(col: Collected) -> str | None:
             e = col.defines[c]
             if isinstance(e, ex.Ref) and e.name in dropped:
                 del col.defines[c]
-                col.define_lines.pop(c, None)
+                del col.lines[c]
                 dropped.add(c)
                 changed = True
     return root
@@ -158,28 +162,30 @@ def _check_refs(ts: TransitionSystem, clock: str | None) -> None:
 
 
 def _toposort_defines(col: Collected) -> list[str]:
-    deps = {n: ex.refs(e) & set(col.defines) for n, e in col.defines.items()}
+    # Depth-first post-order, deps in name order, on an explicit stack
+    deps = {n: sorted(r for r in ex.refs(e) if r in col.defines)
+            for n, e in col.defines.items()}
     order: list[str] = []
-    mark: dict[str, int] = {}
-
-    def visit(n: str, stack: list[str]) -> None:
-        st = mark.get(n, 0)
-        if st == 2:
-            return
-        if st == 1:
-            cycle = " -> ".join(stack[stack.index(n):] + [n])
-            raise _err(f"combinational loop: {cycle}",
-                       line=col.define_lines.get(n, 0))
-        mark[n] = 1
-        stack.append(n)
-        for d in sorted(deps[n]):
-            visit(d, stack)
-        stack.pop()
-        mark[n] = 2
-        order.append(n)
-
-    for n in sorted(col.defines):
-        visit(n, [])
+    mark: dict[str, int] = {}  # 1 while on the path, 2 once ordered
+    for root in sorted(deps):
+        if root in mark:
+            continue
+        # path[i] is being visited and todo[i] yields its unvisited deps
+        mark[root] = 1
+        path, todo = [root], [iter(deps[root])]
+        while path:
+            d = next(todo[-1], None)
+            if d is None:
+                mark[path[-1]] = 2
+                order.append(path.pop())
+                todo.pop()
+            elif mark.get(d) == 1:
+                cycle = " -> ".join(path[path.index(d):] + [d])
+                raise _err(f"combinational loop: {cycle}", line=col.lines[d])
+            elif d not in mark:
+                mark[d] = 1
+                path.append(d)
+                todo.append(iter(deps[d]))
     return order
 
 
@@ -245,13 +251,11 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
             # Output ports are driven inside the child; the parent-side
             # connection define is created at the instantiation site.
 
-    driven: set[str] = set()
-
     for a in mod.assigns:
-        _elab_continuous(a, scope, col, driven)
+        _elab_continuous(a, scope, col)
 
     for blk in mod.always_blocks:
-        _elab_always(blk, scope, col, driven)
+        _elab_always(blk, scope, col)
 
     for inst in mod.instances:
         if inst.module not in modules:
@@ -293,12 +297,12 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
             _add_define(col, scope.qual(parent_net),
                         ex.resize(ex.Ref(child_scope.widths[child_port], q_child), w),
                         line)
-            driven.add(parent_net)
 
     if is_top:
         for port in mod.ports:
-            if port.direction == "output" and port.name not in driven \
-                    and scope.qual(port.name) not in col.states:
+            q = scope.qual(port.name)
+            if port.direction == "output" and q not in col.defines \
+                    and q not in col.states:
                 raise _err(f"output port {port.name!r} is never driven", port.line)
 
 
@@ -318,7 +322,7 @@ def _add_define(col: Collected, name: str, e: ex.Expr, line: int) -> None:
     if name in col.defines or name in col.states:
         raise _err(f"multiple drivers for {name!r}", line)
     col.defines[name] = e
-    col.define_lines[name] = line
+    col.lines[name] = line
 
 
 def _range_width(msb, lsb, scope: Scope, line: int) -> int:
@@ -525,49 +529,61 @@ def _check_part(name: str, width: int, hi: int, lo: int, line: int = 0) -> None:
 # --------------------------------------------------------------------------
 # Statement elaboration (symbolic execution)
 
+@dataclass
 class _Env:
     """Symbolic environment for one always block.
 
     blocking: immediate updates visible to later reads in the block.
     deferred: nonblocking updates, applied at the end of the tick.
+    lines: per slot, the line of the assignment that produced its value,
+        muxed like the value, so a CEX report names the one that fired.
+    last_line: per assigned name, its largest assignment line; every
+        copy of the block's env shares this one dict.
     """
-
-    def __init__(self, scope: Scope):
-        self.scope = scope
-        self.blocking: dict[str, ex.Expr] = {}
-        self.deferred: dict[str, ex.Expr] = {}
-        # Source line of the assignment that produced the current value,
-        # tracked with the same mux structure as the values themselves so a
-        # CEX report can name the exact assignment that fired.
-        self.lines: dict[str, ex.Expr] = {}
+    scope: Scope
+    last_line: dict[str, int] = field(default_factory=dict)
+    blocking: dict[str, ex.Expr] = field(default_factory=dict)
+    deferred: dict[str, ex.Expr] = field(default_factory=dict)
+    lines: dict[str, ex.Expr] = field(default_factory=dict)
 
     def copy(self) -> "_Env":
-        c = _Env(self.scope)
-        c.blocking = dict(self.blocking)
-        c.deferred = dict(self.deferred)
-        c.lines = dict(self.lines)
-        return c
+        return _Env(self.scope, self.last_line, dict(self.blocking),
+                    dict(self.deferred), dict(self.lines))
 
 
 def _merge(cond: ex.Expr, a: _Env, b: _Env) -> _Env:
-    out = a.copy()
-    out.blocking = _merge_maps(cond, a, a.blocking, b.blocking)
-    out.deferred = _merge_maps(cond, a, a.deferred, b.deferred)
-    out.lines = {}
-    for k in dict.fromkeys([*a.lines, *b.lines]):
-        default = ex.BV(32, 0)
-        out.lines[k] = ex.mux(cond, a.lines.get(k, default), b.lines.get(k, default))
+    """`cond ? a : b`, slot by slot.  A slot that one side never wrote
+    holds its pre-tick value there, and a line tracker line 0."""
+    out = _Env(a.scope, a.last_line)
+    for attr in ("blocking", "deferred", "lines"):
+        ma, mb, merged = getattr(a, attr), getattr(b, attr), getattr(out, attr)
+        for k in dict.fromkeys([*ma, *mb]):
+            default = (ex.BV(32, 0) if attr == "lines"
+                       else ex.Ref(a.scope.widths[k], a.scope.qual(k)))
+            merged[k] = ex.mux(cond, ma.get(k, default), mb.get(k, default))
     return out
 
 
-def _merge_maps(cond, env: _Env, ma: dict, mb: dict) -> dict:
-    out = {}
-    for k in dict.fromkeys([*ma, *mb]):
-        default = ex.Ref(env.scope.widths[k], env.scope.qual(k))
-        va = ma.get(k, default)
-        vb = mb.get(k, default)
-        out[k] = ex.mux(cond, va, vb)
-    return out
+def _branch(env: _Env, arms, clocked: bool) -> None:
+    """Run each (cond, body) arm in source order on its own copy of
+    `env`, calling `cond` when the arm is reached, and merge the arms
+    back into `env`.  A None cond marks the default arm (else: `env`),
+    and a None body an empty arm."""
+    conds: list[tuple[ex.Expr, _Env]] = []
+    merged = env
+    for cond, body in arms:
+        arm = env.copy()
+        if cond is None:
+            merged = arm
+        else:
+            conds.append((cond(), arm))
+        if body is not None:
+            _exec_stmt(body, arm, clocked)
+    for cond, arm in reversed(conds):
+        merged = _merge(cond, arm, merged)
+    env.blocking = merged.blocking
+    env.deferred = merged.deferred
+    env.lines = merged.lines
 
 
 def _exec_stmt(s: ast.Stmt, env: _Env, clocked: bool) -> None:
@@ -577,42 +593,20 @@ def _exec_stmt(s: ast.Stmt, env: _Env, clocked: bool) -> None:
             _exec_stmt(sub, env, clocked)
         return
     if isinstance(s, ast.If):
-        cond = ex.boolify(_elab_expr(s.cond, scope, env.blocking))
-        then_env = env.copy()
-        else_env = env.copy()
-        _exec_stmt(s.then, then_env, clocked)
-        if s.other is not None:
-            _exec_stmt(s.other, else_env, clocked)
-        merged = _merge(cond, then_env, else_env)
-        env.blocking = merged.blocking
-        env.deferred = merged.deferred
-        env.lines = merged.lines
+        _branch(env, [(lambda: ex.boolify(_elab_expr(s.cond, scope, env.blocking)),
+                       s.then), (None, s.other)], clocked)
         return
     if isinstance(s, ast.Case):
         subject = _elab_expr(s.subject, scope, env.blocking)
-        default_env = env.copy()
-        arms: list[tuple[ex.Expr, _Env]] = []
-        for item in s.items:
-            if not item.patterns:
-                _exec_stmt(item.body, default_env, clocked)
-                continue
-            conds = []
-            for pat in item.patterns:
-                p = _elab_expr(pat, scope, env.blocking)
-                a, b = _balance(subject, p)
-                conds.append(ex.binop("eq", a, b))
-            cond = conds[0]
-            for c in conds[1:]:
-                cond = ex.binop("or", cond, c)
-            arm_env = env.copy()
-            _exec_stmt(item.body, arm_env, clocked)
-            arms.append((cond, arm_env))
-        merged = default_env
-        for cond, arm_env in reversed(arms):
-            merged = _merge(cond, arm_env, merged)
-        env.blocking = merged.blocking
-        env.deferred = merged.deferred
-        env.lines = merged.lines
+
+        def matches(patterns: tuple[ast.Expr, ...]) -> ex.Expr:
+            conds = [ex.binop("eq", *_balance(
+                subject, _elab_expr(p, scope, env.blocking))) for p in patterns]
+            return functools.reduce(functools.partial(ex.binop, "or"), conds)
+
+        _branch(env, [(functools.partial(matches, item.patterns)
+                       if item.patterns else None, item.body)
+                      for item in s.items], clocked)
         return
     if isinstance(s, ast.Assign):
         _exec_assign(s, env, clocked)
@@ -626,6 +620,7 @@ def _exec_assign(s: ast.Assign, env: _Env, clocked: bool) -> None:
     lv = s.target
     name = lv.name
     store = env.deferred if (s.nonblocking and clocked) else env.blocking
+    env.last_line[name] = max(s.line, env.last_line.get(name, 0))
 
     def current(local: str) -> ex.Expr:
         # An unwritten slot holds the pre-tick value, which is also the
@@ -695,8 +690,7 @@ def _splice(cur: ex.Expr, w: int, hi: int, lo: int, part: ex.Expr) -> ex.Expr:
     return ex.concat(tuple(parts))
 
 
-def _elab_continuous(a: ast.ContinuousAssign, scope: Scope, col: Collected,
-                     driven: set[str]) -> None:
+def _elab_continuous(a: ast.ContinuousAssign, scope: Scope, col: Collected) -> None:
     lv = a.target
     if lv.index is not None or lv.msb is not None:
         raise _err("continuous assignment to a bit/part select is not supported",
@@ -704,13 +698,11 @@ def _elab_continuous(a: ast.ContinuousAssign, scope: Scope, col: Collected,
     _check_target(lv.name, scope, a.line)
     value = ex.resize(_elab_expr(a.value, scope, {}), scope.widths[lv.name])
     _add_define(col, scope.qual(lv.name), value, a.line)
-    driven.add(lv.name)
 
 
-def _elab_always(blk: ast.AlwaysBlock, scope: Scope, col: Collected,
-                 driven: set[str]) -> None:
+def _elab_always(blk: ast.AlwaysBlock, scope: Scope, col: Collected) -> None:
     if blk.sensitivity is None or blk.kind == "always_comb":
-        _elab_comb_block(blk, scope, col, driven)
+        _elab_comb_block(blk, scope, col)
         return
 
     edges = blk.sensitivity
@@ -719,17 +711,9 @@ def _elab_always(blk: ast.AlwaysBlock, scope: Scope, col: Collected,
     if len(negedges) > 1 or len(posedges) > 2 or not posedges:
         raise _err("clocked sensitivity must be posedge clk with at most one "
                    "reset edge", blk.line, Severity.UNSUPPORTED)
-    if len(posedges) == 2:
-        if negedges:
-            raise _err("too many edges in sensitivity list", blk.line,
-                       Severity.UNSUPPORTED)
-        # posedge clk or posedge rst: second posedge is an active-high reset.
-        rst_ev = posedges[1]
-    else:
-        rst_ev = negedges[0] if negedges else None
-
-    clock_local = posedges[0].signal
-    col.clock_candidates.add(scope.qual(clock_local))
+    if len(posedges) == 2 and negedges:
+        raise _err("too many edges in sensitivity list", blk.line,
+                   Severity.UNSUPPORTED)
 
     env = _Env(scope)
     _exec_stmt(blk.body, env, clocked=True)
@@ -739,9 +723,16 @@ def _elab_always(blk: ast.AlwaysBlock, scope: Scope, col: Collected,
         if k not in assigned:
             assigned[k] = v
 
-    reset_env: dict[str, int] = {}
-    if rst_ev is not None and rst_ev.signal in scope.widths:
-        reset_env[scope.qual(rst_ev.signal)] = 0 if rst_ev.edge == "negedge" else 1
+    if len(posedges) == 2:
+        # Edge order has no meaning (IEEE 1800-2017 9.4.2): the clock is
+        # the posedge the values do not read, the other an active-high
+        # reset.  The sort is stable, so a tie keeps the source order.
+        read = set().union(*map(ex.refs, assigned.values()))
+        posedges.sort(key=lambda e: scope.qual(e.signal) in read)
+    clock_ev, *resets = posedges + negedges
+    col.clock_candidates.add(scope.qual(clock_ev.signal))
+    reset_env = {scope.qual(e.signal): int(e.edge == "posedge")
+                 for e in resets if e.signal in scope.widths}
 
     for local, next_e in assigned.items():
         q = scope.qual(local)
@@ -753,43 +744,12 @@ def _elab_always(blk: ast.AlwaysBlock, scope: Scope, col: Collected,
             if isinstance(folded, ex.BV):
                 reset_val = folded.value
         col.states[q] = (next_e, reset_val)
-        col.state_widths[q] = scope.widths[local]
         # Symbolic line tracker: evaluating this under a cycle's valuation
         # names the assignment that fired at that clock edge.
-        col.assign_lines[q] = env.lines[local]
-        base = local.split("[")[0]
-        driven.add(base)
-        driven.add(local)
+        col.lines[q] = env.lines[local]
 
 
-def _last_assign_line(stmt: ast.Stmt, local: str) -> int:
-    """Source line of the last assignment whose target matches `local`.
-
-    Array elements match on the base name; used for CEX reporting.
-    """
-    base = local.split("[")[0]
-    found = 0
-    def walk(s):
-        nonlocal found
-        if isinstance(s, ast.Block):
-            for sub in s.stmts:
-                walk(sub)
-        elif isinstance(s, ast.If):
-            walk(s.then)
-            if s.other is not None:
-                walk(s.other)
-        elif isinstance(s, ast.Case):
-            for item in s.items:
-                walk(item.body)
-        elif isinstance(s, ast.Assign):
-            if s.target.name == base or s.target.name == local:
-                found = max(found, s.line)
-    walk(stmt)
-    return found
-
-
-def _elab_comb_block(blk: ast.AlwaysBlock, scope: Scope, col: Collected,
-                     driven: set[str]) -> None:
+def _elab_comb_block(blk: ast.AlwaysBlock, scope: Scope, col: Collected) -> None:
     env = _Env(scope)
     _exec_stmt(blk.body, env, clocked=False)
     if env.deferred:
@@ -802,6 +762,5 @@ def _elab_comb_block(blk: ast.AlwaysBlock, scope: Scope, col: Collected,
             raise _err(f"latch inferred for {local!r} (incomplete assignment)",
                        blk.line, Severity.UNSUPPORTED)
         _add_define(col, q, value, blk.line)
-        col.define_lines[q] = _last_assign_line(blk.body, local) or blk.line
-        driven.add(local.split("[")[0])
-        driven.add(local)
+        # an array element's line is the array's last assignment line
+        col.lines[q] = env.last_line.get(local.split("[")[0], blk.line)

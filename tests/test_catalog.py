@@ -39,7 +39,7 @@ def test_port_contracts_are_sane():
         assert dirs <= {"input", "output"}
         assert any(p.direction == "output" for p in spec.ports)
         assert all(p.width >= 1 for p in spec.ports)
-        names = spec.port_names()
+        names = [p.name for p in spec.ports]
         assert len(names) == len(set(names))
 
 

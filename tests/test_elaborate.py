@@ -349,3 +349,138 @@ def test_override_of_an_undeclared_parameter_is_a_diagnostic(name):
     assert ts is None
     assert [d.message for d in ediags] == \
         [f"module 'c' has no parameter '{name}' to override"]
+
+
+DRIVER = """module buf1(input logic a, output logic y);
+  assign y = a;
+endmodule
+module m(input logic clk, input logic d, output logic q);
+{body}
+endmodule
+"""
+
+
+@pytest.mark.parametrize("body", [
+    "  assign q = d;",
+    "  always_comb q = d;",
+    "  always_ff @(posedge clk) q <= d;",
+    "  buf1 u(.a(d), .y(q));",
+    "  always_comb q[0] = d;",
+], ids=["assign", "always_comb", "always_ff", "instance", "bit-select"])
+def test_a_driven_output_port_elaborates(body):
+    compile_ts(DRIVER.format(body=body), "m")
+
+
+@pytest.mark.parametrize("body", ["", "  logic t;\n  assign t = d;"],
+                         ids=["nothing", "unrelated net"])
+def test_an_undriven_output_port_is_a_diagnostic(body):
+    unit, diags = parse_source(DRIVER.format(body=body))
+    assert unit is not None, [d.message for d in diags]
+    ts, _, ediags = elaborate(unit, "m")
+    assert ts is None
+    assert [(d.message, d.line) for d in ediags] == \
+        [("output port 'q' is never driven", 4)]
+
+
+BRANCHES = """module m(input logic clk, input logic c, input logic [1:0] s,
+  input logic [3:0] a, input logic [3:0] b, output logic [3:0] y,
+  output logic [3:0] q);
+  always_comb begin
+    {comb}
+  end
+  always_ff @(posedge clk) begin
+    {clocked}
+  end
+endmodule
+"""
+IF_CHAIN = "if (s == 2'd0) y = a; else if (s == 2'd1) y = b; else y = 4'd7;"
+
+
+@pytest.mark.parametrize("comb", [
+    "case (s) 2'd0: y = a; 2'd1: y = b; default: y = 4'd7; endcase",
+    "case (s) 2'd0: y = a; default: y = 4'd7; 2'd1: y = b; endcase",
+    "case (s) default: y = 4'd7; 2'd0: y = a; 2'd1: y = b; endcase",
+], ids=["default last", "default in the middle", "default first"])
+@pytest.mark.parametrize("clocked, chain", [
+    ("if (c) q <= a;", "if (c) q <= a; else q <= q;"),
+    ("case (s) 2'd0: q <= a; endcase", "if (s == 2'd0) q <= a; else q <= q;"),
+], ids=["if without else", "case without default"])
+def test_branches_build_the_node_of_the_if_else_chain(comb, clocked, chain):
+    ts, _ = compile_ts(BRANCHES.format(comb=comb, clocked=clocked), "m")
+    ref, _ = compile_ts(BRANCHES.format(comb=IF_CHAIN, clocked=chain), "m")
+    assert dict(ts.defines)["y"] is dict(ref.defines)["y"]
+    assert ts.next["q"] is ref.next["q"]
+
+
+COMB_LINES = """module m(input logic [3:0] a, output logic [3:0] y,
+  output logic [3:0] z);
+  logic [3:0] t [0:1];
+  always_comb begin
+    t[0] = a;
+    t[1] = a;
+    y = a;
+    case (a)
+      4'd0: y = 4'd1;
+      default: t[0] = 4'd2;
+      4'd1: begin y = 4'd3; end
+    endcase
+    z = t[1];
+  end
+endmodule
+"""
+
+
+def test_a_comb_define_takes_its_last_assignment_line_in_any_arm():
+    _, line_map = compile_ts(COMB_LINES, "m")
+    # y: the last arm's line, below the default's; t[1]: the last line
+    # that assigns any element of t
+    assert {n: line_map[n] for n in ("y", "t[0]", "t[1]", "z")} == \
+        {"y": 11, "t[0]": 10, "t[1]": 10, "z": 13}
+
+
+def alias_chain(n: int) -> str:
+    lines = ["module m(input logic d, output logic q);"]
+    lines += [f"  logic s{i:05d};" for i in range(n + 1)]
+    lines += [f"  assign s{i:05d} = s{i + 1:05d};" for i in range(n)]
+    lines += [f"  assign s{n:05d} = d;", "  assign q = s00000;", "endmodule"]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_long_define_chain_is_ordered_without_recursion():
+    ts, _ = compile_ts(alias_chain(1200), "m")
+    names = [n for n, _ in ts.defines]
+    assert names == [f"s{i:05d}" for i in range(1200, -1, -1)] + ["q"]
+    assert check_design(alias_chain(1200), "m", "q == d").status == "proven"
+
+
+def test_a_combinational_loop_names_its_cycle_and_line():
+    source = """module m(input logic d, output logic q);
+  logic a, b, c;
+  assign c = d & b;
+  assign b = a;
+  assign a = c;
+  assign q = a;
+endmodule
+"""
+    unit, _ = parse_source(source)
+    ts, _, ediags = elaborate(unit, "m")
+    assert ts is None
+    assert [(d.message, d.line) for d in ediags] == \
+        [("combinational loop: a -> c -> b -> a", 5)]
+
+
+ASYNC_HIGH = """module m(input logic clk, input logic rst, input logic [3:0] d,
+  output logic [3:0] q);
+  always_ff @({edges}) if (rst) q <= 4'd0; else q <= d;
+endmodule
+"""
+
+
+def test_the_clock_does_not_depend_on_the_edge_order():
+    first, _ = compile_ts(ASYNC_HIGH.format(
+        edges="posedge clk or posedge rst"), "m")
+    second, _ = compile_ts(ASYNC_HIGH.format(
+        edges="posedge rst or posedge clk"), "m")
+    assert first.clock == second.clock == "clk"
+    assert first.states == second.states == [StateVar("q", 4, 0)]
+    assert first.next["q"] is second.next["q"]

@@ -60,6 +60,10 @@ BODIES = {
     "keyword as a name": "  logic [3:0] module;\n  assign q_out = d_in;",
     "literal as a target": "  assign 4'd3 = d_in;\n  assign q_out = d_in;",
     "unclosed begin": "  always_comb begin\n    q_out = d_in;\n",
+    "two defaults in a case": "  always_comb case (d_in)\n"
+                              "    default: q_out = 4'd1;\n"
+                              "    4'd0: q_out = d_in;\n"
+                              "    default: q_out = 4'd2;\n  endcase",
     # declarations and multiple assignment
     "undeclared name": "  assign q_out = nope;",
     "net declared twice": "  logic [3:0] t;\n  logic [3:0] t;\n"

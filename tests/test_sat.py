@@ -50,10 +50,10 @@ def test_trivial_cases():
 def test_assumptions():
     s = sat.Solver()
     s.ensure_vars(2)
-    s.add_clause((1, 2))
+    s.add_clauses([(1, 2)])
     assert s.solve(assumptions=(-1,)) == SAT
-    assert s.model_value(2) == 1
-    s.add_clause((-2,))
+    assert s.model[1] == 1      # DIMACS var 2
+    s.add_clauses([(-2,)])
     assert s.solve(assumptions=(-1,)) == UNSAT
     assert s.solve(assumptions=(1,)) == SAT
     # solver is incremental: no permanent damage from failed assumptions
@@ -73,7 +73,7 @@ def test_incremental_solving_matches_fresh_solves():
         for _ in range(6):
             batch = random_cnf(rng, n, rng.randint(1, n))
             for c in batch:
-                s.add_clause(c)
+                s.add_clauses([c])
             clauses += batch
             assumptions = [v if rng.random() < 0.5 else -v
                            for v in rng.sample(range(1, n + 1),
@@ -105,7 +105,7 @@ def test_work_budget_gives_unknown():
     for budget in (0, 1, 10, 100, 1000, 5000):
         s = sat.Solver()
         for c in clauses:
-            s.add_clause(c)
+            s.add_clauses([c])
         before = s.work()
         assert s.solve(budget=budget) == UNKNOWN
         # checked once per step: one propagation pass, then one
@@ -198,7 +198,7 @@ def test_bulk_clause_adds_match_single_adds():
         for _ in range(5):
             batch = _messy_batch(rng, n, rng.randint(1, 2 * n))
             ok = bulk.add_clauses(batch)
-            assert ok == all([single.add_clause(c) for c in batch])
+            assert ok == all([single.add_clauses([c]) for c in batch])
             clauses += batch
             assumptions = [v if rng.random() < 0.5 else -v
                            for v in rng.sample(range(1, n + 1),
@@ -222,7 +222,7 @@ def test_decisions_follow_activity_after_a_rescale():
     s = sat.Solver()
     s.ensure_vars(3)
     s._bump([0, 1, 1])          # activities 1, 2, 0
-    s.add_clause((3,))          # var 2 is assigned at the root
+    s.add_clauses([(3,)])       # var 2 is assigned at the root
     s.var_inc = 1e100
     s._bump([2, 2])             # 2e100 > 1e100: rescale
     assert s.activity[1] > s.activity[0]
@@ -239,7 +239,7 @@ def test_a_rescale_that_ties_two_activities_breaks_the_tie_on_the_index():
     s._bump([0])
     s.var_inc = high
     s._bump([1])                # var 1 ranks above var 0
-    s.add_clause((4,))          # var 3 is assigned at the root
+    s.add_clauses([(4,)])       # var 3 is assigned at the root
     s.var_inc = 1e100
     s._bump([3, 3])             # rescale: var 0 and var 1 tie
     assert s.activity[0] == s.activity[1]
