@@ -34,6 +34,10 @@ _UNSUPPORTED_UNITS = {
     "sequence": "endsequence",
 }
 
+_OPENERS = ("begin", "case", "casez", "casex")
+_CLOSERS = ("end", "endcase")
+_NESTING = {**dict.fromkeys(_OPENERS, 1), **dict.fromkeys(_CLOSERS, -1)}
+
 _NET_KINDS = {"logic", "reg", "wire", "bit", "integer", "int", "byte"}
 _DIRECTIONS = {"input", "output", "inout"}
 
@@ -102,11 +106,28 @@ class Parser:
             if depth == 0 and t.text in stops:
                 self.pos += 1
                 return
-            if t.text in ("begin", "case", "casez", "casex"):
+            if t.text in _OPENERS:
                 depth += 1
-            elif t.text in ("end", "endcase") and depth > 0:
+            elif t.text in _CLOSERS and depth > 0:
                 depth -= 1
             self.pos += 1
+
+    def _skip_item(self, start: int) -> None:
+        """Skip the rest of the module item that begins at token `start`
+        and failed to parse: up to the `;`, `end` or `endcase` that
+        closes it at its own nesting depth, through a block label and any
+        `else` arms, and never past `endmodule`."""
+        depth = sum(_NESTING.get(t.text, 0)
+                    for t in self.tokens[start:self.pos])
+        while (t := self.peek()) is not None and t.text != "endmodule":
+            self.pos += 1
+            depth += _NESTING.get(t.text, 0)
+            if depth <= 0 and (t.text == ";" or t.text in _CLOSERS):
+                if t.text == "end" and self.at(":"):
+                    self.pos += 2  # `: label`
+                if not self.at("else"):
+                    return
+                depth = 0
 
     # -- top level ---------------------------------------------------------
 
@@ -158,6 +179,7 @@ class Parser:
             if t is None:
                 raise ParseError(Diagnostic(Severity.ERROR,
                                             "missing 'endmodule'", kw.line, kw.col))
+            start = self.pos
             try:
                 if t.text in ("parameter", "localparam"):
                     for p in self._parse_param_decl():
@@ -190,7 +212,7 @@ class Parser:
                         t.line, t.col))
             except ParseError as e:
                 self.diags.append(e.diag)
-                self._skip_until(";", "end")
+                self._skip_item(start)
         self.expect("endmodule")
         return ast.ModuleDecl(
             name=name, ports=tuple(ports), params=tuple(params), decls=tuple(decls),

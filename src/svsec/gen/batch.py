@@ -6,10 +6,16 @@ runs resume without repeating provider calls.  Failures are recorded on
 the Generation and never abort the batch; a resumed run asks the
 provider again for each recorded failure.  The result always holds
 exactly |providers| x |specs| x n entries.
+
+With `workers` at 1 the jobs run in the calling thread; more workers
+run them on a thread pool, which only network providers gain from.
+Stub generation is CPU-bound, so extra workers only contend for the
+interpreter lock.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -64,8 +70,10 @@ def load_cache(cache_dir: str | Path) -> list[Generation]:
         latest = {(g.provider_id, g.problem_id, g.regen_index): g
                   for g in map(_entry, fh) if g is not None}
     gens = [latest[key] for key in sorted(latest)]
+    # The log repeats each distinct response many times.
+    extract = functools.cache(extract_code)
     for gen in gens:
-        gen.source = extract_code(gen.raw) if gen.ok else None
+        gen.source = extract(gen.raw) if gen.ok else None
     return gens
 
 
@@ -98,6 +106,7 @@ def generate_batch(specs: list[ProblemSpec],
     cached = {(g.provider_id, g.problem_id, g.regen_index): g
               for g in load_cache(cache_dir) if g.ok}
     write_lock = threading.Lock()
+    extract = functools.cache(extract_code)
 
     def one(provider_id: str, spec: ProblemSpec, i: int) -> Generation:
         if (provider_id, spec.problem_id, i) in cached:
@@ -115,7 +124,7 @@ def generate_batch(specs: list[ProblemSpec],
             gen.error = str(exc)
             log.warning("generation failed: %s/%s/%d: %s", provider_id,
                         spec.problem_id, i, gen.error)
-        gen.source = extract_code(gen.raw) if gen.ok else None
+        gen.source = extract(gen.raw) if gen.ok else None
         line = json.dumps({k: getattr(gen, k) for k in _ENTRY_FIELDS})
         data = f"{line}\n".encode()
         with write_lock:
@@ -133,8 +142,11 @@ def generate_batch(specs: list[ProblemSpec],
         size = os.fstat(fd).st_size
         if size and os.pread(fd, 1, size - 1) != b"\n":
             os.write(fd, b"\n")
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            results = list(pool.map(lambda j: one(*j), jobs))
+        if workers <= 1:
+            results = [one(*job) for job in jobs]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(lambda j: one(*j), jobs))
     finally:
         os.close(fd)
     assert len(results) == len(provider_ids) * len(specs) * n

@@ -5,6 +5,11 @@ mix of reference-correct designs, planted-vulnerable variants,
 syntactically broken output, and prose-only refusals.  The mix is
 exact per (provider, problem) — with DEFAULT_MIX's 30/50/15/5 split
 and n=20, each cell holds 6 correct, 10 vulnerable, 3 broken, 1 refusal.
+
+A provider computes each cell's plan and reads each design once, and
+keeps them for its lifetime: a new provider reads the designs afresh.
+Threads may share a provider: two that race on a memo entry compute
+the same value.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ class StubProvider:
     def __init__(self, seed: int = 0, n: int = 20):
         self.seed = seed
         self.n = n
+        self._plans: dict[tuple[str, str], tuple[str, ...]] = {}
+        self._sources: dict[tuple[str, bool], str] = {}
 
     def counts(self) -> tuple[int, ...]:
         """Exact per-cell counts via largest-remainder apportionment."""
@@ -48,11 +55,27 @@ class StubProvider:
             base[i] += 1
         return tuple(base)
 
-    def plan(self, provider_id: str, problem_id: str) -> list[str]:
-        kinds = [k for k, c in zip(KINDS, self.counts()) for _ in range(c)]
-        rng = random.Random(f"{self.seed}:{provider_id}:{problem_id}")
-        rng.shuffle(kinds)
-        return kinds
+    def plan(self, provider_id: str, problem_id: str) -> tuple[str, ...]:
+        key = (provider_id, problem_id)
+        if key not in self._plans:
+            kinds = [k for k, c in zip(KINDS, self.counts())
+                     for _ in range(c)]
+            rng = random.Random(f"{self.seed}:{provider_id}:{problem_id}")
+            rng.shuffle(kinds)
+            self._plans[key] = tuple(kinds)
+        return self._plans[key]
+
+    def _source(self, filename: str, broken: bool = False) -> str:
+        """The design's text; `broken` cuts it before `endmodule`."""
+        key = (filename, broken)
+        if key not in self._sources:
+            if broken:
+                source = self._source(filename)
+                cut = source.rstrip().rfind("endmodule")
+                self._sources[key] = source[:cut].rstrip() + "\n"
+            else:
+                self._sources[key] = design_text(filename)
+        return self._sources[key]
 
     def kind_of(self, provider_id: str, spec: ProblemSpec,
                 regen_index: int) -> str:
@@ -64,13 +87,10 @@ class StubProvider:
         if kind == "refusal":
             return _REFUSAL
         if kind == "correct":
-            source = design_text(spec.correct_file)
-        elif kind == "vulnerable":
-            source = design_text(spec.vulnerable_file)
-        else:  # broken: truncate before the closing keyword
-            source = design_text(spec.vulnerable_file)
-            cut = source.rstrip().rfind("endmodule")
-            source = source[:cut].rstrip() + "\n"
+            source = self._source(spec.correct_file)
+        else:
+            source = self._source(spec.vulnerable_file,
+                                  broken=kind == "broken")
         rng = random.Random(
             f"{self.seed}:{provider_id}:{spec.problem_id}:{regen_index}")
         preamble = rng.choice(_PREAMBLES)

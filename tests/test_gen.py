@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from collections import Counter
@@ -16,6 +17,7 @@ from svsec.gen.prompts import FIXED_INSTRUCTIONS, render_prompt
 from svsec.gen.provider import (ProviderConfig, ProviderError,
                                 load_providers, request_completion)
 from svsec.gen.stub import DEFAULT_MIX, KINDS, STUB_PROVIDERS
+from svsec.metrics import export_csv, label_batch
 
 
 def spec_for(cwe, difficulty):
@@ -93,6 +95,34 @@ def test_stub_plans_are_deterministic_and_distinct():
     assert p1 != stub.plan("stub-b", "cwe1209_basic") or \
         p1 != stub.plan("stub-a", "cwe1223_basic")
     assert StubProvider(seed=2, n=20).plan("stub-a", "cwe1209_basic") != p1
+
+
+def test_stub_reads_each_design_once_and_keeps_fresh_plans(tmp_path,
+                                                           monkeypatch):
+    import svsec.gen.stub as stub_mod
+
+    reads, design_text = Counter(), stub_mod.design_text
+
+    def counted(filename):
+        reads[filename] += 1
+        return design_text(filename)
+
+    monkeypatch.setattr(stub_mod, "design_text", counted)
+    specs = list_problems()
+    stub = StubProvider(seed=3, n=20)
+    generate_batch(specs, None, 20, tmp_path, stub=stub, workers=1)
+    assert reads and max(reads.values()) == 1
+    assert set(reads) <= {f for s in specs
+                          for f in (s.correct_file, s.vulnerable_file)}
+    fresh = StubProvider(seed=3, n=20)
+    for pid in STUB_PROVIDERS:
+        for spec in specs:
+            assert stub.plan(pid, spec.problem_id) == \
+                fresh.plan(pid, spec.problem_id)
+    plan = stub.plan("stub-a", specs[0].problem_id)
+    assert isinstance(plan, tuple)
+    with pytest.raises(TypeError):
+        plan[0] = "refusal"
 
 
 def test_stub_outputs_by_kind():
@@ -368,6 +398,35 @@ def test_concurrent_workers_write_one_line_per_generation(tmp_path):
             for d in map(json.loads, lines)}
     assert keys == {(g.provider_id, g.problem_id, g.regen_index)
                     for g in gens}
+
+
+def test_inline_and_pooled_generate_agree(tmp_path):
+    specs = list_problems()
+    runs = {}
+    interval = sys.getswitchinterval()
+    # Frequent switches let the pooled workers race on the stub's memo.
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 4):
+            runs[workers] = generate_batch(specs, None, 4,
+                                           tmp_path / f"w{workers}",
+                                           stub=StubProvider(seed=5, n=4),
+                                           workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    for workers, gens in runs.items():
+        export_csv(label_batch(gens, specs, seed=5),
+                   tmp_path / f"w{workers}" / "dataset.csv")
+    assert [dataclasses.replace(g, timestamp=0.0) for g in runs[1]] == \
+        [dataclasses.replace(g, timestamp=0.0) for g in runs[4]]
+    assert (tmp_path / "w1" / "dataset.csv").read_bytes() == \
+        (tmp_path / "w4" / "dataset.csv").read_bytes()
+    log_file = tmp_path / "w1" / "generations.jsonl"
+    before = log_file.read_bytes()
+    again = generate_batch(specs, None, 4, tmp_path / "w1",
+                           stub=StubProvider(seed=5, n=4), workers=1)
+    assert all(g.from_cache for g in again)
+    assert log_file.read_bytes() == before
 
 
 def test_cache_resume_skips_provider_calls(tmp_path):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+import pytest
+
 from svsec.frontend import ast, parse_source, pretty_print, tokenize
 from svsec.frontend.parser import Parser
 
@@ -44,6 +46,57 @@ def test_syntax_error_reports_location():
     unit, diags = parse_source("module m(\ninput logic a\n")
     assert unit is None
     assert any(d.line >= 1 for d in diags)
+
+
+MODULE_BODY = ("module m(input logic clk_in, input logic [3:0] d_in,\n"
+               "  output logic [3:0] q_out);\n{body}\nendmodule\n")
+
+# Each body holds syntax errors at the listed (line, col)s and nothing
+# else: recovery skips the whole failing item, however deeply nested.
+ERROR_RECOVERY = {
+    "error inside a case": (
+        "  always_comb case (d_in) 4'd0: q_out = d_in +; endcase",
+        [("unexpected ';' in expression", 3, 47)]),
+    "error in a case arm, then in an assign": (
+        "  always_comb case (d_in)\n    4'd0: q_out = d_in +;\n"
+        "    default: q_out = 4'd1;\n  endcase\n  assign q_out = ~;",
+        [("unexpected ';' in expression", 4, 25),
+         ("unexpected ';' in expression", 7, 19)]),
+    "error in an if condition with an else arm": (
+        "  always_ff @(posedge clk_in) if (d_in +) q_out <= 1;"
+        " else q_out <= 0;\n  assign q_out = ~;",
+        [("unexpected ')' in expression", 3, 41),
+         ("unexpected ';' in expression", 4, 19)]),
+    "error in a nested begin with an else arm": (
+        "  always_ff @(posedge clk_in) begin if (d_in[0]) begin\n"
+        "    q_out <= d_in +; end else begin q_out <= 0; end end\n"
+        "  assign q_out = ~;",
+        [("unexpected ';' in expression", 4, 20),
+         ("unexpected ';' in expression", 5, 19)]),
+    "error in a labelled block": (
+        "  always_comb begin : blk\n    q_out = d_in +;\n  end : blk\n"
+        "  assign q_out = ~;",
+        [("unexpected ';' in expression", 4, 19),
+         ("unexpected ';' in expression", 6, 19)]),
+    "unclosed begin": (
+        "  always_comb begin\n    q_out = d_in;\n",
+        [("unexpected 'endmodule' in statement", 6, 1)]),
+    "missing semicolon before endmodule": (
+        "  assign q_out = d_in",
+        [("expected ';', got 'endmodule'", 4, 1)]),
+    "stray endcase": (
+        "  endcase\n  assign q_out = ~;",
+        [("unexpected 'endcase' in module body", 3, 3),
+         ("unexpected ';' in expression", 4, 19)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_RECOVERY))
+def test_error_recovery_reports_each_error_once(name):
+    body, expected = ERROR_RECOVERY[name]
+    unit, diags = parse_source(MODULE_BODY.format(body=body))
+    assert unit is None
+    assert [(d.message, d.line, d.col) for d in diags] == expected
 
 
 def test_unsupported_construct_is_flagged_not_crashed():
