@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass
 from importlib import resources
 
-import yaml
+from svsec.yamlload import load_yaml
 
 CWE_IDS = (1209, 1223, 1254, 1261, 1234, 1280, 1299, 1276, 1302, 1258)
 DIFFICULTIES = ("basic", "intermediate", "advanced")
@@ -60,7 +60,7 @@ def design_text(filename: str) -> str:
 @functools.lru_cache(maxsize=1)
 def load_catalog() -> tuple[dict[str, str], tuple[ProblemSpec, ...]]:
     """Returns (property templates, problem specs)."""
-    doc = yaml.safe_load(_data_text("catalog.yaml"))
+    doc = load_yaml(_data_text("catalog.yaml"))
     templates = dict(doc["templates"])
     specs = []
     for item in doc["problems"]:

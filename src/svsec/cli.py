@@ -12,8 +12,6 @@ import svsec
 from svsec.catalog import CWE_IDS, DIFFICULTIES, list_problems
 from svsec.catalog.problems import instantiate_property_text
 from svsec.check import DEFAULT_BUDGET, DEFAULT_MAX_K, check_design
-from svsec.gen import StubProvider, generate_batch, load_cache, load_providers
-from svsec.gen.batch import DEFAULT_WORKERS
 
 EXIT_CODES = {"proven": 0, "falsified": 1, "unknown": 2, "compile_error": 3}
 
@@ -91,13 +89,21 @@ def verify(file, cwe, difficulty, property_file, top, max_k, budget):
 @click.option("--n", default=20, show_default=True,
               help="Regenerations per (provider, problem).")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--workers", default=DEFAULT_WORKERS, show_default=True)
+@click.option("--workers", type=int,
+              show_default="1 with --stub, 4 otherwise",
+              help="Threads that ask the provider.")
 @click.option("--out", "out_dir", default=".", show_default=True,
               help="Output directory (cache lands in OUT/cache).")
 def generate(stub, providers_file, n, seed, workers, out_dir):
     """Produce the generation corpus into OUT/cache."""
+    from svsec.gen import StubProvider, generate_batch, load_providers
+    from svsec.gen.batch import DEFAULT_WORKERS
+
     if not stub and not providers_file:
         raise click.UsageError("pass --stub or --providers <file>")
+    if workers is None:
+        # The stub is CPU-bound: more threads only contend for the GIL.
+        workers = 1 if stub else DEFAULT_WORKERS
     providers = load_providers(providers_file) if providers_file else None
     stub_provider = StubProvider(seed=seed, n=n) if stub else None
     specs = list_problems()
@@ -121,6 +127,7 @@ def generate(stub, providers_file, n, seed, workers, out_dir):
                    "conflicts) per check.")
 def label(cache_dir, out_dir, seed, max_k, budget):
     """Adjudicate every cached generation into OUT/dataset.csv."""
+    from svsec.gen import load_cache
     from svsec.metrics import export_csv, label_batch, verdict_counts
 
     gens = load_cache(cache_dir)
@@ -170,6 +177,7 @@ def metrics(dataset, cache_dir, out_dir, seed):
     """Compute passatk.csv, heatmap.json, and keywords.csv."""
     import csv as _csv
 
+    from svsec.gen import load_cache
     from svsec.metrics import (keyword_frequency, passatk_by_difficulty,
                                write_heatmap_json, write_keywords_csv)
 

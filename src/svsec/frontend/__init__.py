@@ -1,7 +1,6 @@
 from svsec.frontend.diagnostics import Diagnostic, Severity
 from svsec.frontend.lexer import Token, TokenKind, tokenize, KEYWORDS
 from svsec.frontend.parser import parse, parse_source
-from svsec.frontend.pretty import pretty_print
 
 __all__ = [
     "Diagnostic",
@@ -12,5 +11,4 @@ __all__ = [
     "KEYWORDS",
     "parse",
     "parse_source",
-    "pretty_print",
 ]

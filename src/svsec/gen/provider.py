@@ -13,7 +13,7 @@ import os
 import time
 from dataclasses import MISSING, dataclass, fields
 
-import yaml
+from svsec.yamlload import load_yaml
 
 log = logging.getLogger(__name__)
 
@@ -45,7 +45,7 @@ def load_providers(path: str) -> list[ProviderConfig]:
     required, and every other field is optional with ProviderConfig's
     default and the type of that default."""
     with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        doc = load_yaml(fh)
     optional = [f for f in fields(ProviderConfig) if f.default is not MISSING]
     return [ProviderConfig(provider_id=item["id"], endpoint=item["endpoint"],
                            model=item["model"],

@@ -446,9 +446,19 @@ def _elab_expr(e: ast.Expr, scope: Scope,
 
 def _elab_binary(e: ast.Binary, scope: Scope,
                  blocking: dict[str, ex.Expr]) -> ex.Expr:
-    a = _elab_expr(e.left, scope, blocking)
-    b = _elab_expr(e.right, scope, blocking)
-    op = e.op
+    # A chain `a ^ b ^ c ...` parses left-associative, so it nests down
+    # its left operands.  Walk that spine in a loop, not a frame per
+    # operator, so that long chains do not reach the recursion limit.
+    spine = [e]
+    while isinstance(spine[-1].left, ast.Binary):
+        spine.append(spine[-1].left)
+    a = _elab_expr(spine[-1].left, scope, blocking)
+    for node in reversed(spine):
+        a = _binop(node.op, a, _elab_expr(node.right, scope, blocking))
+    return a
+
+
+def _binop(op: str, a: ex.Expr, b: ex.Expr) -> ex.Expr:
     if op in ("&&", "||"):
         a, b = ex.boolify(a), ex.boolify(b)
         return ex.binop("and" if op == "&&" else "or", a, b)

@@ -111,6 +111,28 @@ def test_generate_requires_a_source(tmp_path):
     assert "--stub or --providers" in res.output
 
 
+@pytest.mark.parametrize("args, workers", [
+    (["--stub"], 1),
+    (["--stub", "--workers", "4"], 4),
+    (["--providers", "providers.yaml"], 4),
+    (["--providers", "providers.yaml", "--workers", "2"], 2),
+])
+def test_generate_workers_default_to_one_for_the_stub(
+        tmp_path, monkeypatch, args, workers):
+    import svsec.gen
+
+    (tmp_path / "providers.yaml").write_text(
+        "providers:\n  - {id: a, endpoint: https://example.invalid, "
+        "model: m}\n")
+    seen = []
+    monkeypatch.setattr(svsec.gen, "generate_batch",
+                        lambda *a, **kw: seen.append(kw["workers"]) or [])
+    monkeypatch.chdir(tmp_path)
+    res = invoke("generate", *args)
+    assert res.exit_code == 0, res.output
+    assert seen == [workers]
+
+
 def test_label_without_cache_fails(tmp_path):
     res = invoke("label", "--cache", str(tmp_path / "cache"),
                  "--out", str(tmp_path))

@@ -453,6 +453,20 @@ def test_a_long_define_chain_is_ordered_without_recursion():
     assert check_design(alias_chain(1200), "m", "q == d").status == "proven"
 
 
+@pytest.mark.parametrize("op", ["^", "+"])
+@pytest.mark.parametrize("clocked", [False, True])
+def test_a_long_operator_chain_is_elaborated_without_recursion(op, clocked):
+    # 2,500 a's and 2,500 b's: the 1-bit sum and xor are both 0.
+    chain = f" {op} ".join(["a", "b"] * 2500)
+    body = (f"  always_ff @(posedge clk or negedge rst_n)\n"
+            f"    if (!rst_n) q <= 1'b0;\n    else q <= {chain};"
+            if clocked else f"  assign q = {chain};")
+    source = ("module m(input logic clk, input logic rst_n, input logic a,\n"
+              f"         input logic b, output logic q);\n{body}\nendmodule\n")
+    verdict = check_design(source, "m", "q == 1'b0")
+    assert verdict.status == "proven", verdict
+
+
 def test_a_combinational_loop_names_its_cycle_and_line():
     source = """module m(input logic d, output logic q);
   logic a, b, c;

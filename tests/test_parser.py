@@ -4,8 +4,9 @@ from itertools import combinations, product
 
 import pytest
 
-from svsec.frontend import ast, parse_source, pretty_print, tokenize
+from svsec.frontend import ast, parse_source, tokenize
 from svsec.frontend.parser import Parser
+from svsec.frontend.pretty import pretty_print
 
 from conftest import COUNTER
 
