@@ -20,7 +20,7 @@ from svsec.engine.aig import Aig, FALSE, TRUE, blast_frame
 from svsec.engine.cnf import TseitinEncoder
 from svsec.engine.result import Falsified, NoCexUpTo, Unknown
 from svsec.engine.trace import Trace
-from svsec.props.obligation import SafetyObligation
+from svsec.props.obligation import SafetyObligation, evaluate_on_trace
 
 # Work units (solver propagations + decisions + conflicts) per check.
 DEFAULT_BUDGET = 10_000_000
@@ -158,9 +158,9 @@ class Unroller:
                          solver=self.solver, assumptions=assumptions)
 
     def extract_trace(self, model: list[int], depth: int) -> Trace:
-        """The model's run to `depth`.  A state bit outside the cone
-        starts at its reset value (0 without one), and an input bit
-        outside the cone is 0; replay computes the rest."""
+        """The model's run to `depth`, not yet replayed.  A state bit
+        outside the cone starts at its reset value (0 without one), and
+        an input bit outside the cone is 0."""
         initial = {s.name: s.reset or 0 for s in self.ts.states}
         for (name, i), lit in zip(self.template.state_bits,
                                   self.state_lits(0)):
@@ -170,9 +170,7 @@ class Unroller:
                           for i, lit in enumerate(self.bus(t, n)))
                    for n, _ in self.ts.inputs}
                   for t in range(depth + 1)]
-        tr = Trace(initial=initial, inputs=inputs)
-        tr.replay(self.ts)
-        return tr
+        return Trace(initial=initial, inputs=inputs)
 
 
 def out_of_budget(phase: str, k: int, budget: int) -> Unknown:
@@ -205,8 +203,7 @@ def bmc(obl: SafetyObligation, max_depth: int,
                 return out_of_budget("base case", d, budget)
             if status == sat.SAT:
                 tr = un.extract_trace(model, d)
-                hit = next((t for t, env in enumerate(tr.values)
-                            if env[obl.bad_name]), None)
+                hit = evaluate_on_trace(obl, tr)
                 assert hit == d, f"trace replay mismatch: {hit} != {d}"
                 return Falsified(trace=tr, depth=d)
             un.add_unit(-bad_lit)

@@ -225,8 +225,8 @@ class Instance:
 class NetDecl:
     """Variable/net declaration, possibly an unpacked array."""
     name: str
-    net_kind: str  # logic | reg | wire | bit | integer
-    msb: Expr | None  # packed range; None = 1-bit scalar
+    net_kind: str  # logic | reg | wire | bit | byte | int | integer
+    msb: Expr | None  # packed range; None = the width of net_kind (1 bit for most)
     lsb: Expr | None
     unpacked: tuple[Expr, Expr] | None = None  # [lo:hi] bounds as written
     line: int = field(default=0, compare=False)
@@ -250,26 +250,18 @@ class Port:
     line: int = field(default=0, compare=False)
 
 
+ModuleItem = ParamDecl | NetDecl | ContinuousAssign | AlwaysBlock | Instance
+
+
 @dataclass(frozen=True)
 class ModuleDecl:
     name: str
     ports: tuple[Port, ...]
-    params: tuple[ParamDecl, ...]
-    decls: tuple[NetDecl, ...]
-    assigns: tuple[ContinuousAssign, ...]
-    always_blocks: tuple[AlwaysBlock, ...]
-    instances: tuple[Instance, ...]
-    # Original item order for faithful printing: ('decl'|'param'|'assign'|'always'|'inst', idx)
-    item_order: tuple[tuple[str, int], ...] = field(default=(), compare=False)
+    params: tuple[ParamDecl, ...]  # the header's #(...) list
+    items: tuple[ModuleItem, ...]  # the body, in source order
     line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class SourceUnit:
     modules: tuple[ModuleDecl, ...]
-
-    def module(self, name: str) -> ModuleDecl:
-        for m in self.modules:
-            if m.name == name:
-                return m
-        raise KeyError(name)

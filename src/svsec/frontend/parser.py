@@ -39,6 +39,7 @@ _CLOSERS = ("end", "endcase")
 _NESTING = {**dict.fromkeys(_OPENERS, 1), **dict.fromkeys(_CLOSERS, -1)}
 
 _NET_KINDS = {"logic", "reg", "wire", "bit", "integer", "int", "byte"}
+_TYPE_WORDS = _NET_KINDS | {"signed", "unsigned"}
 _DIRECTIONS = {"input", "output", "inout"}
 
 
@@ -162,18 +163,13 @@ class Parser:
         params: list[ast.ParamDecl] = []
         if self.at("#"):
             self.next()
-            params.extend(self._parse_header_params())
+            params = self._parse_header_params()
         ports: list[ast.Port] = []
         if self.at("("):
             ports = self._parse_port_list()
         self.expect(";")
 
-        decls: list[ast.NetDecl] = []
-        assigns: list[ast.ContinuousAssign] = []
-        always_blocks: list[ast.AlwaysBlock] = []
-        instances: list[ast.Instance] = []
-        order: list[tuple[str, int]] = []
-
+        items: list[ast.ModuleItem] = []
         while not self.at("endmodule"):
             t = self.peek()
             if t is None:
@@ -182,19 +178,13 @@ class Parser:
             start = self.pos
             try:
                 if t.text in ("parameter", "localparam"):
-                    for p in self._parse_param_decl():
-                        params.append(p)
-                        order.append(("param", len(params) - 1))
+                    items.extend(self._parse_param_decl())
                 elif t.text in _NET_KINDS or (t.text in _DIRECTIONS):
-                    for d in self._parse_net_decl():
-                        decls.append(d)
-                        order.append(("decl", len(decls) - 1))
+                    items.extend(self._parse_net_decl())
                 elif t.text == "assign":
-                    assigns.append(self._parse_continuous_assign())
-                    order.append(("assign", len(assigns) - 1))
+                    items.append(self._parse_continuous_assign())
                 elif t.text in ("always", "always_ff", "always_comb", "always_latch"):
-                    always_blocks.append(self._parse_always())
-                    order.append(("always", len(always_blocks) - 1))
+                    items.append(self._parse_always())
                 elif t.text in _UNSUPPORTED_ITEMS:
                     self.diags.append(Diagnostic(
                         Severity.UNSUPPORTED,
@@ -202,8 +192,7 @@ class Parser:
                     self.pos += 1
                     self._skip_until(_UNSUPPORTED_ITEMS[t.text])
                 elif t.kind == TokenKind.IDENT:
-                    instances.append(self._parse_instance())
-                    order.append(("inst", len(instances) - 1))
+                    items.append(self._parse_instance())
                 elif t.text == ";":
                     self.pos += 1
                 else:
@@ -214,10 +203,8 @@ class Parser:
                 self.diags.append(e.diag)
                 self._skip_item(start)
         self.expect("endmodule")
-        return ast.ModuleDecl(
-            name=name, ports=tuple(ports), params=tuple(params), decls=tuple(decls),
-            assigns=tuple(assigns), always_blocks=tuple(always_blocks),
-            instances=tuple(instances), item_order=tuple(order), line=kw.line)
+        return ast.ModuleDecl(name=name, ports=tuple(ports), params=tuple(params),
+                              items=tuple(items), line=kw.line)
 
     def _expect_ident(self, what: str) -> str:
         t = self.peek()
@@ -253,9 +240,7 @@ class Parser:
                              line=t.line)
 
     def _skip_type_words(self) -> None:
-        while self.peek() is not None and self.peek().text in ("logic", "reg", "wire",
-                                                              "bit", "integer", "int",
-                                                              "signed", "unsigned"):
+        while self.peek() is not None and self.peek().text in _TYPE_WORDS:
             self.pos += 1
         if self.at("["):
             self._parse_range()

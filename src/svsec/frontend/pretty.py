@@ -117,82 +117,63 @@ def _format_port(p: ast.Port) -> str:
     return f"{text} {p.name}"
 
 
+def _format_param(p: ast.ParamDecl) -> str:
+    kw = "localparam" if p.local else "parameter"
+    return f"{kw} {p.name} = {format_expr(p.value)}"
+
+
+def _format_item(item: ast.ModuleItem) -> list[str]:
+    if isinstance(item, ast.ParamDecl):
+        return [f"  {_format_param(item)};"]
+    if isinstance(item, ast.NetDecl):
+        text = f"  {item.net_kind}"
+        if item.msb is not None:
+            text += f" [{format_expr(item.msb)}:{format_expr(item.lsb)}]"
+        text += f" {item.name}"
+        if item.unpacked is not None:
+            lo, hi = item.unpacked
+            text += f" [{format_expr(lo)}:{format_expr(hi)}]"
+        return [text + ";"]
+    if isinstance(item, ast.ContinuousAssign):
+        return [f"  assign {_format_lvalue(item.target)} = "
+                f"{format_expr(item.value)};"]
+    if isinstance(item, ast.AlwaysBlock):
+        head = f"  {item.kind}"
+        if item.sensitivity is not None:
+            events = " or ".join(f"{e.edge} {e.signal}" for e in item.sensitivity)
+            head += f" @({events})"
+        elif item.kind == "always":
+            head += " @(*)"
+        return [head] + _format_stmt(item.body, 2)
+    if isinstance(item, ast.Instance):
+        text = f"  {item.module}"
+        if item.param_overrides:
+            inner = ", ".join(f".{n}({format_expr(v)})"
+                              for n, v in item.param_overrides)
+            text += f" #({inner})"
+        conns = ", ".join(
+            f".{c.port}({format_expr(c.expr) if c.expr is not None else ''})"
+            for c in item.conns)
+        return [f"{text} {item.name} ({conns});"]
+    raise TypeError(f"unknown module item {item!r}")
+
+
 def _format_module(m: ast.ModuleDecl) -> list[str]:
-    lines = []
     header = f"module {m.name}"
-    header_params = [p for p in m.params if not p.local and not _in_body(m, p)]
-    if header_params:
-        inner = ", ".join(f"parameter {p.name} = {format_expr(p.value)}"
-                          for p in header_params)
-        header += f" #({inner})"
+    if m.params:
+        header += " #(" + ", ".join(map(_format_param, m.params)) + ")"
     if m.ports:
-        lines.append(header + " (")
+        lines = [header + " ("]
         for i, p in enumerate(m.ports):
             comma = "," if i < len(m.ports) - 1 else ""
             lines.append(f"  {_format_port(p)}{comma}")
         lines.append(");")
     else:
-        lines.append(header + ";")
-
-    order = list(m.item_order)
-    if not order:
-        order = ([("param", i) for i in range(len(m.params)) if m.params[i].local
-                  or _in_body(m, m.params[i])]
-                 + [("decl", i) for i in range(len(m.decls))]
-                 + [("assign", i) for i in range(len(m.assigns))]
-                 + [("always", i) for i in range(len(m.always_blocks))]
-                 + [("inst", i) for i in range(len(m.instances))])
-    for kind, idx in order:
-        if kind == "param":
-            p = m.params[idx]
-            kw = "localparam" if p.local else "parameter"
-            lines.append(f"  {kw} {p.name} = {format_expr(p.value)};")
-        elif kind == "decl":
-            d = m.decls[idx]
-            text = f"  {d.net_kind}"
-            if d.msb is not None:
-                text += f" [{format_expr(d.msb)}:{format_expr(d.lsb)}]"
-            text += f" {d.name}"
-            if d.unpacked is not None:
-                lo, hi = d.unpacked
-                text += f" [{format_expr(lo)}:{format_expr(hi)}]"
-            lines.append(text + ";")
-        elif kind == "assign":
-            a = m.assigns[idx]
-            lines.append(f"  assign {_format_lvalue(a.target)} = "
-                         f"{format_expr(a.value)};")
-        elif kind == "always":
-            blk = m.always_blocks[idx]
-            head = f"  {blk.kind}"
-            if blk.sensitivity is not None:
-                events = " or ".join(f"{e.edge} {e.signal}" for e in blk.sensitivity)
-                head += f" @({events})"
-            elif blk.kind == "always":
-                head += " @(*)"
-            lines.append(head)
-            lines.extend(_format_stmt(blk.body, 2))
-        elif kind == "inst":
-            inst = m.instances[idx]
-            text = f"  {inst.module}"
-            if inst.param_overrides:
-                inner = ", ".join(f".{n}({format_expr(v)})"
-                                  for n, v in inst.param_overrides)
-                text += f" #({inner})"
-            conns = ", ".join(
-                f".{c.port}({format_expr(c.expr) if c.expr is not None else ''})"
-                for c in inst.conns)
-            lines.append(f"{text} {inst.name} ({conns});")
+        lines = [header + ";"]
+    for item in m.items:
+        lines.extend(_format_item(item))
     lines.append("endmodule")
     return lines
-
-
-def _in_body(m: ast.ModuleDecl, p: ast.ParamDecl) -> bool:
-    if not m.item_order:
-        return False
-    for kind, idx in m.item_order:
-        if kind == "param" and m.params[idx] is p:
-            return True
-    return False
 
 
 def pretty_print(unit: ast.SourceUnit) -> str:

@@ -31,6 +31,9 @@ from svsec.ir.transition import StateVar, TransitionSystem
 
 ARRAY_BIT_CAP = 4096
 
+# Widths of the types that have no range (IEEE 1800-2017, Table 6-8)
+_TYPE_WIDTHS = {"byte": 8, "int": 32, "integer": 32}
+
 
 class ElabError(Exception):
     def __init__(self, diag: Diagnostic):
@@ -194,7 +197,7 @@ def _toposort_defines(col: Collected) -> list[str]:
 
 def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
                  is_top: bool, port_exprs: dict[str, ex.Expr] | None) -> None:
-    for p in mod.params:
+    for p in _params(mod):
         # an instantiation site's override (already in scope) wins
         if p.name not in scope.params:
             scope.params[p.name] = _const_eval(p.value, scope)
@@ -205,18 +208,17 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
             raise _err(f"inout port {port.name!r} is not supported", port.line,
                        Severity.UNSUPPORTED)
         _check_not_param(port.name, "port", scope, port.line)
-        w = _range_width(port.msb, port.lsb, scope, port.line)
-        scope.widths[port.name] = w
+        scope.widths[port.name] = _decl_width(port, scope)
         if port.direction == "input":
             scope.inputs.add(port.name)
-    for d in mod.decls:
+    for d in _items(mod, ast.NetDecl):
         _check_not_param(d.name, "net", scope, d.line)
         if any(p.name == d.name for p in mod.ports):
             # Redeclaration of a port with its net kind.
             continue
         if d.name in scope.widths or d.name in scope.arrays:
             raise _err(f"{d.name!r} is declared twice", d.line)
-        w = _range_width(d.msb, d.lsb, scope, d.line)
+        w = _decl_width(d, scope)
         if d.unpacked is not None:
             lo = _const_eval(d.unpacked[0], scope)
             hi = _const_eval(d.unpacked[1], scope)
@@ -251,18 +253,18 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
             # Output ports are driven inside the child; the parent-side
             # connection define is created at the instantiation site.
 
-    for a in mod.assigns:
+    for a in _items(mod, ast.ContinuousAssign):
         _elab_continuous(a, scope, col)
 
-    for blk in mod.always_blocks:
+    for blk in _items(mod, ast.AlwaysBlock):
         _elab_always(blk, scope, col)
 
-    for inst in mod.instances:
+    for inst in _items(mod, ast.Instance):
         if inst.module not in modules:
             raise _err(f"unknown module {inst.module!r}", inst.line)
         child = modules[inst.module]
         child_scope = Scope(prefix=scope.prefix + inst.name + ".")
-        overridable = {p.name for p in child.params if not p.local}
+        overridable = {p.name for p in _params(child) if not p.local}
         for pname, pval in inst.param_overrides:
             if pname not in overridable:
                 raise _err(f"module {inst.module!r} has no parameter "
@@ -306,6 +308,15 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
                 raise _err(f"output port {port.name!r} is never driven", port.line)
 
 
+def _items(mod: ast.ModuleDecl, kind: type) -> list:
+    return [item for item in mod.items if isinstance(item, kind)]
+
+
+def _params(mod: ast.ModuleDecl) -> list[ast.ParamDecl]:
+    """The header's parameters, then the body's."""
+    return [*mod.params, *_items(mod, ast.ParamDecl)]
+
+
 def _check_not_param(name: str, kind: str, scope: Scope, line: int) -> None:
     if name in scope.params:
         raise _err(f"{kind} {name!r} has the same name as a parameter", line)
@@ -325,13 +336,13 @@ def _add_define(col: Collected, name: str, e: ex.Expr, line: int) -> None:
     col.lines[name] = line
 
 
-def _range_width(msb, lsb, scope: Scope, line: int) -> int:
-    if msb is None:
-        return 1
-    m = _const_eval(msb, scope)
-    l = _const_eval(lsb, scope)
+def _decl_width(d: ast.Port | ast.NetDecl, scope: Scope) -> int:
+    if d.msb is None:
+        return _TYPE_WIDTHS.get(d.net_kind, 1)
+    m = _const_eval(d.msb, scope)
+    l = _const_eval(d.lsb, scope)
     if m < l:
-        raise _err(f"descending ranges [{m}:{l}] only (msb >= lsb)", line,
+        raise _err(f"descending ranges [{m}:{l}] only (msb >= lsb)", d.line,
                    Severity.UNSUPPORTED)
     return m - l + 1
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from svsec.ir import expr as ex
 
@@ -22,13 +22,12 @@ class TransitionSystem:
     defines: list[tuple[str, ex.Expr]]  # topologically ordered
     outputs: list[str]
     clock: str | None = None
-    widths: dict[str, int] = field(default_factory=dict)
+    widths: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        if not self.widths:
-            self.widths = {n: w for n, w in self.inputs}
-            self.widths.update({s.name: s.width for s in self.states})
-            self.widths.update({n: e.width for n, e in self.defines})
+        self.widths = {n: w for n, w in self.inputs}
+        self.widths.update({s.name: s.width for s in self.states})
+        self.widths.update({n: e.width for n, e in self.defines})
 
     def state_bits(self) -> int:
         return sum(s.width for s in self.states)
@@ -39,16 +38,14 @@ class TransitionSystem:
     def with_extra(self, extra_states: list[StateVar],
                    extra_next: dict[str, ex.Expr],
                    extra_defines: list[tuple[str, ex.Expr]]) -> "TransitionSystem":
-        ts = TransitionSystem(
+        return TransitionSystem(
             inputs=list(self.inputs),
             states=self.states + extra_states,
             next={**self.next, **extra_next},
             defines=self.defines + extra_defines,
             outputs=list(self.outputs),
             clock=self.clock,
-            widths={},
         )
-        return ts
 
 
 def simulate_step(ts: TransitionSystem, state_val: dict[str, int],

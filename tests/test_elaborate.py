@@ -498,3 +498,27 @@ def test_the_clock_does_not_depend_on_the_edge_order():
     assert first.clock == second.clock == "clk"
     assert first.states == second.states == [StateVar("q", 4, 0)]
     assert first.next["q"] is second.next["q"]
+
+
+@pytest.mark.parametrize("kind, width", [("byte", 8), ("int", 32),
+                                         ("integer", 32), ("bit", 1)])
+def test_integer_types_without_a_range_have_their_standard_width(kind, width):
+    source = (f"module m(input {kind} a, b, output logic [63:0] y);\n"
+              f"  {kind} w;\n  assign w = a;\n  assign y = w + b;\nendmodule\n")
+    ts, _ = compile_ts(source, "m")
+    assert (ts.widths["a"], ts.widths["b"], ts.widths["w"]) == (width,) * 3
+
+
+INTEGER_COUNTER = """module m(input logic clk, input logic rst_n, output logic [7:0] y);
+  integer c;
+  always_ff @(posedge clk or negedge rst_n)
+    if (!rst_n) c <= 0;
+    else c <= c + 1;
+  assign y = c;
+endmodule
+"""
+
+
+def test_an_integer_counter_passes_two():
+    verdict = check_design(INTEGER_COUNTER, "m", "y < 8'd2")
+    assert verdict.status == "falsified" and verdict.depth == 2, verdict

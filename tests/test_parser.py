@@ -20,12 +20,19 @@ def test_parse_counter():
                                            "count_out"]
 
 
+def _assert_round_trips(src: str) -> None:
+    """The printed tree re-parses to an equal tree that prints the same."""
+    unit, diags = parse_source(src)
+    assert unit is not None, [d.message for d in diags]
+    text = pretty_print(unit)
+    unit2, diags2 = parse_source(text)
+    assert unit2 is not None, [d.message for d in diags2]
+    assert unit2 == unit
+    assert pretty_print(unit2) == text
+
+
 def test_pretty_round_trip_is_stable():
-    unit1, _ = parse_source(COUNTER)
-    text1 = pretty_print(unit1)
-    unit2, diags = parse_source(text1)
-    assert unit2 is not None and not diags
-    assert pretty_print(unit2) == text1
+    _assert_round_trips(COUNTER)
 
 
 def test_catalog_designs_all_round_trip():
@@ -34,13 +41,42 @@ def test_catalog_designs_all_round_trip():
 
     for spec in list_problems():
         for fname in (spec.correct_file, spec.vulnerable_file):
-            src = design_text(fname)
-            unit, diags = parse_source(src)
-            assert unit is not None, (fname, [d.message for d in diags])
-            text = pretty_print(unit)
-            unit2, diags2 = parse_source(text)
-            assert unit2 is not None, (fname, [d.message for d in diags2])
-            assert pretty_print(unit2) == text
+            _assert_round_trips(design_text(fname))
+
+
+@pytest.mark.parametrize("src", [
+    "module m #(parameter W = 4, localparam D = W*2) (output logic [D-1:0] y);\n"
+    "  assign y = 0;\nendmodule\n",
+    "module m #(localparam A = 1, B = 2, parameter C = 3) (output logic y);\n"
+    "  parameter E = 5;\n  logic [E:0] w;\n  localparam F = E;\n"
+    "  assign y = w[F];\nendmodule\n",
+], ids=["header-localparam", "mixed-keywords"])
+def test_parameters_round_trip_in_place(src):
+    _assert_round_trips(src)
+
+
+def test_module_items_keep_source_order():
+    src = ("module m(input logic a, output logic y);\n"
+           "  assign y = w;\n  localparam P = 1;\n  logic w;\n"
+           "  always_comb w = a;\nendmodule\n")
+    unit, diags = parse_source(src)
+    assert unit is not None and not diags
+    (mod,) = unit.modules
+    assert mod.params == ()
+    assert [type(item) for item in mod.items] == [
+        ast.ContinuousAssign, ast.ParamDecl, ast.NetDecl, ast.AlwaysBlock]
+
+
+@pytest.mark.parametrize("kind", ["byte", "int", "integer", "logic [3:0]",
+                                  "int unsigned", "byte signed"])
+def test_typed_parameters_parse(kind):
+    src = (f"module m #(parameter {kind} P = 1) (output logic y);\n"
+           f"  localparam {kind} Q = P;\n  assign y = Q;\nendmodule\n")
+    unit, diags = parse_source(src)
+    assert unit is not None, [d.message for d in diags]
+    (mod,) = unit.modules
+    assert [p.name for p in mod.params] == ["P"]
+    assert [p.name for p in mod.items if isinstance(p, ast.ParamDecl)] == ["Q"]
 
 
 def test_syntax_error_reports_location():
@@ -123,7 +159,9 @@ def test_empty_lists_parse():
     unit, diags = parse_source(src)
     assert unit is not None and not diags
     assert [(m.params, m.ports) for m in unit.modules] == [((), ()), ((), ())]
-    assert unit.modules[1].instances[0].param_overrides == ()
+    assert unit.modules[0].items == ()
+    (inst,) = unit.modules[1].items
+    assert inst.param_overrides == ()
 
 
 # The binary operators by level, loosest first.
