@@ -8,8 +8,9 @@ from svsec.engine.bmc import DEFAULT_BUDGET
 from svsec.engine.induction import k_induction
 from svsec.engine.result import CompileError, Falsified, Proven, Unknown
 from svsec.frontend import ast, parse_source
+from svsec.frontend.diagnostics import DiagnosticError
 from svsec.ir import expr as ex
-from svsec.ir.elaborate import ElabError, elaborate
+from svsec.ir.elaborate import elaborate
 from svsec.props import compile_obligation, parse_property
 from svsec.props.obligation import SafetyObligation
 
@@ -48,7 +49,7 @@ def _check(source: str, top: str, property_text: str, max_k: int,
         return CompileError(diagnostics=pdiags, in_property=True)
     try:
         obl = compile_obligation(prop, ts)
-    except ElabError as e:
+    except DiagnosticError as e:
         return CompileError(diagnostics=[e.diag], in_property=True)
     verdict = k_induction(obl, max_k=max_k, budget=budget)
     if isinstance(verdict, Falsified):

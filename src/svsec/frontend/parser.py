@@ -8,7 +8,8 @@ produce `unsupported` diagnostics instead of a parse crash.
 from __future__ import annotations
 
 from svsec.frontend import ast
-from svsec.frontend.diagnostics import Diagnostic, Severity
+from svsec.frontend.diagnostics import (Diagnostic, DiagnosticError, Severity,
+                                        error)
 from svsec.frontend.lexer import Token, TokenKind, tokenize
 
 _UNSUPPORTED_ITEMS = {
@@ -42,11 +43,17 @@ _NET_KINDS = {"logic", "reg", "wire", "bit", "integer", "int", "byte"}
 _TYPE_WORDS = _NET_KINDS | {"signed", "unsigned"}
 _DIRECTIONS = {"input", "output", "inout"}
 
+# Binding strength of each binary operator; all are left-associative.
+_BINARY_PRECEDENCE = {
+    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
+    "==": 6, "!=": 6,
+    "<": 7, "<=": 7, ">": 7, ">=": 7,
+    "<<": 8, ">>": 8, ">>>": 8,
+    "+": 9, "-": 9,
+    "*": 10, "/": 10, "%": 10,
+}
 
-class ParseError(Exception):
-    def __init__(self, diag: Diagnostic):
-        super().__init__(diag.message)
-        self.diag = diag
+_BASE_RADIX = {"b": 2, "o": 8, "d": 10, "h": 16}
 
 
 class Parser:
@@ -68,20 +75,24 @@ class Parser:
     def next(self) -> Token:
         t = self.peek()
         if t is None:
-            raise ParseError(Diagnostic(Severity.ERROR, "unexpected end of input",
-                                        *self._last_loc()))
+            raise self._error(t, "unexpected end of input")
         self.pos += 1
         return t
 
     def expect(self, text: str) -> Token:
         t = self.peek()
         if t is None or t.text != text:
-            got = t.text if t else "end of input"
-            line, col = (t.line, t.col) if t else self._last_loc()
-            raise ParseError(Diagnostic(Severity.ERROR, f"expected {text!r}, got {got!r}",
-                                        line, col))
+            raise self._error(t, f"expected {text!r}, got {_text(t)!r}")
         self.pos += 1
         return t
+
+    def _error(self, t: Token | None, message: str,
+               severity: Severity = Severity.ERROR) -> DiagnosticError:
+        """`message` at token `t`, or at the last token at end of input."""
+        if t is None and self.tokens:
+            t = self.tokens[-1]
+        line, col = (t.line, t.col) if t is not None else (1, 1)
+        return error(message, line, col, severity)
 
     def _comma_list(self, item, close: str, empty: bool = False) -> list:
         """`item {, item} close`; with `empty`, a bare `close` too."""
@@ -93,12 +104,6 @@ class Parser:
                 out.append(item())
         self.expect(close)
         return out
-
-    def _last_loc(self) -> tuple[int, int]:
-        if self.tokens:
-            t = self.tokens[min(self.pos, len(self.tokens) - 1)]
-            return t.line, t.col
-        return 1, 1
 
     def _skip_until(self, *stops: str) -> None:
         depth = 0
@@ -139,7 +144,7 @@ class Parser:
             if t.text == "module":
                 try:
                     modules.append(self.parse_module())
-                except ParseError as e:
+                except DiagnosticError as e:
                     self.diags.append(e.diag)
                     self._skip_until("endmodule")
             elif t.text in _UNSUPPORTED_UNITS:
@@ -173,8 +178,7 @@ class Parser:
         while not self.at("endmodule"):
             t = self.peek()
             if t is None:
-                raise ParseError(Diagnostic(Severity.ERROR,
-                                            "missing 'endmodule'", kw.line, kw.col))
+                raise self._error(kw, "missing 'endmodule'")
             start = self.pos
             try:
                 if t.text in ("parameter", "localparam"):
@@ -196,10 +200,8 @@ class Parser:
                 elif t.text == ";":
                     self.pos += 1
                 else:
-                    raise ParseError(Diagnostic(
-                        Severity.ERROR, f"unexpected {t.text!r} in module body",
-                        t.line, t.col))
-            except ParseError as e:
+                    raise self._error(t, f"unexpected {t.text!r} in module body")
+            except DiagnosticError as e:
                 self.diags.append(e.diag)
                 self._skip_item(start)
         self.expect("endmodule")
@@ -209,10 +211,7 @@ class Parser:
     def _expect_ident(self, what: str) -> str:
         t = self.peek()
         if t is None or t.kind != TokenKind.IDENT:
-            got = t.text if t else "end of input"
-            line, col = (t.line, t.col) if t else self._last_loc()
-            raise ParseError(Diagnostic(Severity.ERROR, f"expected {what}, got {got!r}",
-                                        line, col))
+            raise self._error(t, f"expected {what}, got {_text(t)!r}")
         self.pos += 1
         return t.text
 
@@ -295,10 +294,8 @@ class Parser:
     def _parse_net_decl(self) -> list[ast.NetDecl]:
         t = self.peek()
         if t is not None and t.text in _DIRECTIONS:
-            raise ParseError(Diagnostic(
-                Severity.ERROR,
-                "non-ANSI port declarations in the module body are not supported",
-                t.line, t.col))
+            raise self._error(
+                t, "non-ANSI port declarations in the module body are not supported")
         kw = self.next()
         net_kind = kw.text
         while self.at("signed") or self.at("unsigned"):
@@ -312,9 +309,8 @@ class Parser:
             name = self._expect_ident("signal name")
             unpacked = self._parse_range() if self.at("[") else None
             if self.at("="):
-                raise ParseError(Diagnostic(
-                    Severity.UNSUPPORTED,
-                    "declaration initializers are not supported", t.line, t.col))
+                raise self._error(t, "declaration initializers are not supported",
+                                  Severity.UNSUPPORTED)
             return ast.NetDecl(name=name, net_kind=net_kind, msb=msb, lsb=lsb,
                                unpacked=unpacked, line=t.line)
 
@@ -335,12 +331,9 @@ class Parser:
             self.next()
             sensitivity = self._parse_sensitivity()
         elif kw.text == "always":
-            raise ParseError(Diagnostic(
-                Severity.ERROR, "always block requires a sensitivity list",
-                kw.line, kw.col))
+            raise self._error(kw, "always block requires a sensitivity list")
         if kw.text == "always_latch":
-            raise ParseError(Diagnostic(
-                Severity.UNSUPPORTED, "always_latch is not supported", kw.line, kw.col))
+            raise self._error(kw, "always_latch is not supported", Severity.UNSUPPORTED)
         body = self.parse_stmt()
         return ast.AlwaysBlock(kind=kw.text, sensitivity=sensitivity, body=body,
                                line=kw.line)
@@ -389,9 +382,8 @@ class Parser:
         name = self._expect_ident("instance name")
         self.expect("(")
         if not (self.at(")") or self.at(".")):
-            raise ParseError(Diagnostic(
-                Severity.UNSUPPORTED,
-                "positional port connections are not supported", t.line, t.col))
+            raise self._error(t, "positional port connections are not supported",
+                              Severity.UNSUPPORTED)
         conns = self._comma_list(
             lambda: ast.PortConn(*self._named_conn("port name", optional=True)), ")",
             empty=True)
@@ -413,8 +405,7 @@ class Parser:
     def parse_stmt(self) -> ast.Stmt:
         t = self.peek()
         if t is None:
-            raise ParseError(Diagnostic(Severity.ERROR, "unexpected end of input",
-                                        *self._last_loc()))
+            raise self._error(t, "unexpected end of input")
         if t.text == "begin":
             self.next()
             if self.at(":"):
@@ -423,8 +414,7 @@ class Parser:
             stmts = []
             while not self.at("end"):
                 if self.peek() is None:
-                    raise ParseError(Diagnostic(Severity.ERROR, "missing 'end'",
-                                                t.line, t.col))
+                    raise self._error(t, "missing 'end'")
                 stmts.append(self.parse_stmt())
             self.expect("end")
             if self.at(":"):
@@ -452,54 +442,39 @@ class Parser:
             return ast.Block(stmts=())
         if t.text in ("for", "while", "repeat", "forever", "wait", "fork", "disable",
                       "return", "break", "continue"):
-            raise ParseError(Diagnostic(
-                Severity.UNSUPPORTED, f"{t.text} statements are not supported",
-                t.line, t.col))
+            raise self._error(t, f"{t.text} statements are not supported",
+                              Severity.UNSUPPORTED)
         if t.kind == TokenKind.IDENT:
             if t.text.startswith("$"):
-                raise ParseError(Diagnostic(
-                    Severity.UNSUPPORTED, f"system task {t.text} is not supported",
-                    t.line, t.col))
+                raise self._error(t, f"system task {t.text} is not supported",
+                                  Severity.UNSUPPORTED)
             target = self._parse_lvalue()
             op = self.peek()
-            if op is not None and op.text == "<=":
-                self.next()
-                value = self.parse_expr()
-                self.expect(";")
-                return ast.Assign(target=target, value=value, nonblocking=True,
-                                  line=t.line)
-            if op is not None and op.text == "=":
-                self.next()
-                value = self.parse_expr()
-                self.expect(";")
-                return ast.Assign(target=target, value=value, nonblocking=False,
-                                  line=t.line)
-            got = op.text if op else "end of input"
-            raise ParseError(Diagnostic(
-                Severity.ERROR, f"expected assignment operator, got {got!r}",
-                t.line, t.col))
-        raise ParseError(Diagnostic(Severity.ERROR,
-                                    f"unexpected {t.text!r} in statement", t.line, t.col))
+            if op is None or op.text not in ("<=", "="):
+                raise self._error(
+                    t, f"expected assignment operator, got {_text(op)!r}")
+            self.next()
+            value = self.parse_expr()
+            self.expect(";")
+            return ast.Assign(target=target, value=value,
+                              nonblocking=op.text == "<=", line=t.line)
+        raise self._error(t, f"unexpected {t.text!r} in statement")
 
     def _parse_case(self) -> ast.Case:
         kw = self.next()
         if kw.text == "casex":
-            raise ParseError(Diagnostic(Severity.UNSUPPORTED,
-                                        "casex is not supported", kw.line, kw.col))
+            raise self._error(kw, "casex is not supported", Severity.UNSUPPORTED)
         self.expect("(")
         subject = self.parse_expr()
         self.expect(")")
         items: list[ast.CaseItem] = []
         while not self.at("endcase"):
             if self.peek() is None:
-                raise ParseError(Diagnostic(Severity.ERROR, "missing 'endcase'",
-                                            kw.line, kw.col))
+                raise self._error(kw, "missing 'endcase'")
             if self.at("default"):
                 t = self.next()
                 if any(not item.patterns for item in items):
-                    raise ParseError(Diagnostic(
-                        Severity.ERROR, "case statement has a second default",
-                        t.line, t.col))
+                    raise self._error(t, "case statement has a second default")
                 if self.at(":"):
                     self.next()
                 items.append(ast.CaseItem(patterns=(), body=self.parse_stmt()))
@@ -534,16 +509,6 @@ class Parser:
 
     # -- expressions -------------------------------------------------------
 
-    # Binding strength of each binary operator; all are left-associative.
-    _BINARY_PRECEDENCE = {
-        "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
-        "==": 6, "!=": 6,
-        "<": 7, "<=": 7, ">": 7, ">=": 7,
-        "<<": 8, ">>": 8, ">>>": 8,
-        "+": 9, "-": 9,
-        "*": 10, "/": 10, "%": 10,
-    }
-
     def parse_expr(self) -> ast.Expr:
         return self._parse_ternary()
 
@@ -563,7 +528,7 @@ class Parser:
         left = self._parse_unary()
         while True:
             t = self.peek()
-            prec = 0 if t is None else self._BINARY_PRECEDENCE.get(t.text, 0)
+            prec = 0 if t is None else _BINARY_PRECEDENCE.get(t.text, 0)
             if prec < min_prec:
                 return left
             self.next()
@@ -592,11 +557,10 @@ class Parser:
     def _parse_primary(self) -> ast.Expr:
         t = self.peek()
         if t is None:
-            raise ParseError(Diagnostic(Severity.ERROR,
-                                        "unexpected end of expression", *self._last_loc()))
+            raise self._error(t, "unexpected end of expression")
         if t.kind in (TokenKind.SIZED_LIT, TokenKind.UNSIZED_LIT):
             self.next()
-            return parse_number_token(t)
+            return self._parse_number(t)
         if t.kind == TokenKind.IDENT:
             self.next()
             name = t.text
@@ -618,9 +582,7 @@ class Parser:
             return expr
         if t.text == "{":
             return self._parse_concat()
-        raise ParseError(Diagnostic(Severity.ERROR,
-                                    f"unexpected {t.text!r} in expression",
-                                    t.line, t.col))
+        raise self._error(t, f"unexpected {t.text!r} in expression")
 
     def _parse_concat(self) -> ast.Expr:
         self.expect("{")
@@ -640,66 +602,55 @@ class Parser:
         return ast.Concat(parts=tuple(parts))
 
 
-_BASE_RADIX = {"b": 2, "o": 8, "d": 10, "h": 16}
+    def _parse_number(self, t: Token) -> ast.Number:
+        text = t.text
+        if text.startswith('"'):
+            raise self._error(t, "string literals are not supported",
+                              Severity.UNSUPPORTED)
+        if not text.isascii():  # int() would take any Unicode digit
+            raise self._error(t, f"invalid digits in literal {text!r}")
+        if "'" not in text:
+            return ast.Number(value=int(text.replace("_", "")), width=None, base=None)
+        size_part, rest = text.split("'", 1)
+        if rest and rest[0] in "sS":
+            rest = rest[1:]
+        if rest and rest[0].lower() in _BASE_RADIX:
+            base = rest[0].lower()
+            digits = rest[1:].replace("_", "")
+            if any(c in "xXzZ?" for c in digits):
+                raise self._error(t, "four-state literal values (x/z) are not "
+                                  "supported", Severity.UNSUPPORTED)
+            try:
+                value = int(digits, _BASE_RADIX[base])
+            except ValueError:
+                raise self._error(
+                    t, f"invalid digits in based literal {text!r}") from None
+            width = int(size_part) if size_part else None
+            if width == 0:
+                raise self._error(t, f"literal {text!r} has zero width")
+            if width is not None:
+                value &= (1 << width) - 1
+            return ast.Number(value=value, width=width, base=base)
+        # Unbased unsized: '0, '1, 'x, 'z
+        digit = rest[:1]
+        if digit in ("0", "1"):
+            return ast.Number(value=int(digit), width=None, base="")
+        raise self._error(t, "four-state literal values (x/z) are not supported",
+                          Severity.UNSUPPORTED)
 
 
-def parse_number_token(t: Token) -> ast.Number:
-    text = t.text
-    if text.startswith('"'):
-        raise ParseError(Diagnostic(Severity.UNSUPPORTED,
-                                    "string literals are not supported", t.line, t.col))
-    if not text.isascii():  # int() would take any Unicode digit
-        raise ParseError(Diagnostic(
-            Severity.ERROR, f"invalid digits in literal {text!r}", t.line, t.col))
-    if "'" not in text:
-        return ast.Number(value=int(text.replace("_", "")), width=None, base=None)
-    size_part, rest = text.split("'", 1)
-    if rest and rest[0] in "sS":
-        rest = rest[1:]
-    if rest and rest[0].lower() in _BASE_RADIX:
-        base = rest[0].lower()
-        digits = rest[1:].replace("_", "")
-        if any(c in "xXzZ?" for c in digits):
-            raise ParseError(Diagnostic(
-                Severity.UNSUPPORTED,
-                "four-state literal values (x/z) are not supported", t.line, t.col))
-        try:
-            value = int(digits, _BASE_RADIX[base])
-        except ValueError:
-            raise ParseError(Diagnostic(
-                Severity.ERROR, f"invalid digits in based literal {text!r}",
-                t.line, t.col)) from None
-        width = int(size_part) if size_part else None
-        if width == 0:
-            raise ParseError(Diagnostic(
-                Severity.ERROR, f"literal {text!r} has zero width", t.line, t.col))
-        if width is not None:
-            value &= (1 << width) - 1
-        return ast.Number(value=value, width=width, base=base)
-    # Unbased unsized: '0, '1, 'x, 'z
-    digit = rest[:1]
-    if digit in ("0", "1"):
-        return ast.Number(value=int(digit), width=None, base="")
-    raise ParseError(Diagnostic(Severity.UNSUPPORTED,
-                                "four-state literal values (x/z) are not supported",
-                                t.line, t.col))
+def _text(t: Token | None) -> str:
+    return t.text if t is not None else "end of input"
 
 
 def parse(tokens: list[Token]) -> tuple[ast.SourceUnit | None, list[Diagnostic]]:
     p = Parser(tokens)
-    try:
-        unit = p.parse_unit()
-    except ParseError as e:
-        p.diags.append(e.diag)
-        return None, p.diags
-    if any(d.is_fatal for d in p.diags):
-        return None, p.diags
-    return unit, p.diags
+    unit = p.parse_unit()  # a failed module is a diagnostic, not a raise
+    return (None if p.diags else unit), p.diags
 
 
 def parse_source(source: str) -> tuple[ast.SourceUnit | None, list[Diagnostic]]:
-    tokens, lex_diags = tokenize(source)
-    if any(d.is_fatal for d in lex_diags):
-        return None, lex_diags
-    unit, diags = parse(tokens)
-    return unit, lex_diags + diags
+    tokens, diags = tokenize(source)
+    if diags:
+        return None, diags
+    return parse(tokens)

@@ -3,17 +3,7 @@
 from __future__ import annotations
 
 from svsec.frontend import ast
-
-_PRECEDENCE = {
-    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
-    "==": 6, "!=": 6,
-    "<": 7, "<=": 7, ">": 7, ">=": 7,
-    "<<": 8, ">>": 8, ">>>": 8,
-    "+": 9, "-": 9,
-    "*": 10, "/": 10, "%": 10,
-}
-
-_BASE_RADIX = {"b": 2, "o": 8, "d": 10, "h": 16}
+from svsec.frontend.parser import _BASE_RADIX, _BINARY_PRECEDENCE
 
 
 def format_expr(e: ast.Expr, parent_prec: int = 0) -> str:
@@ -24,7 +14,7 @@ def format_expr(e: ast.Expr, parent_prec: int = 0) -> str:
     if isinstance(e, ast.Unary):
         return f"{e.op}{format_expr(e.operand, 11)}"
     if isinstance(e, ast.Binary):
-        prec = _PRECEDENCE[e.op]
+        prec = _BINARY_PRECEDENCE[e.op]
         text = f"{format_expr(e.left, prec)} {e.op} {format_expr(e.right, prec + 1)}"
         return f"({text})" if prec < parent_prec else text
     if isinstance(e, ast.Ternary):

@@ -25,7 +25,7 @@ import functools
 from dataclasses import dataclass, field
 
 from svsec.frontend import ast
-from svsec.frontend.diagnostics import Diagnostic, Severity
+from svsec.frontend.diagnostics import DiagnosticError, Severity, error
 from svsec.ir import expr as ex
 from svsec.ir.transition import StateVar, TransitionSystem
 
@@ -33,16 +33,6 @@ ARRAY_BIT_CAP = 4096
 
 # Widths of the types that have no range (IEEE 1800-2017, Table 6-8)
 _TYPE_WIDTHS = {"byte": 8, "int": 32, "integer": 32}
-
-
-class ElabError(Exception):
-    def __init__(self, diag: Diagnostic):
-        super().__init__(diag.message)
-        self.diag = diag
-
-
-def _err(msg: str, line: int = 0, sev: Severity = Severity.ERROR) -> ElabError:
-    return ElabError(Diagnostic(sev, msg, line, 0))
 
 
 @dataclass
@@ -83,14 +73,14 @@ def elaborate(unit: ast.SourceUnit, top: str):
     try:
         ts, line_map = _elaborate(unit, top)
         return ts, line_map, []
-    except ElabError as e:
+    except DiagnosticError as e:
         return None, {}, [e.diag]
 
 
 def _elaborate(unit: ast.SourceUnit, top: str):
     modules = {m.name: m for m in unit.modules}
     if top not in modules:
-        raise _err(f"top module {top!r} not found")
+        raise error(f"top module {top!r} not found")
     col = Collected()
     _elab_module(modules, modules[top], Scope(prefix=""), col, is_top=True,
                  port_exprs=None)
@@ -126,17 +116,17 @@ def _resolve_clock(col: Collected) -> str | None:
         cur = c
         while cur in col.defines and isinstance(col.defines[cur], ex.Ref):
             if cur in seen:
-                raise _err(f"clock alias cycle through {cur!r}")
+                raise error(f"clock alias cycle through {cur!r}")
             seen.add(cur)
             cur = col.defines[cur].name
         roots.add(cur)
     if len(roots) > 1:
-        raise _err(f"multiple clocks are not supported: {sorted(roots)}",
-                   sev=Severity.UNSUPPORTED)
+        raise error(f"multiple clocks are not supported: {sorted(roots)}",
+                    severity=Severity.UNSUPPORTED)
     root = roots.pop()
     if root not in col.input_widths:
-        raise _err(f"clock {root!r} must be a top-level input",
-                   sev=Severity.UNSUPPORTED)
+        raise error(f"clock {root!r} must be a top-level input",
+                    severity=Severity.UNSUPPORTED)
     # Drop pure-alias defines of the clock net (child clock port bindings).
     changed = True
     dropped = {root}
@@ -158,10 +148,10 @@ def _check_refs(ts: TransitionSystem, clock: str | None) -> None:
     for name, e in all_exprs:
         for r in sorted(ex.refs(e)):
             if r == clock:
-                raise _err(f"clock {clock!r} used as data in {name!r}",
-                           sev=Severity.UNSUPPORTED)
+                raise error(f"clock {clock!r} used as data in {name!r}",
+                            severity=Severity.UNSUPPORTED)
             if r not in known:
-                raise _err(f"undriven signal {r!r} referenced by {name!r}")
+                raise error(f"undriven signal {r!r} referenced by {name!r}")
 
 
 def _toposort_defines(col: Collected) -> list[str]:
@@ -184,7 +174,7 @@ def _toposort_defines(col: Collected) -> list[str]:
                 todo.pop()
             elif mark.get(d) == 1:
                 cycle = " -> ".join(path[path.index(d):] + [d])
-                raise _err(f"combinational loop: {cycle}", line=col.lines[d])
+                raise error(f"combinational loop: {cycle}", line=col.lines[d])
             elif d not in mark:
                 mark[d] = 1
                 path.append(d)
@@ -205,8 +195,8 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
     # Declare ports and nets.
     for port in mod.ports:
         if port.direction == "inout":
-            raise _err(f"inout port {port.name!r} is not supported", port.line,
-                       Severity.UNSUPPORTED)
+            raise error(f"inout port {port.name!r} is not supported", port.line,
+                        severity=Severity.UNSUPPORTED)
         _check_not_param(port.name, "port", scope, port.line)
         scope.widths[port.name] = _decl_width(port, scope)
         if port.direction == "input":
@@ -217,7 +207,7 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
             # Redeclaration of a port with its net kind.
             continue
         if d.name in scope.widths or d.name in scope.arrays:
-            raise _err(f"{d.name!r} is declared twice", d.line)
+            raise error(f"{d.name!r} is declared twice", d.line)
         w = _decl_width(d, scope)
         if d.unpacked is not None:
             lo = _const_eval(d.unpacked[0], scope)
@@ -226,8 +216,8 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
                 lo, hi = hi, lo
             total = (hi - lo + 1) * w
             if total > ARRAY_BIT_CAP:
-                raise _err(f"unpacked array {d.name!r} exceeds {ARRAY_BIT_CAP} bits",
-                           d.line, Severity.UNSUPPORTED)
+                raise error(f"unpacked array {d.name!r} exceeds {ARRAY_BIT_CAP} bits",
+                            d.line, severity=Severity.UNSUPPORTED)
             scope.arrays[d.name] = ArrayInfo(lo=lo, hi=hi, width=w)
             for i in range(lo, hi + 1):
                 scope.widths[f"{d.name}[{i}]"] = w
@@ -261,22 +251,25 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
 
     for inst in _items(mod, ast.Instance):
         if inst.module not in modules:
-            raise _err(f"unknown module {inst.module!r}", inst.line)
+            raise error(f"unknown module {inst.module!r}", inst.line)
         child = modules[inst.module]
         child_scope = Scope(prefix=scope.prefix + inst.name + ".")
-        overridable = {p.name for p in _params(child) if not p.local}
+        # a header parameter list makes the body's parameters local
+        # (IEEE 1800-2017 6.20.1)
+        overridable = {p.name for p in child.params or _params(child)
+                       if not p.local}
         for pname, pval in inst.param_overrides:
             if pname not in overridable:
-                raise _err(f"module {inst.module!r} has no parameter "
-                           f"{pname!r} to override", inst.line)
+                raise error(f"module {inst.module!r} has no parameter "
+                            f"{pname!r} to override", inst.line)
             child_scope.params[pname] = _const_eval(pval, scope)
         child_ports = {p.name: p for p in child.ports}
         in_exprs: dict[str, ex.Expr] = {}
         out_conns: list[tuple[str, str, int]] = []
         for conn in inst.conns:
             if conn.port not in child_ports:
-                raise _err(f"module {inst.module!r} has no port {conn.port!r}",
-                           inst.line)
+                raise error(f"module {inst.module!r} has no port {conn.port!r}",
+                            inst.line)
             cp = child_ports[conn.port]
             if cp.direction == "input":
                 if conn.expr is not None:
@@ -285,14 +278,14 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
                 if conn.expr is None:
                     continue
                 if not isinstance(conn.expr, ast.Ident):
-                    raise _err("output port connections must be plain identifiers",
-                               inst.line, Severity.UNSUPPORTED)
+                    raise error("output port connections must be plain identifiers",
+                                inst.line, severity=Severity.UNSUPPORTED)
                 out_conns.append((conn.expr.name, conn.port, inst.line))
         _elab_module(modules, child, child_scope, col, is_top=False,
                      port_exprs=in_exprs)
         for parent_net, child_port, line in out_conns:
             if parent_net not in scope.widths:
-                raise _err(f"undeclared net {parent_net!r} in connection", line)
+                raise error(f"undeclared net {parent_net!r} in connection", line)
             _check_target(parent_net, scope, line)
             q_child = child_scope.qual(child_port)
             w = scope.widths[parent_net]
@@ -305,7 +298,7 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
             q = scope.qual(port.name)
             if port.direction == "output" and q not in col.defines \
                     and q not in col.states:
-                raise _err(f"output port {port.name!r} is never driven", port.line)
+                raise error(f"output port {port.name!r} is never driven", port.line)
 
 
 def _items(mod: ast.ModuleDecl, kind: type) -> list:
@@ -319,19 +312,19 @@ def _params(mod: ast.ModuleDecl) -> list[ast.ParamDecl]:
 
 def _check_not_param(name: str, kind: str, scope: Scope, line: int) -> None:
     if name in scope.params:
-        raise _err(f"{kind} {name!r} has the same name as a parameter", line)
+        raise error(f"{kind} {name!r} has the same name as a parameter", line)
 
 
 def _check_target(name: str, scope: Scope, line: int) -> None:
     if name not in scope.widths:
-        raise _err(f"assignment to undeclared signal {name!r}", line)
+        raise error(f"assignment to undeclared signal {name!r}", line)
     if name in scope.inputs:
-        raise _err(f"cannot assign to input port {name!r}", line)
+        raise error(f"cannot assign to input port {name!r}", line)
 
 
 def _add_define(col: Collected, name: str, e: ex.Expr, line: int) -> None:
     if name in col.defines or name in col.states:
-        raise _err(f"multiple drivers for {name!r}", line)
+        raise error(f"multiple drivers for {name!r}", line)
     col.defines[name] = e
     col.lines[name] = line
 
@@ -342,8 +335,8 @@ def _decl_width(d: ast.Port | ast.NetDecl, scope: Scope) -> int:
     m = _const_eval(d.msb, scope)
     l = _const_eval(d.lsb, scope)
     if m < l:
-        raise _err(f"descending ranges [{m}:{l}] only (msb >= lsb)", d.line,
-                   Severity.UNSUPPORTED)
+        raise error(f"descending ranges [{m}:{l}] only (msb >= lsb)", d.line,
+                    severity=Severity.UNSUPPORTED)
     return m - l + 1
 
 
@@ -353,7 +346,7 @@ def _const_eval(e: ast.Expr, scope: Scope) -> int:
     if isinstance(e, ast.Ident):
         if e.name in scope.params:
             return scope.params[e.name]
-        raise _err(f"{e.name!r} is not a compile-time constant")
+        raise error(f"{e.name!r} is not a compile-time constant")
     if isinstance(e, ast.Binary):
         a = _const_eval(e.left, scope)
         b = _const_eval(e.right, scope)
@@ -364,7 +357,7 @@ def _const_eval(e: ast.Expr, scope: Scope) -> int:
             return ops[e.op]()
     if isinstance(e, ast.Unary) and e.op == "-":
         return -_const_eval(e.operand, scope)
-    raise _err("expression is not a supported compile-time constant")
+    raise error("expression is not a supported compile-time constant")
 
 
 # --------------------------------------------------------------------------
@@ -382,8 +375,8 @@ def _lookup(name: str, scope: Scope, blocking: dict[str, ex.Expr]) -> ex.Expr:
     if name in scope.widths:
         return ex.Ref(scope.widths[name], scope.qual(name))
     if name in scope.arrays:
-        raise _err(f"array {name!r} used without an index")
-    raise _err(f"unknown identifier {name!r}")
+        raise error(f"array {name!r} used without an index")
+    raise error(f"unknown identifier {name!r}")
 
 
 def _balance(a: ex.Expr, b: ex.Expr) -> tuple[ex.Expr, ex.Expr]:
@@ -398,7 +391,7 @@ def _equals(idx: ex.Expr, i: int) -> ex.Expr:
 def _const_or_none(e: ast.Expr, scope: Scope) -> int | None:
     try:
         return _const_eval(e, scope)
-    except ElabError:
+    except DiagnosticError:
         return None
 
 
@@ -423,7 +416,8 @@ def _elab_expr(e: ast.Expr, scope: Scope,
             return ex.unop("redor", a)
         if e.op == "^":
             return ex.unop("redxor", a)
-        raise _err(f"unsupported unary operator {e.op!r}", sev=Severity.UNSUPPORTED)
+        raise error(f"unsupported unary operator {e.op!r}",
+                    severity=Severity.UNSUPPORTED)
     if isinstance(e, ast.Binary):
         return _elab_binary(e, scope, blocking)
     if isinstance(e, ast.Ternary):
@@ -435,8 +429,8 @@ def _elab_expr(e: ast.Expr, scope: Scope,
         return _elab_index(e, scope, blocking)
     if isinstance(e, ast.RangeSelect):
         if not isinstance(e.base, ast.Ident):
-            raise _err("part select base must be an identifier",
-                       sev=Severity.UNSUPPORTED)
+            raise error("part select base must be an identifier",
+                        severity=Severity.UNSUPPORTED)
         base = _lookup(e.base.name, scope, blocking)
         hi = _const_eval(e.msb, scope)
         lo = _const_eval(e.lsb, scope)
@@ -449,10 +443,10 @@ def _elab_expr(e: ast.Expr, scope: Scope,
         v = _elab_expr(e.value, scope, blocking)
         return ex.concat(tuple(v for _ in range(max(n, 0))))
     if isinstance(e, ast.SysCall):
-        raise _err(f"system function {e.name} is not supported in module context",
-                   sev=Severity.UNSUPPORTED)
-    raise _err(f"unsupported expression {type(e).__name__}",
-               sev=Severity.UNSUPPORTED)
+        raise error(f"system function {e.name} is not supported in module context",
+                    severity=Severity.UNSUPPORTED)
+    raise error(f"unsupported expression {type(e).__name__}",
+                severity=Severity.UNSUPPORTED)
 
 
 def _elab_binary(e: ast.Binary, scope: Scope,
@@ -494,18 +488,18 @@ def _binop(op: str, a: ex.Expr, b: ex.Expr) -> ex.Expr:
         return ex.binop("ule", b, a)
     if op in ("<<", ">>", ">>>"):
         if op == ">>>":
-            raise _err("arithmetic shift is not supported (unsigned semantics)",
-                       sev=Severity.UNSUPPORTED)
+            raise error("arithmetic shift is not supported (unsigned semantics)",
+                        severity=Severity.UNSUPPORTED)
         return ex.binop({"<<": "shl", ">>": "shr"}[op], a, b, width=a.width)
     if op in ("/", "%"):
-        raise _err(f"operator {op!r} is not supported", sev=Severity.UNSUPPORTED)
-    raise _err(f"unsupported operator {op!r}", sev=Severity.UNSUPPORTED)
+        raise error(f"operator {op!r} is not supported", severity=Severity.UNSUPPORTED)
+    raise error(f"unsupported operator {op!r}", severity=Severity.UNSUPPORTED)
 
 
 def _elab_index(e: ast.Index, scope: Scope,
                 blocking: dict[str, ex.Expr]) -> ex.Expr:
     if not isinstance(e.base, ast.Ident):
-        raise _err("index base must be an identifier", sev=Severity.UNSUPPORTED)
+        raise error("index base must be an identifier", severity=Severity.UNSUPPORTED)
     name = e.base.name
     idx = _const_or_none(e.index, scope)
     if name in scope.arrays:
@@ -531,20 +525,20 @@ def _elab_index(e: ast.Index, scope: Scope,
 
 def _check_element(name: str, info: ArrayInfo, idx: int, line: int = 0) -> None:
     if not (info.lo <= idx <= info.hi):
-        raise _err(f"index {idx} out of range for array {name!r} "
-                   f"[{info.lo}:{info.hi}]", line)
+        raise error(f"index {idx} out of range for array {name!r} "
+                    f"[{info.lo}:{info.hi}]", line)
 
 
 def _check_bit(name: str, width: int, idx: int, line: int = 0) -> None:
     if not (0 <= idx < width):
-        raise _err(f"bit index {idx} out of range for {name!r} "
-                   f"(width {width})", line)
+        raise error(f"bit index {idx} out of range for {name!r} "
+                    f"(width {width})", line)
 
 
 def _check_part(name: str, width: int, hi: int, lo: int, line: int = 0) -> None:
     if not (0 <= lo <= hi < width):
-        raise _err(f"part select [{hi}:{lo}] out of range for {name!r} "
-                   f"(width {width})", line)
+        raise error(f"part select [{hi}:{lo}] out of range for {name!r} "
+                    f"(width {width})", line)
 
 
 # --------------------------------------------------------------------------
@@ -632,8 +626,8 @@ def _exec_stmt(s: ast.Stmt, env: _Env, clocked: bool) -> None:
     if isinstance(s, ast.Assign):
         _exec_assign(s, env, clocked)
         return
-    raise _err(f"unsupported statement {type(s).__name__}", getattr(s, "line", 0),
-               Severity.UNSUPPORTED)
+    raise error(f"unsupported statement {type(s).__name__}", getattr(s, "line", 0),
+                severity=Severity.UNSUPPORTED)
 
 
 def _exec_assign(s: ast.Assign, env: _Env, clocked: bool) -> None:
@@ -657,8 +651,8 @@ def _exec_assign(s: ast.Assign, env: _Env, clocked: bool) -> None:
     if name in scope.arrays:
         info = scope.arrays[name]
         if lv.index is None:
-            raise _err(f"whole-array assignment to {name!r} is not supported",
-                       s.line, Severity.UNSUPPORTED)
+            raise error(f"whole-array assignment to {name!r} is not supported",
+                        s.line, severity=Severity.UNSUPPORTED)
         value = rhs(info.width)
         if idx is not None:
             _check_element(name, info, idx, s.line)
@@ -714,8 +708,8 @@ def _splice(cur: ex.Expr, w: int, hi: int, lo: int, part: ex.Expr) -> ex.Expr:
 def _elab_continuous(a: ast.ContinuousAssign, scope: Scope, col: Collected) -> None:
     lv = a.target
     if lv.index is not None or lv.msb is not None:
-        raise _err("continuous assignment to a bit/part select is not supported",
-                   a.line, Severity.UNSUPPORTED)
+        raise error("continuous assignment to a bit/part select is not supported",
+                    a.line, severity=Severity.UNSUPPORTED)
     _check_target(lv.name, scope, a.line)
     value = ex.resize(_elab_expr(a.value, scope, {}), scope.widths[lv.name])
     _add_define(col, scope.qual(lv.name), value, a.line)
@@ -730,11 +724,11 @@ def _elab_always(blk: ast.AlwaysBlock, scope: Scope, col: Collected) -> None:
     posedges = [e for e in edges if e.edge == "posedge"]
     negedges = [e for e in edges if e.edge == "negedge"]
     if len(negedges) > 1 or len(posedges) > 2 or not posedges:
-        raise _err("clocked sensitivity must be posedge clk with at most one "
-                   "reset edge", blk.line, Severity.UNSUPPORTED)
+        raise error("clocked sensitivity must be posedge clk with at most one "
+                    "reset edge", blk.line, severity=Severity.UNSUPPORTED)
     if len(posedges) == 2 and negedges:
-        raise _err("too many edges in sensitivity list", blk.line,
-                   Severity.UNSUPPORTED)
+        raise error("too many edges in sensitivity list", blk.line,
+                    severity=Severity.UNSUPPORTED)
 
     env = _Env(scope)
     _exec_stmt(blk.body, env, clocked=True)
@@ -758,7 +752,7 @@ def _elab_always(blk: ast.AlwaysBlock, scope: Scope, col: Collected) -> None:
     for local, next_e in assigned.items():
         q = scope.qual(local)
         if q in col.states or q in col.defines:
-            raise _err(f"multiple drivers for {local!r}", blk.line)
+            raise error(f"multiple drivers for {local!r}", blk.line)
         reset_val: int | None = None
         if reset_env:
             folded = ex.substitute(next_e, reset_env)
@@ -775,13 +769,13 @@ def _elab_comb_block(blk: ast.AlwaysBlock, scope: Scope, col: Collected) -> None
     _exec_stmt(blk.body, env, clocked=False)
     if env.deferred:
         names = ", ".join(sorted(env.deferred))
-        raise _err(f"nonblocking assignment in combinational block ({names})",
-                   blk.line, Severity.UNSUPPORTED)
+        raise error(f"nonblocking assignment in combinational block ({names})",
+                    blk.line, severity=Severity.UNSUPPORTED)
     for local, value in env.blocking.items():
         q = scope.qual(local)
         if q in ex.refs(value):
-            raise _err(f"latch inferred for {local!r} (incomplete assignment)",
-                       blk.line, Severity.UNSUPPORTED)
+            raise error(f"latch inferred for {local!r} (incomplete assignment)",
+                        blk.line, severity=Severity.UNSUPPORTED)
         _add_define(col, q, value, blk.line)
         # an array element's line is the array's last assignment line
         col.lines[q] = env.last_line.get(local.split("[")[0], blk.line)

@@ -36,7 +36,7 @@ def keyword_frequency(sources) -> tuple[dict, int]:
     skipped = 0
     for source, copies in Counter(sources).items():
         tokens, diags = tokenize(source)
-        if any(d.is_fatal for d in diags):
+        if diags:
             skipped += copies
             continue
         for tok in tokens:

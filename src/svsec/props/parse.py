@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from svsec.frontend import ast
-from svsec.frontend.diagnostics import Diagnostic, Severity
+from svsec.frontend.diagnostics import (Diagnostic, DiagnosticError, Severity,
+                                        error)
 from svsec.frontend.lexer import tokenize
-from svsec.frontend.parser import ParseError, Parser
+from svsec.frontend.parser import Parser
 from svsec.ir.transition import TransitionSystem
 
 PAST_DEPTH_CAP = 8
@@ -49,7 +50,7 @@ def parse_property(text: str,
                    ts: TransitionSystem) -> tuple[PropertyAst | None,
                                                   list[Diagnostic]]:
     tokens, diags = tokenize(text)
-    if any(d.is_fatal for d in diags):
+    if diags:
         return None, diags
     p = Parser(tokens)
     try:
@@ -67,12 +68,9 @@ def parse_property(text: str,
             nonoverlapped = p.next().text == "|=>"
             antecedent = left
             left = p.parse_expr()
-        if p.peek() is not None:
-            t = p.peek()
-            raise ParseError(Diagnostic(
-                Severity.ERROR, f"trailing input {t.text!r} after property",
-                t.line, t.col))
-    except ParseError as e:
+        if (t := p.peek()) is not None:
+            raise error(f"trailing input {t.text!r} after property", t.line, t.col)
+    except DiagnosticError as e:
         return None, [e.diag]
 
     prop = PropertyAst(text=text, disable=disable, antecedent=antecedent,
@@ -90,39 +88,34 @@ def _validate(e: ast.Expr, ts: TransitionSystem, errs: list[Diagnostic]) -> None
     if isinstance(e, ast.Ident):
         if e.name == ts.clock:
             errs.append(Diagnostic(Severity.ERROR,
-                                   f"clock {e.name!r} cannot appear in a property",
-                                   0, 0))
+                                   f"clock {e.name!r} cannot appear in a property"))
         elif e.name not in ts.widths:
-            errs.append(Diagnostic(Severity.ERROR,
-                                   f"unknown signal {e.name!r}", 0, 0))
+            errs.append(Diagnostic(Severity.ERROR, f"unknown signal {e.name!r}"))
         return
     if isinstance(e, ast.Number):
         return
     if isinstance(e, ast.SysCall):
         if e.name not in _SAMPLED:
             errs.append(Diagnostic(Severity.UNSUPPORTED,
-                                   f"system function {e.name} not supported",
-                                   0, 0))
+                                   f"system function {e.name} not supported"))
             return
         if e.name == "$past":
             if not 1 <= len(e.args) <= 2:
                 errs.append(Diagnostic(Severity.ERROR,
-                                       "$past takes one or two arguments", 0, 0))
+                                       "$past takes one or two arguments"))
                 return
             n = _past_depth(e)
             if n is None or n < 1:
                 errs.append(Diagnostic(Severity.ERROR,
-                                       "$past depth must be a positive constant",
-                                       0, 0))
+                                       "$past depth must be a positive constant"))
             elif n > PAST_DEPTH_CAP:
-                errs.append(Diagnostic(
-                    Severity.ERROR,
-                    f"$past depth {n} exceeds cap {PAST_DEPTH_CAP}", 0, 0))
+                errs.append(Diagnostic(Severity.ERROR,
+                                       f"$past depth {n} exceeds cap {PAST_DEPTH_CAP}"))
             _validate(e.args[0], ts, errs)
             return
         if len(e.args) != 1:
             errs.append(Diagnostic(Severity.ERROR,
-                                   f"{e.name} takes exactly one argument", 0, 0))
+                                   f"{e.name} takes exactly one argument"))
             return
         _validate(e.args[0], ts, errs)
         return
@@ -133,19 +126,16 @@ def _validate(e: ast.Expr, ts: TransitionSystem, errs: list[Diagnostic]) -> None
         _validate(e.base, ts, errs)
         if not isinstance(e.index, ast.Number):
             errs.append(Diagnostic(Severity.UNSUPPORTED,
-                                   "dynamic bit select not supported in "
-                                   "properties", 0, 0))
+                                   "dynamic bit select not supported in properties"))
     elif isinstance(e, ast.RangeSelect):
         _validate(e.base, ts, errs)
         for b in (e.msb, e.lsb):
             if not isinstance(b, ast.Number):
                 errs.append(Diagnostic(Severity.ERROR,
-                                       "part-select bounds must be constant",
-                                       0, 0))
+                                       "part-select bounds must be constant"))
     elif isinstance(e, (ast.Concat, ast.Replicate)):
         errs.append(Diagnostic(Severity.UNSUPPORTED,
-                               "concatenation not supported in properties",
-                               0, 0))
+                               "concatenation not supported in properties"))
 
 
 def _past_depth(call: ast.SysCall) -> int | None:

@@ -351,6 +351,21 @@ def test_override_of_an_undeclared_parameter_is_a_diagnostic(name):
         [f"module 'c' has no parameter '{name}' to override"]
 
 
+# with a header parameter list, X would be local (test_negative_corpus.py)
+BODY_PARAM = """module c(input logic [3:0] a, output logic [3:0] y);
+  parameter X = 0;
+  assign y = a + X;
+endmodule
+module top(input logic [3:0] d, output logic [3:0] q);
+  c #(.X(1)) u(.a(d), .y(q));
+endmodule
+"""
+
+
+def test_body_parameter_of_a_module_without_a_header_list_is_overridable():
+    assert check_design(BODY_PARAM, "top", "q == d").status == "falsified"
+
+
 DRIVER = """module buf1(input logic a, output logic y);
   assign y = a;
 endmodule

@@ -22,7 +22,7 @@ endmodule
 
 CHILD = """module c #(parameter W = 4) (input logic [W-1:0] a,
   output logic [W-1:0] y);
-  assign y = a;
+  parameter X = 0; assign y = a;
 endmodule
 module h #(localparam L = 2, W = 4) (input logic [W-1:0] a,
   output logic [W-1:0] y);
@@ -79,6 +79,9 @@ BODIES = {
     "override of a header localparam": "  h #(.L(3)) u(.a(d_in), .y(q_out));",
     "override of an entry after a header localparam":
         "  h #(.W(4)) u(.a(d_in), .y(q_out));",
+    # a header parameter list makes a body `parameter` local
+    "override of a body parameter beside a header list":
+        "  c #(.W(4), .X(1)) u(.a(d_in), .y(q_out));",
     **INPUT_PORT_DRIVES,
 }
 
@@ -96,6 +99,13 @@ def test_drive_of_an_input_port_names_the_port(name):
     verdict = check_design(source, "m", "q_out == q_out")
     assert [d.message for d in verdict.diagnostics] == \
         ["cannot assign to input port 'd_in'"]
+
+
+def test_body_parameter_beside_a_header_list_cannot_be_overridden():
+    body = BODIES["override of a body parameter beside a header list"]
+    verdict = check_design(CHILD + MODULE.format(body=body), "m", "q_out == q_out")
+    assert [(d.message, d.line) for d in verdict.diagnostics] == \
+        [("module 'c' has no parameter 'X' to override", 11)]
 
 
 PAIR = """module p #(parameter A = 1, parameter B = 2) (input logic [3:0] a,
@@ -148,3 +158,104 @@ def test_illegal_property_is_a_compile_error(name):
     verdict = check_design(REGISTER, "m", PROPERTIES[name])
     assert isinstance(verdict, CompileError), (name, verdict.status)
     assert verdict.diagnostics
+
+
+# Every case's diagnostics as (severity, message, line, col), after
+# whether they point into the property: a change to the frontend keeps
+# each message, severity and location.
+DIAGNOSTICS = {
+    "signed unbased 's0": (False, [("error", "stray ' in input", 11, 18)]),
+    "signed unbased 's1": (False, [("error", "stray ' in input", 11, 18)]),
+    "signed unbased 'sx": (False, [("error", "stray ' in input", 11, 18)]),
+    "signed unbased 'sz": (False, [("error", "stray ' in input", 11, 18)]),
+    "sized base without digits":
+        (False, [("error", "based literal missing digits", 11, 18)]),
+    "unsized base without digits":
+        (False, [("error", "based literal missing digits", 11, 18)]),
+    "binary digit 2":
+        (False, [("error", 'invalid digits in based literal "4\'b0102"', 11, 18)]),
+    "hex digit G":
+        (False, [("error", 'invalid digits in based literal "4\'hG"', 11, 18)]),
+    "zero-width literal":
+        (False, [("error", 'literal "0\'d1" has zero width', 11, 18)]),
+    "superscript size":
+        (False, [("error", 'invalid digits in literal "²\'b1"', 11, 18)]),
+    "Arabic-Indic digits":
+        (False, [("error", "invalid digits in literal '3٣2'", 11, 18)]),
+    "stray tick": (False, [("error", "stray ' in input", 11, 22)]),
+    "unterminated comment": (False, [("error", "unterminated block comment", 11, 24)]),
+    "missing operand": (False, [("error", "unexpected ';' in expression", 11, 24)]),
+    "missing semicolon": (False, [("error", "expected ';', got 'endmodule'", 12, 1)]),
+    "keyword as a name":
+        (False, [("error", "expected signal name, got 'module'", 11, 15)]),
+    "literal as a target":
+        (False, [("error", 'expected assignment target, got "4\'d3"', 11, 10)]),
+    "unclosed begin":
+        (False, [("error", "unexpected 'endmodule' in statement", 14, 1)]),
+    "two defaults in a case":
+        (False, [("error", "case statement has a second default", 14, 5)]),
+    "undeclared name": (False, [("error", "unknown identifier 'nope'", 0, 0)]),
+    "net declared twice": (False, [("error", "'t' is declared twice", 12, 0)]),
+    "two continuous assigns":
+        (False, [("error", "multiple drivers for 'q_out'", 12, 0)]),
+    "assign and flip-flop drive":
+        (False, [("error", "multiple drivers for 'q_out'", 12, 0)]),
+    "non-constant range":
+        (False, [("error", "'d_in' is not a compile-time constant", 0, 0)]),
+    "unknown system function": (False, [(
+        "unsupported", "system function $nope is not supported in module context",
+        0, 0)]),
+    "unknown module": (False, [("error", "unknown module 'nope'", 11, 0)]),
+    "unknown port": (False, [("error", "module 'c' has no port 'b'", 11, 0)]),
+    "override of a header localparam":
+        (False, [("error", "module 'h' has no parameter 'L' to override", 11, 0)]),
+    "override of an entry after a header localparam":
+        (False, [("error", "module 'h' has no parameter 'W' to override", 11, 0)]),
+    "assign to an input port":
+        (False, [("error", "cannot assign to input port 'd_in'", 11, 0)]),
+    "flip-flop drive of an input port":
+        (False, [("error", "cannot assign to input port 'd_in'", 11, 0)]),
+    "instance output into an input port":
+        (False, [("error", "cannot assign to input port 'd_in'", 11, 0)]),
+    "trailing comma in the port list":
+        (False, [("error", "expected port name, got ')'", 1, 59)]),
+    "header parameters without a comma":
+        (False, [("error", "expected ')', got 'parameter'", 1, 28)]),
+    "trailing comma in the header parameters":
+        (False, [("error", "expected parameter name, got ')'", 1, 28)]),
+    "overrides without a comma": (False, [("error", "expected ')', got '.'", 7, 13)]),
+    "trailing comma in the overrides":
+        (False, [("error", "expected '.', got ')'", 7, 13)]),
+    "$past without a comma": (True, [("error", "expected ')', got '1'", 1, 13)]),
+    "$past with a trailing comma":
+        (True, [("error", "unexpected ')' in expression", 1, 13)]),
+    "division": (True, [("unsupported", "operator '/' is not supported", 0, 0)]),
+    "modulo": (True, [("unsupported", "operator '%' is not supported", 0, 0)]),
+    "arithmetic shift": (True, [(
+        "unsupported", "arithmetic shift is not supported (unsigned semantics)",
+        0, 0)]),
+    "bit index out of range":
+        (True, [("error", "bit index 9 out of range for 'q_out' (width 4)", 0, 0)]),
+    "part select out of range": (True, [(
+        "error", "part select [5:2] out of range for 'q_out' (width 4)",
+        0, 0)]),
+    "index of an expression":
+        (True, [("unsupported", "index base must be an identifier", 0, 0)]),
+}
+
+
+def _verdict(name):
+    if name in BODIES:
+        return check_design(CHILD + MODULE.format(body=BODIES[name]), "m",
+                            "q_out == q_out")
+    if name in SOURCES:
+        return check_design(SOURCES[name], "m", "q_out == q_out")
+    return check_design(REGISTER, "m", PROPERTIES[name])
+
+
+@pytest.mark.parametrize("name", sorted(DIAGNOSTICS))
+def test_diagnostics_are_pinned(name):
+    verdict = _verdict(name)
+    got = [(d.severity.value, d.message, d.line, d.col)
+           for d in verdict.diagnostics]
+    assert (verdict.in_property, got) == DIAGNOSTICS[name]
