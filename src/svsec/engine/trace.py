@@ -5,8 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from svsec.ir import expr as ex
-from svsec.ir.transition import TransitionSystem, compile_stepper
+from svsec.ir.transition import TransitionSystem
 
 
 @dataclass
@@ -27,8 +26,12 @@ class Trace:
         return len(self.inputs) - 1
 
     def replay(self, ts: TransitionSystem) -> None:
-        """Recompute states/values from initial+inputs against `ts`."""
-        step = compile_stepper(ts)
+        """Recompute states/values from initial+inputs against `ts`.
+
+        Runs the system's `Tape`, built once per system: a trace's few
+        cycles do not repay compiling a step function.
+        """
+        step = ts.tape.step
         state = tuple(self.initial.get(s.name, s.reset or 0) for s in ts.states)
         names = [s.name for s in ts.states]
         self.states = []

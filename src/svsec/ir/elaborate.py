@@ -190,7 +190,7 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
     for p in _params(mod):
         # an instantiation site's override (already in scope) wins
         if p.name not in scope.params:
-            scope.params[p.name] = _const_eval(p.value, scope)
+            scope.params[p.name] = _at(p.line, _const_eval, p.value, scope)
 
     # Declare ports and nets.
     for port in mod.ports:
@@ -198,7 +198,7 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
             raise error(f"inout port {port.name!r} is not supported", port.line,
                         severity=Severity.UNSUPPORTED)
         _check_not_param(port.name, "port", scope, port.line)
-        scope.widths[port.name] = _decl_width(port, scope)
+        scope.widths[port.name] = _at(port.line, _decl_width, port, scope)
         if port.direction == "input":
             scope.inputs.add(port.name)
     for d in _items(mod, ast.NetDecl):
@@ -208,10 +208,10 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
             continue
         if d.name in scope.widths or d.name in scope.arrays:
             raise error(f"{d.name!r} is declared twice", d.line)
-        w = _decl_width(d, scope)
+        w = _at(d.line, _decl_width, d, scope)
         if d.unpacked is not None:
-            lo = _const_eval(d.unpacked[0], scope)
-            hi = _const_eval(d.unpacked[1], scope)
+            lo = _at(d.line, _const_eval, d.unpacked[0], scope)
+            hi = _at(d.line, _const_eval, d.unpacked[1], scope)
             if lo > hi:
                 lo, hi = hi, lo
             total = (hi - lo + 1) * w
@@ -244,10 +244,10 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
             # connection define is created at the instantiation site.
 
     for a in _items(mod, ast.ContinuousAssign):
-        _elab_continuous(a, scope, col)
+        _at(a.line, _elab_continuous, a, scope, col)
 
     for blk in _items(mod, ast.AlwaysBlock):
-        _elab_always(blk, scope, col)
+        _at(blk.line, _elab_always, blk, scope, col)
 
     for inst in _items(mod, ast.Instance):
         if inst.module not in modules:
@@ -262,7 +262,7 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
             if pname not in overridable:
                 raise error(f"module {inst.module!r} has no parameter "
                             f"{pname!r} to override", inst.line)
-            child_scope.params[pname] = _const_eval(pval, scope)
+            child_scope.params[pname] = _at(inst.line, _const_eval, pval, scope)
         child_ports = {p.name: p for p in child.ports}
         in_exprs: dict[str, ex.Expr] = {}
         out_conns: list[tuple[str, str, int]] = []
@@ -273,7 +273,8 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
             cp = child_ports[conn.port]
             if cp.direction == "input":
                 if conn.expr is not None:
-                    in_exprs[conn.port] = _elab_expr(conn.expr, scope, {})
+                    in_exprs[conn.port] = _at(inst.line, _elab_expr, conn.expr,
+                                              scope, {})
             else:
                 if conn.expr is None:
                     continue
@@ -299,6 +300,18 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
             if port.direction == "output" and q not in col.defines \
                     and q not in col.states:
                 raise error(f"output port {port.name!r} is never driven", port.line)
+
+
+def _at(line: int, elab, *args):
+    """`elab(*args)` for a module item at `line`.  An error raised
+    without a location, as those inside expressions are, gets the
+    item's line."""
+    try:
+        return elab(*args)
+    except DiagnosticError as e:
+        if e.diag.line:
+            raise
+        raise error(e.diag.message, line, severity=e.diag.severity) from None
 
 
 def _items(mod: ast.ModuleDecl, kind: type) -> list:

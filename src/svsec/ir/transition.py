@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from svsec.ir import expr as ex
 
@@ -29,6 +30,11 @@ class TransitionSystem:
         self.widths.update({s.name: s.width for s in self.states})
         self.widths.update({n: e.width for n, e in self.defines})
 
+    @cached_property
+    def tape(self) -> "Tape":
+        """The system's `Tape`, built on first use."""
+        return Tape(self)
+
     def state_bits(self) -> int:
         return sum(s.width for s in self.states)
 
@@ -51,37 +57,85 @@ class TransitionSystem:
 def simulate_step(ts: TransitionSystem, state_val: dict[str, int],
                   input_val: dict[str, int]) -> tuple[dict[str, int], dict[str, int]]:
     """One clock tick: defines are computed before the state update."""
-    env = dict(input_val)
-    env.update(state_val)
-    for name, (_, w) in zip([n for n, _ in ts.inputs], ts.inputs):
-        if name not in env:
-            raise ValueError(f"missing input {name}")
+    for n, w in ts.inputs:
+        if n not in input_val:
+            raise ValueError(f"missing input {n}")
+        if input_val[n] >> w:
+            raise ValueError(f"input {n} value exceeds width {w}")
     for s in ts.states:
         if s.name not in state_val:
             raise ValueError(f"missing state {s.name}")
         if state_val[s.name] >> s.width:
             raise ValueError(f"state {s.name} value exceeds width {s.width}")
-    for n, w in ts.inputs:
-        if input_val[n] >> w:
-            raise ValueError(f"input {n} value exceeds width {w}")
-    memo: dict[ex.Op, int] = {}
-    for n, e in ts.defines:
-        env[n] = ex.eval_expr(e, env, memo)
-    nxt = {s.name: ex.eval_expr(ts.next[s.name], env, memo)
-           for s in ts.states}
-    outs = {n: env[n] for n in ts.outputs}
-    return nxt, outs
+    nxt, env = ts.tape.step([state_val[s.name] for s in ts.states],
+                            [input_val[n] for n, _ in ts.inputs])
+    return ({s.name: v for s, v in zip(ts.states, nxt)},
+            {n: env[n] for n in ts.outputs})
+
+
+class Tape:
+    """A system's step as a straight list of operator nodes, run by
+    `ex.eval_op`: the evaluator of traces and single steps.
+
+    `compile_stepper` generates and compiles Python for the whole
+    system, which a counterexample's few cycles never earn back.  The
+    tape is built by one fold with a shared memo, so each distinct node
+    is listed once: the defines' nodes first, in order, then the
+    next-state functions'.
+    """
+
+    def __init__(self, ts: TransitionSystem):
+        # Registers: states, then inputs (both set per step), then the
+        # constants and one per node.  `slots` maps signals to them.
+        slots = {s.name: i for i, s in enumerate(ts.states)}
+        slots.update((n, len(slots)) for n, _ in ts.inputs)
+        regs = [0] * len(slots)
+        consts: dict[int, int] = {}
+        ops: list[tuple] = []
+
+        def leaf(e: ex.Expr) -> int:
+            if isinstance(e, ex.Ref):
+                return slots[e.name]
+            if e.value not in consts:
+                consts[e.value] = len(regs)
+                regs.append(e.value)
+            return consts[e.value]
+
+        def node(e: ex.Op, args: list[int]) -> int:
+            ops.append((len(regs), e.op, tuple(args),
+                        tuple([a.width for a in e.args]), e.params))
+            regs.append(0)
+            return len(regs) - 1
+
+        memo: dict[ex.Op, int] = {}
+        for n, e in ts.defines:
+            slots[n] = ex.fold(e, leaf, node, memo)
+        self.next = tuple(ex.fold(ts.next[s.name], leaf, node, memo)
+                          for s in ts.states)
+        self.ops = ops
+        self.rest = regs[len(ts.states) + len(ts.inputs):]
+        self.env = tuple(slots.items())
+
+    def step(self, state, inputs) -> tuple[tuple[int, ...], dict[str, int]]:
+        """(next states, full env) from the states and inputs in
+        `ts.states` and `ts.inputs` order, like `compile_stepper`'s
+        step; the env maps every state, input and define to its value."""
+        regs = [*state, *inputs, *self.rest]
+        for dst, op, args, widths, params in self.ops:
+            regs[dst] = ex.eval_op(op, [regs[a] for a in args], widths, params)
+        return (tuple([regs[i] for i in self.next]),
+                {n: regs[i] for n, i in self.env})
 
 
 def compile_stepper(ts: TransitionSystem):
     """Generate a fast step function via Python codegen.
 
     Returns step(state_tuple, input_tuple) -> (next_state_tuple, full_env)
-    where tuples follow ts.states / ts.inputs order.  Used by the
-    explicit-state oracle and randomized cross-checks, where the
-    interpreter would dominate runtime.  Each operator node is bound
-    to a local once, so the code grows with the IR's DAG, not with the
-    tree it unfolds to.
+    where tuples follow ts.states / ts.inputs order.  Only the
+    explicit-state oracle uses it: its millions of steps repay the
+    compile, which a trace's few cycles do not (they run the `Tape`).
+    Each operator node is bound to a local once, so the code grows
+    with the IR's DAG, not with the tree it unfolds to.
     """
     signals = ([s.name for s in ts.states] + [n for n, _ in ts.inputs]
                + [n for n, _ in ts.defines])

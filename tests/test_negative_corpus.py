@@ -73,6 +73,14 @@ BODIES = {
                                   "  always_ff @(posedge clk_in) q_out <= d_in;",
     "non-constant range": "  logic [d_in:0] t;\n  assign q_out = d_in;",
     "unknown system function": "  assign q_out = $nope(d_in);",
+    # an error inside an expression takes its module item's line
+    "undeclared name in an always block":
+        "  always_comb begin\n    q_out = d_in;\n    q_out = nope;\n  end",
+    "undeclared name in a port connection": "  c u(.a(nope), .y(q_out));",
+    "non-constant override": "  c #(.W(d_in)) u(.a(d_in), .y(q_out));",
+    "non-constant parameter": "  parameter P = d_in;\n  assign q_out = d_in + P;",
+    "non-constant unpacked range":
+        "  logic [3:0] t [0:d_in];\n  assign q_out = d_in;",
     "unknown module": "  nope u(.a(d_in));\n  assign q_out = d_in;",
     # instances (overrides of undeclared parameters: test_elaborate.py)
     "unknown port": "  c u(.a(d_in), .b(d_in), .y(q_out));",
@@ -194,17 +202,27 @@ DIAGNOSTICS = {
         (False, [("error", "unexpected 'endmodule' in statement", 14, 1)]),
     "two defaults in a case":
         (False, [("error", "case statement has a second default", 14, 5)]),
-    "undeclared name": (False, [("error", "unknown identifier 'nope'", 0, 0)]),
+    "undeclared name": (False, [("error", "unknown identifier 'nope'", 11, 0)]),
     "net declared twice": (False, [("error", "'t' is declared twice", 12, 0)]),
     "two continuous assigns":
         (False, [("error", "multiple drivers for 'q_out'", 12, 0)]),
     "assign and flip-flop drive":
         (False, [("error", "multiple drivers for 'q_out'", 12, 0)]),
     "non-constant range":
-        (False, [("error", "'d_in' is not a compile-time constant", 0, 0)]),
+        (False, [("error", "'d_in' is not a compile-time constant", 11, 0)]),
     "unknown system function": (False, [(
         "unsupported", "system function $nope is not supported in module context",
-        0, 0)]),
+        11, 0)]),
+    "undeclared name in an always block":
+        (False, [("error", "unknown identifier 'nope'", 11, 0)]),
+    "undeclared name in a port connection":
+        (False, [("error", "unknown identifier 'nope'", 11, 0)]),
+    "non-constant override":
+        (False, [("error", "'d_in' is not a compile-time constant", 11, 0)]),
+    "non-constant parameter":
+        (False, [("error", "'d_in' is not a compile-time constant", 11, 0)]),
+    "non-constant unpacked range":
+        (False, [("error", "'d_in' is not a compile-time constant", 11, 0)]),
     "unknown module": (False, [("error", "unknown module 'nope'", 11, 0)]),
     "unknown port": (False, [("error", "module 'c' has no port 'b'", 11, 0)]),
     "override of a header localparam":
