@@ -53,16 +53,34 @@ class Aig:
     def copy(self, src: "Aig", bound: list[int]) -> list[int]:
         """Copy `src` in node order; returns each src node's literal.
         Src inputs 1..len(bound) take the literals `bound`, the others
-        fresh inputs; ANDs go through `land`, so they fold and hash
-        against what this AIG holds."""
+        fresh inputs; ANDs fold and hash against what this AIG holds,
+        as `land` does it (inlined: a frame copy is the unrolling's
+        hottest loop)."""
+        nodes = self.nodes
+        table = self.hash
         lits = [FALSE, *bound]
         for node in src.nodes[len(lits):]:
             if node is None:
-                lits.append(self.new_input())
+                lits.append(len(nodes) * 2)
+                nodes.append(None)
+                continue
+            a, b = node
+            a = lits[a >> 1] ^ (a & 1)
+            b = lits[b >> 1] ^ (b & 1)
+            if a > b:
+                a, b = b, a
+            if a == FALSE or a == b ^ 1:
+                lits.append(FALSE)
+            elif a == TRUE or a == b:
+                lits.append(b)
             else:
-                a, b = node
-                lits.append(self.land(lits[a >> 1] ^ (a & 1),
-                                      lits[b >> 1] ^ (b & 1)))
+                key = (a, b)
+                lit = table.get(key)
+                if lit is None:
+                    lit = len(nodes) * 2
+                    nodes.append(key)
+                    table[key] = lit
+                lits.append(lit)
         return lits
 
     def evaluate(self, inputs: dict[int, int], roots: list[int]) -> list[int]:

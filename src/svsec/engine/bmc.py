@@ -32,11 +32,17 @@ class Template:
     The whole frame is blasted once, with placeholder inputs for the
     state bits.  The cone is found at the bit level, from `bad` back
     through AND fan-ins and from each state placeholder to its
-    next-state literal, and copied in node order into `aig`.  So the
+    next-state literal, and renumbered in node order into `aig`.  So the
     template's inputs are the cone's state bits, named in `state_bits`
     as (state, bit), and then its input bits; `next` holds the template
     literal of each of those state bits' next state.  `buses` has every
     signal's bus, with each bit outside the cone read as FALSE.
+
+    The cone's nodes are written to `aig` as they are, not through
+    `Aig.land`, because nothing could fold or merge: every AND of the
+    full frame came from `land`, so its fan-ins are two distinct
+    non-constant nodes, ordered, and no two ANDs share them.  The
+    renumbering keeps node order, so it keeps all three.
     """
 
     def __init__(self, obl: SafetyObligation):
@@ -57,18 +63,21 @@ class Template:
                 stack += (fanin[0] >> 1, fanin[1] >> 1)
             elif node <= len(full_next):  # a state placeholder
                 stack.append(full_next[node - 1] >> 1)
-        self.aig = Aig()
-        # the template literal of each full node in the cone
-        lits = {0: FALSE}
+        # renumber the cone in node order: full node order[j] becomes
+        # template node j + 1
         order = sorted(cone)[1:]
+        lits = dict(zip(order, range(2, 2 * len(order) + 2, 2)))
+        lits[0] = FALSE
+        self.aig = Aig()
+        nodes = self.aig.nodes
+        table = self.aig.hash
         for node in order:
             fanin = full.nodes[node]
-            if fanin is None:
-                lits[node] = self.aig.new_input()
-            else:
+            if fanin is not None:
                 a, b = fanin
-                lits[node] = self.aig.land(lits[a >> 1] ^ (a & 1),
-                                           lits[b >> 1] ^ (b & 1))
+                fanin = (lits[a >> 1] ^ (a & 1), lits[b >> 1] ^ (b & 1))
+                table[fanin] = len(nodes) * 2
+            nodes.append(fanin)
 
         def lift(lit: int) -> int:
             node = lit >> 1

@@ -99,29 +99,38 @@ class TseitinEncoder:
                 gates[node] = gate
                 stack += [lit >> 1 for lit in gate]
 
+        # fan-in literals are read from `done` inline, not through
+        # `lit`: this loop runs once per encoded node
+        clauses = self.clauses
+        v = self.num_vars
         for node in sorted(seen):
-            self.num_vars += 1
-            v = done[node] = self.num_vars
+            v += 1
+            done[node] = v
             fanin = nodes[node]
             if fanin is None:
                 if node == 0:
-                    self.clauses.append((-v,))
+                    clauses.append((-v,))
                 continue
             gate = gates.get(node)
             if gate is None:
-                la, lb = self.lit(fanin[0]), self.lit(fanin[1])
-                self.clauses.append((-v, la))
-                self.clauses.append((-v, lb))
-                self.clauses.append((v, -la, -lb))
+                a, b = fanin
+                la = -done[a >> 1] if a & 1 else done[a >> 1]
+                lb = -done[b >> 1] if b & 1 else done[b >> 1]
+                clauses.append((-v, la))
+                clauses.append((-v, lb))
+                clauses.append((v, -la, -lb))
             elif len(gate) == 2:  # v = p ^ q
-                p, q = self.lit(gate[0]), self.lit(gate[1])
-                self.clauses += [(-v, p, q), (-v, -p, -q),
-                                 (v, -p, q), (v, p, -q)]
+                p, q = (-done[x >> 1] if x & 1 else done[x >> 1]
+                        for x in gate)
+                clauses += [(-v, p, q), (-v, -p, -q),
+                            (v, -p, q), (v, p, -q)]
             else:  # -v = c ? t : e
-                c, t, e = (self.lit(x) for x in gate)
-                self.clauses += [(-c, -t, -v), (-c, t, v), (c, -e, -v),
-                                 (c, e, v), (-t, -e, -v), (t, e, v)]
-        return [self.lit(lit) for lit in lits]
+                c, t, e = (-done[x >> 1] if x & 1 else done[x >> 1]
+                           for x in gate)
+                clauses += [(-c, -t, -v), (-c, t, v), (c, -e, -v),
+                            (c, e, v), (-t, -e, -v), (t, e, v)]
+        self.num_vars = v
+        return [-done[x >> 1] if x & 1 else done[x >> 1] for x in lits]
 
     def lit(self, aig_lit: int) -> int:
         """DIMACS literal for an AIG literal (node must be encoded)."""

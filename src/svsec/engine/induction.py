@@ -35,6 +35,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from svsec.engine import sat
+from svsec.engine.aig import TRUE
 from svsec.engine.bmc import (DEFAULT_BUDGET, Template, Unroller, bmc,
                               out_of_budget)
 from svsec.engine.result import Falsified, NoCexUpTo, Proven, Unknown
@@ -111,9 +112,16 @@ def _known_state(un: Unroller, model: list[int],
     every frame.  That includes the inner ANDs of the XOR and MUX gates
     the encoder skips, even when the gate's own variable is assigned.
     """
+    var_of_node = un.cnf.var_of_node
     mask = value = 0
     for pos, lit in enumerate(lits):
-        if (lit >> 1) == 0 or (lit >> 1) in un.cnf.var_of_node:
-            mask |= 1 << pos
-            value |= un.cnf.value(model, lit) << pos
+        if lit <= TRUE:
+            bit = lit
+        else:
+            v = var_of_node.get(lit >> 1)
+            if v is None:
+                continue
+            bit = model[v - 1] ^ (lit & 1)
+        mask |= 1 << pos
+        value |= bit << pos
     return mask, value

@@ -63,6 +63,9 @@ class Collected:
     states: dict[str, tuple[ex.Expr, int | None]] = field(default_factory=dict)
     # define -> its line; state -> a line tracker over the cycle's values
     lines: dict[str, int | ex.Expr] = field(default_factory=dict)
+    # state or child input port -> the line of the item whose expression
+    # it holds (its always block, or the instance), which `lines` is not
+    item_lines: dict[str, int] = field(default_factory=dict)
     clock_candidates: set[str] = field(default_factory=set)
     outputs: list[str] = field(default_factory=list)
 
@@ -103,7 +106,7 @@ def _elaborate(unit: ast.SourceUnit, top: str):
         outputs=col.outputs,
         clock=clock,
     )
-    _check_refs(ts, clock)
+    _check_refs(ts, clock, col)
     return ts, col.lines
 
 
@@ -142,7 +145,10 @@ def _resolve_clock(col: Collected) -> str | None:
     return root
 
 
-def _check_refs(ts: TransitionSystem, clock: str | None) -> None:
+def _check_refs(ts: TransitionSystem, clock: str | None,
+                col: Collected) -> None:
+    """Reject a read of the clock as data, or of a signal nothing
+    drives; the latter at the line of the item that reads it."""
     known = set(ts.widths)
     all_exprs = list(ts.next.items()) + list(ts.defines)
     for name, e in all_exprs:
@@ -151,7 +157,9 @@ def _check_refs(ts: TransitionSystem, clock: str | None) -> None:
                 raise error(f"clock {clock!r} used as data in {name!r}",
                             severity=Severity.UNSUPPORTED)
             if r not in known:
-                raise error(f"undriven signal {r!r} referenced by {name!r}")
+                line = col.item_lines.get(name) or col.lines[name]
+                raise error(f"undriven signal {r!r} referenced by {name!r}",
+                            line)
 
 
 def _toposort_defines(col: Collected) -> list[str]:
@@ -284,6 +292,8 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
                 out_conns.append((conn.expr.name, conn.port, inst.line))
         _elab_module(modules, child, child_scope, col, is_top=False,
                      port_exprs=in_exprs)
+        for port in in_exprs:
+            col.item_lines[child_scope.qual(port)] = inst.line
         for parent_net, child_port, line in out_conns:
             if parent_net not in scope.widths:
                 raise error(f"undeclared net {parent_net!r} in connection", line)
@@ -772,6 +782,7 @@ def _elab_always(blk: ast.AlwaysBlock, scope: Scope, col: Collected) -> None:
             if isinstance(folded, ex.BV):
                 reset_val = folded.value
         col.states[q] = (next_e, reset_val)
+        col.item_lines[q] = blk.line
         # Symbolic line tracker: evaluating this under a cycle's valuation
         # names the assignment that fired at that clock edge.
         col.lines[q] = env.lines[local]

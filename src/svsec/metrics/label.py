@@ -20,9 +20,7 @@ from svsec.gen.batch import Generation
 from svsec.metrics.rows import DatasetRow
 
 
-def _lines_of_code(source: str | None) -> int:
-    if not source:
-        return 0
+def _lines_of_code(source: str) -> int:
     return sum(1 for ln in source.splitlines() if ln.strip())
 
 
@@ -34,7 +32,7 @@ def label_design(gen: Generation, spec: ProblemSpec,
     if gen.problem_id != spec.problem_id:
         raise ValueError(f"generation {gen.problem_id} labeled against "
                          f"spec {spec.problem_id}")
-    outcome, work = _adjudicate(gen.source, spec, max_k, budget, memo)
+    outcome, work, lines = _adjudicate(gen.source, spec, max_k, budget, memo)
     verdict, cex_depth, k_used = outcome
     return DatasetRow(
         design_id=f"{gen.provider_id}:{spec.problem_id}:{gen.regen_index}",
@@ -45,7 +43,7 @@ def label_design(gen: Generation, spec: ProblemSpec,
         verdict=verdict,
         cex_depth=cex_depth,
         k_used=k_used,
-        lines_of_code=_lines_of_code(gen.source),
+        lines_of_code=lines,
         runtime_ms=work,
         source_path="",
         property_id=spec.property_template_id,
@@ -56,8 +54,11 @@ def label_design(gen: Generation, spec: ProblemSpec,
 
 def _adjudicate(source: str | None, spec: ProblemSpec, max_k: int,
                 budget: int, memo: dict | None):
+    """(outcome, work, lines of code) of a source against its problem;
+    a memo keeps all three, so each distinct pair is checked and its
+    lines counted once."""
     if source is None:
-        return ("compile_error", None, None), 0
+        return ("compile_error", None, None), 0, 0
     key = (hashlib.sha256(source.encode()).hexdigest(), spec.problem_id)
     if memo is not None and key in memo:
         return memo[key]
@@ -69,7 +70,7 @@ def _adjudicate(source: str | None, spec: ProblemSpec, max_k: int,
     outcome = (verdict.status,
                verdict.depth if verdict.status == "falsified" else None,
                verdict.k_used if verdict.status == "proven" else None)
-    result = (outcome, work)
+    result = (outcome, work, _lines_of_code(source))
     if memo is not None:
         memo[key] = result
     return result

@@ -14,7 +14,7 @@ import svsec
 from svsec.check import check_design
 from svsec.engine import sat
 from svsec.engine.aig import FALSE, Aig, blast_frame
-from svsec.engine.bmc import Unroller, bmc
+from svsec.engine.bmc import Template, Unroller, bmc
 from svsec.engine.cnf import to_cnf
 from svsec.engine.induction import k_induction
 from svsec.engine.oracle import OracleRefused, explicit_state_oracle
@@ -262,6 +262,22 @@ def test_copying_the_template_builds_the_blasted_aig(name):
                 got = [un.bad(t)] + un.state_lits(t)
                 assert (un.aig.evaluate(cone, got)
                         == aig.evaluate(full, want)), (free_initial, t)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_template_is_the_cone_as_land_would_build_it(name):
+    # The template writes the cone's nodes without `Aig.land`, because
+    # a cone renumbered in node order can neither fold nor merge.
+    # Rebuilding it node by node through `land` must change nothing.
+    template = Template(obligation(*_check(name)))
+    rebuilt = Aig()
+    for fanin in template.aig.nodes[1:]:
+        if fanin is None:
+            rebuilt.new_input()
+        else:
+            rebuilt.land(*fanin)
+    assert rebuilt.nodes == template.aig.nodes
+    assert rebuilt.hash == template.aig.hash
 
 
 def _eager_step_cnf(aig: Aig, bads: list[int], states: list[list[int]]):

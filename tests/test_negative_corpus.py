@@ -81,6 +81,12 @@ BODIES = {
     "non-constant parameter": "  parameter P = d_in;\n  assign q_out = d_in + P;",
     "non-constant unpacked range":
         "  logic [3:0] t [0:d_in];\n  assign q_out = d_in;",
+    # a read of a signal nothing drives takes the reading item's line
+    "undriven signal": "  logic [3:0] t;\n  assign q_out = t;",
+    "undriven signal in a flip-flop":
+        "  logic [3:0] t;\n  always_ff @(posedge clk_in)\n    q_out <= t;",
+    "undriven signal in a port connection":
+        "  logic [3:0] t;\n  c u(.a(t), .y(q_out));",
     "unknown module": "  nope u(.a(d_in));\n  assign q_out = d_in;",
     # instances (overrides of undeclared parameters: test_elaborate.py)
     "unknown port": "  c u(.a(d_in), .b(d_in), .y(q_out));",
@@ -223,6 +229,12 @@ DIAGNOSTICS = {
         (False, [("error", "'d_in' is not a compile-time constant", 11, 0)]),
     "non-constant unpacked range":
         (False, [("error", "'d_in' is not a compile-time constant", 11, 0)]),
+    "undriven signal": (False, [
+        ("error", "undriven signal 't' referenced by 'q_out'", 12, 0)]),
+    "undriven signal in a flip-flop": (False, [
+        ("error", "undriven signal 't' referenced by 'q_out'", 12, 0)]),
+    "undriven signal in a port connection": (False, [
+        ("error", "undriven signal 't' referenced by 'u.a'", 12, 0)]),
     "unknown module": (False, [("error", "unknown module 'nope'", 11, 0)]),
     "unknown port": (False, [("error", "module 'c' has no port 'b'", 11, 0)]),
     "override of a header localparam":

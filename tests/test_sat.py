@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
+import reference_sat
 from svsec.engine import sat
 from svsec.engine.cnf import CnfFormula
 from svsec.engine.sat import SAT, UNKNOWN, UNSAT, solve, work_units
@@ -270,3 +271,66 @@ def test_order_heap_holds_one_entry_per_variable(monkeypatch):
     for s in solvers:
         assert len(s.heap) <= len(s.activity)
         assert len(set(s.heap)) == len(s.heap)
+
+
+# ------------------------------------------- agreement with the reference
+
+def _solver_state(s):
+    """Everything a search step can change, with clauses named by their
+    index in the clause database so that watch lists and reasons compare
+    by identity and order."""
+    index = {id(c): i for i, c in enumerate(s.clauses)}
+    return {
+        "ok": s.ok, "counters": (s.propagations, s.decisions, s.conflicts),
+        "model": s.model, "clauses": s.clauses,
+        "watches": [[index[id(c)] for c in ws] for ws in s.watches],
+        "trail": (s.trail, s.trail_lim, s.qhead), "lval": s.lval,
+        "level": s.level, "phase": s.phase,
+        "activity": (s.activity, s.var_inc),
+        "reason": [None if r is None else index[id(r)] for r in s.reason],
+    }
+
+
+def _growing_batch(rng, n):
+    """Random 3-clauses, with one duplicate literal, one tautology and,
+    sometimes, a unit in the middle."""
+    batch = random_cnf(rng, n, rng.randint(n // 2, 3 * n // 5))
+    batch[0] += batch[0][:1]
+    batch[-1] += (-batch[-1][0],)
+    if rng.random() < 0.4:
+        batch.insert(len(batch) // 2, batch[1][:1])
+    return batch
+
+
+def test_solver_matches_the_reference_step_for_step():
+    # incremental CNFs that pass the 3-SAT threshold over eight
+    # batches, solved under assumptions and budgets that sometimes run
+    # out; one round in four forces a rescale of every activity
+    rng = random.Random(53)
+    statuses = set()
+    rescales = restarts = 0
+    for round_ in range(24):
+        new, ref = sat.Solver(), reference_sat.Solver()
+        n = rng.randint(60, 160)
+        for s in (new, ref):
+            s.ensure_vars(n // 2)
+        for call in range(8):
+            batch = _growing_batch(rng, n)
+            assert new.add_clauses(batch) == ref.add_clauses(batch)
+            assert _solver_state(new) == _solver_state(ref)
+            if round_ % 4 == 0 and call == 2:
+                # the next bump passes 1e100
+                new.var_inc = ref.var_inc = 2e100
+            assumptions = [v if rng.random() < 0.5 else -v
+                           for v in rng.sample(range(1, n + 1),
+                                               rng.randint(0, 4))]
+            budget = rng.choice([None, rng.randint(0, 2000)])
+            inc, conflicts = new.var_inc, new.conflicts
+            status = new.solve(assumptions, budget)
+            assert status == ref.solve(assumptions, budget)
+            assert _solver_state(new) == _solver_state(ref)
+            statuses.add(status)
+            rescales += new.var_inc < inc
+            restarts += new.conflicts - conflicts >= 100
+    assert statuses == {SAT, UNSAT, UNKNOWN}
+    assert rescales >= 4 and restarts >= 4
