@@ -8,6 +8,7 @@ Buses are tuples of literals, lsb first.
 from __future__ import annotations
 
 from functools import partial
+from itertools import chain
 
 from svsec.ir import expr as ex
 from svsec.ir.transition import TransitionSystem
@@ -44,11 +45,15 @@ class Aig:
     def lor(self, a: int, b: int) -> int:
         return self.land(a ^ 1, b ^ 1) ^ 1
 
+    # `lxor` and `lmux` are `lor` of two ANDs, with `lor` written out
+
     def lxor(self, a: int, b: int) -> int:
-        return self.lor(self.land(a, b ^ 1), self.land(a ^ 1, b))
+        land = self.land
+        return land(land(a, b ^ 1) ^ 1, land(a ^ 1, b) ^ 1) ^ 1
 
     def lmux(self, c: int, t: int, e: int) -> int:
-        return self.lor(self.land(c, t), self.land(c ^ 1, e))
+        land = self.land
+        return land(land(c, t) ^ 1, land(c ^ 1, e) ^ 1) ^ 1
 
     def copy(self, src: "Aig", bound: list[int]) -> list[int]:
         """Copy `src` in node order; returns each src node's literal.
@@ -97,10 +102,12 @@ class Aig:
     # ---- bus helpers (lsb-first tuples) --------------------------------
 
     def bus_input(self, width: int) -> tuple[int, ...]:
-        return tuple(self.new_input() for _ in range(width))
+        start = len(self.nodes)
+        self.nodes += [None] * width
+        return tuple(range(2 * start, 2 * (start + width), 2))
 
     def bus_const(self, width: int, value: int) -> tuple[int, ...]:
-        return tuple(TRUE if (value >> i) & 1 else FALSE for i in range(width))
+        return tuple([(value >> i) & 1 for i in range(width)])  # TRUE is 1
 
     def bus_not(self, a) -> tuple[int, ...]:
         return tuple(x ^ 1 for x in a)
@@ -115,7 +122,10 @@ class Aig:
         return tuple(self.lxor(x, y) for x, y in zip(a, b))
 
     def bus_mux(self, c: int, t, e):
-        return tuple(self.lmux(c, x, y) for x, y in zip(t, e))
+        land = self.land
+        nc = c ^ 1
+        return tuple([land(land(c, x) ^ 1, land(nc, y) ^ 1) ^ 1  # lmux
+                      for x, y in zip(t, e)])
 
     def bus_add(self, a, b, carry_in: int = FALSE) -> tuple[int, ...]:
         out = []
@@ -241,11 +251,11 @@ def _blast_op(aig: Aig, e: ex.Op, bs: list[tuple[int, ...]]
     if op == "mux":
         return aig.bus_mux(bs[0][0], bs[1], bs[2])
     if op == "concat":
-        return tuple(lit for bus in reversed(bs) for lit in bus)
+        return tuple(chain.from_iterable(reversed(bs)))
     if op == "slice":
         hi, lo = e.params
         return bs[0][lo:hi + 1]
-    if len(bs) == 2:
+    if len(bs) == 2 and len(bs[0]) != len(bs[1]):
         w = max(map(len, bs))
         bs = [b + (FALSE,) * (w - len(b)) for b in bs]
     out = _BUS_OPS[op](aig, *bs)

@@ -15,6 +15,8 @@ as a permanent unit and is not checked again.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from svsec.engine import sat
 from svsec.engine.aig import Aig, FALSE, TRUE, blast_frame
 from svsec.engine.cnf import TseitinEncoder
@@ -42,7 +44,9 @@ class Template:
     `Aig.land`, because nothing could fold or merge: every AND of the
     full frame came from `land`, so its fan-ins are two distinct
     non-constant nodes, ordered, and no two ANDs share them.  The
-    renumbering keeps node order, so it keeps all three.
+    renumbering keeps node order, so it keeps all three.  When the cone
+    is the whole frame, the renumbering is the identity, and the frame
+    is the template as it is.
     """
 
     def __init__(self, obl: SafetyObligation):
@@ -51,45 +55,59 @@ class Template:
         state = {s.name: full.bus_input(s.width) for s in ts.states}
         buses, nxt = blast_frame(full, ts, state)
         full_next = [lit for s in ts.states for lit in nxt[s.name]]
-        cone = {0}
+        nodes = full.nodes
+        in_cone = bytearray(len(nodes))
+        in_cone[0] = 1
         stack = [buses[obl.bad_name][0] >> 1]
+        push = stack.append
         while stack:
             node = stack.pop()
-            if node in cone:
+            if in_cone[node]:
                 continue
-            cone.add(node)
-            fanin = full.nodes[node]
+            in_cone[node] = 1
+            fanin = nodes[node]
             if fanin is not None:
-                stack += (fanin[0] >> 1, fanin[1] >> 1)
+                a, b = fanin[0] >> 1, fanin[1] >> 1
+                if not in_cone[a]:
+                    push(a)
+                if not in_cone[b]:
+                    push(b)
             elif node <= len(full_next):  # a state placeholder
-                stack.append(full_next[node - 1] >> 1)
+                push(full_next[node - 1] >> 1)
+        bits = [(s.name, i) for s in ts.states for i in range(s.width)]
+        if 0 not in in_cone:
+            # the cone is the whole frame, and its renumbering the identity
+            self.aig = full
+            self.buses = buses
+            self.state_bits = bits
+            self.next = full_next
+            self.input_bits = nodes.count(None) - 1 - len(bits)
+            return
         # renumber the cone in node order: full node order[j] becomes
-        # template node j + 1
-        order = sorted(cone)[1:]
-        lits = dict(zip(order, range(2, 2 * len(order) + 2, 2)))
-        lits[0] = FALSE
+        # template node j + 1; `lit_of` maps each full literal to its
+        # template literal, and the literals outside the cone to FALSE
+        order = list(compress(range(len(nodes)), in_cone))[1:]
+        lit_of = [FALSE] * (2 * len(nodes))
+        lit_of[1] = TRUE
+        for j, node in enumerate(order, 1):
+            lit_of[2 * node] = 2 * j
+            lit_of[2 * node + 1] = 2 * j + 1
         self.aig = Aig()
-        nodes = self.aig.nodes
+        tnodes = self.aig.nodes
         table = self.aig.hash
         for node in order:
-            fanin = full.nodes[node]
+            fanin = nodes[node]
             if fanin is not None:
-                a, b = fanin
-                fanin = (lits[a >> 1] ^ (a & 1), lits[b >> 1] ^ (b & 1))
-                table[fanin] = len(nodes) * 2
-            nodes.append(fanin)
+                fanin = (lit_of[fanin[0]], lit_of[fanin[1]])
+                table[fanin] = len(tnodes) * 2
+            tnodes.append(fanin)
 
-        def lift(lit: int) -> int:
-            node = lit >> 1
-            return lits[node] ^ (lit & 1) if node in lits else FALSE
-
-        self.buses = {n: tuple(map(lift, bus)) for n, bus in buses.items()}
-        bits = [(s.name, i) for s in ts.states for i in range(s.width)]
+        self.buses = {n: tuple([lit_of[lit] for lit in bus])
+                      for n, bus in buses.items()}
         placeholders = [node for node in order if node <= len(bits)]
         self.state_bits = [bits[node - 1] for node in placeholders]
-        self.next = [lift(full_next[node - 1]) for node in placeholders]
-        self.input_bits = sum(full.nodes[node] is None
-                              for node in order) - len(placeholders)
+        self.next = [lit_of[full_next[node - 1]] for node in placeholders]
+        self.input_bits = tnodes.count(None) - 1 - len(placeholders)
 
 
 class Unroller:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 from svsec.frontend.diagnostics import Diagnostic, Severity
@@ -91,6 +92,10 @@ _GROUPS = (
     ("block_comment", r"/\*(?s:.*?)\*/"),
     ("open_comment", r"/\*"),
     ("op", "|".join(map(re.escape, _OPERATORS))),
+    # A number that `_number` would lex as these digits and their base,
+    # or as these digits alone; any other number takes `number`.
+    ("sized", rf"[0-9][0-9_]*{_BASE}\w+"),
+    ("unsized", r"[0-9][0-9_]*(?![\w'])"),
     ("number", r"[0-9][0-9_]*"),
     # Unbased forms ('0, 'x) only without a size prefix or a sign.
     ("based", rf"{_BASE}\w+|'[01xXzZ]"),
@@ -112,10 +117,16 @@ _MASTER = re.compile("(?:" + "|".join(f"(?P<{name}>{pattern})"
 _SIZE = re.compile(rf"{_BASE}(\w*)")
 _WORD_TAIL = re.compile(r"[\w$]*")
 
+# A Token from its (kind, text, line, col) tuple: the namedtuple's own
+# constructor takes its fields one by one, which costs a Python call.
+_token = partial(tuple.__new__, Token)
+
 # Groups whose whole text is one token of a fixed kind.
 _KIND_OF_GROUP = {
     "punct": TokenKind.PUNCT,
     "op": TokenKind.OP,
+    "sized": TokenKind.SIZED_LIT,
+    "unsized": TokenKind.UNSIZED_LIT,
     "based": TokenKind.UNSIZED_LIT,
     "string": TokenKind.UNSIZED_LIT,
     "system_name": TokenKind.IDENT,
@@ -124,8 +135,11 @@ _KIND_OF_GROUP = {
 
 def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
+    append = tokens.append
     diags: list[Diagnostic] = []
     match = _MASTER.match
+    kind_of_group = _KIND_OF_GROUP
+    keyword, ident = TokenKind.KEYWORD, TokenKind.IDENT
     n = len(source)
     pos = 0
     line = 1
@@ -136,13 +150,13 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
         group = m.lastgroup
         col = pos - line_start + 1
         if group == "word":
-            text = m.group(group)
-            tokens.append(Token(TokenKind.KEYWORD if text in KEYWORDS
-                                else TokenKind.IDENT, text, line, col))
-        elif group in _KIND_OF_GROUP:
-            tokens.append(Token(_KIND_OF_GROUP[group], m.group(group), line, col))
+            text = m[group]
+            append(_token((keyword if text in KEYWORDS else ident, text,
+                           line, col)))
+        elif group in kind_of_group:
+            append(_token((kind_of_group[group], m[group], line, col)))
         elif group == "newline" or group == "block_comment":
-            text = m.group(group)
+            text = m[group]
             breaks = text.count("\n")
             if breaks:
                 line += breaks

@@ -3,9 +3,15 @@
 Syntax errors produce error diagnostics; recognised-but-unsupported
 constructs (classes, interfaces, generate blocks, functions, ...)
 produce `unsupported` diagnostics instead of a parse crash.
+
+The hot paths read a list of the token texts, and build AST nodes with
+positional arguments, which a frozen dataclass takes faster than
+keywords.
 """
 
 from __future__ import annotations
+
+import re
 
 from svsec.frontend import ast
 from svsec.frontend.diagnostics import (Diagnostic, DiagnosticError, Severity,
@@ -53,7 +59,10 @@ _BINARY_PRECEDENCE = {
     "*": 10, "/": 10, "%": 10,
 }
 
+_UNARY_OPS = frozenset(("~", "!", "-", "+", "&", "|", "^"))
+
 _BASE_RADIX = {"b": 2, "o": 8, "d": 10, "h": 16}
+_FOUR_STATE = re.compile(r"[xXzZ?]")
 
 
 class Parser:
@@ -61,27 +70,31 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self.diags: list[Diagnostic] = []
+        # The token and the text at each position, then three Nones: the
+        # position never passes one beyond the end (`_skip_item` steps
+        # over `: label` after a final `:`), and a look reads one further.
+        self._toks: list[Token | None] = [*tokens, None, None, None]
+        self._texts: list[str | None] = [t.text for t in tokens]
+        self._texts += (None, None, None)
 
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token | None:
-        i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else None
+        return self._toks[self.pos + offset]
 
     def at(self, text: str, offset: int = 0) -> bool:
-        t = self.peek(offset)
-        return t is not None and t.text == text
+        return self._texts[self.pos + offset] == text
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self._toks[self.pos]
         if t is None:
             raise self._error(t, "unexpected end of input")
         self.pos += 1
         return t
 
     def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t is None or t.text != text:
+        t = self._toks[self.pos]
+        if self._texts[self.pos] != text:
             raise self._error(t, f"expected {text!r}, got {_text(t)!r}")
         self.pos += 1
         return t
@@ -279,8 +292,7 @@ class Parser:
                 msb, lsb = self._parse_range()
             t = self.peek()
             name = self._expect_ident("port name")
-            return ast.Port(name=name, direction=direction, net_kind=net_kind,
-                            msb=msb, lsb=lsb, line=t.line)
+            return ast.Port(name, direction, net_kind, msb, lsb, t.line)
 
         return self._comma_list(port, ")", empty=True)
 
@@ -311,8 +323,7 @@ class Parser:
             if self.at("="):
                 raise self._error(t, "declaration initializers are not supported",
                                   Severity.UNSUPPORTED)
-            return ast.NetDecl(name=name, net_kind=net_kind, msb=msb, lsb=lsb,
-                               unpacked=unpacked, line=t.line)
+            return ast.NetDecl(name, net_kind, msb, lsb, unpacked, t.line)
 
         return self._comma_list(net, ";")
 
@@ -322,7 +333,7 @@ class Parser:
         self.expect("=")
         value = self.parse_expr()
         self.expect(";")
-        return ast.ContinuousAssign(target=target, value=value, line=kw.line)
+        return ast.ContinuousAssign(target, value, kw.line)
 
     def _parse_always(self) -> ast.AlwaysBlock:
         kw = self.next()
@@ -335,8 +346,7 @@ class Parser:
         if kw.text == "always_latch":
             raise self._error(kw, "always_latch is not supported", Severity.UNSUPPORTED)
         body = self.parse_stmt()
-        return ast.AlwaysBlock(kind=kw.text, sensitivity=sensitivity, body=body,
-                               line=kw.line)
+        return ast.AlwaysBlock(kw.text, sensitivity, body, kw.line)
 
     def _parse_sensitivity(self) -> tuple[ast.EdgeEvent, ...] | None:
         """Returns None for @(*) / @*, otherwise the edge list."""
@@ -354,7 +364,7 @@ class Parser:
             if t is not None and t.text in ("posedge", "negedge"):
                 self.next()
                 sig = self._expect_ident("signal in sensitivity list")
-                events.append(ast.EdgeEvent(edge=t.text, signal=sig))
+                events.append(ast.EdgeEvent(t.text, sig))
             else:
                 # Plain signal sensitivity: treat the whole list as combinational.
                 self._expect_ident("signal in sensitivity list")
@@ -406,45 +416,7 @@ class Parser:
         t = self.peek()
         if t is None:
             raise self._error(t, "unexpected end of input")
-        if t.text == "begin":
-            self.next()
-            if self.at(":"):
-                self.next()
-                self._expect_ident("block label")
-            stmts = []
-            while not self.at("end"):
-                if self.peek() is None:
-                    raise self._error(t, "missing 'end'")
-                stmts.append(self.parse_stmt())
-            self.expect("end")
-            if self.at(":"):
-                self.next()
-                self._expect_ident("block label")
-            return ast.Block(stmts=tuple(stmts))
-        if t.text == "if":
-            self.next()
-            self.expect("(")
-            cond = self.parse_expr()
-            self.expect(")")
-            then = self.parse_stmt()
-            other = None
-            if self.at("else"):
-                self.next()
-                other = self.parse_stmt()
-            return ast.If(cond=cond, then=then, other=other, line=t.line)
-        if t.text in ("case", "casez", "casex"):
-            return self._parse_case()
-        if t.text in ("unique", "priority"):
-            self.next()
-            return self.parse_stmt()
-        if t.text == ";":
-            self.next()
-            return ast.Block(stmts=())
-        if t.text in ("for", "while", "repeat", "forever", "wait", "fork", "disable",
-                      "return", "break", "continue"):
-            raise self._error(t, f"{t.text} statements are not supported",
-                              Severity.UNSUPPORTED)
-        if t.kind == TokenKind.IDENT:
+        if t.kind is TokenKind.IDENT:  # no keyword below is an identifier
             if t.text.startswith("$"):
                 raise self._error(t, f"system task {t.text} is not supported",
                                   Severity.UNSUPPORTED)
@@ -453,11 +425,48 @@ class Parser:
             if op is None or op.text not in ("<=", "="):
                 raise self._error(
                     t, f"expected assignment operator, got {_text(op)!r}")
-            self.next()
+            self.pos += 1
             value = self.parse_expr()
             self.expect(";")
-            return ast.Assign(target=target, value=value,
-                              nonblocking=op.text == "<=", line=t.line)
+            return ast.Assign(target, value, op.text == "<=", t.line)
+        if t.text == "begin":
+            self.pos += 1
+            if self.at(":"):
+                self.pos += 1
+                self._expect_ident("block label")
+            stmts = []
+            while not self.at("end"):
+                if self.peek() is None:
+                    raise self._error(t, "missing 'end'")
+                stmts.append(self.parse_stmt())
+            self.pos += 1
+            if self.at(":"):
+                self.pos += 1
+                self._expect_ident("block label")
+            return ast.Block(tuple(stmts))
+        if t.text == "if":
+            self.pos += 1
+            self.expect("(")
+            cond = self.parse_expr()
+            self.expect(")")
+            then = self.parse_stmt()
+            other = None
+            if self.at("else"):
+                self.pos += 1
+                other = self.parse_stmt()
+            return ast.If(cond, then, other, t.line)
+        if t.text in ("case", "casez", "casex"):
+            return self._parse_case()
+        if t.text in ("unique", "priority"):
+            self.pos += 1
+            return self.parse_stmt()
+        if t.text == ";":
+            self.pos += 1
+            return ast.Block(())
+        if t.text in ("for", "while", "repeat", "forever", "wait", "fork", "disable",
+                      "return", "break", "continue"):
+            raise self._error(t, f"{t.text} statements are not supported",
+                              Severity.UNSUPPORTED)
         raise self._error(t, f"unexpected {t.text!r} in statement")
 
     def _parse_case(self) -> ast.Case:
@@ -494,7 +503,7 @@ class Parser:
                 index = first
             else:
                 msb, lsb = first, second
-        return ast.LValue(name=name, index=index, msb=msb, lsb=lsb, line=t.line)
+        return ast.LValue(name, index, msb, lsb, t.line)
 
     def _parse_select(self) -> tuple[ast.Expr, ast.Expr | None]:
         """`[e]` or `[e:e]`; the second bound is None for `[e]`."""
@@ -510,79 +519,90 @@ class Parser:
     # -- expressions -------------------------------------------------------
 
     def parse_expr(self) -> ast.Expr:
-        return self._parse_ternary()
+        """A ternary over left-associative binary operators.
 
-    def _parse_ternary(self) -> ast.Expr:
-        cond = self._parse_binary(1)
-        if self.at("?"):
-            self.next()
-            then = self._parse_ternary()
+        Precedence climbing runs on an explicit stack: `pending` holds
+        each operator still waiting for its right operand, weakest
+        first, so an operator folds the ones before it that bind at
+        least as tightly.  Only parentheses, selects, concatenations,
+        calls and ternary arms recurse: two frames per parenthesis."""
+        texts = self._texts
+        left = self._parse_operand()
+        prec = _BINARY_PRECEDENCE.get(texts[self.pos], 0)
+        if prec:
+            operands = [left]
+            pending: list[tuple[int, str]] = []
+            while prec:
+                while pending and pending[-1][0] >= prec:
+                    right = operands.pop()
+                    operands[-1] = ast.Binary(pending.pop()[1], operands[-1],
+                                              right)
+                pending.append((prec, texts[self.pos]))
+                self.pos += 1
+                operands.append(self._parse_operand())
+                prec = _BINARY_PRECEDENCE.get(texts[self.pos], 0)
+            left = operands.pop()
+            while pending:
+                left = ast.Binary(pending.pop()[1], operands.pop(), left)
+        if texts[self.pos] == "?":
+            self.pos += 1
+            then = self.parse_expr()
             self.expect(":")
-            other = self._parse_ternary()
-            return ast.Ternary(cond=cond, then=then, other=other)
-        return cond
+            other = self.parse_expr()
+            return ast.Ternary(left, then, other)
+        return left
 
-    def _parse_binary(self, min_prec: int) -> ast.Expr:
-        """Precedence climbing: the operand, then every operator that
-        binds at least as tightly as `min_prec`."""
-        left = self._parse_unary()
-        while True:
-            t = self.peek()
-            prec = 0 if t is None else _BINARY_PRECEDENCE.get(t.text, 0)
-            if prec < min_prec:
-                return left
-            self.next()
-            right = self._parse_binary(prec + 1)
-            left = ast.Binary(op=t.text, left=left, right=right)
-
-    def _parse_unary(self) -> ast.Expr:
-        t = self.peek()
-        if t is not None and t.text in ("~", "!", "-", "+", "&", "|", "^"):
-            self.next()
-            if t.text == "+":
-                return self._parse_unary()
-            return ast.Unary(op=t.text, operand=self._parse_unary())
-        return self._parse_postfix()
-
-    def _parse_postfix(self) -> ast.Expr:
-        expr = self._parse_primary()
-        while self.at("["):
-            first, second = self._parse_select()
-            if second is None:
-                expr = ast.Index(base=expr, index=first)
-            else:
-                expr = ast.RangeSelect(base=expr, msb=first, lsb=second)
-        return expr
-
-    def _parse_primary(self) -> ast.Expr:
-        t = self.peek()
+    def _parse_operand(self) -> ast.Expr:
+        """Unary operators, then a primary and its selects, which bind
+        tighter than the unary operators."""
+        texts = self._texts
+        unary = []
+        while texts[self.pos] in _UNARY_OPS:
+            unary.append(texts[self.pos])
+            self.pos += 1
+        t = self._toks[self.pos]
         if t is None:
             raise self._error(t, "unexpected end of expression")
-        if t.kind in (TokenKind.SIZED_LIT, TokenKind.UNSIZED_LIT):
-            self.next()
-            return self._parse_number(t)
-        if t.kind == TokenKind.IDENT:
-            self.next()
-            name = t.text
-            if name.startswith("$"):
-                args: list[ast.Expr] = []
-                if self.at("("):
-                    self.next()
-                    args = self._comma_list(self.parse_expr, ")", empty=True)
-                return ast.SysCall(name=name, args=tuple(args))
-            while self.at(".") and self.peek(1) is not None \
-                    and self.peek(1).kind == TokenKind.IDENT:
-                self.next()
-                name += "." + self.next().text
-            return ast.Ident(name=name)
-        if t.text == "(":
-            self.next()
+        kind = t.kind
+        if kind is TokenKind.SIZED_LIT or kind is TokenKind.UNSIZED_LIT:
+            self.pos += 1
+            expr = self._parse_number(t)
+        elif kind is TokenKind.IDENT:
+            self.pos += 1
+            expr = self._parse_name(t.text)
+        elif t.text == "(":
+            self.pos += 1
             expr = self.parse_expr()
             self.expect(")")
-            return expr
-        if t.text == "{":
-            return self._parse_concat()
-        raise self._error(t, f"unexpected {t.text!r} in expression")
+        elif t.text == "{":
+            expr = self._parse_concat()
+        else:
+            raise self._error(t, f"unexpected {t.text!r} in expression")
+        while texts[self.pos] == "[":
+            first, second = self._parse_select()
+            if second is None:
+                expr = ast.Index(expr, first)
+            else:
+                expr = ast.RangeSelect(expr, first, second)
+        for op in reversed(unary):
+            if op != "+":
+                expr = ast.Unary(op, expr)
+        return expr
+
+    def _parse_name(self, name: str) -> ast.Expr:
+        """The rest of an identifier primary: a system call's arguments,
+        or a hierarchical name's further parts."""
+        if name.startswith("$"):
+            args: list[ast.Expr] = []
+            if self.at("("):
+                self.pos += 1
+                args = self._comma_list(self.parse_expr, ")", empty=True)
+            return ast.SysCall(name=name, args=tuple(args))
+        while self.at(".") and self.peek(1) is not None \
+                and self.peek(1).kind == TokenKind.IDENT:
+            name += "." + self._toks[self.pos + 1].text
+            self.pos += 2
+        return ast.Ident(name)
 
     def _parse_concat(self) -> ast.Expr:
         self.expect("{")
@@ -604,20 +624,20 @@ class Parser:
 
     def _parse_number(self, t: Token) -> ast.Number:
         text = t.text
-        if text.startswith('"'):
+        if text[0] == '"':
             raise self._error(t, "string literals are not supported",
                               Severity.UNSUPPORTED)
         if not text.isascii():  # int() would take any Unicode digit
             raise self._error(t, f"invalid digits in literal {text!r}")
-        if "'" not in text:
-            return ast.Number(value=int(text.replace("_", "")), width=None, base=None)
-        size_part, rest = text.split("'", 1)
+        size_part, tick, rest = text.partition("'")
+        if not tick:
+            return ast.Number(int(text.replace("_", "")), None, None)
         if rest and rest[0] in "sS":
             rest = rest[1:]
         if rest and rest[0].lower() in _BASE_RADIX:
             base = rest[0].lower()
             digits = rest[1:].replace("_", "")
-            if any(c in "xXzZ?" for c in digits):
+            if _FOUR_STATE.search(digits):
                 raise self._error(t, "four-state literal values (x/z) are not "
                                   "supported", Severity.UNSUPPORTED)
             try:
@@ -630,11 +650,11 @@ class Parser:
                 raise self._error(t, f"literal {text!r} has zero width")
             if width is not None:
                 value &= (1 << width) - 1
-            return ast.Number(value=value, width=width, base=base)
+            return ast.Number(value, width, base)
         # Unbased unsized: '0, '1, 'x, 'z
         digit = rest[:1]
         if digit in ("0", "1"):
-            return ast.Number(value=int(digit), width=None, base="")
+            return ast.Number(int(digit), None, "")
         raise self._error(t, "four-state literal values (x/z) are not supported",
                           Severity.UNSUPPORTED)
 

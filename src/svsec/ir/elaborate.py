@@ -14,8 +14,9 @@ line that assigns its name.
 Reset handling: a `negedge rst` (or `posedge rst`) companion in a
 clocked sensitivity list is modelled as a synchronous-at-cycle-boundary
 reset; reset values are recovered by partially evaluating each
-next-state expression with the reset asserted.  States whose next
-expression does not fold to a constant under reset start free.  Of two
+next-state expression with the reset asserted (`ex.known_value`, one
+memo per block).  States whose next expression does not fold to a
+constant under reset start free.  Of two
 posedges, the clock is the one the block does not read.
 """
 
@@ -151,6 +152,9 @@ def _check_refs(ts: TransitionSystem, clock: str | None,
     drives; the latter at the line of the item that reads it."""
     known = set(ts.widths)
     all_exprs = list(ts.next.items()) + list(ts.defines)
+    read = ex.refs(*(e for _, e in all_exprs))  # one walk of the shared DAG
+    if clock not in read and read <= known:
+        return
     for name, e in all_exprs:
         for r in sorted(ex.refs(e)):
             if r == clock:
@@ -596,9 +600,16 @@ def _merge(cond: ex.Expr, a: _Env, b: _Env) -> _Env:
     for attr in ("blocking", "deferred", "lines"):
         ma, mb, merged = getattr(a, attr), getattr(b, attr), getattr(out, attr)
         for k in dict.fromkeys([*ma, *mb]):
-            default = (ex.BV(32, 0) if attr == "lines"
-                       else ex.Ref(a.scope.widths[k], a.scope.qual(k)))
-            merged[k] = ex.mux(cond, ma.get(k, default), mb.get(k, default))
+            x, y = ma.get(k), mb.get(k)
+            if x is y:  # a slot neither arm wrote: mux(cond, x, x) is x
+                merged[k] = x
+                continue
+            if x is None or y is None:
+                default = (ex.BV(32, 0) if attr == "lines"
+                           else ex.Ref(a.scope.widths[k], a.scope.qual(k)))
+                x = default if x is None else x
+                y = default if y is None else y
+            merged[k] = ex.mux(cond, x, y)
     return out
 
 
@@ -765,22 +776,19 @@ def _elab_always(blk: ast.AlwaysBlock, scope: Scope, col: Collected) -> None:
         # Edge order has no meaning (IEEE 1800-2017 9.4.2): the clock is
         # the posedge the values do not read, the other an active-high
         # reset.  The sort is stable, so a tie keeps the source order.
-        read = set().union(*map(ex.refs, assigned.values()))
+        read = ex.refs(*assigned.values())
         posedges.sort(key=lambda e: scope.qual(e.signal) in read)
     clock_ev, *resets = posedges + negedges
     col.clock_candidates.add(scope.qual(clock_ev.signal))
     reset_env = {scope.qual(e.signal): int(e.edge == "posedge")
                  for e in resets if e.signal in scope.widths}
 
+    memo: dict[ex.Op, int | None] = {}  # one fold of the block under reset
     for local, next_e in assigned.items():
         q = scope.qual(local)
         if q in col.states or q in col.defines:
             raise error(f"multiple drivers for {local!r}", blk.line)
-        reset_val: int | None = None
-        if reset_env:
-            folded = ex.substitute(next_e, reset_env)
-            if isinstance(folded, ex.BV):
-                reset_val = folded.value
+        reset_val = ex.known_value(next_e, reset_env, memo) if reset_env else None
         col.states[q] = (next_e, reset_val)
         col.item_lines[q] = blk.line
         # Symbolic line tracker: evaluating this under a cycle's valuation

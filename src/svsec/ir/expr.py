@@ -9,6 +9,7 @@ from __future__ import annotations
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 
 def mask(width: int) -> int:
@@ -20,20 +21,32 @@ class Expr:
     width: int
 
 
-@dataclass(frozen=True)
+# The leaves and the operator node write their frozen fields straight
+# into `__dict__`, as the generated `__init__` does through
+# `object.__setattr__`, but without a call per field: elaboration
+# builds them by the thousand.
+
+@dataclass(frozen=True, init=False)
 class BV(Expr):
     value: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value & mask(self.width))
+    def __init__(self, width: int, value: int):
+        d = self.__dict__
+        d["width"] = width
+        d["value"] = value & ((1 << width) - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Ref(Expr):
     name: str
 
+    def __init__(self, width: int, name: str):
+        d = self.__dict__
+        d["width"] = width
+        d["name"] = name
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Op(Expr):
     """Operator node, hash-consed.
 
@@ -51,21 +64,42 @@ class Op(Expr):
     args: tuple[Expr, ...]
     params: tuple[int, ...] = ()
 
+    def __init__(self, width: int, op: str, args: tuple[Expr, ...],
+                 params: tuple[int, ...] = ()):
+        d = self.__dict__
+        d["width"] = width
+        d["op"] = op
+        d["args"] = args
+        d["params"] = params
+
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
 
-# Every live Op by (width, op, args, params).  Args hash by identity
-# (Op) or by value (BV, Ref), so a key hashes in O(arity).
-_interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# Every live Op by (width, op, args, params), held through a weak
+# reference whose callback drops the entry when the node dies.  Args
+# hash by identity (Op) or by value (BV, Ref), so a key hashes in
+# O(arity).
+_interned: dict[tuple, weakref.ref] = {}
+
+
+def _forget(key: tuple, ref: weakref.ref, table=_interned) -> None:
+    # `table` is bound here, so a node that dies at interpreter exit,
+    # after the module's globals are gone, still finds it
+    if table.get(key) is ref:
+        del table[key]
 
 
 def _op(width: int, op: str, args: tuple[Expr, ...],
         params: tuple[int, ...] = ()) -> Op:
     key = (width, op, args, params)
-    node = _interned.get(key)
-    if node is None:
-        node = _interned[key] = Op(width, op, args, params)
+    ref = _interned.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = Op(width, op, args, params)
+    _interned[key] = weakref.ref(node, partial(_forget, key))
     return node
 
 
@@ -195,6 +229,9 @@ def eval_op(op: str, vals: Sequence[int], widths: Sequence[int],
     raise ValueError(f"unknown op {op!r}")
 
 
+_ARGS_DONE = object()  # on `fold`'s stack: the op below has its args
+
+
 def fold(e: Expr, leaf, node, memo: dict | None = None):
     """Fold the DAG under `e` in post-order: `leaf(x)` values a BV or
     Ref, and `node(op, vals)` an Op from its args' values.
@@ -209,19 +246,20 @@ def fold(e: Expr, leaf, node, memo: dict | None = None):
         return leaf(e)
     if memo is None:
         memo = {}
-    # (op, True) folds op, whose args are done; (op, False) first
-    # pushes it so, then its args above it, the first to visit on top
-    stack = [(e, False)]
+    # An op first pushes itself and _ARGS_DONE, then its args above
+    # them, the first to visit on top; once _ARGS_DONE comes off, the
+    # op below it is folded.
+    stack = [e]
     while stack:
-        top, ready = stack.pop()
-        if ready:
+        top = stack.pop()
+        if top is _ARGS_DONE:
+            top = stack.pop()
             memo[top] = node(top, [memo[a] if isinstance(a, Op) else leaf(a)
                                    for a in top.args])
         elif top not in memo:
-            stack.append((top, True))
+            stack += (top, _ARGS_DONE)
             args = top.args if top.op == "concat" else reversed(top.args)
-            stack.extend((a, False) for a in args
-                         if isinstance(a, Op) and a not in memo)
+            stack += [a for a in args if isinstance(a, Op) and a not in memo]
     return memo[e]
 
 
@@ -251,6 +289,69 @@ def substitute(e: Expr, env: dict[str, int],
     return fold(e, leaf, _rebuild, memo)
 
 
+_PENDING = object()  # a node `known_value` has yet to value
+
+
+def known_value(e: Expr, env: dict[str, int],
+                memo: dict[Op, int | None] | None = None) -> int | None:
+    """The value of the BV that `substitute(e, env)` folds to, or None
+    when it folds to anything else; builds no node.
+
+    A node is known when all its args are, and a mux also when its
+    condition is, or when both arms have the same known value: the
+    folds that `substitute`'s constructors make.  A mux whose condition
+    is known values only the arm it picks, so a register's reset arm is
+    read without its other arms.  The walk keeps its own stack, like
+    `fold`.  Share one memo only between calls over the same env.
+    """
+    if memo is None:
+        memo = {}
+    stack: list[Op] = []
+
+    def value(x: Expr):
+        """x's value, or _PENDING after pushing x to be valued."""
+        if isinstance(x, Op):
+            v = memo.get(x, _PENDING)
+            if v is _PENDING:
+                stack.append(x)
+            return v
+        if isinstance(x, BV):
+            return x.value
+        v = env.get(x.name)
+        return None if v is None else v & ((1 << x.width) - 1)
+
+    result = value(e)
+    while stack:
+        top = stack[-1]
+        if top in memo:  # pushed twice, and valued since
+            stack.pop()
+            continue
+        args = top.args
+        if top.op == "mux":
+            c = value(args[0])
+            if c is _PENDING:
+                continue
+            if c is not None:
+                v = value(args[1] if c else args[2])
+            else:
+                then, other = value(args[1]), value(args[2])
+                if then is _PENDING or other is _PENDING:
+                    continue
+                v = then if then == other else None
+            if v is _PENDING:
+                continue
+        else:
+            vals = [value(a) for a in args]
+            if _PENDING in vals:
+                continue
+            v = None if None in vals else eval_op(
+                top.op, vals, [a.width for a in args],
+                top.params) & ((1 << top.width) - 1)
+        memo[top] = v
+        stack.pop()
+    return memo[e] if result is _PENDING else result
+
+
 def _rebuild(e: Op, args: list[Expr]) -> Expr:
     """`e` over new args, through the folding constructors."""
     if e.op == "mux":
@@ -264,11 +365,11 @@ def _rebuild(e: Op, args: list[Expr]) -> Expr:
     return binop(e.op, args[0], args[1], e.width)
 
 
-def refs(e: Expr) -> set[str]:
-    """The names `e` reads, visiting each shared node once."""
+def refs(*es: Expr) -> set[str]:
+    """The names the expressions read, visiting each shared node once."""
     acc: set[str] = set()
     seen: set[Op] = set()
-    stack = [e]
+    stack = list(es)
     while stack:
         e = stack.pop()
         if isinstance(e, Ref):

@@ -517,7 +517,7 @@ def test_nesting_past_the_recursion_limit_is_unknown():
         return ("module m(input logic a, output logic p);\n"
                 f"  assign p = {'(' * n}a{')' * n};\nendmodule\n", "p == a")
 
-    source, prop = parens(150)
+    source, prop = parens(300)
     assert check_design(source, "m", prop).status == "proven"
     source, prop = parens(2000)
     deep = check_design(source, "m", prop)

@@ -1,6 +1,8 @@
 """One DAG fold lowers the IR four ways: evaluation, partial evaluation,
 bit-blasting and Python codegen.  On random DAGs that share subterms
-the four must agree, and each distinct node must be folded once."""
+the four must agree, and each distinct node must be folded once.  The
+reset reader `known_value` must give the constant that partial
+evaluation folds to, and None where it folds to none."""
 
 from __future__ import annotations
 
@@ -13,6 +15,9 @@ import pytest
 from svsec.engine.aig import Aig, blast_expr
 from svsec.ir import expr as ex
 from svsec.ir.transition import TransitionSystem, compile_stepper
+
+from conftest import compile_ts
+from test_search_golden import GOLDEN, _check
 
 UNARY = ("not", "neg", "redor", "redand", "redxor")
 BINARY = ("and", "or", "xor", "add", "sub", "mul", "eq", "ult", "ule")
@@ -133,3 +138,68 @@ def test_fold_depth_is_not_bounded_by_the_recursion_limit():
     want = (1 + sum(env[f"y{i % 4}"] for i in range(n))) & 1
     assert ex.eval_expr(e, env) == want
     assert ex.substitute(e, env) == ex.BV(1, want)
+    assert ex.known_value(e, env) == want
+
+
+# ------------------------------------- the reset reader against substitute
+
+def _substituted_value(e: ex.Expr, env: dict[str, int]) -> int | None:
+    folded = ex.substitute(e, env)
+    return folded.value if isinstance(folded, ex.BV) else None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_known_value_is_the_constant_substitute_folds_to(seed):
+    # A random system of four registers, whose next states share one
+    # memo, as an always block's do.  At every node of their DAGs, under
+    # an env that fixes some of the inputs (to values wider than the
+    # inputs, which a leaf masks): where substitute folds the node to a
+    # BV, known_value gives its value, and None everywhere else.
+    rng = random.Random(seed)
+    inputs = [(f"i{k}", rng.randint(1, 8)) for k in range(rng.randint(1, 4))]
+    env = {n: rng.getrandbits(w + 2) for n, w in inputs if rng.random() < 0.6}
+    memo: dict = {}
+    folded = 0
+    for _ in range(4):
+        e = _random_dag(rng, inputs, rng.randint(5, 40))
+        for node in [e, *_ops(e)]:
+            want = _substituted_value(node, env)
+            folded += want is not None
+            assert ex.known_value(node, env) == want
+            assert ex.known_value(node, env, memo) == want
+    if len(env) == len(inputs):
+        assert folded
+
+
+def test_known_value_picks_a_mux_arm_by_its_condition():
+    a, b = ex.Ref(4, "a"), ex.Ref(4, "b")
+    picked = ex.mux(ex.Ref(1, "r"), ex.BV(4, 3), ex.binop("add", a, b))
+    assert ex.known_value(picked, {"r": 1}) == 3
+    assert ex.known_value(picked, {"r": 0}) is None
+    same = ex.mux(ex.Ref(1, "c"), ex.binop("add", ex.BV(4, 1), a),
+                  ex.BV(4, 6))
+    assert ex.known_value(same, {"a": 5}) == 6  # both arms 6, c unknown
+    assert ex.known_value(same, {"a": 4}) is None
+
+
+def test_known_value_is_the_reset_of_every_pinned_register(monkeypatch):
+    # Elaboration reads each register's reset value with known_value;
+    # each such read must give what substitute folds its next state to.
+    reads = []
+    real = ex.known_value
+
+    def spy(e, env, memo=None):
+        value = real(e, env, memo)
+        reads.append((e, dict(env), value))
+        return value
+
+    monkeypatch.setattr(ex, "known_value", spy)
+    registers = 0
+    for name in GOLDEN:
+        source, top, _ = _check(name)
+        ts, _ = compile_ts(source, top)
+        registers += len(ts.states)
+    assert len(reads) == registers
+    for e, env, value in reads:
+        assert value == _substituted_value(e, env)
+    assert sum(value is not None for _, _, value in reads) > registers // 2
