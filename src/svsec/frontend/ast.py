@@ -1,24 +1,109 @@
 """AST for the SystemVerilog subset.
 
-Nodes are plain dataclasses with source locations where a downstream
-diagnostic may need to point at them.  Structural equality deliberately
+Every node class derives from `Node`, an immutable record.  A class
+declares its fields as annotations, each with an optional default, and
+`Node` gives it the behaviour of `@dataclass(frozen=True)` through
+methods that all classes share, so no code is generated at import: a
+constructor that takes the fields positionally or by keyword, read-only
+attributes, a `Class(field=value, ...)` repr, and equality and hashing
+over the fields.  Nodes carry source locations (`line`) where a
+downstream diagnostic may need to point at them.  Equality deliberately
 ignores locations so that round-trip tests can compare trees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+
+class Node:
+    """Base of every AST node.  Each subclass gets `_fields` (every
+    field, its bases' first, in declaration order), `_defaults` (field ->
+    default value) and `_compared` (the fields that equality and hashing
+    read: all but `line`)."""
+
+    _fields = _compared = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields, defaults = {}, {}
+        for base in reversed(cls.__mro__):
+            own = base.__dict__
+            for name in own.get("__annotations__", ()):
+                fields[name] = None
+                if name in own:
+                    defaults[name] = own[name]
+        cls._fields = tuple(fields)
+        cls._defaults = defaults
+        cls._compared = tuple(f for f in fields if f != "line")
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """Every field's value from a call's arguments, bound as a
+        dataclass constructor binds them."""
+        name, fields = cls.__name__, cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but "
+                            f"{len(args)} were given")
+        rest = fields[len(args):]
+        extra = kwargs.keys() - set(rest)
+        if extra:
+            raise TypeError(f"{name}() got an unexpected or repeated "
+                            f"argument {min(extra)!r}")
+        values = list(args)
+        for f in rest:
+            if f in kwargs:
+                values.append(kwargs[f])
+            elif f in cls._defaults:
+                values.append(cls._defaults[f])
+            else:
+                raise TypeError(f"{name}() missing required argument {f!r}")
+        return values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[f] for f in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        d = self.__dict__
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{f}={d[f]!r}" for f in self._fields) + ")")
+
+
+def replace(node: Node, **changes) -> Node:
+    """`node` with the fields named in `changes` set to new values, as
+    `dataclasses.replace` gives it."""
+    d = node.__dict__
+    return type(node)(*[changes.pop(f, d[f]) for f in node._fields],
+                      **changes)
 
 
 # --------------------------------------------------------------------------
 # Expressions
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(Node):
     pass
 
 
-@dataclass(frozen=True)
 class Number(Expr):
     """Integer literal.  width is None for unsized forms."""
     value: int
@@ -26,56 +111,47 @@ class Number(Expr):
     base: str | None = None  # 'b, 'h, 'd, 'o as written, for printing
 
 
-@dataclass(frozen=True)
 class Ident(Expr):
     name: str
 
 
-@dataclass(frozen=True)
 class Unary(Expr):
     op: str  # ~ ! - + & | ^
     operand: Expr
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Ternary(Expr):
     cond: Expr
     then: Expr
     other: Expr
 
 
-@dataclass(frozen=True)
 class Index(Expr):
     base: Expr
     index: Expr
 
 
-@dataclass(frozen=True)
 class RangeSelect(Expr):
     base: Expr
     msb: Expr
     lsb: Expr
 
 
-@dataclass(frozen=True)
 class Concat(Expr):
     parts: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
 class Replicate(Expr):
     count: Expr
     value: Expr
 
 
-@dataclass(frozen=True)
 class SysCall(Expr):
     """$-prefixed call such as $past(x, 2).
 
@@ -131,137 +207,120 @@ def map_children(e: Expr, fn) -> Expr:
 # --------------------------------------------------------------------------
 # Statements
 
-@dataclass(frozen=True)
-class Stmt:
+class Stmt(Node):
     pass
 
 
-@dataclass(frozen=True)
-class LValue:
+class LValue(Node):
     """Assignment target: name with optional index/part select."""
     name: str
     index: Expr | None = None
     msb: Expr | None = None
     lsb: Expr | None = None
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
 class Assign(Stmt):
     target: LValue
     value: Expr
     nonblocking: bool
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
 class Block(Stmt):
     stmts: tuple[Stmt, ...]
 
 
-@dataclass(frozen=True)
 class If(Stmt):
     cond: Expr
     then: Stmt
     other: Stmt | None
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
-class CaseItem:
+class CaseItem(Node):
     patterns: tuple[Expr, ...]  # empty tuple = default
     body: Stmt
 
 
-@dataclass(frozen=True)
 class Case(Stmt):
     kind: str  # case | casez
     subject: Expr
     items: tuple[CaseItem, ...]
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
 # --------------------------------------------------------------------------
 # Module items
 
-@dataclass(frozen=True)
-class EdgeEvent:
+class EdgeEvent(Node):
     edge: str  # posedge | negedge
     signal: str
 
 
-@dataclass(frozen=True)
 class AlwaysBlock(Stmt):
     kind: str  # always_ff | always_comb | always
     # None = combinational (@* or always_comb); otherwise edge list
     sensitivity: tuple[EdgeEvent, ...] | None
     body: Stmt
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
-class ContinuousAssign:
+class ContinuousAssign(Node):
     target: LValue
     value: Expr
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
-class PortConn:
+class PortConn(Node):
     port: str
     expr: Expr | None
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Node):
     module: str
     name: str
     conns: tuple[PortConn, ...]
     param_overrides: tuple[tuple[str, Expr], ...] = ()
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
-class NetDecl:
+class NetDecl(Node):
     """Variable/net declaration, possibly an unpacked array."""
     name: str
     net_kind: str  # logic | reg | wire | bit | byte | int | integer
     msb: Expr | None  # packed range; None = the width of net_kind (1 bit for most)
     lsb: Expr | None
     unpacked: tuple[Expr, Expr] | None = None  # [lo:hi] bounds as written
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
-class ParamDecl:
+class ParamDecl(Node):
     name: str
     value: Expr
     local: bool
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
-class Port:
+class Port(Node):
     name: str
     direction: str  # input | output | inout
     net_kind: str
     msb: Expr | None
     lsb: Expr | None
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
 ModuleItem = ParamDecl | NetDecl | ContinuousAssign | AlwaysBlock | Instance
 
 
-@dataclass(frozen=True)
-class ModuleDecl:
+class ModuleDecl(Node):
     name: str
     ports: tuple[Port, ...]
     params: tuple[ParamDecl, ...]  # the header's #(...) list
     items: tuple[ModuleItem, ...]  # the body, in source order
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
-class SourceUnit:
+class SourceUnit(Node):
     modules: tuple[ModuleDecl, ...]

@@ -173,7 +173,7 @@ class Parser:
                 self.diags.append(Diagnostic(
                     Severity.ERROR, f"expected 'module', got {t.text!r}", t.line, t.col))
                 self.pos += 1
-        return ast.SourceUnit(modules=tuple(modules))
+        return ast.SourceUnit(tuple(modules))
 
     def parse_module(self) -> ast.ModuleDecl:
         kw = self.expect("module")
@@ -218,8 +218,8 @@ class Parser:
                 self.diags.append(e.diag)
                 self._skip_item(start)
         self.expect("endmodule")
-        return ast.ModuleDecl(name=name, ports=tuple(ports), params=tuple(params),
-                              items=tuple(items), line=kw.line)
+        return ast.ModuleDecl(name, tuple(ports), tuple(params), tuple(items),
+                              kw.line)
 
     def _expect_ident(self, what: str) -> str:
         t = self.peek()
@@ -248,8 +248,7 @@ class Parser:
         t = self.peek()
         name = self._expect_ident("parameter name")
         self.expect("=")
-        return ast.ParamDecl(name=name, value=self.parse_expr(), local=local,
-                             line=t.line)
+        return ast.ParamDecl(name, self.parse_expr(), local, t.line)
 
     def _skip_type_words(self) -> None:
         while self.peek() is not None and self.peek().text in _TYPE_WORDS:
@@ -398,8 +397,8 @@ class Parser:
             lambda: ast.PortConn(*self._named_conn("port name", optional=True)), ")",
             empty=True)
         self.expect(";")
-        return ast.Instance(module=module, name=name, conns=tuple(conns),
-                            param_overrides=tuple(overrides), line=t.line)
+        return ast.Instance(module, name, tuple(conns), tuple(overrides),
+                            t.line)
 
     def _named_conn(self, what: str, optional: bool) -> tuple[str, ast.Expr | None]:
         """`.name(expr)`; with `optional`, also `.name()`."""
@@ -486,12 +485,12 @@ class Parser:
                     raise self._error(t, "case statement has a second default")
                 if self.at(":"):
                     self.next()
-                items.append(ast.CaseItem(patterns=(), body=self.parse_stmt()))
+                items.append(ast.CaseItem((), self.parse_stmt()))
                 continue
             patterns = self._comma_list(self.parse_expr, ":")
-            items.append(ast.CaseItem(patterns=tuple(patterns), body=self.parse_stmt()))
+            items.append(ast.CaseItem(tuple(patterns), self.parse_stmt()))
         self.expect("endcase")
-        return ast.Case(kind=kw.text, subject=subject, items=tuple(items), line=kw.line)
+        return ast.Case(kw.text, subject, tuple(items), kw.line)
 
     def _parse_lvalue(self) -> ast.LValue:
         t = self.peek()
@@ -597,7 +596,7 @@ class Parser:
             if self.at("("):
                 self.pos += 1
                 args = self._comma_list(self.parse_expr, ")", empty=True)
-            return ast.SysCall(name=name, args=tuple(args))
+            return ast.SysCall(name, tuple(args))
         while self.at(".") and self.peek(1) is not None \
                 and self.peek(1).kind == TokenKind.IDENT:
             name += "." + self._toks[self.pos + 1].text
@@ -613,13 +612,13 @@ class Parser:
             value = self.parse_expr()
             self.expect("}")
             self.expect("}")
-            return ast.Replicate(count=first, value=value)
+            return ast.Replicate(first, value)
         parts = [first]
         while self.at(","):
             self.next()
             parts.append(self.parse_expr())
         self.expect("}")
-        return ast.Concat(parts=tuple(parts))
+        return ast.Concat(tuple(parts))
 
 
     def _parse_number(self, t: Token) -> ast.Number:

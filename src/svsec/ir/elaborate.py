@@ -430,21 +430,16 @@ def _elab_expr(e: ast.Expr, scope: Scope,
     if isinstance(e, ast.Ident):
         return _lookup(e.name, scope, blocking)
     if isinstance(e, ast.Unary):
-        a = _elab_expr(e.operand, scope, blocking)
-        if e.op == "~":
-            return ex.unop("not", a)
-        if e.op == "-":
-            return ex.unop("neg", a)
-        if e.op == "!":
-            return ex.lognot(a)
-        if e.op == "&":
-            return ex.unop("redand", a)
-        if e.op == "|":
-            return ex.unop("redor", a)
-        if e.op == "^":
-            return ex.unop("redxor", a)
-        raise error(f"unsupported unary operator {e.op!r}",
-                    severity=Severity.UNSUPPORTED)
+        # A chain `~!-a` nests down its operands.  Walk it in a loop, not
+        # a frame per operator, and apply the operators innermost first.
+        ops = []
+        while isinstance(e, ast.Unary):
+            ops.append(e.op)
+            e = e.operand
+        a = _elab_expr(e, scope, blocking)
+        for op in reversed(ops):
+            a = _unop(op, a)
+        return a
     if isinstance(e, ast.Binary):
         return _elab_binary(e, scope, blocking)
     if isinstance(e, ast.Ternary):
@@ -473,6 +468,18 @@ def _elab_expr(e: ast.Expr, scope: Scope,
         raise error(f"system function {e.name} is not supported in module context",
                     severity=Severity.UNSUPPORTED)
     raise error(f"unsupported expression {type(e).__name__}",
+                severity=Severity.UNSUPPORTED)
+
+
+_UNOPS = {"~": "not", "-": "neg", "&": "redand", "|": "redor", "^": "redxor"}
+
+
+def _unop(op: str, a: ex.Expr) -> ex.Expr:
+    if op == "!":
+        return ex.lognot(a)
+    if op in _UNOPS:
+        return ex.unop(_UNOPS[op], a)
+    raise error(f"unsupported unary operator {op!r}",
                 severity=Severity.UNSUPPORTED)
 
 

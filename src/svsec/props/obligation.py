@@ -68,13 +68,13 @@ def _lower_sampled(e: ast.Expr, scope: Scope, hist: _History) -> ast.Expr:
     ir = _elab_expr(arg, scope, {})
     name = hist.register(ir, e.args[1].value if len(e.args) > 1 else 1)
     scope.widths[name] = ir.width
-    past = ast.Ident(name=name)
+    past = ast.Ident(name)
     if e.name == "$rose":
-        return ast.Binary(op="&&", left=arg, right=ast.Unary(op="!", operand=past))
+        return ast.Binary("&&", arg, ast.Unary("!", past))
     if e.name == "$fell":
-        return ast.Binary(op="&&", left=ast.Unary(op="!", operand=arg), right=past)
+        return ast.Binary("&&", ast.Unary("!", arg), past)
     if e.name == "$stable":
-        return ast.Binary(op="==", left=arg, right=past)
+        return ast.Binary("==", arg, past)
     return past
 
 

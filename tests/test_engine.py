@@ -517,6 +517,10 @@ def test_nesting_past_the_recursion_limit_is_unknown():
         return ("module m(input logic a, output logic p);\n"
                 f"  assign p = {'(' * n}a{')' * n};\nendmodule\n", "p == a")
 
+    def unary(ops):
+        return ("module m(input logic a, output logic p);\n"
+                f"  assign p = {ops}a;\nendmodule\n", "p == a")
+
     source, prop = parens(300)
     assert check_design(source, "m", prop).status == "proven"
     source, prop = parens(2000)
@@ -527,4 +531,9 @@ def test_nesting_past_the_recursion_limit_is_unknown():
     # elaboration walks in a loop: it stays below the limit.
     for n in (8, 2000):
         source, prop = parity(n)
+        assert check_design(source, "m", prop).status == "proven"
+    # A chain of unary operators nests down its operands, which
+    # elaboration walks in a loop too.
+    for ops in ("~" * 5000, "~!" * 2500):
+        source, prop = unary(ops)
         assert check_design(source, "m", prop).status == "proven"

@@ -21,6 +21,7 @@ from enum import Enum
 import pytest
 
 from svsec.engine.bmc import Template
+from svsec.frontend.ast import Node
 from svsec.frontend.lexer import tokenize
 from svsec.frontend.parser import parse
 from svsec.ir import expr as ex
@@ -110,6 +111,10 @@ def _value(x) -> str:
         return (type(x).__name__ + "("
                 + ",".join(f"{f.name}={_value(getattr(x, f.name))}"
                            for f in dataclasses.fields(x)) + ")")
+    if isinstance(x, Node):
+        return (type(x).__name__ + "("
+                + ",".join(f"{f}={_value(getattr(x, f))}" for f in x._fields)
+                + ")")
     if isinstance(x, tuple) and hasattr(x, "_fields"):  # a Token
         return (type(x).__name__ + "("
                 + ",".join(f"{f}={_value(getattr(x, f))}" for f in x._fields)

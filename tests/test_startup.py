@@ -74,6 +74,29 @@ def test_the_check_path_imports_no_generation_metrics_or_yaml():
     assert off_path(proc.stdout.split()) == []
 
 
+# Counts the svsec functions compiled from strings (as `dataclass` builds
+# its methods) and the dataclasses among the AST's classes.
+GENERATED = """\
+import dataclasses, gc, sys, types
+import svsec.check, svsec.cli
+print(sum(isinstance(f, types.FunctionType)
+          and f.__code__.co_filename == "<string>"
+          and (f.__module__ or "").startswith("svsec")
+          for f in gc.get_objects()))
+ast = sys.modules["svsec.frontend.ast"]
+print(sum(dataclasses.is_dataclass(c) for c in vars(ast).values()
+          if isinstance(c, type)))
+"""
+
+
+def test_the_check_path_compiles_little_code_at_import():
+    proc = fresh_python("-c", GENERATED)
+    assert proc.returncode == 0, proc.stderr
+    from_strings, ast_dataclasses = map(int, proc.stdout.split())
+    assert ast_dataclasses == 0
+    assert from_strings <= 100
+
+
 @pytest.mark.parametrize("which", ["correct", "vulnerable"])
 def test_verify_with_a_property_file_never_imports_yaml(tmp_path, which):
     (spec,) = list_problems(cwe=1234, difficulty="basic")
