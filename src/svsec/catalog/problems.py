@@ -4,30 +4,43 @@ Each problem fixes a module name and port contract, carries the task
 description used to render generation prompts, and binds a property
 template that captures the CWE intent over those ports.  Reference
 correct and planted-vulnerable designs ship next to the catalog.
+
+`catalog.json` holds the property templates and the problems.  A
+template binds only port names; its `{holes}` are filled from each
+problem's `property.params`.  The problems are grouped by CWE class:
+
+    1209  improper handling of reserved bits / locations
+    1223  race condition for write-once attributes
+    1254  incorrect comparison logic granularity
+    1261  improper handling of single event upsets
+    1234  hardware internal or debug modes bypass locks
+    1280  access control check implemented after asset access
+    1299  missing protection for alternate hardware interface
+    1276  hardware child block incorrectly connected
+    1302  missing security identifier
+    1258  sensitive values not cleared in debug mode
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import json
 from importlib import resources
 
-from svsec.yamlload import load_yaml
+from svsec.node import Node
 
 CWE_IDS = (1209, 1223, 1254, 1261, 1234, 1280, 1299, 1276, 1302, 1258)
 DIFFICULTIES = ("basic", "intermediate", "advanced")
 
 
-@dataclass(frozen=True)
-class Port:
+class Port(Node):
     name: str
     direction: str  # input | output
     width: int
     note: str = ""  # free-text hint rendered next to the name in prompts
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(Node):
     problem_id: str
     cwe_id: int
     difficulty: str
@@ -60,13 +73,12 @@ def design_text(filename: str) -> str:
 @functools.lru_cache(maxsize=1)
 def load_catalog() -> tuple[dict[str, str], tuple[ProblemSpec, ...]]:
     """Returns (property templates, problem specs)."""
-    doc = load_yaml(_data_text("catalog.yaml"))
+    doc = json.loads(_data_text("catalog.json"))
     templates = dict(doc["templates"])
     specs = []
     for item in doc["problems"]:
-        ports = tuple(Port(name=p["name"], direction=p["dir"],
-                           width=int(p.get("width", 1)),
-                           note=p.get("note", ""))
+        ports = tuple(Port(p["name"], p["dir"], int(p.get("width", 1)),
+                           p.get("note", ""))
                       for p in item["ports"])
         spec = ProblemSpec(
             problem_id=item["id"],

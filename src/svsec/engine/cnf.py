@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from svsec.engine.aig import Aig, FALSE, TRUE
 
 
-@dataclass
 class CnfFormula:
-    num_vars: int
-    clauses: list[tuple[int, ...]]
-    # AIG literal -> DIMACS variable, for model read-back
-    var_of_node: dict[int, int] = field(default_factory=dict)
+    def __init__(self, num_vars: int, clauses: list[tuple[int, ...]],
+                 var_of_node: dict[int, int] | None = None):
+        self.num_vars = num_vars
+        self.clauses = clauses
+        # AIG literal -> DIMACS variable, for model read-back
+        self.var_of_node = {} if var_of_node is None else var_of_node
 
     def to_dimacs(self) -> str:
         lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]

@@ -2,45 +2,50 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from svsec.engine.trace import Trace
 from svsec.frontend.diagnostics import Diagnostic
 
 
-@dataclass
 class Proven:
-    k_used: int
     status = "proven"
 
+    def __init__(self, k_used: int):
+        self.k_used = k_used
 
-@dataclass
+
 class Falsified:
-    trace: Trace
-    depth: int
-    # source line of the assignment that produced the violating value
-    culprit_line: int = 0
-    culprit_signal: str = ""
     status = "falsified"
 
+    def __init__(self, trace: Trace, depth: int, culprit_line: int = 0,
+                 culprit_signal: str = ""):
+        self.trace = trace
+        self.depth = depth
+        # source line of the assignment that produced the violating value
+        self.culprit_line = culprit_line
+        self.culprit_signal = culprit_signal
 
-@dataclass
+
 class NoCexUpTo:
-    depth: int
     status = "no_cex_up_to"
 
+    def __init__(self, depth: int):
+        self.depth = depth
 
-@dataclass
+
 class Unknown:
-    max_k: int
-    reason: str
     status = "unknown"
 
+    def __init__(self, max_k: int, reason: str):
+        self.max_k = max_k
+        self.reason = reason
 
-@dataclass
+
 class CompileError:
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    # True when the diagnostics' lines and columns are in the property
-    # text, not in the design source.
-    in_property: bool = False
     status = "compile_error"
+
+    def __init__(self, diagnostics: list[Diagnostic] | None = None,
+                 in_property: bool = False):
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        # True when the diagnostics' lines and columns are in the
+        # property text, not in the design source.
+        self.in_property = in_property

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from svsec.ir.transition import TransitionSystem
 
 
-@dataclass
 class Trace:
     """A concrete execution: initial state plus one input valuation per cycle.
 
@@ -16,10 +14,15 @@ class Trace:
     includes every define, so property signals can be inspected per cycle.
     Length conventions: len(inputs) == depth + 1 == len(states) == len(values).
     """
-    initial: dict[str, int]
-    inputs: list[dict[str, int]]
-    states: list[dict[str, int]] = field(default_factory=list)
-    values: list[dict[str, int]] = field(default_factory=list)
+
+    def __init__(self, initial: dict[str, int],
+                 inputs: list[dict[str, int]],
+                 states: list[dict[str, int]] | None = None,
+                 values: list[dict[str, int]] | None = None):
+        self.initial = initial
+        self.inputs = inputs
+        self.states = [] if states is None else states
+        self.values = [] if values is None else values
 
     @property
     def depth(self) -> int:

@@ -1,100 +1,16 @@
 """AST for the SystemVerilog subset.
 
-Every node class derives from `Node`, an immutable record.  A class
-declares its fields as annotations, each with an optional default, and
-`Node` gives it the behaviour of `@dataclass(frozen=True)` through
-methods that all classes share, so no code is generated at import: a
-constructor that takes the fields positionally or by keyword, read-only
-attributes, a `Class(field=value, ...)` repr, and equality and hashing
-over the fields.  Nodes carry source locations (`line`) where a
+Every node class derives from `Node` (`svsec.node`), an immutable
+record that behaves as `@dataclass(frozen=True)` without generating
+code at import.  A class declares its fields as annotations, each with
+an optional default.  Nodes carry source locations (`line`) where a
 downstream diagnostic may need to point at them.  Equality deliberately
 ignores locations so that round-trip tests can compare trees.
 """
 
 from __future__ import annotations
 
-
-class Node:
-    """Base of every AST node.  Each subclass gets `_fields` (every
-    field, its bases' first, in declaration order), `_defaults` (field ->
-    default value) and `_compared` (the fields that equality and hashing
-    read: all but `line`)."""
-
-    _fields = _compared = ()
-    _defaults = {}
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        fields, defaults = {}, {}
-        for base in reversed(cls.__mro__):
-            own = base.__dict__
-            for name in own.get("__annotations__", ()):
-                fields[name] = None
-                if name in own:
-                    defaults[name] = own[name]
-        cls._fields = tuple(fields)
-        cls._defaults = defaults
-        cls._compared = tuple(f for f in fields if f != "line")
-
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
-            args = self._bind(args, kwargs)
-        self.__dict__.update(zip(fields, args))
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """Every field's value from a call's arguments, bound as a
-        dataclass constructor binds them."""
-        name, fields = cls.__name__, cls._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments but "
-                            f"{len(args)} were given")
-        rest = fields[len(args):]
-        extra = kwargs.keys() - set(rest)
-        if extra:
-            raise TypeError(f"{name}() got an unexpected or repeated "
-                            f"argument {min(extra)!r}")
-        values = list(args)
-        for f in rest:
-            if f in kwargs:
-                values.append(kwargs[f])
-            elif f in cls._defaults:
-                values.append(cls._defaults[f])
-            else:
-                raise TypeError(f"{name}() missing required argument {f!r}")
-        return values
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        d = self.__dict__
-        return tuple([d[f] for f in self._compared])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        d = self.__dict__
-        return (f"{type(self).__qualname__}("
-                + ", ".join(f"{f}={d[f]!r}" for f in self._fields) + ")")
-
-
-def replace(node: Node, **changes) -> Node:
-    """`node` with the fields named in `changes` set to new values, as
-    `dataclasses.replace` gives it."""
-    d = node.__dict__
-    return type(node)(*[changes.pop(f, d[f]) for f in node._fields],
-                      **changes)
+from svsec.node import Node, replace
 
 
 # --------------------------------------------------------------------------

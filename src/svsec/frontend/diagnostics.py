@@ -1,7 +1,8 @@
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+
+from svsec.node import Node
 
 
 class Severity(Enum):
@@ -10,13 +11,13 @@ class Severity(Enum):
     UNSUPPORTED = "unsupported"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Node):
     """Every diagnostic rejects the design: it is labelled compile_error."""
     severity: Severity
     message: str
     line: int = 0
     col: int = 0
+    _uncompared = ()  # unlike an AST node's, its line tells two apart
 
     def render(self, filename: str = "<input>") -> str:
         return f"{filename}:{self.line}:{self.col}: {self.severity.value}: {self.message}"

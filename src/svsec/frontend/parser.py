@@ -5,8 +5,7 @@ constructs (classes, interfaces, generate blocks, functions, ...)
 produce `unsupported` diagnostics instead of a parse crash.
 
 The hot paths read a list of the token texts, and build AST nodes with
-positional arguments, which a frozen dataclass takes faster than
-keywords.
+positional arguments, which a `Node` binds faster than keywords.
 """
 
 from __future__ import annotations

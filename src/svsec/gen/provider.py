@@ -13,8 +13,6 @@ import os
 import time
 from dataclasses import MISSING, dataclass, fields
 
-from svsec.yamlload import load_yaml
-
 log = logging.getLogger(__name__)
 
 RETRYABLE_STATUS = {429, 500, 502, 503, 504}
@@ -43,9 +41,17 @@ class ProviderConfig:
 def load_providers(path: str) -> list[ProviderConfig]:
     """Read provider configs from YAML; `id`, `endpoint` and `model` are
     required, and every other field is optional with ProviderConfig's
-    default and the type of that default."""
+    default and the type of that default.
+
+    PyYAML's libyaml-backed `CSafeLoader` parses about eight times
+    faster than the pure-Python `SafeLoader`, which remains for a PyYAML
+    built without libyaml; both build the same document.
+    """
+    import yaml  # here, not at module level: only this reads YAML
+
+    loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
     with open(path, encoding="utf-8") as fh:
-        doc = load_yaml(fh)
+        doc = yaml.load(fh, Loader=loader)
     optional = [f for f in fields(ProviderConfig) if f.default is not MISSING]
     return [ProviderConfig(provider_id=item["id"], endpoint=item["endpoint"],
                            model=item["model"],

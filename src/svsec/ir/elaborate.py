@@ -23,7 +23,6 @@ posedges, the clock is the one the block does not read.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 from svsec.frontend import ast
 from svsec.frontend.diagnostics import DiagnosticError, Severity, error
@@ -36,39 +35,44 @@ ARRAY_BIT_CAP = 4096
 _TYPE_WIDTHS = {"byte": 8, "int": 32, "integer": 32}
 
 
-@dataclass
 class ArrayInfo:
-    lo: int
-    hi: int
-    width: int
+    def __init__(self, lo: int, hi: int, width: int):
+        self.lo = lo
+        self.hi = hi
+        self.width = width
 
 
-@dataclass
 class Scope:
     """Per-instance naming scope."""
-    prefix: str  # "" for top, "inst." for children
-    params: dict[str, int] = field(default_factory=dict)
-    widths: dict[str, int] = field(default_factory=dict)  # local name -> width
-    arrays: dict[str, ArrayInfo] = field(default_factory=dict)
-    inputs: set[str] = field(default_factory=set)  # input port names
+
+    def __init__(self, prefix: str, params: dict[str, int] | None = None,
+                 widths: dict[str, int] | None = None,
+                 arrays: dict[str, ArrayInfo] | None = None,
+                 inputs: set[str] | None = None):
+        self.prefix = prefix  # "" for top, "inst." for children
+        self.params = {} if params is None else params
+        self.widths = {} if widths is None else widths  # local name -> width
+        self.arrays = {} if arrays is None else arrays
+        self.inputs = set() if inputs is None else inputs  # input port names
 
     def qual(self, name: str) -> str:
         return self.prefix + name
 
 
-@dataclass
 class Collected:
-    input_widths: dict[str, int] = field(default_factory=dict)
-    defines: dict[str, ex.Expr] = field(default_factory=dict)
-    # state name -> (next expr, reset value or None)
-    states: dict[str, tuple[ex.Expr, int | None]] = field(default_factory=dict)
-    # define -> its line; state -> a line tracker over the cycle's values
-    lines: dict[str, int | ex.Expr] = field(default_factory=dict)
-    # state or child input port -> the line of the item whose expression
-    # it holds (its always block, or the instance), which `lines` is not
-    item_lines: dict[str, int] = field(default_factory=dict)
-    clock_candidates: set[str] = field(default_factory=set)
-    outputs: list[str] = field(default_factory=list)
+    def __init__(self):
+        self.input_widths: dict[str, int] = {}
+        self.defines: dict[str, ex.Expr] = {}
+        # state name -> (next expr, reset value or None)
+        self.states: dict[str, tuple[ex.Expr, int | None]] = {}
+        # define -> its line; state -> a line tracker over the cycle's values
+        self.lines: dict[str, int | ex.Expr] = {}
+        # state or child input port -> the line of the item whose
+        # expression it holds (its always block, or the instance), which
+        # `lines` is not
+        self.item_lines: dict[str, int] = {}
+        self.clock_candidates: set[str] = set()
+        self.outputs: list[str] = []
 
 
 def elaborate(unit: ast.SourceUnit, top: str):
@@ -95,7 +99,7 @@ def _elaborate(unit: ast.SourceUnit, top: str):
     # Topologically order defines; detect combinational cycles.
     order = _toposort_defines(col)
 
-    states = [StateVar(name=n, width=next_e.width, reset=reset)
+    states = [StateVar(n, next_e.width, reset)
               for n, (next_e, reset) in col.states.items()]
     nxt = {n: next_e for n, (next_e, _) in col.states.items()}
 
@@ -368,22 +372,46 @@ def _decl_width(d: ast.Port | ast.NetDecl, scope: Scope) -> int:
 
 
 def _const_eval(e: ast.Expr, scope: Scope) -> int:
+    # A chain of unary `-` nests down its operands, and a binary chain
+    # down its left operands.  Walk both in a loop, as `_elab_expr`
+    # does, not a frame per operator.
+    negate = False
+    while isinstance(e, ast.Unary) and e.op == "-":
+        negate = not negate
+        e = e.operand
     if isinstance(e, ast.Number):
-        return e.value
-    if isinstance(e, ast.Ident):
-        if e.name in scope.params:
-            return scope.params[e.name]
-        raise error(f"{e.name!r} is not a compile-time constant")
-    if isinstance(e, ast.Binary):
-        a = _const_eval(e.left, scope)
-        b = _const_eval(e.right, scope)
-        ops = {"+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
-               "/": lambda: a // b if b else 0, "%": lambda: a % b if b else 0,
-               "<<": lambda: a << b, ">>": lambda: a >> b}
-        if e.op in ops:
-            return ops[e.op]()
-    if isinstance(e, ast.Unary) and e.op == "-":
-        return -_const_eval(e.operand, scope)
+        v = e.value
+    elif isinstance(e, ast.Ident):
+        if e.name not in scope.params:
+            raise error(f"{e.name!r} is not a compile-time constant")
+        v = scope.params[e.name]
+    elif isinstance(e, ast.Binary):
+        spine = [e]
+        while isinstance(spine[-1].left, ast.Binary):
+            spine.append(spine[-1].left)
+        v = _const_eval(spine[-1].left, scope)
+        for node in reversed(spine):
+            v = _const_binop(node.op, v, _const_eval(node.right, scope))
+    else:
+        raise error("expression is not a supported compile-time constant")
+    return -v if negate else v
+
+
+def _const_binop(op: str, a: int, b: int) -> int:
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        return a // b if b else 0
+    if op == "%":
+        return a % b if b else 0
+    if op == "<<":
+        return a << b
+    if op == ">>":
+        return a >> b
     raise error("expression is not a supported compile-time constant")
 
 
@@ -578,7 +606,6 @@ def _check_part(name: str, width: int, hi: int, lo: int, line: int = 0) -> None:
 # --------------------------------------------------------------------------
 # Statement elaboration (symbolic execution)
 
-@dataclass
 class _Env:
     """Symbolic environment for one always block.
 
@@ -589,11 +616,16 @@ class _Env:
     last_line: per assigned name, its largest assignment line; every
         copy of the block's env shares this one dict.
     """
-    scope: Scope
-    last_line: dict[str, int] = field(default_factory=dict)
-    blocking: dict[str, ex.Expr] = field(default_factory=dict)
-    deferred: dict[str, ex.Expr] = field(default_factory=dict)
-    lines: dict[str, ex.Expr] = field(default_factory=dict)
+
+    def __init__(self, scope: Scope, last_line: dict[str, int] | None = None,
+                 blocking: dict[str, ex.Expr] | None = None,
+                 deferred: dict[str, ex.Expr] | None = None,
+                 lines: dict[str, ex.Expr] | None = None):
+        self.scope = scope
+        self.last_line = {} if last_line is None else last_line
+        self.blocking = {} if blocking is None else blocking
+        self.deferred = {} if deferred is None else deferred
+        self.lines = {} if lines is None else lines
 
     def copy(self) -> "_Env":
         return _Env(self.scope, self.last_line, dict(self.blocking),

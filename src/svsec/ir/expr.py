@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import partial
 
 
@@ -16,37 +15,69 @@ def mask(width: int) -> int:
     return (1 << width) - 1
 
 
-@dataclass(frozen=True)
 class Expr:
-    width: int
+    """Base of the IR nodes: immutable records on `__slots__`, which
+    generate no code at import and read faster than an instance dict.
+
+    No field can be set once a node is built.  A leaf (`BV`, `Ref`)
+    compares, hashes and prints by its fields, as a frozen dataclass
+    does; an `Op` compares and hashes by identity.
+    """
+    __slots__ = ("width",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-# The leaves and the operator node write their frozen fields straight
-# into `__dict__`, as the generated `__init__` does through
-# `object.__setattr__`, but without a call per field: elaboration
-# builds them by the thousand.
+# The constructors store each field through its slot's setter, which
+# `__setattr__` above would refuse: elaboration builds nodes by the
+# thousand.
+_set_width = Expr.width.__set__
 
-@dataclass(frozen=True, init=False)
+
 class BV(Expr):
-    value: int
+    __slots__ = ("value",)
 
     def __init__(self, width: int, value: int):
-        d = self.__dict__
-        d["width"] = width
-        d["value"] = value & ((1 << width) - 1)
+        _set_width(self, width)
+        _set_value(self, value & ((1 << width) - 1))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.width, self.value) == (other.width, other.value)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.width, self.value))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(width={self.width!r}, "
+                f"value={self.value!r})")
 
 
-@dataclass(frozen=True, init=False)
 class Ref(Expr):
-    name: str
+    __slots__ = ("name",)
 
     def __init__(self, width: int, name: str):
-        d = self.__dict__
-        d["width"] = width
-        d["name"] = name
+        _set_width(self, width)
+        _set_name(self, name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.width, self.name) == (other.width, other.name)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.width, self.name))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(width={self.width!r}, "
+                f"name={self.name!r})")
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Op(Expr):
     """Operator node, hash-consed.
 
@@ -60,20 +91,27 @@ class Op(Expr):
     identity, and cost O(1) however much the DAG shares.  The intern
     table is not locked; one thread builds IR at a time.
     """
-    op: str
-    args: tuple[Expr, ...]
-    params: tuple[int, ...] = ()
+    # `__weakref__`: the intern table holds each node weakly
+    __slots__ = ("op", "args", "params", "__weakref__")
 
     def __init__(self, width: int, op: str, args: tuple[Expr, ...],
                  params: tuple[int, ...] = ()):
-        d = self.__dict__
-        d["width"] = width
-        d["op"] = op
-        d["args"] = args
-        d["params"] = params
+        _set_width(self, width)
+        _set_op(self, op)
+        _set_args(self, args)
+        _set_params(self, params)
 
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(width={self.width!r}, "
+                f"op={self.op!r}, args={self.args!r}, "
+                f"params={self.params!r})")
+
+
+_set_value = BV.value.__set__
+_set_name = Ref.name.__set__
+_set_op = Op.op.__set__
+_set_args = Op.args.__set__
+_set_params = Op.params.__set__
 
 
 # Every live Op by (width, op, args, params), held through a weak

@@ -2,33 +2,34 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from svsec.ir import expr as ex
+from svsec.node import Node
 
 
-@dataclass(frozen=True)
-class StateVar:
+class StateVar(Node):
     name: str
     width: int
     reset: int | None  # None = free (nondeterministic) initial value
 
 
-@dataclass
 class TransitionSystem:
-    inputs: list[tuple[str, int]]
-    states: list[StateVar]
-    next: dict[str, ex.Expr]
-    defines: list[tuple[str, ex.Expr]]  # topologically ordered
-    outputs: list[str]
-    clock: str | None = None
-    widths: dict[str, int] = field(init=False)
+    """`defines` is topologically ordered; `widths` maps every input,
+    state and define to its width."""
 
-    def __post_init__(self):
-        self.widths = {n: w for n, w in self.inputs}
-        self.widths.update({s.name: s.width for s in self.states})
-        self.widths.update({n: e.width for n, e in self.defines})
+    def __init__(self, inputs: list[tuple[str, int]], states: list[StateVar],
+                 next: dict[str, ex.Expr], defines: list[tuple[str, ex.Expr]],
+                 outputs: list[str], clock: str | None = None):
+        self.inputs = inputs
+        self.states = states
+        self.next = next
+        self.defines = defines
+        self.outputs = outputs
+        self.clock = clock
+        self.widths = {n: w for n, w in inputs}
+        self.widths.update({s.name: s.width for s in states})
+        self.widths.update({n: e.width for n, e in defines})
 
     @cached_property
     def tape(self) -> "Tape":

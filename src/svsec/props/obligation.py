@@ -12,8 +12,6 @@ where the assertion is violated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from svsec.frontend import ast
 from svsec.ir import expr as ex
 from svsec.ir.elaborate import Scope, _elab_expr
@@ -23,12 +21,14 @@ from svsec.props.parse import PropertyAst
 BAD = "__bad"
 
 
-@dataclass
 class SafetyObligation:
     """Augmented transition system with a single violation indicator."""
-    augmented: TransitionSystem
-    prop: PropertyAst
-    bad_name: str = BAD
+
+    def __init__(self, augmented: TransitionSystem, prop: PropertyAst,
+                 bad_name: str = BAD):
+        self.augmented = augmented
+        self.prop = prop
+        self.bad_name = bad_name
 
 
 class _History:
@@ -48,7 +48,7 @@ class _History:
         for e, (base, depth) in self.chains.items():
             for k in range(1, depth + 1):
                 name = f"{base}_{k}"
-                extra.append(StateVar(name=name, width=e.width, reset=0))
+                extra.append(StateVar(name, e.width, 0))
                 nxt[name] = e if k == 1 else ex.Ref(e.width, f"{base}_{k - 1}")
         return extra, nxt
 
@@ -98,7 +98,7 @@ def compile_obligation(prop: PropertyAst,
     # Non-overlapped implication: check one cycle after the antecedent.
     if prop.nonoverlapped:
         ant_now = antecedent if antecedent is not None else ex.BV(1, 1)
-        extra_states.append(StateVar(name="__ant", width=1, reset=0))
+        extra_states.append(StateVar("__ant", 1, 0))
         extra_next["__ant"] = ant_now
         fire: ex.Expr = ex.Ref(1, "__ant")
     elif antecedent is not None:
@@ -113,7 +113,7 @@ def compile_obligation(prop: PropertyAst,
         if prop.nonoverlapped:
             # The attempt is also aborted if disable held at the
             # antecedent cycle; reset to 1 treats pre-trace as disabled.
-            extra_states.append(StateVar(name="__dis", width=1, reset=1))
+            extra_states.append(StateVar("__dis", 1, 1))
             extra_next["__dis"] = disable
             bad = ex.binop("and", bad, ex.unop("not", ex.Ref(1, "__dis")))
 
@@ -122,7 +122,7 @@ def compile_obligation(prop: PropertyAst,
     warm = prop.lookback() if hist.chains else 0
     for k in range(1, warm + 1):
         name = f"__v_{k}"
-        extra_states.append(StateVar(name=name, width=1, reset=0))
+        extra_states.append(StateVar(name, 1, 0))
         extra_next[name] = ex.BV(1, 1) if k == 1 else ex.Ref(1, f"__v_{k - 1}")
     if warm:
         bad = ex.binop("and", bad, ex.Ref(1, f"__v_{warm}"))

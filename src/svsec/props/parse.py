@@ -12,22 +12,20 @@ and consequent are boolean-coerced (|reduction of wide values).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from svsec.frontend import ast
 from svsec.frontend.diagnostics import (Diagnostic, DiagnosticError, Severity,
                                         error)
 from svsec.frontend.lexer import tokenize
 from svsec.frontend.parser import Parser
 from svsec.ir.transition import TransitionSystem
+from svsec.node import Node
 
 PAST_DEPTH_CAP = 8
 
 _SAMPLED = {"$past", "$rose", "$fell", "$stable"}
 
 
-@dataclass(frozen=True)
-class PropertyAst:
+class PropertyAst(Node):
     """A single clocked assertion, resolved against a transition system."""
     text: str
     disable: ast.Expr | None       # disable iff guard, active-high
@@ -73,8 +71,7 @@ def parse_property(text: str,
     except DiagnosticError as e:
         return None, [e.diag]
 
-    prop = PropertyAst(text=text, disable=disable, antecedent=antecedent,
-                       consequent=left, nonoverlapped=nonoverlapped)
+    prop = PropertyAst(text, disable, antecedent, left, nonoverlapped)
     errs: list[Diagnostic] = []
     for part in (prop.disable, prop.antecedent, prop.consequent):
         if part is not None:

@@ -1,8 +1,9 @@
-"""`ast.Node` behaves as the `@dataclass(frozen=True)` it replaces.
+"""`Node` behaves as the `@dataclass(frozen=True)` it replaces.
 
-Each AST class is checked against a frozen dataclass twin made from its
-fields and defaults, with `line` left out of comparison, on seeded
-random field values.
+Each AST class, and each other frozen record built on `Node`, is checked
+against a frozen dataclass twin made from its fields and defaults, with
+the fields it does not compare (an AST node's `line`) left out of
+comparison, on seeded random field values.
 """
 
 from __future__ import annotations
@@ -12,11 +13,16 @@ import random
 
 import pytest
 
+from svsec.catalog.problems import Port, ProblemSpec
 from svsec.frontend import ast
+from svsec.frontend.diagnostics import Diagnostic
+from svsec.ir.transition import StateVar
+from svsec.props.parse import PropertyAst
 
 CLASSES = [c for c in vars(ast).values()
            if isinstance(c, type) and issubclass(c, ast.Node)
            and c is not ast.Node]
+RECORDS = [Diagnostic, StateVar, PropertyAst, Port, ProblemSpec]
 
 # Small pools, so that two random nodes are sometimes equal.
 VALUES = [0, 1, "a", "b", None, (), (0, "a"), ast.Ident("x"),
@@ -25,7 +31,7 @@ VALUES = [0, 1, "a", "b", None, (), (0, "a"), ast.Ident("x"),
 
 def twin(cls: type) -> type:
     def spec(f):
-        kw = {"compare": f != "line"}
+        kw = {"compare": f in cls._compared}
         if f in cls._defaults:
             kw["default"] = cls._defaults[f]
         return f, object, dataclasses.field(**kw)
@@ -43,7 +49,8 @@ def test_every_class_declares_its_fields_in_order():
     assert ast.Instance._compared == ("module", "name", "conns",
                                       "param_overrides")
     assert ast.Expr._fields == ast.Stmt._fields == ()
-    assert not any(dataclasses.is_dataclass(c) for c in CLASSES)
+    assert not any(dataclasses.is_dataclass(c) for c in CLASSES + RECORDS)
+    assert Diagnostic._compared == ("severity", "message", "line", "col")
 
 
 def test_a_subclass_extends_its_bases_fields():
@@ -56,7 +63,10 @@ def test_a_subclass_extends_its_bases_fields():
     assert repr(Sized("a")).endswith(".Sized(name='a', width=1, line=0)")
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize(
+    "cls", CLASSES + RECORDS,
+    ids=lambda c: (c.__name__ if c in CLASSES
+                   else f"{c.__module__}.{c.__name__}"))
 def test_node_matches_its_dataclass_twin(cls):
     rng = random.Random(cls.__name__)
     other = twin(cls)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from svsec.catalog import CWE_IDS, DIFFICULTIES, list_problems
@@ -72,3 +74,22 @@ def test_correct_and_vulnerable_files_differ():
         assert spec.correct_file != spec.vulnerable_file
         assert design_text(spec.correct_file) != \
             design_text(spec.vulnerable_file)
+
+
+# sha256 over every template and every ProblemSpec and Port field, in
+# order, as the catalog loaded when it was YAML.  A change to the
+# catalog's content or to how it is read must update this on purpose.
+CATALOG_DIGEST = "926d6f6c266ac97a08a0d20587b7c2878fe6b758aa5f6960a3a6193491f5c5be"
+
+
+def test_the_catalog_loads_as_it_did_from_yaml():
+    templates, specs = load_catalog()
+    h = hashlib.sha256()
+    for name, text in templates.items():
+        h.update(repr(("template", name, text)).encode())
+    for spec in specs:
+        for field, value in vars(spec).items():
+            if field == "ports":
+                value = tuple(tuple(vars(p).items()) for p in value)
+            h.update(repr((field, value)).encode())
+    assert h.hexdigest() == CATALOG_DIGEST

@@ -537,3 +537,9 @@ def test_nesting_past_the_recursion_limit_is_unknown():
     for ops in ("~" * 5000, "~!" * 2500):
         source, prop = unary(ops)
         assert check_design(source, "m", prop).status == "proven"
+    # So are the same chains in a compile-time constant.
+    for value in ("+".join(["1"] * 5000), "- " * 5000 + "16'd5000"):
+        source = (f"module m #(parameter P = {value})\n"
+                  "  (input logic a, output logic [15:0] p);\n"
+                  "  assign p = P;\nendmodule\n")
+        assert check_design(source, "m", "p == 16'd5000").status == "proven"

@@ -6,6 +6,7 @@ evaluation folds to, and None where it folds to none."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 from collections import Counter
@@ -203,3 +204,36 @@ def test_known_value_is_the_reset_of_every_pinned_register(monkeypatch):
     for e, env, value in reads:
         assert value == _substituted_value(e, env)
     assert sum(value is not None for _, _, value in reads) > registers // 2
+
+
+def test_ir_nodes_keep_their_frozen_dataclass_behaviour():
+    """A leaf compares, hashes and prints as a frozen dataclass with the
+    same fields; an Op is interned and compares by identity; no field
+    of any node can be set or deleted."""
+    rng = random.Random(7)
+    for cls, field, pool in ((ex.BV, "value", range(4)),
+                             (ex.Ref, "name", "ab")):
+        twin = dataclasses.make_dataclass(cls.__name__,
+                                          ["width", field], frozen=True)
+        for _ in range(50):
+            (wa, va), (wb, vb) = [(rng.randint(1, 2), rng.choice(pool))
+                                  for _ in range(2)]
+            a, b = cls(wa, va), cls(wb, vb)
+            ta = twin(wa, getattr(a, field))
+            tb = twin(wb, getattr(b, field))
+            assert (a == b, a != b) == (ta == tb, ta != tb)
+            assert hash(a) == hash(ta) and repr(a) == repr(ta)
+            assert a != ta
+    assert ex.BV(2, 7).value == 3
+    r = ex.Ref(4, "a")
+    op = ex.binop("add", r, ex.Ref(4, "b"))
+    assert op is ex.binop("add", ex.Ref(4, "a"), ex.Ref(4, "b"))
+    assert op != ex.binop("add", r, ex.Ref(4, "c"))
+    assert repr(op) == ("Op(width=4, op='add', args=(Ref(width=4, name='a'), "
+                        "Ref(width=4, name='b')), params=())")
+    for node in (ex.BV(1, 0), r, op):
+        for name in ("width", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(node, name)

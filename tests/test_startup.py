@@ -7,6 +7,7 @@ check an installed package as well as `src/`.
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
@@ -18,14 +19,13 @@ from click.testing import CliRunner
 
 import svsec
 from svsec.catalog import list_problems
-from svsec.catalog.problems import (design_text, instantiate_property_text,
-                                    load_catalog)
+from svsec.catalog.problems import design_text, instantiate_property_text
 from svsec.cli import main
 from svsec.gen import load_providers
 
-# Modules that only generation, metrics, tests or the YAML catalog need.
+# Modules that only generation, metrics, tests or provider configs need.
 OFF_THE_CHECK_PATH = ("svsec.gen", "svsec.metrics", "svsec.frontend.pretty",
-                      "yaml")
+                      "yaml", "dataclasses")
 
 PROVIDERS = """\
 providers:
@@ -61,40 +61,52 @@ def imported(importtime_log: str) -> set[str]:
             if line.startswith("import time:") and "|" in line}
 
 
+def fresh_verify(*args: str, cwd) -> tuple[subprocess.CompletedProcess,
+                                           set[str]]:
+    """`svsec verify args` in a new interpreter, and the modules it
+    imported."""
+    proc = fresh_python("-X", "importtime", "-m", "svsec.cli", "verify",
+                        *args, cwd=cwd)
+    return proc, imported(proc.stderr)
+
+
 def off_path(modules) -> list[str]:
     return sorted(m for m in modules
                   if any(m == p or m.startswith(p + ".")
                          for p in OFF_THE_CHECK_PATH))
 
 
-def test_the_check_path_imports_no_generation_metrics_or_yaml():
-    proc = fresh_python("-c", "import sys, svsec.check, svsec.cli; "
-                              "print('\\n'.join(sys.modules))")
-    assert proc.returncode == 0, proc.stderr
-    assert off_path(proc.stdout.split()) == []
-
-
-# Counts the svsec functions compiled from strings (as `dataclass` builds
-# its methods) and the dataclasses among the AST's classes.
-GENERATED = """\
-import dataclasses, gc, sys, types
+# The benchmark's set-up probe, then the number of svsec functions
+# compiled from strings (as `dataclass` builds its methods) and the
+# modules loaded.
+PROBE = """\
+import gc, sys, types
 import svsec.check, svsec.cli
+from svsec.catalog import load_catalog
+load_catalog()
 print(sum(isinstance(f, types.FunctionType)
           and f.__code__.co_filename == "<string>"
           and (f.__module__ or "").startswith("svsec")
           for f in gc.get_objects()))
-ast = sys.modules["svsec.frontend.ast"]
-print(sum(dataclasses.is_dataclass(c) for c in vars(ast).values()
-          if isinstance(c, type)))
+print(*sys.modules)
 """
 
 
-def test_the_check_path_compiles_little_code_at_import():
-    proc = fresh_python("-c", GENERATED)
+@functools.cache
+def probe() -> tuple[int, list[str]]:
+    proc = fresh_python("-c", PROBE)
     assert proc.returncode == 0, proc.stderr
-    from_strings, ast_dataclasses = map(int, proc.stdout.split())
-    assert ast_dataclasses == 0
-    assert from_strings <= 100
+    from_strings, modules = proc.stdout.split("\n", 1)
+    return int(from_strings), modules.split()
+
+
+def test_the_check_path_imports_no_generation_metrics_or_yaml():
+    assert "svsec.catalog.problems" in probe()[1]
+    assert off_path(probe()[1]) == []
+
+
+def test_the_check_path_compiles_little_code_at_import():
+    assert probe()[0] == 0
 
 
 @pytest.mark.parametrize("which", ["correct", "vulnerable"])
@@ -107,19 +119,29 @@ def test_verify_with_a_property_file_never_imports_yaml(tmp_path, which):
     usual = CliRunner().invoke(main, ["verify", str(design), "--cwe", "1234",
                                       "--difficulty", "basic"])
 
-    proc = fresh_python("-X", "importtime", "-m", "svsec.cli", "verify",
-                        str(design), "--property", str(prop),
-                        "--top", spec.module_name, cwd=tmp_path)
+    proc, modules = fresh_verify(str(design), "--property", str(prop),
+                                 "--top", spec.module_name, cwd=tmp_path)
     assert (proc.returncode, proc.stdout) == (usual.exit_code, usual.output)
     assert usual.exit_code == {"correct": 0, "vulnerable": 1}[which]
-    modules = imported(proc.stderr)
     assert "svsec.check" in modules
+    assert off_path(modules) == []
+
+
+@pytest.mark.parametrize("which", ["correct", "vulnerable"])
+def test_verify_from_the_catalog_never_imports_yaml(tmp_path, which):
+    design = tmp_path / "design.sv"
+    design.write_text(design_text(f"cwe1234_basic_{which}.sv"))
+    proc, modules = fresh_verify(str(design), "--cwe", "1234",
+                                 "--difficulty", "basic", cwd=tmp_path)
+    assert proc.returncode == {"correct": 0, "vulnerable": 1}[which], \
+        proc.stderr
+    assert "svsec.catalog.problems" in modules
     assert off_path(modules) == []
 
 
 def _load_with(monkeypatch, with_libyaml: bool, load):
     """`load()` while PyYAML reports `with_libyaml`; returns its result
-    and the loader classes the YAML helper chose."""
+    and the loader classes that `load_providers` chose."""
     chosen = []
     real_load = yaml.load
 
@@ -133,19 +155,15 @@ def _load_with(monkeypatch, with_libyaml: bool, load):
         return load(), chosen
 
 
-def test_both_yaml_loaders_read_the_same_catalog_and_providers(
-        tmp_path, monkeypatch):
+def test_both_yaml_loaders_read_the_same_providers(tmp_path, monkeypatch):
     cfg = tmp_path / "providers.yaml"
     cfg.write_text(PROVIDERS)
 
     def load():
-        # Past load_catalog's cache, so that each side parses the file.
-        return load_catalog.__wrapped__(), load_providers(str(cfg))
+        return load_providers(str(cfg))
 
-    pure, chosen = _load_with(monkeypatch, False, load)
-    assert chosen == [yaml.SafeLoader] * 2
-    (templates, specs), providers = pure
-    assert len(specs) == 30 and templates
+    providers, chosen = _load_with(monkeypatch, False, load)
+    assert chosen == [yaml.SafeLoader]
     assert [(p.provider_id, p.model, p.temperature, p.timeout_seconds,
              p.backoff_base_seconds) for p in providers] == \
         [("alpha", "alpha-large:2024-06", 0.7, 30.0, 0.15),
@@ -154,5 +172,5 @@ def test_both_yaml_loaders_read_the_same_catalog_and_providers(
     if not yaml.__with_libyaml__:
         pytest.skip("PyYAML is built without libyaml")
     libyaml, chosen = _load_with(monkeypatch, True, load)
-    assert chosen == [yaml.CSafeLoader] * 2
-    assert libyaml == pure
+    assert chosen == [yaml.CSafeLoader]
+    assert libyaml == providers
