@@ -2,151 +2,178 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-import click
-
 import svsec
-from svsec.catalog import CWE_IDS, DIFFICULTIES, list_problems
-from svsec.catalog.problems import instantiate_property_text
+from svsec.catalog import DIFFICULTIES, list_problems
+from svsec.catalog.problems import CatalogError, instantiate_property_text
 from svsec.check import DEFAULT_BUDGET, DEFAULT_MAX_K, check_design
 
 EXIT_CODES = {"proven": 0, "falsified": 1, "unknown": 2, "compile_error": 3}
+# sysexits.h's EX_USAGE: a bad invocation never reads as a verdict.
+EX_USAGE = 64
+
+DEFAULT = "[default: %(default)s]"
+BUDGET_HELP = ("Solver work units (propagations + decisions + conflicts) "
+               f"per check. {DEFAULT}")
 
 
-@click.group()
-@click.version_option(svsec.__version__)
-def main():
-    """Formal security verification of SystemVerilog designs, plus a
-    generation / labeling / metrics pipeline over the CWE catalog."""
+class CliError(Exception):
+    """A failure reported as one `Error: <msg>` line, with exit code 1."""
+
+    exit_code = 1
+
+
+class UsageError(CliError):
+    """A bad invocation, with exit code 64."""
+
+    exit_code = EX_USAGE
+
+
+class _Parser(argparse.ArgumentParser):
+    """Options spelled out in full, `--help` without `-h`, and one path
+    for usage errors; the subcommands' parsers are of this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help",
+                          help="Show this message and exit.")
+
+    def error(self, message):
+        """The one path of every usage error: argparse's own (a bad
+        choice or value, a missing file, an unknown option) and the
+        commands' checks."""
+        raise UsageError(f"{message} (see '{self.prog} --help')")
+
+
+# ---------------------------------------------------------- path checks
+
+def _file(path: str) -> str:
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"File '{path}' does not exist.")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"File '{path}' is a directory.")
+    return path
+
+
+def _existing(path: str) -> str:
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"Path '{path}' does not exist.")
+    return path
+
+
+def _directory(path: str) -> str:
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"Directory '{path}' is a file.")
+    return path
 
 
 # ---------------------------------------------------------------- verify
 
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--cwe", type=int, help="Catalog CWE id (with --difficulty).")
-@click.option("--difficulty", type=click.Choice(DIFFICULTIES))
-@click.option("--property", "property_file", type=click.Path(exists=True),
-              help="File holding a property expression (overrides catalog).")
-@click.option("--top", help="Top module (defaults to the catalog problem's).")
-@click.option("--max-k", default=DEFAULT_MAX_K, show_default=True)
-@click.option("--budget", default=DEFAULT_BUDGET, show_default=True,
-              help="Solver work units (propagations + decisions + "
-                   "conflicts) per check.")
-def verify(file, cwe, difficulty, property_file, top, max_k, budget):
+def verify(args) -> int:
     """Check one design file; exit 0 proven, 1 falsified, 2 unknown,
     3 compile error."""
-    if property_file:
-        property_text = Path(property_file).read_text(encoding="utf-8").strip()
+    top = args.top
+    if args.property_file:
         if not top:
-            raise click.UsageError("--top is required with --property")
+            args.parser.error("--top is required with --property")
+        property_text = Path(args.property_file).read_text(
+            encoding="utf-8").strip()
     else:
+        cwe, difficulty = args.cwe, args.difficulty
         if cwe is None or difficulty is None:
-            raise click.UsageError(
+            args.parser.error(
                 "give --cwe and --difficulty, or an explicit --property")
-        matches = list_problems(cwe=cwe, difficulty=difficulty)
+        try:
+            matches = list_problems(cwe=cwe, difficulty=difficulty)
+        except CatalogError:
+            matches = []
         if not matches:
-            raise click.UsageError(f"no catalog problem for cwe {cwe} "
-                                   f"{difficulty}")
+            args.parser.error(f"no catalog problem for cwe {cwe} "
+                              f"{difficulty}")
         spec = matches[0]
         property_text = instantiate_property_text(spec)
         top = top or spec.module_name
 
-    source = Path(file).read_text(encoding="utf-8")
+    source = Path(args.file).read_text(encoding="utf-8")
     verdict = check_design(source, top, property_text,
-                           max_k=max_k, budget=budget)
+                           max_k=args.max_k, budget=args.budget)
     status = verdict.status
     if status == "proven":
-        click.echo(f"proven (k={verdict.k_used})")
+        print(f"proven (k={verdict.k_used})")
     elif status == "falsified":
-        click.echo(f"falsified at depth {verdict.depth}")
+        print(f"falsified at depth {verdict.depth}")
         if verdict.culprit_line:
-            click.echo(f"  root cause: line {verdict.culprit_line} "
-                       f"(assignment to {verdict.culprit_signal})")
+            print(f"  root cause: line {verdict.culprit_line} "
+                  f"(assignment to {verdict.culprit_signal})")
         for t, ins in enumerate(verdict.trace.inputs):
             pairs = " ".join(f"{k}={v}" for k, v in sorted(ins.items()))
-            click.echo(f"  cycle {t}: {pairs}")
+            print(f"  cycle {t}: {pairs}")
     elif status == "unknown":
-        click.echo(f"unknown ({verdict.reason})")
+        print(f"unknown ({verdict.reason})")
     else:
-        click.echo("compile error:")
-        where = ((property_file or "<property>") if verdict.in_property
-                 else file)
+        print("compile error:")
+        where = ((args.property_file or "<property>") if verdict.in_property
+                 else args.file)
         for d in verdict.diagnostics:
-            click.echo(f"  {d.render(where)}")
-    sys.exit(EXIT_CODES[status])
+            print(f"  {d.render(where)}")
+    return EXIT_CODES[status]
 
 
 # -------------------------------------------------------------- generate
 
-@main.command()
-@click.option("--stub", is_flag=True, help="Use the offline stub provider.")
-@click.option("--providers", "providers_file", type=click.Path(exists=True),
-              help="Provider config file (YAML).")
-@click.option("--n", default=20, show_default=True,
-              help="Regenerations per (provider, problem).")
-@click.option("--seed", default=0, show_default=True)
-@click.option("--workers", type=int,
-              show_default="1 with --stub, 4 otherwise",
-              help="Threads that ask the provider.")
-@click.option("--out", "out_dir", default=".", show_default=True,
-              help="Output directory (cache lands in OUT/cache).")
-def generate(stub, providers_file, n, seed, workers, out_dir):
+def generate(args) -> None:
     """Produce the generation corpus into OUT/cache."""
     from svsec.gen import StubProvider, generate_batch, load_providers
     from svsec.gen.batch import DEFAULT_WORKERS
 
-    if not stub and not providers_file:
-        raise click.UsageError("pass --stub or --providers <file>")
+    if not args.stub and not args.providers_file:
+        args.parser.error("pass --stub or --providers <file>")
+    workers = args.workers
     if workers is None:
         # The stub is CPU-bound: more threads only contend for the GIL.
-        workers = 1 if stub else DEFAULT_WORKERS
-    providers = load_providers(providers_file) if providers_file else None
-    stub_provider = StubProvider(seed=seed, n=n) if stub else None
+        workers = 1 if args.stub else DEFAULT_WORKERS
+    providers = (load_providers(args.providers_file) if args.providers_file
+                 else None)
+    stub_provider = (StubProvider(seed=args.seed, n=args.n) if args.stub
+                     else None)
     specs = list_problems()
-    gens = generate_batch(specs, providers, n, Path(out_dir) / "cache",
+    cache = Path(args.out_dir) / "cache"
+    gens = generate_batch(specs, providers, args.n, cache,
                           stub=stub_provider, workers=workers)
     failed = sum(1 for g in gens if not g.ok)
-    click.echo(f"{len(gens)} generations ({failed} failed) in "
-               f"{Path(out_dir) / 'cache'}")
+    print(f"{len(gens)} generations ({failed} failed) in {cache}")
 
 
 # ----------------------------------------------------------------- label
 
-@main.command()
-@click.option("--cache", "cache_dir", default="./cache", show_default=True,
-              type=click.Path(file_okay=False))
-@click.option("--out", "out_dir", default=".", show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--max-k", default=DEFAULT_MAX_K, show_default=True)
-@click.option("--budget", default=DEFAULT_BUDGET, show_default=True,
-              help="Solver work units (propagations + decisions + "
-                   "conflicts) per check.")
-def label(cache_dir, out_dir, seed, max_k, budget):
+def label(args) -> None:
     """Adjudicate every cached generation into OUT/dataset.csv."""
     from svsec.gen import load_cache
     from svsec.metrics import export_csv, label_batch, verdict_counts
 
+    cache_dir = args.cache_dir
     gens = load_cache(cache_dir)
     if not gens:
-        raise click.ClickException(
+        raise CliError(
             f"no cached generations under {cache_dir}; run generate first")
     specs = list_problems()
     unknown = {g.problem_id for g in gens} - {s.problem_id for s in specs}
     if unknown:
-        raise click.ClickException(f"{cache_dir} holds generations for "
-                                   f"problems not in the catalog: "
-                                   f"{', '.join(sorted(unknown))}")
+        raise CliError(f"{cache_dir} holds generations for problems not in "
+                       f"the catalog: {', '.join(sorted(unknown))}")
     # Before labeling, so a missing directory cannot discard its work.
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    rows = label_batch(gens, specs, seed=seed, max_k=max_k, budget=budget)
-    out = Path(out_dir) / "dataset.csv"
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    rows = label_batch(gens, specs, seed=args.seed, max_k=args.max_k,
+                       budget=args.budget)
+    out = Path(args.out_dir) / "dataset.csv"
     export_csv(rows, out)
-    click.echo(f"{len(rows)} rows -> {out}")
-    click.echo(f"verdicts: {json.dumps(verdict_counts(rows), sort_keys=True)}")
+    print(f"{len(rows)} rows -> {out}")
+    print(f"verdicts: {json.dumps(verdict_counts(rows), sort_keys=True)}")
 
 
 # --------------------------------------------------------------- metrics
@@ -157,23 +184,16 @@ def _dataset_rows(dataset: str) -> list:
     from svsec.metrics.passatk import ScopeError, check_scope
 
     if not Path(dataset).exists():
-        raise click.ClickException(f"{dataset} not found; run label first")
+        raise CliError(f"{dataset} not found; run label first")
     rows = import_csv(dataset)
     try:
         check_scope(rows)
     except ScopeError as exc:
-        raise click.ClickException(f"{dataset}: {exc}") from None
+        raise CliError(f"{dataset}: {exc}") from None
     return rows
 
 
-@main.command()
-@click.option("--dataset", default="./dataset.csv", show_default=True,
-              type=click.Path())
-@click.option("--cache", "cache_dir", default="./cache", show_default=True,
-              help="Generation cache (for the keyword histogram).")
-@click.option("--out", "out_dir", default=".", show_default=True)
-@click.option("--seed", default=0, show_default=True)
-def metrics(dataset, cache_dir, out_dir, seed):
+def metrics(args) -> None:
     """Compute passatk.csv, heatmap.json, and keywords.csv."""
     import csv as _csv
 
@@ -181,11 +201,11 @@ def metrics(dataset, cache_dir, out_dir, seed):
     from svsec.metrics import (keyword_frequency, passatk_by_difficulty,
                                write_heatmap_json, write_keywords_csv)
 
-    rows = _dataset_rows(dataset)
-    out = Path(out_dir)
+    rows = _dataset_rows(args.dataset)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    write_heatmap_json(rows, out / "heatmap.json", seed=seed)
+    write_heatmap_json(rows, out / "heatmap.json", seed=args.seed)
 
     excl = passatk_by_difficulty(rows, include_noncompilable=False)
     incl = passatk_by_difficulty(rows, include_noncompilable=True)
@@ -197,30 +217,27 @@ def metrics(dataset, cache_dir, out_dir, seed):
             w.writerow([key[0], key[1], round(excl[key], 6),
                         round(incl[key], 6)])
 
-    sources = [g.source for g in load_cache(cache_dir) if g.source]
+    sources = [g.source for g in load_cache(args.cache_dir) if g.source]
     hist, skipped = keyword_frequency(sources)
     write_keywords_csv(hist, out / "keywords.csv")
-    click.echo(f"wrote {out / 'heatmap.json'}, {out / 'passatk.csv'}, "
-               f"{out / 'keywords.csv'} ({skipped} untokenizable sources "
-               f"skipped)")
+    print(f"wrote {out / 'heatmap.json'}, {out / 'passatk.csv'}, "
+          f"{out / 'keywords.csv'} ({skipped} untokenizable sources "
+          f"skipped)")
 
 
 # ---------------------------------------------------------------- report
 
-@main.command()
-@click.option("--dataset", default="./dataset.csv", show_default=True)
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
-def report(dataset, as_json):
+def report(args) -> None:
     """Summarize a labeled dataset: Pass@k per provider/difficulty."""
     from svsec.metrics import (passatk_by_cwe, passatk_by_difficulty,
                                verdict_counts)
 
-    rows = _dataset_rows(dataset)
+    rows = _dataset_rows(args.dataset)
     excl = passatk_by_difficulty(rows, include_noncompilable=False)
     incl = passatk_by_difficulty(rows, include_noncompilable=True)
     providers = sorted({p for p, _ in excl})
 
-    if as_json:
+    if args.as_json:
         doc = {
             "toolkit_version": svsec.__version__,
             "rows": len(rows),
@@ -232,20 +249,133 @@ def report(dataset, as_json):
             "heatmap_excluding": {f"{p}/cwe{c}": r for (p, c), r in
                                   sorted(passatk_by_cwe(rows).items())},
         }
-        click.echo(json.dumps(doc, indent=1, sort_keys=True))
+        print(json.dumps(doc, indent=1, sort_keys=True))
         return
 
-    click.echo(f"{len(rows)} rows; verdicts "
-               f"{json.dumps(verdict_counts(rows), sort_keys=True)}")
+    print(f"{len(rows)} rows; verdicts "
+          f"{json.dumps(verdict_counts(rows), sort_keys=True)}")
     header = f"{'provider':<12}" + "".join(f"{d:>14}" for d in DIFFICULTIES)
     for title, table in (("excluding", excl), ("including", incl)):
-        click.echo()
-        click.echo(f"Pass@k ({title} non-compilable)")
-        click.echo(header)
+        print()
+        print(f"Pass@k ({title} non-compilable)")
+        print(header)
         for p in providers:
-            click.echo(f"{p:<12}" + "".join(f"{table[(p, d)]:>14.3f}"
-                                            for d in DIFFICULTIES))
+            print(f"{p:<12}" + "".join(f"{table[(p, d)]:>14.3f}"
+                                       for d in DIFFICULTIES))
+
+
+# ----------------------------------------------------------------- parser
+
+def _command(commands, run) -> argparse.ArgumentParser:
+    """The subparser of `run`, named after it and described by its
+    docstring; its checks report through `args.parser.error`."""
+    doc = " ".join(run.__doc__.split())
+    parser = commands.add_parser(run.__name__, help=doc, description=doc)
+    parser.set_defaults(run=run, parser=parser)
+    return parser
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="svsec",
+        description="Formal security verification of SystemVerilog "
+                    "designs, plus a generation / labeling / metrics "
+                    "pipeline over the CWE catalog.",
+        epilog="A usage error exits 64.")
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s, version {svsec.__version__}",
+                        help="Show the version and exit.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND",
+                                     dest="command", required=True)
+
+    p = _command(commands, verify)
+    p.add_argument("file", metavar="FILE", type=_file)
+    p.add_argument("--cwe", type=int, metavar="INTEGER",
+                   help="Catalog CWE id (with --difficulty).")
+    p.add_argument("--difficulty", choices=DIFFICULTIES)
+    p.add_argument("--property", dest="property_file", type=_existing,
+                   metavar="PATH",
+                   help="File holding a property expression (overrides "
+                        "catalog).")
+    p.add_argument("--top", metavar="TEXT",
+                   help="Top module (defaults to the catalog problem's).")
+    p.add_argument("--max-k", type=int, default=DEFAULT_MAX_K,
+                   metavar="INTEGER", help=DEFAULT)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   metavar="INTEGER", help=BUDGET_HELP)
+
+    p = _command(commands, generate)
+    p.add_argument("--stub", action="store_true",
+                   help="Use the offline stub provider.")
+    p.add_argument("--providers", dest="providers_file", type=_existing,
+                   metavar="PATH", help="Provider config file (YAML).")
+    p.add_argument("--n", type=int, default=20, metavar="INTEGER",
+                   help=f"Regenerations per (provider, problem). {DEFAULT}")
+    p.add_argument("--seed", type=int, default=0, metavar="INTEGER",
+                   help=DEFAULT)
+    p.add_argument("--workers", type=int, metavar="INTEGER",
+                   help="Threads that ask the provider. "
+                        "[default: 1 with --stub, 4 otherwise]")
+    p.add_argument("--out", dest="out_dir", default=".", metavar="TEXT",
+                   help=f"Output directory (cache lands in OUT/cache). "
+                        f"{DEFAULT}")
+
+    p = _command(commands, label)
+    p.add_argument("--cache", dest="cache_dir", default="./cache",
+                   type=_directory, metavar="DIRECTORY", help=DEFAULT)
+    p.add_argument("--out", dest="out_dir", default=".", metavar="TEXT",
+                   help=DEFAULT)
+    p.add_argument("--seed", type=int, default=0, metavar="INTEGER",
+                   help=DEFAULT)
+    p.add_argument("--max-k", type=int, default=DEFAULT_MAX_K,
+                   metavar="INTEGER", help=DEFAULT)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   metavar="INTEGER", help=BUDGET_HELP)
+
+    p = _command(commands, metrics)
+    p.add_argument("--dataset", default="./dataset.csv", metavar="PATH",
+                   help=DEFAULT)
+    p.add_argument("--cache", dest="cache_dir", default="./cache",
+                   metavar="TEXT",
+                   help=f"Generation cache (for the keyword histogram). "
+                        f"{DEFAULT}")
+    p.add_argument("--out", dest="out_dir", default=".", metavar="TEXT",
+                   help=DEFAULT)
+    p.add_argument("--seed", type=int, default=0, metavar="INTEGER",
+                   help=DEFAULT)
+
+    p = _command(commands, report)
+    p.add_argument("--dataset", default="./dataset.csv", metavar="TEXT",
+                   help=DEFAULT)
+    p.add_argument("--json", dest="as_json", action="store_true",
+                   help="Emit JSON.")
+    return parser
+
+
+def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
+    """Run the command in `argv` (default `sys.argv[1:]`) and return its
+    exit code: the verdict's for `verify` (`EXIT_CODES`), 0 when another
+    command finishes, 1 for a failure and 64 for a usage error, each
+    reported on stderr as one `Error: <msg>` line.  `--help` and
+    `--version` print and return 0.  The console script and
+    `python -m svsec.cli` exit with the code.
+
+    No call raises `SystemExit`.  A caller that embeds the commands, as
+    the benchmark's pipeline does with `main(argv,
+    standalone_mode=False)`, gets the same return value, but a failure
+    or usage error is raised to it as `CliError` instead of printed.
+    """
+    try:
+        args = _parser().parse_args(argv)
+        return args.run(args) or 0
+    except SystemExit as done:  # only --help and --version exit
+        return done.code
+    except CliError as exc:
+        if not standalone_mode:
+            raise
+        print(f"Error: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,17 +1,15 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
-from click.testing import CliRunner
 
+from clirun import invoke
 from svsec.catalog import list_problems
-from svsec.catalog.problems import design_text
-from svsec.cli import EXIT_CODES, main
-
-
-def invoke(*args):
-    return CliRunner().invoke(main, list(args))
+from svsec.catalog.problems import design_text, instantiate_property_text
+from svsec.check import check_design
+from svsec.cli import EXIT_CODES, CliError, UsageError, main
 
 
 def write_design(tmp_path, spec, which):
@@ -100,14 +98,62 @@ def test_verify_usage_errors(tmp_path):
     (spec,) = list_problems(cwe=1234, difficulty="basic")
     design = write_design(tmp_path, spec, "correct")
     res = invoke("verify", design)
-    assert res.exit_code == 2 and "--cwe and --difficulty" in res.output
+    assert res.exit_code == 64 and "--cwe and --difficulty" in res.output
     res = invoke("verify", design, "--cwe", "1234")
-    assert res.exit_code == 2
+    assert res.exit_code == 64
+
+
+def usage_error(res, *needles):
+    """A bad invocation: exit 64 and one `Error: ` line, no traceback."""
+    assert res.exit_code == 64, res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    (line,) = res.output.splitlines()
+    assert line.startswith("Error: ")
+    for needle in needles:
+        assert needle in line
+
+
+def test_an_unknown_cwe_is_a_usage_error(tmp_path):
+    (spec,) = list_problems(cwe=1234, difficulty="basic")
+    res = invoke("verify", write_design(tmp_path, spec, "correct"),
+                 "--cwe", "9999", "--difficulty", "basic")
+    usage_error(res, "no catalog problem for cwe 9999 basic")
+
+
+def test_every_usage_error_exits_64(tmp_path):
+    (spec,) = list_problems(cwe=1234, difficulty="basic")
+    design = write_design(tmp_path, spec, "correct")
+    prop = tmp_path / "prop.txt"
+    prop.write_text("locked_out <= 1\n")
+    catalog = ("--cwe", "1234", "--difficulty", "basic")
+    for args, needle in [
+        ((), "COMMAND"),
+        (("bogus",), "'bogus'"),
+        (("verify", str(tmp_path / "missing.sv"), *catalog),
+         "does not exist"),
+        (("verify", str(tmp_path), *catalog), "is a directory"),
+        (("verify", design, "--cwe", "x", "--difficulty", "basic"),
+         "invalid int value"),
+        (("verify", design, "--cwe", "1234", "--difficulty", "hard"),
+         "invalid choice"),
+        (("verify", design, "--prop", str(prop), "--top", "m"),
+         "unrecognized arguments"),
+        (("verify", design, *catalog, "extra"), "unrecognized arguments"),
+        (("verify", design, "--property", str(prop)),
+         "--top is required with --property"),
+        (("verify", design, "--property", str(tmp_path / "missing.txt"),
+          "--top", "m"), "does not exist"),
+        (("label", "--cache", str(prop)), "is a file"),
+        (("generate", "--stub", "--n", "two"), "invalid int value"),
+        (("generate", "--providers", str(tmp_path / "missing.yaml")),
+         "does not exist"),
+    ]:
+        usage_error(invoke(*args), needle)
 
 
 def test_generate_requires_a_source(tmp_path):
     res = invoke("generate", "--out", str(tmp_path))
-    assert res.exit_code == 2
+    assert res.exit_code == 64
     assert "--stub or --providers" in res.output
 
 
@@ -289,3 +335,98 @@ def test_version_flag():
 
     res = invoke("--version")
     assert res.exit_code == 0 and svsec.__version__ in res.output
+
+
+def test_help_lists_the_same_options():
+    options = {
+        (): {"--version", "--help"},
+        ("verify",): {"--cwe", "--difficulty", "--property", "--top",
+                      "--max-k", "--budget", "--help"},
+        ("generate",): {"--stub", "--providers", "--n", "--seed",
+                        "--workers", "--out", "--help"},
+        ("label",): {"--cache", "--out", "--seed", "--max-k", "--budget",
+                     "--help"},
+        ("metrics",): {"--dataset", "--cache", "--out", "--seed", "--help"},
+        ("report",): {"--dataset", "--json", "--help"},
+    }
+    for command, expected in options.items():
+        res = invoke(*command, "--help")
+        assert (res.exit_code, res.exception) == (0, None), res.output
+        listed = set(re.findall(r"^  (--[\w-]+)", res.output, re.M))
+        assert listed == expected, command
+    commands = re.findall(r"^    (\w+)", invoke("--help").output, re.M)
+    assert commands == ["verify", "generate", "label", "metrics", "report"]
+
+
+def test_main_returns_the_exit_code_without_system_exit(tmp_path, capsys):
+    (spec,) = list_problems(cwe=1234, difficulty="basic")
+    for which, code in (("correct", 0), ("vulnerable", 1)):
+        design = write_design(tmp_path, spec, which)
+        assert main(["verify", design, "--cwe", "1234",
+                     "--difficulty", "basic"]) == code
+    assert main(["--version"]) == 0
+    assert main(["generate"]) == 64
+    assert main(["label", "--cache", str(tmp_path / "none")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["Error", "Error"]
+
+
+def test_the_pipeline_runs_embedded(tmp_path, capsys):
+    """`main(argv, standalone_mode=False)`, as the benchmark's pipeline
+    workload calls each stage: it returns, and raises failures."""
+    out = str(tmp_path)
+    for argv in (["generate", "--stub", "--n", "1", "--seed", "1",
+                  "--workers", "1", "--out", out],
+                 ["label", "--cache", f"{out}/cache", "--out", out,
+                  "--seed", "1"],
+                 ["metrics", "--dataset", f"{out}/dataset.csv",
+                  "--cache", f"{out}/cache", "--out", out, "--seed", "1"]):
+        assert main(argv, standalone_mode=False) == 0
+    for artifact in ("dataset.csv", "heatmap.json", "passatk.csv",
+                     "keywords.csv"):
+        assert (tmp_path / artifact).exists(), artifact
+    assert "120 rows" in capsys.readouterr().out
+
+    with pytest.raises(UsageError, match="--stub or --providers"):
+        main(["generate"], standalone_mode=False)
+    with pytest.raises(CliError, match="run generate first") as failure:
+        main(["label", "--cache", str(tmp_path / "none")],
+             standalone_mode=False)
+    assert failure.value.exit_code == 1
+    assert capsys.readouterr().err == ""
+
+
+def rendered(verdict, design):
+    """The lines `svsec verify` printed for a verdict before its move to
+    argparse."""
+    if verdict.status == "proven":
+        return [f"proven (k={verdict.k_used})"]
+    if verdict.status == "falsified":
+        lines = [f"falsified at depth {verdict.depth}"]
+        if verdict.culprit_line:
+            lines.append(f"  root cause: line {verdict.culprit_line} "
+                         f"(assignment to {verdict.culprit_signal})")
+        for t, ins in enumerate(verdict.trace.inputs):
+            pairs = " ".join(f"{k}={v}" for k, v in sorted(ins.items()))
+            lines.append(f"  cycle {t}: {pairs}")
+        return lines
+    if verdict.status == "unknown":
+        return [f"unknown ({verdict.reason})"]
+    return ["compile error:", *(f"  {d.render(design)}"
+                                for d in verdict.diagnostics)]
+
+
+def test_verify_prints_each_catalog_verdict(tmp_path):
+    specs = list_problems()
+    assert len(specs) == 30
+    for spec in specs:
+        for which in ("correct", "vulnerable"):
+            design = write_design(tmp_path, spec, which)
+            verdict = check_design(design_text(getattr(spec, f"{which}_file")),
+                                   spec.module_name,
+                                   instantiate_property_text(spec))
+            res = invoke("verify", design, "--cwe", str(spec.cwe_id),
+                         "--difficulty", spec.difficulty)
+            assert (res.exit_code, res.output.splitlines()) == \
+                (EXIT_CODES[verdict.status], rendered(verdict, design)), \
+                design

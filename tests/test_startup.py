@@ -15,17 +15,17 @@ from pathlib import Path
 
 import pytest
 import yaml
-from click.testing import CliRunner
 
 import svsec
+from clirun import invoke
 from svsec.catalog import list_problems
 from svsec.catalog.problems import design_text, instantiate_property_text
-from svsec.cli import main
 from svsec.gen import load_providers
 
-# Modules that only generation, metrics, tests or provider configs need.
+# Modules that only generation, metrics, tests or provider configs need,
+# and a command-line library: the command line is built on argparse.
 OFF_THE_CHECK_PATH = ("svsec.gen", "svsec.metrics", "svsec.frontend.pretty",
-                      "yaml", "dataclasses")
+                      "yaml", "dataclasses", "click")
 
 PROVIDERS = """\
 providers:
@@ -116,8 +116,8 @@ def test_verify_with_a_property_file_never_imports_yaml(tmp_path, which):
     design.write_text(design_text(getattr(spec, f"{which}_file")))
     prop = tmp_path / "design.prop"
     prop.write_text(instantiate_property_text(spec) + "\n")
-    usual = CliRunner().invoke(main, ["verify", str(design), "--cwe", "1234",
-                                      "--difficulty", "basic"])
+    usual = invoke("verify", str(design), "--cwe", "1234",
+                   "--difficulty", "basic")
 
     proc, modules = fresh_verify(str(design), "--property", str(prop),
                                  "--top", spec.module_name, cwd=tmp_path)
