@@ -180,15 +180,15 @@ def label(args) -> None:
 
 def _dataset_rows(dataset: str) -> list:
     """The rows of a labeled dataset, which must cover a complete scope."""
-    from svsec.metrics import import_csv
+    from svsec.metrics import RowError, import_csv
     from svsec.metrics.passatk import ScopeError, check_scope
 
     if not Path(dataset).exists():
         raise CliError(f"{dataset} not found; run label first")
-    rows = import_csv(dataset)
     try:
+        rows = import_csv(dataset)
         check_scope(rows)
-    except ScopeError as exc:
+    except (RowError, ScopeError) as exc:
         raise CliError(f"{dataset}: {exc}") from None
     return rows
 
@@ -366,7 +366,11 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
     or usage error is raised to it as `CliError` instead of printed.
     """
     try:
-        args = _parser().parse_args(argv)
+        # A command's parser hands back what it does not know, so the
+        # command, not the top level, reports it and names its help.
+        args, unknown = _parser().parse_known_args(argv)
+        if unknown:
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         return args.run(args) or 0
     except SystemExit as done:  # only --help and --version exit
         return done.code

@@ -55,9 +55,11 @@ class Generation:
 CACHE_FILE = "generations.jsonl"
 
 # The Generation fields a cache entry holds, in the order written, and
-# their JSON types.
-_ENTRY_FIELDS = {"problem_id": str, "provider_id": str, "regen_index": int,
-                 "raw": str, "error": str, "timestamp": (int, float)}
+# their JSON types.  A JSON true or false decodes to a bool, which is an
+# int to isinstance, so the reader turns bools away by hand.
+_ENTRY_FIELDS = (("problem_id", str), ("provider_id", str),
+                 ("regen_index", int), ("raw", str), ("error", str),
+                 ("timestamp", (int, float)))
 
 
 def load_cache(cache_dir: str | Path) -> list[Generation]:
@@ -79,13 +81,20 @@ def load_cache(cache_dir: str | Path) -> list[Generation]:
 
 def _entry(line: bytes) -> Generation | None:
     try:
-        doc = json.loads(line)
-    except ValueError:
+        doc = json.loads(line.decode())
+    except ValueError:  # UnicodeDecodeError is one too
         return None
-    if not isinstance(doc, dict) or not all(
-            isinstance(doc.get(k), t) for k, t in _ENTRY_FIELDS.items()):
+    if type(doc) is not dict:
         return None
-    return Generation(**{k: doc[k] for k in _ENTRY_FIELDS}, from_cache=True)
+    values = []
+    for name, kind in _ENTRY_FIELDS:
+        value = doc.get(name)
+        if not isinstance(value, kind) or type(value) is bool:
+            return None
+        values.append(value)
+    problem_id, provider_id, regen_index, raw, error, timestamp = values
+    return Generation(problem_id, provider_id, regen_index, raw, None, error,
+                      timestamp, True)
 
 
 def generate_batch(specs: list[ProblemSpec],
@@ -125,7 +134,7 @@ def generate_batch(specs: list[ProblemSpec],
             log.warning("generation failed: %s/%s/%d: %s", provider_id,
                         spec.problem_id, i, gen.error)
         gen.source = extract(gen.raw) if gen.ok else None
-        line = json.dumps({k: getattr(gen, k) for k in _ENTRY_FIELDS})
+        line = json.dumps({k: getattr(gen, k) for k, _ in _ENTRY_FIELDS})
         data = f"{line}\n".encode()
         with write_lock:
             if os.write(fd, data) != len(data):

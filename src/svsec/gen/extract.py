@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import re
 
-_FENCE = re.compile(r"```[ \t]*[\w+-]*[ \t]*\n(.*?)```", re.DOTALL)
+# A fence's body runs to the first ``` after its opening line.  It is
+# spelled as runs of non-backticks and lone backticks, the same match as
+# a lazy `(.*?)````, which tries the closing fence after every character
+# and so took most of an extraction's time.
+_FENCE = re.compile(r"```[ \t]*[\w+-]*[ \t]*\n([^`]*(?:`(?!``)[^`]*)*)```")
 _MODULE_SPAN = re.compile(r"\bmodule\b.*?\bendmodule\b", re.DOTALL)
 
 

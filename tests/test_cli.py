@@ -126,8 +126,8 @@ def test_every_usage_error_exits_64(tmp_path):
     prop = tmp_path / "prop.txt"
     prop.write_text("locked_out <= 1\n")
     catalog = ("--cwe", "1234", "--difficulty", "basic")
-    for args, needle in [
-        ((), "COMMAND"),
+    for args, *needles in [
+        ((), "COMMAND", "see 'svsec --help'"),
         (("bogus",), "'bogus'"),
         (("verify", str(tmp_path / "missing.sv"), *catalog),
          "does not exist"),
@@ -137,8 +137,11 @@ def test_every_usage_error_exits_64(tmp_path):
         (("verify", design, "--cwe", "1234", "--difficulty", "hard"),
          "invalid choice"),
         (("verify", design, "--prop", str(prop), "--top", "m"),
-         "unrecognized arguments"),
-        (("verify", design, *catalog, "extra"), "unrecognized arguments"),
+         "unrecognized arguments: --prop", "see 'svsec verify --help'"),
+        (("verify", design, *catalog, "extra"),
+         "unrecognized arguments: extra", "see 'svsec verify --help'"),
+        (("report", "--dataset", design, "--jsn"),
+         "unrecognized arguments: --jsn", "see 'svsec report --help'"),
         (("verify", design, "--property", str(prop)),
          "--top is required with --property"),
         (("verify", design, "--property", str(tmp_path / "missing.txt"),
@@ -148,7 +151,7 @@ def test_every_usage_error_exits_64(tmp_path):
         (("generate", "--providers", str(tmp_path / "missing.yaml")),
          "does not exist"),
     ]:
-        usage_error(invoke(*args), needle)
+        usage_error(invoke(*args), *needles)
 
 
 def test_generate_requires_a_source(tmp_path):
@@ -259,6 +262,47 @@ def test_incomplete_dataset_names_the_missing_cell(tmp_path, stub_run):
     cell = f"('{provider}', {cwe}, '{difficulty}', 1)"
     for args in scope_commands(str(dataset), tmp_path):
         one_line_error(invoke(*args), "incomplete scope", cell)
+
+
+def edited(dataset, line, column, cell):
+    """The lines of `dataset` with the cell at (line, column), both
+    counted from 1, replaced."""
+    lines = dataset.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[column - 1] = cell
+    lines[line - 1] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("case, needles", [
+    ("header", ("line 1: unexpected header", "'id'")),
+    ("cells", ("line 3 has 15 cells, expected 14",)),
+    ("verdict", ("line 2: unknown verdict 'maybe'",)),
+    ("integer", ("line 2: cwe_id 'x1209' is not an integer",)),
+    ("empty", ("line 1: unexpected header None",)),
+    ("bytes", ("not UTF-8 text",)),
+])
+def test_a_malformed_dataset_is_one_line_error(tmp_path, stub_run, case,
+                                               needles):
+    good = stub_run / "dataset.csv"
+    dataset = tmp_path / "dataset.csv"
+    if case == "header":
+        dataset.write_text(edited(good, 1, 1, "id"))
+    elif case == "cells":
+        dataset.write_text(edited(good, 3, 14, "0,extra"))
+    elif case == "verdict":
+        dataset.write_text(edited(good, 2, 6, "maybe"))
+    elif case == "integer":
+        dataset.write_text(edited(good, 2, 3, "x1209"))
+    elif case == "empty":
+        dataset.write_text("")
+    else:
+        dataset.write_bytes(good.read_bytes() + b"\xff\xfe\n")
+    for args in scope_commands(str(dataset), tmp_path):
+        res = invoke(*args)
+        assert "Traceback" not in res.output
+        one_line_error(res, str(dataset), *needles)
+    assert not (tmp_path / "out").exists()
 
 
 def test_label_names_a_problem_not_in_the_catalog(tmp_path):

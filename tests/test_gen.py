@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -12,7 +14,7 @@ import requests
 from svsec.catalog import list_problems
 from svsec.gen import StubProvider, generate_batch
 from svsec.gen.batch import load_cache
-from svsec.gen.extract import extract_code
+from svsec.gen.extract import _FENCE, extract_code
 from svsec.gen.prompts import FIXED_INSTRUCTIONS, render_prompt
 from svsec.gen.provider import (ProviderConfig, ProviderError,
                                 load_providers, request_completion)
@@ -158,6 +160,17 @@ def test_extract_refusals_and_noise_yield_none():
     assert extract_code("I am sorry, I cannot help with that.") is None
     assert extract_code("") is None
     assert extract_code("```python\nprint('hi')\n```") is None
+
+
+def test_fences_match_as_the_lazy_pattern_did():
+    lazy = re.compile(r"```[ \t]*[\w+-]*[ \t]*\n(.*?)```", re.DOTALL)
+    pieces = ["`", "``", "```", "\n", " ", "\t", "sv", "+", "-", "module",
+              "m();", "endmodule", "x"]
+    rng = random.Random(7)
+    for _ in range(3000):
+        raw = "".join(rng.choice(pieces) for _ in range(rng.randrange(40)))
+        assert [(m.span(), m.group(1)) for m in _FENCE.finditer(raw)] == \
+            [(m.span(), m.group(1)) for m in lazy.finditer(raw)], raw
 
 
 def test_extract_is_idempotent_on_catalog_designs():
@@ -376,10 +389,20 @@ def test_later_complete_line_wins_over_an_earlier_error(tmp_path):
 def test_lines_that_are_not_entries_are_skipped(tmp_path):
     missing = json.loads(entry())
     del missing["timestamp"]
+    # JSON booleans are not numbers: true would collide with index 1.
+    unstamped = json.loads(entry(regen_index=4))
+    unstamped["timestamp"] = False
     write_log(tmp_path, "{}", "[1,2]", "", "   ", "null", "not json",
               json.dumps(missing), entry(regen_index="0"), entry()[:-1],
+              entry(regen_index=True), json.dumps(unstamped),
               entry(regen_index=3))
-    assert [g.regen_index for g in load_cache(tmp_path)] == [3]
+    # A line that is not UTF-8 is skipped; the line after it still loads.
+    not_utf8 = entry(regen_index=6).encode().replace(b"m()", b"\xff()")
+    with open(tmp_path / "generations.jsonl", "ab") as fh:
+        fh.write(not_utf8 + b"\n" + entry(regen_index=5).encode() + b"\n")
+    gens = load_cache(tmp_path)
+    assert [g.regen_index for g in gens] == [3, 5]
+    assert all(type(g.regen_index) is int for g in gens)
 
 
 def test_concurrent_workers_write_one_line_per_generation(tmp_path):

@@ -8,8 +8,8 @@ from svsec.catalog import CWE_IDS, DIFFICULTIES, list_problems
 from svsec.catalog.problems import design_text
 from svsec.frontend.lexer import tokenize
 from svsec.gen.batch import Generation
-from svsec.metrics import (DatasetRow, RowError, ScopeError, export_csv,
-                           heatmap, import_csv, keyword_frequency,
+from svsec.metrics import (CSV_HEADER, DatasetRow, RowError, ScopeError,
+                           export_csv, heatmap, import_csv, keyword_frequency,
                            label_batch, label_design, pass_at_k,
                            passatk_by_cwe, passatk_by_difficulty,
                            verdict_counts, write_heatmap_json,
@@ -57,6 +57,42 @@ def test_row_invariants():
     # valid shapes
     make_row(verdict="falsified")
     make_row(verdict="compile_error")
+
+
+def test_positional_and_keyword_rows_are_equal():
+    row = make_row(verdict="falsified")
+    assert DatasetRow(*(getattr(row, name) for name in CSV_HEADER)) == row
+    assert tuple(row) == tuple(getattr(row, name) for name in CSV_HEADER)
+    with pytest.raises(RowError):
+        DatasetRow(*("nonsense" if name == "verdict" else getattr(row, name)
+                     for name in CSV_HEADER))
+
+
+def test_a_row_is_read_only():
+    row = make_row()
+    for name in CSV_HEADER:
+        with pytest.raises(AttributeError):
+            setattr(row, name, getattr(row, name))
+    with pytest.raises(AttributeError):
+        row.extra = 1
+    with pytest.raises(RowError):
+        row._replace(k_used=None)
+
+
+def test_equal_rows_hash_equal():
+    a, b = make_row(regen=2), make_row(regen=2)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert len({a, b, make_row(regen=3)}) == 2
+    assert make_row(regen=2, runtime_ms=6) != a
+
+
+def test_row_key_and_csv_header():
+    row = make_row(provider="q", cwe=1231, difficulty="advanced", regen=7)
+    assert row.key() == ("q", 1231, "advanced", 7)
+    assert CSV_HEADER == [
+        "design_id", "provider", "cwe_id", "difficulty", "regen_index",
+        "verdict", "cex_depth", "k_used", "lines_of_code", "runtime_ms",
+        "source_path", "property_id", "toolkit_version", "seed"]
 
 
 def test_csv_round_trip_is_lossless(tmp_path):
