@@ -72,6 +72,24 @@ def _directory(path: str) -> str:
     return path
 
 
+# --------------------------------------------------------- number checks
+
+def _at_least(minimum: int):
+    """An argparse type for an int no less than `minimum`, so a bad
+    number is a usage error and never reaches a command."""
+    def number(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{value} is less than {minimum}")
+        return value
+    return number
+
+
 # ---------------------------------------------------------------- verify
 
 def verify(args) -> int:
@@ -299,9 +317,9 @@ def _parser() -> argparse.ArgumentParser:
                         "catalog).")
     p.add_argument("--top", metavar="TEXT",
                    help="Top module (defaults to the catalog problem's).")
-    p.add_argument("--max-k", type=int, default=DEFAULT_MAX_K,
+    p.add_argument("--max-k", type=_at_least(0), default=DEFAULT_MAX_K,
                    metavar="INTEGER", help=DEFAULT)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET,
                    metavar="INTEGER", help=BUDGET_HELP)
 
     p = _command(commands, generate)
@@ -309,7 +327,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="Use the offline stub provider.")
     p.add_argument("--providers", dest="providers_file", type=_existing,
                    metavar="PATH", help="Provider config file (YAML).")
-    p.add_argument("--n", type=int, default=20, metavar="INTEGER",
+    p.add_argument("--n", type=_at_least(1), default=20, metavar="INTEGER",
                    help=f"Regenerations per (provider, problem). {DEFAULT}")
     p.add_argument("--seed", type=int, default=0, metavar="INTEGER",
                    help=DEFAULT)
@@ -327,9 +345,9 @@ def _parser() -> argparse.ArgumentParser:
                    help=DEFAULT)
     p.add_argument("--seed", type=int, default=0, metavar="INTEGER",
                    help=DEFAULT)
-    p.add_argument("--max-k", type=int, default=DEFAULT_MAX_K,
+    p.add_argument("--max-k", type=_at_least(0), default=DEFAULT_MAX_K,
                    metavar="INTEGER", help=DEFAULT)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET,
                    metavar="INTEGER", help=BUDGET_HELP)
 
     p = _command(commands, metrics)
@@ -366,10 +384,17 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
     or usage error is raised to it as `CliError` instead of printed.
     """
     try:
-        # A command's parser hands back what it does not know, so the
-        # command, not the top level, reports it and names its help.
-        args, unknown = _parser().parse_known_args(argv)
+        # What a command's parser does not know it hands back, and the
+        # command reports it and names its own help.  The top level
+        # knows only --help and --version, which exit, so whatever comes
+        # before the command is the top level's to report.
+        argv = sys.argv[1:] if argv is None else argv
+        parser = _parser()
+        args, unknown = parser.parse_known_args(argv)
         if unknown:
+            before = argv[:argv.index(args.command)]
+            if before:
+                parser.error(f"unrecognized arguments: {' '.join(before)}")
             args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         return args.run(args) or 0
     except SystemExit as done:  # only --help and --version exit

@@ -16,7 +16,10 @@ Data layout:
   (-activity, var), as in MiniSat: `heap_pos[v]` is v's slot, or -1.
   It holds at most one entry per variable.  An assigned variable may
   stay in it until `_decide` pops it, and `_backtrack` puts back the
-  popped ones, so every unassigned variable is always in it.  A bump
+  popped ones, so every unassigned variable is always in it.  A full
+  trail answers SAT without popping: the key is a total order, so what
+  a later pop returns depends only on which variables are in the heap,
+  not on how many assigned ones stay behind.  A bump
   moves its variable up in place.  A rescale of all activities keeps
   their order but can round two of them to a tie, so it re-sorts the
   heap.  The sift loops are written out where they run, to save a call
@@ -425,6 +428,7 @@ class Solver:
         trail = self.trail
         trail_lim = self.trail_lim
         lval = self.lval
+        nvars = len(self.level)
         restart_count = 0
         limit = _luby(restart_count) * 100
         base_conflicts = self.conflicts
@@ -467,7 +471,8 @@ class Solver:
                 if val == _UNASSIGNED:
                     self._enqueue(p, None)
                 continue
-            p = self._decide()
+            # a full trail answers SAT without draining the heap
+            p = -1 if len(trail) == nvars else self._decide()
             if p == -1:
                 # every variable is assigned: lval[2v] is v's 0/1 value
                 self.model = lval[0::2]
@@ -496,8 +501,10 @@ def solve(clauses, num_vars: int, budget: int | None = None,
     """Add `clauses` to `solver` (a fresh one if None) and solve under
     `assumptions`; returns (status, model or None).
 
-    A given solver keeps the clauses, and what it learned, for later
-    calls.  `budget` bounds the work of this call (see `Solver.solve`).
+    The model is the caller's own list: each SAT answer builds a new
+    one, and no later call changes it.  A given solver keeps the
+    clauses, and what it learned, for later calls.  `budget` bounds the
+    work of this call (see `Solver.solve`).
     """
     global _work_units
     s = Solver() if solver is None else solver
@@ -506,7 +513,7 @@ def solve(clauses, num_vars: int, budget: int | None = None,
     s.add_clauses(clauses)
     status = s.solve(assumptions, budget=budget)
     _work_units += s.work() - before
-    return status, (list(s.model) if status == SAT else None)
+    return status, (s.model if status == SAT else None)
 
 
 def work_units() -> int:

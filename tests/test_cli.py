@@ -56,7 +56,7 @@ def test_verify_unknown_budget(tmp_path):
     (spec,) = list_problems(cwe=1234, difficulty="basic")
     res = invoke("verify", write_design(tmp_path, spec, "correct"),
                  "--cwe", "1234", "--difficulty", "basic",
-                 "--budget", "0")
+                 "--budget", "1")
     assert res.exit_code == 2
     assert res.output.startswith("unknown (")
 
@@ -148,6 +148,23 @@ def test_every_usage_error_exits_64(tmp_path):
           "--top", "m"), "does not exist"),
         (("label", "--cache", str(prop)), "is a file"),
         (("generate", "--stub", "--n", "two"), "invalid int value"),
+        (("verify", design, *catalog, "--max-k", "-1"),
+         "argument --max-k: -1 is less than 0", "see 'svsec verify --help'"),
+        (("verify", design, *catalog, "--max-k", "one"),
+         "argument --max-k: invalid int value: 'one'"),
+        (("verify", design, *catalog, "--budget", "-5"),
+         "argument --budget: -5 is less than 1"),
+        (("verify", design, *catalog, "--budget", "0"),
+         "argument --budget: 0 is less than 1"),
+        (("label", "--max-k", "-1"), "argument --max-k: -1 is less than 0",
+         "see 'svsec label --help'"),
+        (("label", "--budget", "0"), "argument --budget: 0 is less than 1"),
+        (("generate", "--stub", "--n", "0"), "argument --n: 0 is less than 1",
+         "see 'svsec generate --help'"),
+        (("--bogus", "verify", design, "--property", str(prop), "--top", "m"),
+         "unrecognized arguments: --bogus", "see 'svsec --help'"),
+        (("--bogus", "verify", design, "--prop", str(prop)),
+         "unrecognized arguments: --bogus", "see 'svsec --help'"),
         (("generate", "--providers", str(tmp_path / "missing.yaml")),
          "does not exist"),
     ]:

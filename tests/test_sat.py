@@ -247,30 +247,92 @@ def test_a_rescale_that_ties_two_activities_breaks_the_tie_on_the_index():
     assert s._decide() >> 1 == 0
 
 
+def test_a_full_trail_answers_sat_without_popping_the_heap(monkeypatch):
+    # one assumption propagates to every variable, so the answer needs
+    # no decision, and the heap is left as it was
+    pops = []
+
+    class Heap(list):
+        def pop(self, *args):
+            pops.append(args)
+            return super().pop(*args)
+
+    def no_decision(self):
+        raise AssertionError("_decide called on a full trail")
+
+    monkeypatch.setattr(sat.Solver, "_decide", no_decision)
+    n = 12
+    chain = [(-v, v + 1) for v in range(1, n)] + [(-1, -v) for v in
+                                                  range(n + 1, n + 4)]
+    new, ref = sat.Solver(), reference_sat.Solver()
+    new.heap = Heap()
+    for s in (new, ref):
+        s.ensure_vars(n + 3)
+        s.add_clauses(chain)
+    heap = list(new.heap)
+    assert new.solve(assumptions=(1,)) == ref.solve(assumptions=(1,)) == SAT
+    assert new.model == ref.model == [1] * n + [0] * 3
+    assert new.decisions == ref.decisions == 0
+    assert not pops and new.heap == heap
+    # `solve` hands back the solver's own model list
+    status, model = solve([], 0, solver=new, assumptions=(1,))
+    assert status == SAT and model is new.model
+
+
+def _check_the_heap(s):
+    """Each variable is in the heap at most once, at the slot that
+    `heap_pos` names, and every unassigned variable is in it."""
+    assert len(set(s.heap)) == len(s.heap) <= len(s.activity)
+    for slot, v in enumerate(s.heap):
+        assert s.heap_pos[v] == slot
+    for v in range(len(s.level)):
+        assert s.heap_pos[v] >= 0 or s.lval[2 * v] != sat._UNASSIGNED
+
+
 def test_order_heap_holds_one_entry_per_variable(monkeypatch):
     # every bump and backtrack used to push an entry, so the heap grew
-    # with the search instead of with the problem
+    # with the search instead of with the problem; a full trail that
+    # answers SAT leaves its assigned variables in the heap
+    from conftest import pipeline_design
     from svsec.catalog import list_problems
     from svsec.catalog.problems import design_text, instantiate_property_text
     from svsec.check import check_design
 
     solvers = []
+    solves = 0
 
-    class Recorded(sat.Solver):
+    class Checked(sat.Solver):
         def __init__(self):
             super().__init__()
             solvers.append(self)
 
-    monkeypatch.setattr(sat, "Solver", Recorded)
+        def solve(self, *args, **kwargs):
+            nonlocal solves
+            status = super().solve(*args, **kwargs)
+            _check_the_heap(self)
+            solves += 1
+            return status
+
+    monkeypatch.setattr(sat, "Solver", Checked)
     (spec,) = list_problems(cwe=1261, difficulty="advanced")
     verdict = check_design(design_text(spec.correct_file), spec.module_name,
                            instantiate_property_text(spec))
     assert verdict.status == "proven" and verdict.k_used == 1
     step = max(solvers, key=lambda s: s.conflicts)
     assert step.conflicts > 500
-    for s in solvers:
-        assert len(s.heap) <= len(s.activity)
-        assert len(set(s.heap)) == len(s.heap)
+
+    for spec in list_problems():
+        for fname in (spec.correct_file, spec.vulnerable_file):
+            verdict = check_design(design_text(fname), spec.module_name,
+                                   instantiate_property_text(spec))
+            assert verdict.status in ("proven", "falsified")
+    # the deep family: a proof that needs k = d and a leaky twin
+    for d in (8, 10, 12, 14):
+        verdict = check_design(pipeline_design(d, 4, 1), "pipe", "!q_out[1]")
+        assert verdict.status == "proven" and verdict.k_used == d
+        verdict = check_design(pipeline_design(d, 4, 2), "pipe", "!q_out[1]")
+        assert verdict.status == "falsified" and verdict.depth == d
+    assert solves > 250
 
 
 # ------------------------------------------- agreement with the reference
