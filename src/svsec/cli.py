@@ -196,8 +196,9 @@ def label(args) -> None:
 
 # --------------------------------------------------------------- metrics
 
-def _dataset_rows(dataset: str) -> list:
-    """The rows of a labeled dataset, which must cover a complete scope."""
+def _dataset_rows(dataset: str) -> tuple[list, int]:
+    """The rows of a labeled dataset, which must cover a complete scope,
+    and the scope's regenerations per cell."""
     from svsec.metrics import RowError, import_csv
     from svsec.metrics.passatk import ScopeError, check_scope
 
@@ -205,10 +206,10 @@ def _dataset_rows(dataset: str) -> list:
         raise CliError(f"{dataset} not found; run label first")
     try:
         rows = import_csv(dataset)
-        check_scope(rows)
+        n = check_scope(rows)
     except (RowError, ScopeError) as exc:
         raise CliError(f"{dataset}: {exc}") from None
-    return rows
+    return rows, n
 
 
 def metrics(args) -> None:
@@ -219,14 +220,14 @@ def metrics(args) -> None:
     from svsec.metrics import (keyword_frequency, passatk_by_difficulty,
                                write_heatmap_json, write_keywords_csv)
 
-    rows = _dataset_rows(args.dataset)
+    rows, n = _dataset_rows(args.dataset)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    write_heatmap_json(rows, out / "heatmap.json", seed=args.seed)
+    write_heatmap_json(rows, out / "heatmap.json", seed=args.seed, n=n)
 
-    excl = passatk_by_difficulty(rows, include_noncompilable=False)
-    incl = passatk_by_difficulty(rows, include_noncompilable=True)
+    excl = passatk_by_difficulty(rows, include_noncompilable=False, n=n)
+    incl = passatk_by_difficulty(rows, include_noncompilable=True, n=n)
     with open(out / "passatk.csv", "w", encoding="utf-8", newline="") as fh:
         w = _csv.writer(fh)
         w.writerow(["provider", "difficulty", "rate_excluding_noncompilable",
@@ -250,9 +251,9 @@ def report(args) -> None:
     from svsec.metrics import (passatk_by_cwe, passatk_by_difficulty,
                                verdict_counts)
 
-    rows = _dataset_rows(args.dataset)
-    excl = passatk_by_difficulty(rows, include_noncompilable=False)
-    incl = passatk_by_difficulty(rows, include_noncompilable=True)
+    rows, n = _dataset_rows(args.dataset)
+    excl = passatk_by_difficulty(rows, include_noncompilable=False, n=n)
+    incl = passatk_by_difficulty(rows, include_noncompilable=True, n=n)
     providers = sorted({p for p, _ in excl})
 
     if args.as_json:
@@ -265,7 +266,7 @@ def report(args) -> None:
             "passatk_including": {f"{p}/{d}": incl[(p, d)]
                                   for p, d in sorted(incl)},
             "heatmap_excluding": {f"{p}/cwe{c}": r for (p, c), r in
-                                  sorted(passatk_by_cwe(rows).items())},
+                                  sorted(passatk_by_cwe(rows, n=n).items())},
         }
         print(json.dumps(doc, indent=1, sort_keys=True))
         return
@@ -331,7 +332,7 @@ def _parser() -> argparse.ArgumentParser:
                    help=f"Regenerations per (provider, problem). {DEFAULT}")
     p.add_argument("--seed", type=int, default=0, metavar="INTEGER",
                    help=DEFAULT)
-    p.add_argument("--workers", type=int, metavar="INTEGER",
+    p.add_argument("--workers", type=_at_least(1), metavar="INTEGER",
                    help="Threads that ask the provider. "
                         "[default: 1 with --stub, 4 otherwise]")
     p.add_argument("--out", dest="out_dir", default=".", metavar="TEXT",

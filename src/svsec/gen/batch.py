@@ -7,6 +7,13 @@ the Generation and never abort the batch; a resumed run asks the
 provider again for each recorded failure.  The result always holds
 exactly |providers| x |specs| x n entries.
 
+A log line is `json.dumps` of the entry's six fields, byte for byte,
+but built from a fixed template: each string field is encoded once per
+distinct value in a batch (a stub batch repeats a few hundred responses
+thousands of times), and the numbers are written with `repr`, as
+`json.dumps` writes them.  The reader keeps one copy of each distinct
+response, so the extraction memo finds it by identity.
+
 With `workers` at 1 the jobs run in the calling thread; more workers
 run them on a thread pool, which only network providers gain from.
 Stub generation is CPU-bound, so extra workers only contend for the
@@ -23,6 +30,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from svsec.catalog.problems import ProblemSpec
@@ -36,7 +44,7 @@ log = logging.getLogger(__name__)
 DEFAULT_WORKERS = 4
 
 
-@dataclass
+@dataclass(slots=True)
 class Generation:
     problem_id: str
     provider_id: str
@@ -54,8 +62,8 @@ class Generation:
 
 CACHE_FILE = "generations.jsonl"
 
-# The Generation fields a cache entry holds, in the order written, and
-# their JSON types.  A JSON true or false decodes to a bool, which is an
+# The Generation fields a cache entry holds, in the order `_entry_line`
+# writes them, and their JSON types.  A JSON true or false decodes to a bool, which is an
 # int to isinstance, so the reader turns bools away by hand.
 _ENTRY_FIELDS = (("problem_id", str), ("provider_id", str),
                  ("regen_index", int), ("raw", str), ("error", str),
@@ -68,9 +76,14 @@ def load_cache(cache_dir: str | Path) -> list[Generation]:
     path = Path(cache_dir) / CACHE_FILE
     if not path.exists():
         return []
+    latest, raws = {}, {}
     with open(path, "rb") as fh:
-        latest = {(g.provider_id, g.problem_id, g.regen_index): g
-                  for g in map(_entry, fh) if g is not None}
+        for g in map(_entry, fh):
+            if g is not None:
+                # One copy of each response, which then hits the
+                # extraction memo by identity, with its hash cached.
+                g.raw = raws.setdefault(g.raw, g.raw)
+                latest[g.provider_id, g.problem_id, g.regen_index] = g
     gens = [latest[key] for key in sorted(latest)]
     # The log repeats each distinct response many times.
     extract = functools.cache(extract_code)
@@ -97,6 +110,17 @@ def _entry(line: bytes) -> Generation | None:
                       timestamp, True)
 
 
+def _entry_line(gen: Generation, encode) -> bytes:
+    """The log line of `gen`: `json.dumps` of its `_ENTRY_FIELDS`, given
+    `encode`, `encode_basestring_ascii` or a memo of it.  The timestamp
+    is finite, as `time.time()` is: `repr` of NaN is not JSON."""
+    return (f'{{"problem_id": {encode(gen.problem_id)}, '
+            f'"provider_id": {encode(gen.provider_id)}, '
+            f'"regen_index": {gen.regen_index!r}, "raw": {encode(gen.raw)}, '
+            f'"error": {encode(gen.error)}, '
+            f'"timestamp": {gen.timestamp!r}}}\n').encode()
+
+
 def generate_batch(specs: list[ProblemSpec],
                    providers: list[ProviderConfig] | None,
                    n: int,
@@ -116,6 +140,7 @@ def generate_batch(specs: list[ProblemSpec],
               for g in load_cache(cache_dir) if g.ok}
     write_lock = threading.Lock()
     extract = functools.cache(extract_code)
+    encode = functools.cache(encode_basestring_ascii)
 
     def one(provider_id: str, spec: ProblemSpec, i: int) -> Generation:
         if (provider_id, spec.problem_id, i) in cached:
@@ -134,8 +159,7 @@ def generate_batch(specs: list[ProblemSpec],
             log.warning("generation failed: %s/%s/%d: %s", provider_id,
                         spec.problem_id, i, gen.error)
         gen.source = extract(gen.raw) if gen.ok else None
-        line = json.dumps({k: getattr(gen, k) for k, _ in _ENTRY_FIELDS})
-        data = f"{line}\n".encode()
+        data = _entry_line(gen, encode)
         with write_lock:
             if os.write(fd, data) != len(data):
                 raise OSError(f"short write to {CACHE_FILE}")

@@ -6,8 +6,12 @@ syntactically broken output, and prose-only refusals.  The mix is
 exact per (provider, problem) — with DEFAULT_MIX's 30/50/15/5 split
 and n=20, each cell holds 6 correct, 10 vulnerable, 3 broken, 1 refusal.
 
-A provider computes each cell's plan and reads each design once, and
-keeps them for its lifetime: a new provider reads the designs afresh.
+A cell's plan fixes both the kind and the preamble line of each of its
+n regenerations: one generator, seeded by (seed, provider, problem),
+shuffles the kinds and then draws the n preambles, so a completion
+needs no generator of its own.  A provider computes each cell's plan
+and reads each design once, and keeps them for its lifetime: a new
+provider reads the designs afresh.
 Threads may share a provider: two that race on a memo entry compute
 the same value.
 """
@@ -41,7 +45,9 @@ class StubProvider:
     def __init__(self, seed: int = 0, n: int = 20):
         self.seed = seed
         self.n = n
-        self._plans: dict[tuple[str, str], tuple[str, ...]] = {}
+        # (provider, problem) -> (kinds, preambles), one per regeneration.
+        self._plans: dict[tuple[str, str],
+                          tuple[tuple[str, ...], tuple[str, ...]]] = {}
         self._sources: dict[tuple[str, bool], str] = {}
 
     def counts(self) -> tuple[int, ...]:
@@ -56,13 +62,21 @@ class StubProvider:
         return tuple(base)
 
     def plan(self, provider_id: str, problem_id: str) -> tuple[str, ...]:
+        """The cell's kind of each regeneration."""
+        return self._cell(provider_id, problem_id)[0]
+
+    def _cell(self, provider_id: str, problem_id: str
+              ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The cell's kinds and preambles.  The preambles are drawn after
+        the shuffle, so they leave the kinds as the shuffle alone gave."""
         key = (provider_id, problem_id)
         if key not in self._plans:
             kinds = [k for k, c in zip(KINDS, self.counts())
                      for _ in range(c)]
             rng = random.Random(f"{self.seed}:{provider_id}:{problem_id}")
             rng.shuffle(kinds)
-            self._plans[key] = tuple(kinds)
+            preambles = tuple(rng.choice(_PREAMBLES) for _ in kinds)
+            self._plans[key] = (tuple(kinds), preambles)
         return self._plans[key]
 
     def _source(self, filename: str, broken: bool = False) -> str:
@@ -83,7 +97,8 @@ class StubProvider:
 
     def complete(self, provider_id: str, spec: ProblemSpec,
                  regen_index: int) -> str:
-        kind = self.kind_of(provider_id, spec, regen_index)
+        kinds, preambles = self._cell(provider_id, spec.problem_id)
+        kind = kinds[regen_index]
         if kind == "refusal":
             return _REFUSAL
         if kind == "correct":
@@ -91,7 +106,5 @@ class StubProvider:
         else:
             source = self._source(spec.vulnerable_file,
                                   broken=kind == "broken")
-        rng = random.Random(
-            f"{self.seed}:{provider_id}:{spec.problem_id}:{regen_index}")
-        preamble = rng.choice(_PREAMBLES)
-        return f"{preamble}\n\n```systemverilog\n{source}```\n"
+        return (f"{preambles[regen_index]}\n\n```systemverilog\n"
+                f"{source}```\n")

@@ -32,22 +32,12 @@ def label_design(gen: Generation, spec: ProblemSpec,
                          f"spec {spec.problem_id}")
     outcome, work, lines = _adjudicate(gen.source, spec, max_k, budget, memo)
     verdict, cex_depth, k_used = outcome
+    # By position, in the order of CSV_HEADER.
     return DatasetRow(
-        design_id=f"{gen.provider_id}:{spec.problem_id}:{gen.regen_index}",
-        provider=gen.provider_id,
-        cwe_id=spec.cwe_id,
-        difficulty=spec.difficulty,
-        regen_index=gen.regen_index,
-        verdict=verdict,
-        cex_depth=cex_depth,
-        k_used=k_used,
-        lines_of_code=lines,
-        runtime_ms=work,
-        source_path="",
-        property_id=spec.property_template_id,
-        toolkit_version=svsec.__version__,
-        seed=seed,
-    )
+        f"{gen.provider_id}:{spec.problem_id}:{gen.regen_index}",
+        gen.provider_id, spec.cwe_id, spec.difficulty, gen.regen_index,
+        verdict, cex_depth, k_used, lines, work, "",
+        spec.property_template_id, svsec.__version__, seed)
 
 
 def _adjudicate(source: str | None, spec: ProblemSpec, max_k: int,

@@ -55,9 +55,13 @@ def _rate(group, n_cells: int, include_noncompilable: bool) -> float:
     return proven / denom if denom else 0.0
 
 
-def passatk_by_difficulty(rows, include_noncompilable: bool = False) -> dict:
-    """(provider, difficulty) -> rate over the 10 CWEs x n cell."""
-    n = check_scope(rows)
+def passatk_by_difficulty(rows, include_noncompilable: bool = False,
+                          n: int | None = None) -> dict:
+    """(provider, difficulty) -> rate over the 10 CWEs x n cell.  `n` is
+    what `check_scope(rows)` returned; when None, the scope is checked
+    here."""
+    if n is None:
+        n = check_scope(rows)
     groups = defaultdict(list)
     for r in rows:
         groups[(r.provider, r.difficulty)].append(r)
@@ -65,9 +69,12 @@ def passatk_by_difficulty(rows, include_noncompilable: bool = False) -> dict:
             for key, g in sorted(groups.items())}
 
 
-def passatk_by_cwe(rows, include_noncompilable: bool = False) -> dict:
-    """(provider, cwe) -> rate over the 3 difficulties x n cell."""
-    n = check_scope(rows)
+def passatk_by_cwe(rows, include_noncompilable: bool = False,
+                   n: int | None = None) -> dict:
+    """(provider, cwe) -> rate over the 3 difficulties x n cell; `n` as
+    for `passatk_by_difficulty`."""
+    if n is None:
+        n = check_scope(rows)
     groups = defaultdict(list)
     for r in rows:
         groups[(r.provider, r.cwe_id)].append(r)

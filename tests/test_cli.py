@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -161,6 +162,11 @@ def test_every_usage_error_exits_64(tmp_path):
         (("label", "--budget", "0"), "argument --budget: 0 is less than 1"),
         (("generate", "--stub", "--n", "0"), "argument --n: 0 is less than 1",
          "see 'svsec generate --help'"),
+        (("generate", "--stub", "--workers", "0"),
+         "argument --workers: 0 is less than 1",
+         "see 'svsec generate --help'"),
+        (("generate", "--stub", "--workers", "-3"),
+         "argument --workers: -3 is less than 1"),
         (("--bogus", "verify", design, "--property", str(prop), "--top", "m"),
          "unrecognized arguments: --bogus", "see 'svsec --help'"),
         (("--bogus", "verify", design, "--prop", str(prop)),
@@ -241,6 +247,53 @@ def test_metrics_creates_a_missing_out_dir(tmp_path, stub_run):
     assert res.exit_code == 0, res.output
     for artifact in ("heatmap.json", "passatk.csv", "keywords.csv"):
         assert (out / artifact).exists(), artifact
+
+
+# sha256 of what the parent of the single scope check wrote for the
+# stub run: `metrics`' passatk.csv and keywords.csv, and `report`.
+SCOPE_RUN_DIGESTS = {
+    "passatk.csv":
+        "1ddf5114b2c47f4de5903b2afc983151d0272058795769ddb4da02beab9985d5",
+    "keywords.csv":
+        "41d0d3950045ae48dbf9600c4ee08b9e5d8023a2dd83b7adb037c168e1967a48",
+    "report":
+        "068af1d2a30a55a812dd32c757c818417f1a8ee60453dc9eeb3112fadb2a7448",
+}
+
+
+def test_metrics_and_report_check_the_scope_once(tmp_path, stub_run,
+                                                 monkeypatch):
+    import svsec.metrics.passatk as passatk
+    from svsec.metrics import import_csv, write_heatmap_json
+
+    calls, check_scope = [], passatk.check_scope
+
+    def counted(rows):
+        calls.append(len(rows))
+        return check_scope(rows)
+
+    monkeypatch.setattr(passatk, "check_scope", counted)
+    dataset = str(stub_run / "dataset.csv")
+    out = tmp_path / "out"
+    res = invoke("metrics", "--dataset", dataset,
+                 "--cache", str(stub_run / "cache"), "--out", str(out))
+    assert res.exit_code == 0, res.output
+    assert calls == [120]
+    for args in (("report", "--dataset", dataset),
+                 ("report", "--dataset", dataset, "--json")):
+        calls.clear()
+        res = invoke(*args)
+        assert res.exit_code == 0, res.output
+        assert calls == [120]
+    text = invoke("report", "--dataset", dataset).output
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in ("passatk.csv", "keywords.csv")}
+    got["report"] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == SCOPE_RUN_DIGESTS
+    # The library checks the scope itself and writes the same heatmap.
+    write_heatmap_json(import_csv(dataset), tmp_path / "heatmap.json")
+    assert (tmp_path / "heatmap.json").read_bytes() == \
+        (out / "heatmap.json").read_bytes()
 
 
 def one_line_error(res, *needles):

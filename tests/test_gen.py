@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
 import json
+import operator
 import random
 import re
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -18,7 +22,8 @@ from svsec.gen.extract import _FENCE, extract_code
 from svsec.gen.prompts import FIXED_INSTRUCTIONS, render_prompt
 from svsec.gen.provider import (ProviderConfig, ProviderError,
                                 load_providers, request_completion)
-from svsec.gen.stub import DEFAULT_MIX, KINDS, STUB_PROVIDERS
+from svsec.gen.stub import (_PREAMBLES, _REFUSAL, DEFAULT_MIX, KINDS,
+                            STUB_PROVIDERS)
 from svsec.metrics import export_csv, label_batch
 
 
@@ -125,6 +130,58 @@ def test_stub_reads_each_design_once_and_keeps_fresh_plans(tmp_path,
     assert isinstance(plan, tuple)
     with pytest.raises(TypeError):
         plan[0] = "refusal"
+
+
+# sha256 of every cell's kind plan (n=20), one "provider:problem:kinds"
+# line per cell, as the stub drew them before a cell's plan held its
+# preambles too.
+PLAN_DIGESTS = {
+    0: "3cd3c9996bce02e66cf652d94767e327e9a62a3e67c7612a8a2337725bd80873",
+    1: "5d773e79643e1028b54c356235d2250bb8df2f9b2a3aec55be6bc96d1757556d",
+    2: "cf0657b5fd40cfcb13ba4414e723fc2ea7acb1e34b91fccb63cc284ec9a41dbf",
+}
+
+
+def test_stub_kind_plans_are_unchanged():
+    specs = list_problems()
+    for seed, digest in PLAN_DIGESTS.items():
+        stub = StubProvider(seed=seed, n=20)
+        h = hashlib.sha256()
+        for pid in STUB_PROVIDERS:
+            for spec in specs:
+                kinds = ",".join(stub.plan(pid, spec.problem_id))
+                h.update(f"{pid}:{spec.problem_id}:{kinds}\n".encode())
+        assert h.hexdigest() == digest, seed
+
+
+def test_stub_preambles_come_from_the_cell_plan():
+    spec = spec_for(1209, "basic")
+    stub = StubProvider(seed=1, n=20)
+    first_lines = [stub.complete("stub-a", spec, i).split("\n", 1)[0]
+                   for i in range(20)]
+    # Regeneration 6 is the refusal, which has no preamble.
+    assert first_lines[6] == _REFUSAL
+    del first_lines[6]
+    assert first_lines == [_PREAMBLES[i] for i in
+                           (3, 2, 3, 1, 1, 0, 3, 2, 2, 2, 0, 0, 1, 2, 0, 1,
+                            1, 1, 2)]
+
+
+def test_stub_completions_do_not_depend_on_call_order():
+    specs = list_problems(difficulty="basic")[:3]
+    jobs = [(pid, spec, i) for pid in STUB_PROVIDERS for spec in specs
+            for i in range(5)]
+    batch = StubProvider(seed=4, n=5)
+    expected = {(pid, spec.problem_id, i): batch.complete(pid, spec, i)
+                for pid, spec, i in jobs}
+    for pid, spec, i in jobs:
+        alone = StubProvider(seed=4, n=5).complete(pid, spec, i)
+        assert alone == expected[pid, spec.problem_id, i]
+    shuffled = StubProvider(seed=4, n=5)
+    random.Random(0).shuffle(jobs)
+    for pid, spec, i in jobs:
+        assert shuffled.complete(pid, spec, i) == \
+            expected[pid, spec.problem_id, i]
 
 
 def test_stub_outputs_by_kind():
@@ -384,6 +441,60 @@ def test_later_complete_line_wins_over_an_earlier_error(tmp_path):
     assert [(g.regen_index, g.ok) for g in gens] == [(0, True), (1, False)]
     assert gens[0].source == "module m(); endmodule\n"
     assert gens[1].source is None
+
+
+def log_strings():
+    """Texts that JSON must escape, or may write as they are."""
+    yield from ('say "hi"', "back\\slash", "\x7f", "caf\u00e9 \u65e5\u672c",
+                "\U0001f600 \U00010348", "lone \ud800 and \udfff", "")
+    yield "".join(map(chr, range(0x20)))
+    yield from map(chr, range(0x20))
+
+
+# The fields of a log entry, in the order that json.dumps writes them.
+LOG_FIELDS = ("problem_id", "provider_id", "regen_index", "raw", "error",
+              "timestamp")
+log_key = operator.attrgetter("provider_id", "problem_id", "regen_index")
+
+
+def log_line(gen) -> bytes:
+    return json.dumps({f: getattr(gen, f) for f in LOG_FIELDS}).encode()
+
+
+def test_log_lines_are_what_json_dumps_writes(tmp_path):
+    from json.encoder import encode_basestring_ascii
+
+    from svsec.gen.batch import Generation, _entry_line
+
+    gens = [Generation(problem_id=f"p{t}{text}", provider_id=f"{text}q",
+                       regen_index=regen_index, raw=f"```\n{text}\n```",
+                       error=text, timestamp=timestamp)
+            for text in log_strings() for regen_index in (0, 10**12)
+            for t, timestamp in enumerate((0.0, 1e-7, time.time()))]
+    memo = functools.cache(encode_basestring_ascii)
+    for gen in gens:
+        line = log_line(gen) + b"\n"
+        assert _entry_line(gen, encode_basestring_ascii) == line
+        assert _entry_line(gen, memo) == line
+    (tmp_path / "generations.jsonl").write_bytes(
+        b"".join(_entry_line(g, memo) for g in gens))
+    read = load_cache(tmp_path)
+    assert [[getattr(g, f) for f in LOG_FIELDS] for g in read] == \
+        [[getattr(g, f) for f in LOG_FIELDS]
+         for g in sorted(gens, key=log_key)]
+
+
+def test_a_batch_log_reads_back_as_written(tmp_path):
+    gens = generate_batch(list_problems(difficulty="basic")[:2], None, 3,
+                          tmp_path, stub=StubProvider(seed=6, n=3),
+                          workers=1)
+    lines = (tmp_path / "generations.jsonl").read_bytes().splitlines()
+    assert lines == [log_line(g) for g in gens]
+    read = load_cache(tmp_path)
+    assert [dataclasses.replace(g, from_cache=False) for g in read] == \
+        sorted(gens, key=log_key)
+    # One copy of each distinct response.
+    assert len({id(g.raw) for g in read}) == len({g.raw for g in read})
 
 
 def test_lines_that_are_not_entries_are_skipped(tmp_path):
