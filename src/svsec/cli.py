@@ -12,6 +12,8 @@ import svsec
 from svsec.catalog import DIFFICULTIES, list_problems
 from svsec.catalog.problems import CatalogError, instantiate_property_text
 from svsec.check import DEFAULT_BUDGET, DEFAULT_MAX_K, check_design
+from svsec.engine.result import CompileError
+from svsec.frontend.diagnostics import DiagnosticError, error
 
 EXIT_CODES = {"proven": 0, "falsified": 1, "unknown": 2, "compile_error": 3}
 # sysexits.h's EX_USAGE: a bad invocation never reads as a verdict.
@@ -60,12 +62,6 @@ def _file(path: str) -> str:
     return path
 
 
-def _existing(path: str) -> str:
-    if not os.path.exists(path):
-        raise argparse.ArgumentTypeError(f"Path '{path}' does not exist.")
-    return path
-
-
 def _directory(path: str) -> str:
     if os.path.exists(path) and not os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"Directory '{path}' is a file.")
@@ -92,6 +88,26 @@ def _at_least(minimum: int):
 
 # ---------------------------------------------------------------- verify
 
+def _read_utf8(path: str) -> str:
+    """The text of a file, with its newlines read as text mode reads
+    them; raises a `DiagnosticError` at its first byte that is not
+    UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return _text_mode(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        before = _text_mode(data[:exc.start].decode("utf-8"))
+        line = before.count("\n") + 1
+        col = len(before) - before.rfind("\n")
+        raise error(f"not UTF-8 text: byte 0x{data[exc.start]:02x} "
+                    f"({exc.reason})", line, col) from None
+
+
+def _text_mode(text: str) -> str:
+    """`text` with every `\\r\\n` and `\\r` read as `\\n`."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def verify(args) -> int:
     """Check one design file; exit 0 proven, 1 falsified, 2 unknown,
     3 compile error."""
@@ -99,8 +115,6 @@ def verify(args) -> int:
     if args.property_file:
         if not top:
             args.parser.error("--top is required with --property")
-        property_text = Path(args.property_file).read_text(
-            encoding="utf-8").strip()
     else:
         cwe, difficulty = args.cwe, args.difficulty
         if cwe is None or difficulty is None:
@@ -117,9 +131,18 @@ def verify(args) -> int:
         property_text = instantiate_property_text(spec)
         top = top or spec.module_name
 
-    source = Path(args.file).read_text(encoding="utf-8")
-    verdict = check_design(source, top, property_text,
-                           max_k=args.max_k, budget=args.budget)
+    in_property = False  # which file a decoding error is in
+    try:
+        source = _read_utf8(args.file)
+        if args.property_file:
+            in_property = True
+            property_text = _read_utf8(args.property_file).strip()
+    except DiagnosticError as exc:
+        verdict = CompileError(diagnostics=[exc.diag],
+                               in_property=in_property)
+    else:
+        verdict = check_design(source, top, property_text,
+                               max_k=args.max_k, budget=args.budget)
     status = verdict.status
     if status == "proven":
         print(f"proven (k={verdict.k_used})")
@@ -312,7 +335,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--cwe", type=int, metavar="INTEGER",
                    help="Catalog CWE id (with --difficulty).")
     p.add_argument("--difficulty", choices=DIFFICULTIES)
-    p.add_argument("--property", dest="property_file", type=_existing,
+    p.add_argument("--property", dest="property_file", type=_file,
                    metavar="PATH",
                    help="File holding a property expression (overrides "
                         "catalog).")
@@ -326,7 +349,7 @@ def _parser() -> argparse.ArgumentParser:
     p = _command(commands, generate)
     p.add_argument("--stub", action="store_true",
                    help="Use the offline stub provider.")
-    p.add_argument("--providers", dest="providers_file", type=_existing,
+    p.add_argument("--providers", dest="providers_file", type=_file,
                    metavar="PATH", help="Provider config file (YAML).")
     p.add_argument("--n", type=_at_least(1), default=20, metavar="INTEGER",
                    help=f"Regenerations per (provider, problem). {DEFAULT}")

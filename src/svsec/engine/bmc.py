@@ -7,10 +7,12 @@ through the next state of the state bits it reads.  The
 property sees nothing outside the cone, so dropping it keeps every
 verdict (Clarke, Grumberg & Peled, "Model Checking", 1999).  Each frame
 copies the template into one growing AIG, which an incremental Tseitin
-encoder feeds into one persistent solver.  Depths are checked
+encoder feeds into one persistent solver; a first frame whose state
+bits are all free is the template as it is.  Depths are checked
 shallowest first, each with its `bad` bit as an assumption, so the
 first hit is at the minimal depth; a depth shown clean keeps `not bad`
-as a permanent unit and is not checked again.
+as a permanent unit and is not checked again.  So a new depth costs
+its own frame alone: one copy, and the encoding of its new nodes.
 """
 
 from __future__ import annotations
@@ -117,6 +119,10 @@ class Unroller:
     A frame copies a check's `Template` into the unrolled AIG, its
     placeholders taking the previous frame's next state (or the initial
     state), and keeps the unrolled literal of every template node.
+    When the initial state is all fresh inputs (`free_initial`, or no
+    reset on any cone state bit), frame 0 is the template itself: a
+    list copy of its nodes and of its hash table, each node its own
+    literal.
     `k_induction` builds one template and gives it to both its base and
     its step unroller; without one, the unroller builds its own.  Only
     the cone's state bits are unrolled, so `state_lits` covers only
@@ -134,21 +140,32 @@ class Unroller:
         # depths below this one are shown violation-free (bmc only)
         self.clean = 0
         self.frames: list[list[int]] = []
-        # the state bits the next frame starts from
+        # the template literal of `bad`
+        self._bad = self.template.buses[obl.bad_name][0]
+        # the state bits the next frame starts from; None while frame 0
+        # is still to come and starts from fresh inputs alone
         resets = {s.name: s.reset for s in self.ts.states}
-        self._state: list[int] = []
-        for name, i in self.template.state_bits:
-            reset = resets[name]
-            if reset is None or free_initial:
-                self._state.append(self.aig.new_input())
-            else:
-                self._state.append(TRUE if (reset >> i) & 1 else FALSE)
+        bits = self.template.state_bits
+        self._state: list[int] | None = None
+        if not free_initial and any(resets[n] is not None for n, _ in bits):
+            self._state = [
+                self.aig.new_input() if resets[name] is None
+                else TRUE if (resets[name] >> i) & 1 else FALSE
+                for name, i in bits]
 
     def extend(self) -> None:
-        frame = self.aig.copy(self.template.aig, self._state)
+        template = self.template
+        if self._state is None:
+            # a copy into the empty AIG, placeholders bound to fresh
+            # inputs 1..n, would map every node to itself: the
+            # template's ANDs can neither fold nor merge (see `Template`)
+            self.aig.nodes[:] = template.aig.nodes
+            self.aig.hash.update(template.aig.hash)
+            frame = list(range(0, 2 * len(template.aig.nodes), 2))
+        else:
+            frame = self.aig.copy(template.aig, self._state)
         self.frames.append(frame)
-        self._state = [frame[lit >> 1] ^ (lit & 1)
-                       for lit in self.template.next]
+        self._state = [frame[lit >> 1] ^ (lit & 1) for lit in template.next]
 
     def frame(self, depth: int) -> list[int]:
         """The frame at `depth`, unrolling up to it first."""
@@ -162,7 +179,8 @@ class Unroller:
                      for lit in self.template.buses[name])
 
     def bad(self, depth: int) -> int:
-        return self.bus(depth, self.obl.bad_name)[0]
+        lit = self._bad
+        return self.frame(depth)[lit >> 1] ^ (lit & 1)
 
     def state_lits(self, depth: int) -> list[int]:
         # template nodes 1..n are the placeholders
@@ -213,12 +231,15 @@ def bmc(obl: SafetyObligation, max_depth: int,
     `budget` bounds the solver work of the whole search; a depth whose
     query runs out of it gives Unknown.  With an `unroller` from an
     earlier call, the depths it already showed clean are not searched
-    again.
+    again; once depth 0 is clean, frame 0's state bits, which the first
+    call encoded, are not asked for again.
     """
     un = unroller or Unroller(obl)
     start = un.solver.work()
-    # encode every input a trace reads, so that models assign them all
-    un.cnf.encode(lit for lit in un.state_lits(0) if lit > TRUE)
+    if un.clean == 0:
+        # encode every input a trace reads, so that models assign them
+        # all; the depths' own inputs are encoded as they are searched
+        un.cnf.encode(lit for lit in un.state_lits(0) if lit > TRUE)
     for d in range(un.clean, max_depth + 1):
         bad = un.bad(d)
         un.cnf.encode(un.input_lits(d))

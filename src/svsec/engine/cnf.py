@@ -64,15 +64,25 @@ class TseitinEncoder:
         self.clauses: list[tuple[int, ...]] = []
 
     def encode(self, lits) -> list[int]:
-        """Encode the cones of AIG literals; return their DIMACS literals."""
+        """Encode the cones of AIG literals; return their DIMACS literals.
+
+        A node with a variable already has the clauses that tie it to
+        its leaves, so literals whose nodes all have one walk nothing."""
         lits = list(lits)
+        done = self.var_of_node
+        new = [lit >> 1 for lit in lits if lit >> 1 not in done]
+        if new:
+            self._encode_new(new)
+        return [-done[x >> 1] if x & 1 else done[x >> 1] for x in lits]
+
+    def _encode_new(self, stack: list[int]) -> None:
+        """Encode the cones of the nodes on `stack`, none encoded yet."""
         done = self.var_of_node
         nodes = self.aig.nodes
         # walk the new part of the cones iteratively (deep ANDs would
         # blow the stack); a gate's walk skips its inner ANDs
         seen: set[int] = set()
         gates: dict[int, tuple[int, ...]] = {}
-        stack = [lit >> 1 for lit in lits]
         while stack:
             node = stack.pop()
             if node in seen or node in done:
@@ -129,7 +139,6 @@ class TseitinEncoder:
                 clauses += [(-c, -t, -v), (-c, t, v), (c, -e, -v),
                             (c, e, v), (-t, -e, -v), (t, e, v)]
         self.num_vars = v
-        return [-done[x >> 1] if x & 1 else done[x >> 1] for x in lits]
 
     def lit(self, aig_lit: int) -> int:
         """DIMACS literal for an AIG literal (node must be encoded)."""

@@ -11,7 +11,11 @@ Both phases are incremental (Een & Sorensson, "Temporal Induction by
 Incremental SAT Solving", BMC 2003): each keeps one unroller whose
 solver and Tseitin encoder persist across k.  The base case checks
 depth k only, since bmc already showed depths below k clean.  The step
-adds `not bad(k-1)` as a permanent unit and assumes `bad(k)`.
+adds `not bad(k-1)` as a permanent unit and assumes `bad(k)`.  So each
+k costs one new frame per phase: its copy (the step's first frame is
+the template as it is), one read of its state literals, which the step
+keeps for every later k, and the encoding of its new nodes; asking the
+encoder again for `bad(k-1)`, already encoded, walks nothing.
 Simple-path constraints are added lazily (Sheeran, Singh & Stalmarck,
 FMCAD 2000): only for the frame pairs that a step model does not show
 distinct, after which the step is solved again.  These constraints hold
@@ -54,6 +58,7 @@ def k_induction(obl: SafetyObligation, max_k: int,
     template = Template(obl)
     base_un = Unroller(obl, template=template)
     step_un = Unroller(obl, free_initial=True, template=template)
+    states: list[list[int]] = []  # the step's state literals per frame
 
     def left() -> int:
         return budget - base_un.solver.work() - step_un.solver.work()
@@ -66,7 +71,7 @@ def k_induction(obl: SafetyObligation, max_k: int,
             return out_of_budget("base case", k, budget)
         assert isinstance(res, NoCexUpTo)
 
-        status = _step(step_un, k, left)
+        status = _step(step_un, k, left, states)
         if status == sat.UNSAT:
             return Proven(k_used=k)
         if status == sat.UNKNOWN:
@@ -74,16 +79,19 @@ def k_induction(obl: SafetyObligation, max_k: int,
     return Unknown(max_k=max_k, reason="induction depth exhausted")
 
 
-def _step(un: Unroller, k: int, left: Callable[[], int]) -> int:
+def _step(un: Unroller, k: int, left: Callable[[], int],
+          states: list[list[int]]) -> int:
     """Solve: frames 0..k-1 good, frame k bad, states distinct.
 
-    Called for k = 0, 1, 2, ... on the same unroller, each solve with
-    the `left()` work of the check.  UNSAT means the step holds at k.
+    Called for k = 0, 1, 2, ... on the same unroller and `states`, each
+    solve with the `left()` work of the check.  `states` holds the state
+    literals of frames 0..k-1, and this call adds frame k's.  UNSAT
+    means the step holds at k.
     """
     if k > 0:
         un.add_unit(-un.cnf.encode([un.bad(k - 1)])[0])
     (bad_lit,) = un.cnf.encode([un.bad(k)])
-    states = [un.state_lits(t) for t in range(k + 1)]
+    states.append(un.state_lits(k))
     while True:
         status, model = un.solve([bad_lit], left())
         if status != sat.SAT:
@@ -114,14 +122,17 @@ def _known_state(un: Unroller, model: list[int],
     """
     var_of_node = un.cnf.var_of_node
     mask = value = 0
-    for pos, lit in enumerate(lits):
+    bit = 1  # the bit of the position at hand
+    for lit in lits:
         if lit <= TRUE:
-            bit = lit
+            mask |= bit
+            if lit:
+                value |= bit
         else:
             v = var_of_node.get(lit >> 1)
-            if v is None:
-                continue
-            bit = model[v - 1] ^ (lit & 1)
-        mask |= 1 << pos
-        value |= bit << pos
+            if v is not None:
+                mask |= bit
+                if model[v - 1] ^ (lit & 1):
+                    value |= bit
+        bit <<= 1
     return mask, value

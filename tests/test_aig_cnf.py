@@ -210,6 +210,24 @@ def test_inner_nodes_encoded_later_stay_consistent():
     assert all(lit >> 1 in enc.var_of_node for lit in inner)
 
 
+def test_encoding_encoded_literals_adds_nothing():
+    import random
+
+    rng = random.Random(13)
+    for trial in range(60):
+        aig, inputs, root = _random_aig(rng, rng.randint(2, 5),
+                                        rng.randint(1, 10))
+        enc = TseitinEncoder(aig)
+        lits = [FALSE, TRUE, root] + [
+            rng.randrange(2 * len(aig.nodes)) for _ in range(4)]
+        first = enc.encode(lits)
+        clauses, num_vars = list(enc.clauses), enc.num_vars
+        again = rng.sample(range(len(lits)), rng.randint(1, len(lits)))
+        assert enc.encode(lits[i] for i in again) == [first[i] for i in again]
+        assert enc.encode([lit ^ 1 for lit in lits]) == [-v for v in first]
+        assert (enc.clauses, enc.num_vars) == (clauses, num_vars), trial
+
+
 def test_incremental_encoding_of_random_gates_is_functional():
     import random
 

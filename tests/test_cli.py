@@ -53,6 +53,47 @@ def test_verify_compile_error(tmp_path):
     assert "compile error" in res.output
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("bad_file", ["design", "property"])
+def test_a_file_that_is_not_utf8_is_a_compile_error(tmp_path, bad_file,
+                                                     newline):
+    # The error names the file, and the line and column (in characters)
+    # of the first byte that is not UTF-8; it is no traceback and no
+    # verdict.
+    lines = {"design": [b"module m(input logic a, output logic p);",
+                        b"  assign p = a;", b"endmodule", b""],
+             "property": [b"p == a", b""]}
+    lines[bad_file].insert(1, "// café ".encode() + b"\xe9")
+    paths = {"design": tmp_path / "design.sv",
+             "property": tmp_path / "prop.txt"}
+    for name, path in paths.items():
+        path.write_bytes(newline.encode().join(lines[name]))
+    res = invoke("verify", str(paths["design"]), "--property",
+                 str(paths["property"]), "--top", "m")
+    assert res.exit_code == 3, res.output
+    assert res.output.splitlines() == [
+        "compile error:",
+        f"  {paths[bad_file]}:2:9: error: not UTF-8 text: byte 0xe9 "
+        "(invalid continuation byte)"]
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_verify_reads_every_newline_convention(tmp_path, newline):
+    lines = ["module m(input logic clk, input logic [3:0] d_in,",
+             "         output logic [3:0] x);",
+             "  always_ff @(posedge clk) x <= d_in",
+             "endmodule", ""]
+    design = tmp_path / "broken.sv"
+    design.write_bytes(newline.join(lines).encode())
+    prop = tmp_path / "prop.txt"
+    prop.write_bytes(f"x != 4'd14{newline}".encode())
+    res = invoke("verify", str(design), "--property", str(prop), "--top", "m")
+    assert res.exit_code == 3, res.output
+    assert res.output.splitlines() == [
+        "compile error:",
+        f"  {design}:4:1: error: expected ';', got 'endmodule'"]
+
+
 def test_verify_unknown_budget(tmp_path):
     (spec,) = list_problems(cwe=1234, difficulty="basic")
     res = invoke("verify", write_design(tmp_path, spec, "correct"),
@@ -147,6 +188,8 @@ def test_every_usage_error_exits_64(tmp_path):
          "--top is required with --property"),
         (("verify", design, "--property", str(tmp_path / "missing.txt"),
           "--top", "m"), "does not exist"),
+        (("verify", design, "--property", str(tmp_path), "--top", "m"),
+         "argument --property: File", "is a directory"),
         (("label", "--cache", str(prop)), "is a file"),
         (("generate", "--stub", "--n", "two"), "invalid int value"),
         (("verify", design, *catalog, "--max-k", "-1"),

@@ -13,10 +13,10 @@ import pytest
 import svsec
 from svsec.check import check_design
 from svsec.engine import sat
-from svsec.engine.aig import FALSE, Aig, blast_frame
+from svsec.engine.aig import FALSE, TRUE, Aig, blast_frame
 from svsec.engine.bmc import Template, Unroller, bmc
 from svsec.engine.cnf import to_cnf
-from svsec.engine.induction import k_induction
+from svsec.engine.induction import _known_state, k_induction
 from svsec.engine.oracle import OracleRefused, explicit_state_oracle
 from svsec.engine.result import (CompileError, Falsified, NoCexUpTo, Proven,
                                  Unknown)
@@ -278,6 +278,66 @@ def test_template_is_the_cone_as_land_would_build_it(name):
             rebuilt.land(*fanin)
     assert rebuilt.nodes == template.aig.nodes
     assert rebuilt.hash == template.aig.hash
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_a_free_first_frame_is_the_template_copied(name):
+    # A frame 0 over fresh inputs alone is the template as it is, not a
+    # copy.  Copying it into a fresh AIG, as the other frames are made,
+    # must give the same nodes, hash table and literals, and so the
+    # same next frame.
+    obl = obligation(*_check(name))
+    resets = {s.name: s.reset for s in obl.augmented.states}
+    for free_initial in (False, True):
+        un = Unroller(obl, free_initial)
+        template = un.template
+        copied = Aig()
+        state = [copied.new_input() if free_initial or resets[n] is None
+                 else (resets[n] >> i) & 1 for n, i in template.state_bits]
+        frame = copied.copy(template.aig, state)
+        assert un.frame(0) == frame
+        assert un.aig.nodes == copied.nodes
+        assert un.aig.hash == copied.hash
+        state = [frame[lit >> 1] ^ (lit & 1) for lit in template.next]
+        assert un.frame(1) == copied.copy(template.aig, state)
+        assert un.aig.nodes == copied.nodes
+
+
+def _known_state_reference(un: Unroller, model: list[int],
+                           lits: list[int]) -> tuple[int, int]:
+    """`induction._known_state` as first written, one shift per bit."""
+    var_of_node = un.cnf.var_of_node
+    mask = value = 0
+    for pos, lit in enumerate(lits):
+        if lit <= TRUE:
+            bit = lit
+        else:
+            v = var_of_node.get(lit >> 1)
+            if v is None:
+                continue
+            bit = model[v - 1] ^ (lit & 1)
+        mask |= 1 << pos
+        value |= bit << pos
+    return mask, value
+
+
+@pytest.mark.parametrize("name", ["prove8", "cwe1302_advanced_correct",
+                                  "cwe1261_advanced_correct"])
+def test_known_state_matches_the_reference(name):
+    # Random models over frames that are partly encoded, and random
+    # literal lists with constants, inversions and unencoded nodes.
+    rng = random.Random(name)
+    un = Unroller(obligation(*_check(name)), free_initial=True)
+    states = [un.state_lits(t) for t in range(4)]
+    lits = [2 * node for node in range(1, len(un.aig.nodes))]
+    un.cnf.encode(rng.sample(lits, len(lits) // 3))
+    for _ in range(40):
+        model = [rng.getrandbits(1) for _ in range(un.cnf.num_vars)]
+        picks = [rng.choice(lits + [FALSE, TRUE]) ^ rng.getrandbits(1)
+                 for _ in range(rng.randrange(70))]
+        for frame_lits in states + [picks]:
+            assert (_known_state(un, model, frame_lits)
+                    == _known_state_reference(un, model, frame_lits))
 
 
 def _eager_step_cnf(aig: Aig, bads: list[int], states: list[list[int]]):
