@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 
 from svsec.engine.bmc import DEFAULT_BUDGET
@@ -28,12 +29,23 @@ def check_design(source: str, top: str, property_text: str,
     units of `sat.work_units()`; a check that runs out of it is Unknown,
     on every machine and under any load.  So is a design whose
     expressions nest deeper than the interpreter's recursion limit.
+
+    The check runs with the cyclic garbage collector paused, and leaves
+    it on or off as it found it.  A check makes no reference cycle
+    (tests/test_check.py holds it to that), so reference counting frees
+    all it allocates; a collection started inside it would only walk
+    the caller's live heap, such as a whole corpus being labeled.
     """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return _check(source, top, property_text, max_k, budget)
     except RecursionError:
         return Unknown(max_k=0, reason="expressions nest too deep for the "
                        f"recursion limit of {sys.getrecursionlimit()}")
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _check(source: str, top: str, property_text: str, max_k: int,

@@ -57,6 +57,11 @@ class _Parser(argparse.ArgumentParser):
 def _file(path: str) -> str:
     if not os.path.exists(path):
         raise argparse.ArgumentTypeError(f"File '{path}' does not exist.")
+    return _not_directory(path)
+
+
+def _not_directory(path: str) -> str:
+    """A file path that may be missing, which its command reports."""
     if os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"File '{path}' is a directory.")
     return path
@@ -194,14 +199,10 @@ def generate(args) -> None:
 
 def label(args) -> None:
     """Adjudicate every cached generation into OUT/dataset.csv."""
-    from svsec.gen import load_cache
     from svsec.metrics import export_csv, label_batch, verdict_counts
 
     cache_dir = args.cache_dir
-    gens = load_cache(cache_dir)
-    if not gens:
-        raise CliError(
-            f"no cached generations under {cache_dir}; run generate first")
+    gens = _cached_generations(cache_dir)
     specs = list_problems()
     unknown = {g.problem_id for g in gens} - {s.problem_id for s in specs}
     if unknown:
@@ -215,6 +216,17 @@ def label(args) -> None:
     export_csv(rows, out)
     print(f"{len(rows)} rows -> {out}")
     print(f"verdicts: {json.dumps(verdict_counts(rows), sort_keys=True)}")
+
+
+def _cached_generations(cache_dir: str) -> list:
+    """The generations cached under `cache_dir`, which must hold some."""
+    from svsec.gen import load_cache
+
+    gens = load_cache(cache_dir)
+    if not gens:
+        raise CliError(
+            f"no cached generations under {cache_dir}; run generate first")
+    return gens
 
 
 # --------------------------------------------------------------- metrics
@@ -239,11 +251,12 @@ def metrics(args) -> None:
     """Compute passatk.csv, heatmap.json, and keywords.csv."""
     import csv as _csv
 
-    from svsec.gen import load_cache
     from svsec.metrics import (keyword_frequency, passatk_by_difficulty,
                                write_heatmap_json, write_keywords_csv)
 
     rows, n = _dataset_rows(args.dataset)
+    sources = [g.source for g in _cached_generations(args.cache_dir)
+               if g.source]
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -259,7 +272,6 @@ def metrics(args) -> None:
             w.writerow([key[0], key[1], round(excl[key], 6),
                         round(incl[key], 6)])
 
-    sources = [g.source for g in load_cache(args.cache_dir) if g.source]
     hist, skipped = keyword_frequency(sources)
     write_keywords_csv(hist, out / "keywords.csv")
     print(f"wrote {out / 'heatmap.json'}, {out / 'passatk.csv'}, "
@@ -375,10 +387,10 @@ def _parser() -> argparse.ArgumentParser:
                    metavar="INTEGER", help=BUDGET_HELP)
 
     p = _command(commands, metrics)
-    p.add_argument("--dataset", default="./dataset.csv", metavar="PATH",
-                   help=DEFAULT)
+    p.add_argument("--dataset", default="./dataset.csv",
+                   type=_not_directory, metavar="PATH", help=DEFAULT)
     p.add_argument("--cache", dest="cache_dir", default="./cache",
-                   metavar="TEXT",
+                   type=_directory, metavar="DIRECTORY",
                    help=f"Generation cache (for the keyword histogram). "
                         f"{DEFAULT}")
     p.add_argument("--out", dest="out_dir", default=".", metavar="TEXT",
@@ -387,8 +399,8 @@ def _parser() -> argparse.ArgumentParser:
                    help=DEFAULT)
 
     p = _command(commands, report)
-    p.add_argument("--dataset", default="./dataset.csv", metavar="TEXT",
-                   help=DEFAULT)
+    p.add_argument("--dataset", default="./dataset.csv",
+                   type=_not_directory, metavar="PATH", help=DEFAULT)
     p.add_argument("--json", dest="as_json", action="store_true",
                    help="Emit JSON.")
     return parser

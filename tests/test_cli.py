@@ -191,6 +191,14 @@ def test_every_usage_error_exits_64(tmp_path):
         (("verify", design, "--property", str(tmp_path), "--top", "m"),
          "argument --property: File", "is a directory"),
         (("label", "--cache", str(prop)), "is a file"),
+        (("metrics", "--dataset", str(tmp_path), "--cache",
+          str(tmp_path)), "argument --dataset: File", "is a directory",
+         "see 'svsec metrics --help'"),
+        (("report", "--dataset", str(tmp_path)),
+         "argument --dataset: File", "is a directory",
+         "see 'svsec report --help'"),
+        (("metrics", "--cache", str(prop)), "argument --cache: Directory",
+         "is a file"),
         (("generate", "--stub", "--n", "two"), "invalid int value"),
         (("verify", design, *catalog, "--max-k", "-1"),
          "argument --max-k: -1 is less than 0", "see 'svsec verify --help'"),
@@ -261,6 +269,22 @@ def test_metrics_without_dataset_fails(tmp_path):
                  "--out", str(tmp_path))
     assert res.exit_code == 1
     assert "run label first" in res.output
+
+
+def test_metrics_without_generations_fails(tmp_path, stub_run):
+    """A cache that is missing, empty or holds no entry is one error
+    line, raised before any output is written."""
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "junk").mkdir()
+    (tmp_path / "junk" / "generations.jsonl").write_text("not an entry\n")
+    for name in ("missing", "empty", "junk"):
+        cache = tmp_path / name
+        res = invoke("metrics", "--dataset", str(stub_run / "dataset.csv"),
+                     "--cache", str(cache), "--out", str(tmp_path / "out"))
+        assert "Traceback" not in res.output
+        one_line_error(res, f"no cached generations under {cache}; "
+                       "run generate first")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
