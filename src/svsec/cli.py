@@ -359,10 +359,11 @@ def _parser() -> argparse.ArgumentParser:
                    metavar="INTEGER", help=BUDGET_HELP)
 
     p = _command(commands, generate)
-    p.add_argument("--stub", action="store_true",
-                   help="Use the offline stub provider.")
-    p.add_argument("--providers", dest="providers_file", type=_file,
-                   metavar="PATH", help="Provider config file (YAML).")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--stub", action="store_true",
+                        help="Use the offline stub provider.")
+    source.add_argument("--providers", dest="providers_file", type=_file,
+                        metavar="PATH", help="Provider config file (YAML).")
     p.add_argument("--n", type=_at_least(1), default=20, metavar="INTEGER",
                    help=f"Regenerations per (provider, problem). {DEFAULT}")
     p.add_argument("--seed", type=int, default=0, metavar="INTEGER",
@@ -370,15 +371,16 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_at_least(1), metavar="INTEGER",
                    help="Threads that ask the provider. "
                         "[default: 1 with --stub, 4 otherwise]")
-    p.add_argument("--out", dest="out_dir", default=".", metavar="TEXT",
+    p.add_argument("--out", dest="out_dir", default=".", type=_directory,
+                   metavar="DIRECTORY",
                    help=f"Output directory (cache lands in OUT/cache). "
                         f"{DEFAULT}")
 
     p = _command(commands, label)
     p.add_argument("--cache", dest="cache_dir", default="./cache",
                    type=_directory, metavar="DIRECTORY", help=DEFAULT)
-    p.add_argument("--out", dest="out_dir", default=".", metavar="TEXT",
-                   help=DEFAULT)
+    p.add_argument("--out", dest="out_dir", default=".", type=_directory,
+                   metavar="DIRECTORY", help=DEFAULT)
     p.add_argument("--seed", type=int, default=0, metavar="INTEGER",
                    help=DEFAULT)
     p.add_argument("--max-k", type=_at_least(0), default=DEFAULT_MAX_K,
@@ -393,8 +395,8 @@ def _parser() -> argparse.ArgumentParser:
                    type=_directory, metavar="DIRECTORY",
                    help=f"Generation cache (for the keyword histogram). "
                         f"{DEFAULT}")
-    p.add_argument("--out", dest="out_dir", default=".", metavar="TEXT",
-                   help=DEFAULT)
+    p.add_argument("--out", dest="out_dir", default=".", type=_directory,
+                   metavar="DIRECTORY", help=DEFAULT)
     p.add_argument("--seed", type=int, default=0, metavar="INTEGER",
                    help=DEFAULT)
 

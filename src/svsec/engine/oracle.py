@@ -43,8 +43,6 @@ def explicit_state_oracle(obl: SafetyObligation,
     bad_index = obl.bad_name
 
     free_widths = [s.width for s in ts.states if s.reset is None]
-    if sum(free_widths) > state_bit_cap:
-        raise OracleRefused("free initial state space exceeds cap")
     initial: set[tuple[int, ...]] = set()
     free_iters = [range(1 << w) for w in free_widths]
     for free_vals in product(*free_iters):

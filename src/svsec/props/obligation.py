@@ -16,7 +16,7 @@ from svsec.frontend import ast
 from svsec.ir import expr as ex
 from svsec.ir.elaborate import Scope, _elab_expr
 from svsec.ir.transition import StateVar, TransitionSystem
-from svsec.props.parse import PropertyAst
+from svsec.props.parse import PropertyAst, _past_depth
 
 BAD = "__bad"
 
@@ -53,22 +53,28 @@ class _History:
         return extra, nxt
 
 
-def _lower_sampled(e: ast.Expr, scope: Scope, hist: _History) -> ast.Expr:
+def _lower_sampled(e: ast.Expr, scope: Scope, hist: _History,
+                   refs: dict[str, ex.Expr]) -> ast.Expr:
     """Replace each sampled-value call with a reference to the history
     register of its (lowered) argument: $past directly, $rose, $fell and
     $stable as the comparison of the argument with that reference.
+
+    A reference is an identifier that `refs` resolves to its register.
+    Its name starts with `$`, which no parsed identifier does, so a
+    property cannot name a history register itself.
 
     The argument is lowered before its own chain is registered, so
     chains are allocated in post-order; their order fixes the variable
     order of everything downstream.
     """
     if not isinstance(e, ast.SysCall):
-        return ast.map_children(e, lambda sub: _lower_sampled(sub, scope, hist))
-    arg = _lower_sampled(e.args[0], scope, hist)
-    ir = _elab_expr(arg, scope, {})
-    name = hist.register(ir, e.args[1].value if len(e.args) > 1 else 1)
-    scope.widths[name] = ir.width
-    past = ast.Ident(name)
+        return ast.map_children(
+            e, lambda sub: _lower_sampled(sub, scope, hist, refs))
+    arg = _lower_sampled(e.args[0], scope, hist, refs)
+    ir = _elab_expr(arg, scope, refs)
+    name = hist.register(ir, _past_depth(e))
+    refs["$" + name] = ex.Ref(ir.width, name)
+    past = ast.Ident("$" + name)
     if e.name == "$rose":
         return ast.Binary("&&", arg, ast.Unary("!", past))
     if e.name == "$fell":
@@ -80,13 +86,15 @@ def _lower_sampled(e: ast.Expr, scope: Scope, hist: _History) -> ast.Expr:
 
 def compile_obligation(prop: PropertyAst,
                        ts: TransitionSystem) -> SafetyObligation:
-    scope = Scope(prefix="", widths=dict(ts.widths))
+    scope = Scope(prefix="", widths=ts.widths)
     hist = _History()
+    refs: dict[str, ex.Expr] = {}
 
     def lower(e: ast.Expr | None) -> ex.Expr | None:
         if e is None:
             return None
-        return ex.boolify(_elab_expr(_lower_sampled(e, scope, hist), scope, {}))
+        return ex.boolify(_elab_expr(_lower_sampled(e, scope, hist, refs),
+                                     scope, refs))
 
     disable = lower(prop.disable)
     antecedent = lower(prop.antecedent)

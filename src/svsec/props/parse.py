@@ -5,9 +5,10 @@ Grammar (clocking is implicit: the design's single posedge clock):
     property := [ "disable" "iff" "(" expr ")" ]
                 expr [ ("|->" | "|=>") expr ]
 
-Expressions use the synthesizable-subset operators plus the sampled-value
-functions $past(e[, n]), $rose(e), $fell(e) and $stable(e).  Antecedent
-and consequent are boolean-coerced (|reduction of wide values).
+Expressions are a design's, which the elaborator judges when
+`compile_obligation` lowers them, plus the sampled-value functions
+$past(e[, n]), $rose(e), $fell(e) and $stable(e).  Antecedent and
+consequent are boolean-coerced (|reduction of wide values).
 """
 
 from __future__ import annotations
@@ -75,64 +76,39 @@ def parse_property(text: str,
     errs: list[Diagnostic] = []
     for part in (prop.disable, prop.antecedent, prop.consequent):
         if part is not None:
-            _validate(part, ts, errs)
+            _validate(part, ts.clock, errs)
     if errs:
         return None, errs
     return prop, []
 
 
-def _validate(e: ast.Expr, ts: TransitionSystem, errs: list[Diagnostic]) -> None:
-    if isinstance(e, ast.Ident):
-        if e.name == ts.clock:
-            errs.append(Diagnostic(Severity.ERROR,
-                                   f"clock {e.name!r} cannot appear in a property"))
-        elif e.name not in ts.widths:
-            errs.append(Diagnostic(Severity.ERROR, f"unknown signal {e.name!r}"))
-        return
-    if isinstance(e, ast.Number):
-        return
-    if isinstance(e, ast.SysCall):
-        if e.name not in _SAMPLED:
-            errs.append(Diagnostic(Severity.UNSUPPORTED,
-                                   f"system function {e.name} not supported"))
-            return
-        if e.name == "$past":
-            if not 1 <= len(e.args) <= 2:
-                errs.append(Diagnostic(Severity.ERROR,
-                                       "$past takes one or two arguments"))
-                return
-            n = _past_depth(e)
-            if n is None or n < 1:
-                errs.append(Diagnostic(Severity.ERROR,
-                                       "$past depth must be a positive constant"))
-            elif n > PAST_DEPTH_CAP:
-                errs.append(Diagnostic(Severity.ERROR,
-                                       f"$past depth {n} exceeds cap {PAST_DEPTH_CAP}"))
-            _validate(e.args[0], ts, errs)
-            return
+def _validate(e: ast.Expr, clock: str | None, errs: list[Diagnostic]) -> None:
+    """The rules only a property has: the implicit clock stays out, and
+    the sampled-value functions take their own arguments.  Names,
+    selects and operators are the elaborator's to judge, as in a design
+    (`compile_obligation`)."""
+    if isinstance(e, ast.Ident) and e.name == clock:
+        errs.append(Diagnostic(Severity.ERROR,
+                               f"clock {e.name!r} cannot appear in a property"))
+    elif isinstance(e, ast.SysCall) and e.name not in _SAMPLED:
+        errs.append(Diagnostic(Severity.UNSUPPORTED,
+                               f"system function {e.name} not supported"))
+    elif isinstance(e, ast.SysCall) and e.name != "$past":
         if len(e.args) != 1:
             errs.append(Diagnostic(Severity.ERROR,
                                    f"{e.name} takes exactly one argument"))
-            return
-        _validate(e.args[0], ts, errs)
-        return
-    if isinstance(e, (ast.Unary, ast.Binary, ast.Ternary)):
-        for sub in ast.children(e):
-            _validate(sub, ts, errs)
-    elif isinstance(e, ast.Index):
-        _validate(e.base, ts, errs)
-        if not isinstance(e.index, ast.Number):
-            errs.append(Diagnostic(Severity.UNSUPPORTED,
-                                   "dynamic bit select not supported in properties"))
-    elif isinstance(e, ast.RangeSelect):
-        _validate(e.base, ts, errs)
-        for b in (e.msb, e.lsb):
-            if not isinstance(b, ast.Number):
-                errs.append(Diagnostic(Severity.ERROR,
-                                       "part-select bounds must be constant"))
-    elif isinstance(e, (ast.Concat, ast.Replicate)):
-        errs.append(Diagnostic(Severity.UNSUPPORTED,
-                               "concatenation not supported in properties"))
+    elif isinstance(e, ast.SysCall):
+        if not 1 <= len(e.args) <= 2:
+            errs.append(Diagnostic(Severity.ERROR,
+                                   "$past takes one or two arguments"))
+        elif (n := _past_depth(e)) is None or n < 1:
+            errs.append(Diagnostic(Severity.ERROR,
+                                   "$past depth must be a positive constant"))
+        elif n > PAST_DEPTH_CAP:
+            errs.append(Diagnostic(Severity.ERROR,
+                                   f"$past depth {n} exceeds cap {PAST_DEPTH_CAP}"))
+    for sub in ast.children(e):
+        _validate(sub, clock, errs)
 
 
 def _past_depth(call: ast.SysCall) -> int | None:

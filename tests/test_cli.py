@@ -132,7 +132,8 @@ def test_property_diagnostics_name_the_property(tmp_path):
     res = invoke("verify", str(partial), "--cwe", "1234",
                  "--difficulty", "basic")
     assert res.exit_code == 3
-    assert "  <property>:0:0: error: unknown signal 'locked_out'" in res.output
+    assert ("  <property>:0:0: error: unknown identifier 'locked_out'"
+            in res.output)
     assert str(partial) not in res.output
 
 
@@ -168,6 +169,7 @@ def test_every_usage_error_exits_64(tmp_path):
     prop = tmp_path / "prop.txt"
     prop.write_text("locked_out <= 1\n")
     catalog = ("--cwe", "1234", "--difficulty", "basic")
+    files = sorted(tmp_path.rglob("*"))
     for args, *needles in [
         ((), "COMMAND", "see 'svsec --help'"),
         (("bogus",), "'bogus'"),
@@ -224,8 +226,22 @@ def test_every_usage_error_exits_64(tmp_path):
          "unrecognized arguments: --bogus", "see 'svsec --help'"),
         (("generate", "--providers", str(tmp_path / "missing.yaml")),
          "does not exist"),
+        (("generate", "--stub", "--out", str(prop)),
+         "argument --out: Directory", "is a file",
+         "see 'svsec generate --help'"),
+        (("label", "--out", str(prop)), "argument --out: Directory",
+         "is a file", "see 'svsec label --help'"),
+        (("metrics", "--out", str(prop)), "argument --out: Directory",
+         "is a file", "see 'svsec metrics --help'"),
+        (("generate", "--stub", "--providers", str(prop), "--out",
+          str(tmp_path / "gen")),
+         "argument --providers: not allowed with argument --stub"),
+        (("generate", "--providers", str(prop), "--stub", "--out",
+          str(tmp_path / "gen")),
+         "argument --stub: not allowed with argument --providers"),
     ]:
         usage_error(invoke(*args), *needles)
+    assert sorted(tmp_path.rglob("*")) == files
 
 
 def test_generate_requires_a_source(tmp_path):

@@ -2,10 +2,16 @@ from __future__ import annotations
 
 import pytest
 
+from svsec.check import check_design
 from svsec.engine import Trace
+from svsec.engine.oracle import explicit_state_oracle
+from svsec.engine.result import Falsified, Proven
+from svsec.frontend.diagnostics import DiagnosticError
 from svsec.ir import expr as ex
 from svsec.props import (BAD, PAST_DEPTH_CAP, compile_obligation,
                          evaluate_on_trace, parse_property)
+
+from conftest import COUNTER, compile_ts
 
 
 def parse_ok(text, ts):
@@ -52,8 +58,11 @@ def test_lookback_accounting(counter_ts):
 
 
 def test_validation_errors(counter_ts):
-    msgs = parse_bad("bogus_signal == 1", counter_ts)
-    assert any("unknown signal" in m for m in msgs)
+    # Names are the elaborator's to judge, in the design's words.
+    prop = parse_ok("bogus_signal == 1", counter_ts)
+    with pytest.raises(DiagnosticError,
+                       match="unknown identifier 'bogus_signal'"):
+        compile_obligation(prop, counter_ts)
 
     msgs = parse_bad("clk_in == 1", counter_ts)
     assert any("cannot appear" in m for m in msgs)
@@ -68,14 +77,108 @@ def test_validation_errors(counter_ts):
     msgs = parse_bad("$rose(en_in, en_in) == 1", counter_ts)
     assert any("exactly one argument" in m for m in msgs)
 
-    msgs = parse_bad("{en_in, en_in} == 2'b11", counter_ts)
-    assert any("concatenation" in m for m in msgs)
-
     msgs = parse_bad("en_in == 1 garbage", counter_ts)
     assert any("trailing input" in m for m in msgs)
 
     msgs = parse_bad("$display(en_in) == 1", counter_ts)
     assert any("not supported" in m for m in msgs)
+
+
+def test_an_unknown_name_reads_the_same_in_a_design_and_a_property():
+    design = COUNTER.replace("count_out + 4'h1", "count_out + step")
+    in_design = check_design(design, "counter", "count_out != 4'h3")
+    in_property = check_design(COUNTER, "counter", "count_out != step")
+    assert [d.message for d in in_design.diagnostics] == \
+        [d.message for d in in_property.diagnostics] == \
+        ["unknown identifier 'step'"]
+    assert not in_design.in_property and in_property.in_property
+
+
+def test_a_property_cannot_name_a_history_register(counter_ts):
+    prop = parse_ok("$past(count_out) == __p0_1", counter_ts)
+    with pytest.raises(DiagnosticError, match="unknown identifier '__p0_1'"):
+        compile_obligation(prop, counter_ts)
+
+
+SHIFT = """\
+module shift(
+  input logic clk_in,
+  input logic rst_n_in,
+  input logic a_in,
+  input logic b_in,
+  input logic [1:0] sel_in,
+  output logic [3:0] q_out
+);
+  always_ff @(posedge clk_in or negedge rst_n_in) begin
+    if (!rst_n_in) q_out <= 4'd0;
+    else q_out <= {1'b0, q_out[1:0], a_in};
+  end
+endmodule
+"""
+
+ROTATE = """\
+module rotate(
+  input logic clk_in,
+  input logic rst_n_in,
+  input logic en_in,
+  output logic [3:0] hot_out,
+  output logic [1:0] idx_out
+);
+  always_ff @(posedge clk_in or negedge rst_n_in) begin
+    if (!rst_n_in) begin
+      hot_out <= 4'b0001;
+      idx_out <= 2'd0;
+    end else if (en_in) begin
+      hot_out <= {hot_out[2:0], hot_out[3]};
+      idx_out <= idx_out + 2'd1;
+    end
+  end
+endmodule
+"""
+
+# Properties that use the forms a property shares with a design:
+# concatenation, replication, a variable bit-select and part-select
+# bounds written as constant expressions.  Each row is (top module,
+# property, depth of the first violation or None for proven).
+SHARED_FORMS = [
+    ("shift", "{a_in, b_in} != 2'b11", 0),
+    ("shift", "{q_out[3], q_out[0]} != 2'b01", 1),
+    ("shift", "{q_out[3], q_out[0]} != 2'b11", None),
+    ("shift", "{2{q_out[3]}} == 2'b00", None),
+    ("shift", "{2{q_out[2]}} == 2'b00", 3),
+    ("shift", "{{2{q_out[1]}}, q_out[3]} != 3'b111", None),
+    ("shift", "q_out[sel_in] == 1'b0", 1),
+    ("shift", "q_out[sel_in + 2'd2] == 1'b0", 1),
+    ("shift", "q_out[$past(sel_in)] == 1'b0", 1),
+    ("shift", "q_out[2*2-1:2+1] == 1'b0", None),
+    ("shift", "q_out[3-1:0] != 3'b111", 3),
+    ("shift", "$past({a_in, b_in}) != 2'b11", 1),
+    ("shift", "$past({rst_n_in, a_in}) == 2'b11 |-> q_out[0]", None),
+    ("shift", "$past({rst_n_in, b_in}) == 2'b11 |-> q_out[0]", 1),
+    ("rotate", "hot_out[idx_out] == 1'b1", None),
+    ("rotate", "hot_out[idx_out + 2'd1] == 1'b0", None),
+    ("rotate", "hot_out[$past(idx_out)] == 1'b1", 1),
+    ("rotate", "$past(rst_n_in && en_in) |-> "
+              "hot_out[$past(idx_out) + 2'd1]", None),
+    ("rotate", "$past(rst_n_in && !en_in) |-> hot_out[$past(idx_out)]", None),
+    ("rotate", "$past(rst_n_in && en_in) |-> hot_out[$past(idx_out)]", 1),
+    ("rotate", "$past({hot_out, idx_out}) != {4'b0100, 2'd2}", 3),
+]
+
+
+@pytest.mark.parametrize("top, text, depth", SHARED_FORMS)
+def test_shared_forms_agree_with_the_oracle(top, text, depth):
+    design = {"shift": SHIFT, "rotate": ROTATE}[top]
+    verdict = check_design(design, top, text)
+    ts, _ = compile_ts(design, top)
+    oracle = explicit_state_oracle(
+        compile_obligation(parse_ok(text, ts), ts))
+    if oracle.violated:
+        assert isinstance(verdict, Falsified), verdict.status
+        assert verdict.depth == oracle.min_depth
+    else:
+        assert isinstance(verdict, Proven), verdict.status
+    assert oracle.min_depth == depth
 
 
 def test_obligation_structure(counter_ts):
