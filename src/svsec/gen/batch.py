@@ -12,7 +12,9 @@ but built from a fixed template: each string field is encoded once per
 distinct value in a batch (a stub batch repeats a few hundred responses
 thousands of times), and the numbers are written with `repr`, as
 `json.dumps` writes them.  The reader keeps one copy of each distinct
-response, so the extraction memo finds it by identity.
+response, problem id and provider id, which a log repeats many times,
+so the generations it returns share them, and the extraction memo
+finds a response by identity.
 
 With `workers` at 1 the jobs run in the calling thread; more workers
 run them on a thread pool, which only network providers gain from.
@@ -76,13 +78,15 @@ def load_cache(cache_dir: str | Path) -> list[Generation]:
     path = Path(cache_dir) / CACHE_FILE
     if not path.exists():
         return []
-    latest, raws = {}, {}
+    latest, texts = {}, {}
     with open(path, "rb") as fh:
         for g in map(_entry, fh):
             if g is not None:
-                # One copy of each response, which then hits the
-                # extraction memo by identity, with its hash cached.
-                g.raw = raws.setdefault(g.raw, g.raw)
+                # One copy of each id and response, with its hash cached.
+                g.problem_id = texts.setdefault(g.problem_id, g.problem_id)
+                g.provider_id = texts.setdefault(g.provider_id,
+                                                 g.provider_id)
+                g.raw = texts.setdefault(g.raw, g.raw)
                 latest[g.provider_id, g.problem_id, g.regen_index] = g
     gens = [latest[key] for key in sorted(latest)]
     # The log repeats each distinct response many times.

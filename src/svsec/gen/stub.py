@@ -14,6 +14,12 @@ and reads each design once, and keeps them for its lifetime: a new
 provider reads the designs afresh.
 Threads may share a provider: two that race on a memo entry compute
 the same value.
+
+A completion is one of a few hundred texts (four preambles around each
+design, and the refusal), and a provider builds each once: equal
+completions are one string object.  A batch holds thousands of them,
+so this saves a copy per repeat, and the batch's memos of the log
+encoding and of the extracted code then find each by identity.
 """
 
 from __future__ import annotations
@@ -49,6 +55,9 @@ class StubProvider:
         self._plans: dict[tuple[str, str],
                           tuple[tuple[str, ...], tuple[str, ...]]] = {}
         self._sources: dict[tuple[str, bool], str] = {}
+        # (preamble, source) -> completion, so equal completions are one
+        # string object.
+        self._completions: dict[tuple[str, str], str] = {}
 
     def counts(self) -> tuple[int, ...]:
         """Exact per-cell counts via largest-remainder apportionment."""
@@ -106,5 +115,8 @@ class StubProvider:
         else:
             source = self._source(spec.vulnerable_file,
                                   broken=kind == "broken")
-        return (f"{preambles[regen_index]}\n\n```systemverilog\n"
-                f"{source}```\n")
+        key = (preambles[regen_index], source)
+        if key not in self._completions:
+            self._completions[key] = (f"{key[0]}\n\n```systemverilog\n"
+                                      f"{source}```\n")
+        return self._completions[key]

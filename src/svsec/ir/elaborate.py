@@ -486,17 +486,32 @@ def _elab_expr(e: ast.Expr, scope: Scope,
         lo = _const_eval(e.lsb, scope)
         _check_part(e.base.name, base.width, hi, lo)
         return ex.slice_(base, hi, lo)
-    if isinstance(e, ast.Concat):
-        return ex.concat(tuple(_elab_expr(p, scope, blocking) for p in e.parts))
-    if isinstance(e, ast.Replicate):
-        n = _const_eval(e.count, scope)
-        v = _elab_expr(e.value, scope, blocking)
-        return ex.concat(tuple(v for _ in range(max(n, 0))))
+    if isinstance(e, (ast.Concat, ast.Replicate)):
+        # IEEE 1800-2017 11.4.12.1: a replication of zero copies has no
+        # width, and may only stand beside an operand that has one.
+        cat = (_replicate(e, scope, blocking) if isinstance(e, ast.Replicate)
+               else ex.concat(tuple(
+                   _replicate(p, scope, blocking)
+                   if isinstance(p, ast.Replicate)
+                   else _elab_expr(p, scope, blocking) for p in e.parts)))
+        if not cat.width:
+            raise error("a replication count of 0 needs a concatenation "
+                        "operand of positive width")
+        return cat
     if isinstance(e, ast.SysCall):
         raise error(f"system function {e.name} is not supported in module context",
                     severity=Severity.UNSUPPORTED)
     raise error(f"unsupported expression {type(e).__name__}",
                 severity=Severity.UNSUPPORTED)
+
+
+def _replicate(e: ast.Replicate, scope: Scope,
+               blocking: dict[str, ex.Expr]) -> ex.Expr:
+    n = _const_eval(e.count, scope)
+    if n < 0:
+        raise error(f"replication count {n} is negative")
+    v = _elab_expr(e.value, scope, blocking)
+    return ex.concat(tuple(v for _ in range(n)))
 
 
 _UNOPS = {"~": "not", "-": "neg", "&": "redand", "|": "redor", "^": "redxor"}

@@ -45,6 +45,10 @@ class TransitionSystem:
     def with_extra(self, extra_states: list[StateVar],
                    extra_next: dict[str, ex.Expr],
                    extra_defines: list[tuple[str, ex.Expr]]) -> "TransitionSystem":
+        """The system with `extra_states` and `extra_defines` added,
+        whose names must be new to it."""
+        assert not self.widths.keys() & (
+            {s.name for s in extra_states} | {n for n, _ in extra_defines})
         return TransitionSystem(
             inputs=list(self.inputs),
             states=self.states + extra_states,

@@ -8,6 +8,11 @@ The obligation is the design's transition system augmented with:
     spans more than the current cycle,
 plus a single 1-bit define `__bad` that is true exactly in the cycles
 where the assertion is violated.
+
+These names all start with `__`.  When a design's own signal names
+start so too, every added name starts with one `_` more than the
+longest run of `_` that starts one of them, so no added name is a
+design's.
 """
 
 from __future__ import annotations
@@ -31,14 +36,24 @@ class SafetyObligation:
         self.bad_name = bad_name
 
 
+def _prefix(ts: TransitionSystem) -> str:
+    """`__`, or the shortest run of `_` that starts no name of `ts`."""
+    prefix = "__"
+    while any(name.startswith(prefix) for name in ts.widths):
+        prefix += "_"
+    return prefix
+
+
 class _History:
     """Allocates $past shift-register chains, shared across the property."""
 
-    def __init__(self):
+    def __init__(self, prefix: str):
+        self.prefix = prefix
         self.chains: dict[ex.Expr, tuple[str, int]] = {}  # expr -> (base, depth)
 
     def register(self, e: ex.Expr, depth: int) -> str:
-        base, have = self.chains.get(e, (f"__p{len(self.chains)}", 0))
+        base, have = self.chains.get(
+            e, (f"{self.prefix}p{len(self.chains)}", 0))
         self.chains[e] = (base, max(have, depth))
         return f"{base}_{depth}"
 
@@ -87,7 +102,8 @@ def _lower_sampled(e: ast.Expr, scope: Scope, hist: _History,
 def compile_obligation(prop: PropertyAst,
                        ts: TransitionSystem) -> SafetyObligation:
     scope = Scope(prefix="", widths=ts.widths)
-    hist = _History()
+    prefix = _prefix(ts)
+    hist = _History(prefix)
     refs: dict[str, ex.Expr] = {}
 
     def lower(e: ast.Expr | None) -> ex.Expr | None:
@@ -106,9 +122,10 @@ def compile_obligation(prop: PropertyAst,
     # Non-overlapped implication: check one cycle after the antecedent.
     if prop.nonoverlapped:
         ant_now = antecedent if antecedent is not None else ex.BV(1, 1)
-        extra_states.append(StateVar("__ant", 1, 0))
-        extra_next["__ant"] = ant_now
-        fire: ex.Expr = ex.Ref(1, "__ant")
+        ant = f"{prefix}ant"
+        extra_states.append(StateVar(ant, 1, 0))
+        extra_next[ant] = ant_now
+        fire: ex.Expr = ex.Ref(1, ant)
     elif antecedent is not None:
         fire = antecedent
     else:
@@ -121,22 +138,25 @@ def compile_obligation(prop: PropertyAst,
         if prop.nonoverlapped:
             # The attempt is also aborted if disable held at the
             # antecedent cycle; reset to 1 treats pre-trace as disabled.
-            extra_states.append(StateVar("__dis", 1, 1))
-            extra_next["__dis"] = disable
-            bad = ex.binop("and", bad, ex.unop("not", ex.Ref(1, "__dis")))
+            dis = f"{prefix}dis"
+            extra_states.append(StateVar(dis, 1, 1))
+            extra_next[dis] = disable
+            bad = ex.binop("and", bad, ex.unop("not", ex.Ref(1, dis)))
 
     # Warm-up: no obligation until every history register holds real
     # data, counting the extra cycle a delayed antecedent looks back.
     warm = prop.lookback() if hist.chains else 0
     for k in range(1, warm + 1):
-        name = f"__v_{k}"
+        name = f"{prefix}v_{k}"
         extra_states.append(StateVar(name, 1, 0))
-        extra_next[name] = ex.BV(1, 1) if k == 1 else ex.Ref(1, f"__v_{k - 1}")
+        extra_next[name] = (ex.BV(1, 1) if k == 1
+                            else ex.Ref(1, f"{prefix}v_{k - 1}"))
     if warm:
-        bad = ex.binop("and", bad, ex.Ref(1, f"__v_{warm}"))
+        bad = ex.binop("and", bad, ex.Ref(1, f"{prefix}v_{warm}"))
 
-    augmented = ts.with_extra(extra_states, extra_next, [(BAD, bad)])
-    return SafetyObligation(augmented=augmented, prop=prop)
+    bad_name = f"{prefix}bad"
+    augmented = ts.with_extra(extra_states, extra_next, [(bad_name, bad)])
+    return SafetyObligation(augmented, prop, bad_name)
 
 
 def evaluate_on_trace(obl: SafetyObligation, trace) -> int | None:

@@ -218,11 +218,12 @@ SUPPORTED_FORMS = [
     "a_in + b_in * 4'd3", "a_in - b_in", "a_in < b_in", "a_in != b_in",
     "^a_in", "&b_in", "a_in[0] ? a_in : b_in", "{a_in, b_in}", "{2{a_in}}",
     "a_in[2]", "a_in[i_in]", "mem_q[1]", "mem_q[i_in]", "a_in[2:1]",
-    "a_in << i_in",
+    "a_in << i_in", "{a_in, {0{b_in}}}",
 ]
 UNSUPPORTED_FORMS = [
     "a_in >>> 1", "a_in / b_in", "a_in % b_in", "a_in[7]", "a_in[5:1]",
-    "mem_q[7]", "mem_q", "a_in[1][0]", "{a_in, a_in}[0]",
+    "mem_q[7]", "mem_q", "a_in[1][0]", "{a_in, a_in}[0]", "{0{a_in}}",
+    "{-1{a_in}}", "{{0{a_in}}}",
 ]
 
 
@@ -537,3 +538,15 @@ endmodule
 def test_an_integer_counter_passes_two():
     verdict = check_design(INTEGER_COUNTER, "m", "y < 8'd2")
     assert verdict.status == "falsified" and verdict.depth == 2, verdict
+
+
+def test_a_zero_replication_beside_an_operand_of_positive_width_is_empty():
+    # IEEE 1800-2017 11.4.12.1: `{0{d_in}}` adds no bits to a
+    # concatenation that has an operand of positive width.
+    source = ("module m(input logic [3:0] d_in, output logic [3:0] q_out);\n"
+              "  assign q_out = {d_in, {0{d_in}}};\nendmodule\n")
+    ts, _ = compile_ts(source, "m")
+    assert dict(ts.defines)["q_out"].width == 4
+    verdict = check_design(source, "m", "q_out == 4'd0")
+    assert verdict.status == "falsified" and verdict.depth == 0, verdict
+    assert check_design(source, "m", "q_out == d_in").status == "proven"

@@ -73,6 +73,10 @@ BODIES = {
                                   "  always_ff @(posedge clk_in) q_out <= d_in;",
     "non-constant range": "  logic [d_in:0] t;\n  assign q_out = d_in;",
     "unknown system function": "  assign q_out = $nope(d_in);",
+    # IEEE 1800-2017 11.4.12.1: no negative count, and a count of 0 only
+    # beside a concatenation operand of positive width
+    "zero replication": "  assign q_out = {0{d_in}};",
+    "negative replication": "  assign q_out = {-1{d_in}};",
     # an error inside an expression takes its module item's line
     "undeclared name in an always block":
         "  always_comb begin\n    q_out = d_in;\n    q_out = nope;\n  end",
@@ -164,6 +168,7 @@ PROPERTIES = {
     "bit index out of range": "q_out[9] == 0",
     "part select out of range": "q_out[5:2] == 0",
     "index of an expression": "(q_out + 1)[0] == 0",
+    "zero replication in a property": "{0{q_out}} == 0",
 }
 
 
@@ -219,6 +224,11 @@ DIAGNOSTICS = {
     "unknown system function": (False, [(
         "unsupported", "system function $nope is not supported in module context",
         11, 0)]),
+    "zero replication": (False, [(
+        "error", "a replication count of 0 needs a concatenation operand "
+        "of positive width", 11, 0)]),
+    "negative replication":
+        (False, [("error", "replication count -1 is negative", 11, 0)]),
     "undeclared name in an always block":
         (False, [("error", "unknown identifier 'nope'", 11, 0)]),
     "undeclared name in a port connection":
@@ -271,6 +281,9 @@ DIAGNOSTICS = {
         0, 0)]),
     "index of an expression":
         (True, [("unsupported", "index base must be an identifier", 0, 0)]),
+    "zero replication in a property": (True, [(
+        "error", "a replication count of 0 needs a concatenation operand "
+        "of positive width", 0, 0)]),
 }
 
 

@@ -100,6 +100,45 @@ def test_a_property_cannot_name_a_history_register(counter_ts):
         compile_obligation(prop, counter_ts)
 
 
+# A counter whose name is the one the obligation gives its first
+# history register, and its twin, which names the counter `cnt_out`.
+CLASH = """\
+module m(
+  input logic clk_in,
+  input logic rst_n_in,
+  input logic a_in,
+  output logic [3:0] __p0_1
+);
+  always_ff @(posedge clk_in or negedge rst_n_in) begin
+    if (!rst_n_in) __p0_1 <= 4'd0;
+    else __p0_1 <= __p0_1 + 4'd1;
+  end
+endmodule
+"""
+
+
+@pytest.mark.parametrize("text, depth", [
+    ("$past(a_in) == a_in", 1),
+    ("$past(__p0_1) == 4'd3 |-> __p0_1 == 4'd4", 4),
+    ("disable iff (!rst_n_in) a_in |=> __p0_1 == $past(__p0_1) + 4'd1", None),
+])
+def test_a_design_signal_named_like_an_obligation_register(text, depth):
+    twin = (CLASH.replace("__p0_1", "cnt_out"), text.replace("__p0_1",
+                                                             "cnt_out"))
+    verdicts = []
+    for design, prop in ((CLASH, text), twin):
+        verdict = check_design(design, "m", prop)
+        ts, _ = compile_ts(design, "m")
+        oracle = explicit_state_oracle(
+            compile_obligation(parse_ok(prop, ts), ts))
+        assert oracle.min_depth == depth
+        verdicts.append((verdict.status, getattr(verdict, "depth", None),
+                         getattr(verdict, "k_used", None)))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][:2] == (("falsified", depth) if depth is not None
+                               else ("proven", None))
+
+
 SHIFT = """\
 module shift(
   input logic clk_in,
