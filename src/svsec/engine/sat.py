@@ -12,19 +12,22 @@ Data layout:
 - `lval[p]` is the value of packed literal p: 1 true, 0 false,
   `_UNASSIGNED` otherwise.  Both literals of a variable are written on
   assignment, so every value test is one list read.
-- `heap` is an indexed binary heap of variables keyed on
-  (-activity, var), as in MiniSat: `heap_pos[v]` is v's slot, or -1.
-  It holds at most one entry per variable.  An assigned variable may
-  stay in it until `_decide` pops it, and `_backtrack` puts back the
-  popped ones, so every unassigned variable is always in it.  A full
-  trail answers SAT without popping: the key is a total order, so what
-  a later pop returns depends only on which variables are in the heap,
-  not on how many assigned ones stay behind.  A bump
-  moves its variable up in place.  A rescale of all activities keeps
-  their order but can round two of them to a tie, so it re-sorts the
-  heap.  The sift loops are written out where they run, to save a call
-  per step: `_decide` sifts down after each pop, and `_backtrack` and
-  `_bump` sift up.
+- `heap` is a `heapq` min-heap of (-activity, var) entries, and
+  `queued[v]` says whether v is in the decision order.  A queued
+  variable has exactly one entry whose key is its current activity;
+  any other entry is stale, and `_decide` skips it when it pops it.  A
+  bump pushes a new entry for a queued variable and leaves the old one
+  stale; `_decide` un-queues what it pops, and `_backtrack` queues each
+  unassigned variable that is not queued.  So every unassigned
+  variable is always queued, and an assigned one may stay queued until
+  a pop finds it.  The key is a total order, so what a pop returns
+  depends only on which variables are queued and on their activities:
+  the same variable that an indexed heap of the queued variables would
+  give.  A full trail answers SAT without popping.  The heap is
+  rebuilt from the queued variables when it grows past
+  `2 * nvars + 64` entries, so its size follows the problem, not the
+  search.  It is also rebuilt after a rescale of all activities, which
+  keeps their order but can round two of them to a tie.
 - A clause is a list of packed literals whose first two are watched.
   `watches[p]` lists the clauses that watch the negation of p, and
   `reason[v]` is the clause that implied v, or None.  Both refer to
@@ -46,6 +49,8 @@ machine-independent, reproducible stand-in for wall-clock time.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 SAT = 1
 UNSAT = 0
@@ -71,8 +76,8 @@ class Solver:
         self.reason: list = []              # var -> clause or None
         self.phase: list[int] = []
         self.activity: list[float] = []
-        self.heap: list[int] = []           # vars, best first
-        self.heap_pos: list[int] = []       # var -> slot in heap, or -1
+        self.heap: list[tuple[float, int]] = []  # (-activity, var)
+        self.queued: list[bool] = []        # var -> in the decision order
         self.seen: list[bool] = []          # scratch for _analyze
         self.trail: list[int] = []          # packed lits in assignment order
         self.trail_lim: list[int] = []
@@ -99,9 +104,9 @@ class Solver:
         self.activity += [0.0] * k
         self.seen += [False] * k
         # a new variable has the lowest activity and the highest index,
-        # so it goes last in the heap without moving anything
-        self.heap_pos += range(len(self.heap), len(self.heap) + k)
-        self.heap += range(old, n)
+        # so its entry goes last in the heap without moving anything
+        self.queued += [True] * k
+        self.heap += [(-0.0, v) for v in range(old, n)]
 
     def add_clauses(self, clauses) -> bool:
         """Add DIMACS clauses between solves (at decision level 0).
@@ -234,7 +239,7 @@ class Solver:
         """Add var_inc to each variable's activity, in order."""
         act = self.activity
         heap = self.heap
-        pos = self.heap_pos
+        queued = self.queued
         for v in variables:
             a = act[v] + self.var_inc
             act[v] = a
@@ -242,26 +247,19 @@ class Solver:
                 for u in range(len(act)):
                     act[u] *= 1e-100
                 self.var_inc *= 1e-100
-                a = act[v]
-                # rounding may tie two activities; re-sort so that
-                # ties break on the index
-                heap.sort(key=lambda u: (-act[u], u))
-                for slot, u in enumerate(heap):
-                    pos[u] = slot
-            i = pos[v]
-            if i > 0:
-                # sift v up
-                while i > 0:
-                    up = (i - 1) >> 1
-                    u = heap[up]
-                    b = act[u]
-                    if a < b or (a == b and v > u):
-                        break
-                    heap[i] = u
-                    pos[u] = i
-                    i = up
-                heap[i] = v
-                pos[v] = i
+                self._rebuild_heap()
+            elif queued[v]:
+                heappush(heap, (-a, v))
+        if len(heap) > 2 * len(act) + 64:
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """Make the heap one entry per queued variable, in place: the
+        callers hold the list."""
+        act = self.activity
+        heap = self.heap
+        heap[:] = [(-act[v], v) for v, q in enumerate(self.queued) if q]
+        heapify(heap)
 
     # ---- conflict analysis ---------------------------------------------
 
@@ -336,7 +334,7 @@ class Solver:
             lval = self.lval
             phase = self.phase
             heap = self.heap
-            pos = self.heap_pos
+            queued = self.queued
             act = self.activity
             start = self.trail_lim[target_level]
             for ix in range(len(trail) - 1, start - 1, -1):
@@ -344,22 +342,11 @@ class Solver:
                 var = p >> 1
                 phase[var] = lval[p & ~1]
                 lval[p] = lval[p ^ 1] = _UNASSIGNED
-                if pos[var] < 0:
-                    # push var and sift it up
-                    i = len(heap)
-                    heap.append(var)
-                    a = act[var]
-                    while i > 0:
-                        up = (i - 1) >> 1
-                        u = heap[up]
-                        b = act[u]
-                        if a < b or (a == b and var > u):
-                            break
-                        heap[i] = u
-                        pos[u] = i
-                        i = up
-                    heap[i] = var
-                    pos[var] = i
+                if not queued[var]:
+                    queued[var] = True
+                    heappush(heap, (-act[var], var))
+            if len(heap) > 2 * len(act) + 64:
+                self._rebuild_heap()
             del trail[start:]
             del self.trail_lim[target_level:]
         self.qhead = len(self.trail)
@@ -367,43 +354,19 @@ class Solver:
     # ---- search --------------------------------------------------------
 
     def _decide(self) -> int:
-        """Pop the variable of highest activity until one is unassigned;
-        returns its literal in the saved phase, or -1 when all are
-        assigned."""
+        """Pop the queued variable of highest activity until one is
+        unassigned; returns its literal in the saved phase, or -1 when
+        all are assigned."""
         lval = self.lval
         heap = self.heap
-        pos = self.heap_pos
+        queued = self.queued
         act = self.activity
         while heap:
-            top = heap[0]
-            pos[top] = -1
-            v = heap.pop()
-            n = len(heap)
-            if n:
-                # put the last variable at the root and sift it down
-                a = act[v]
-                i = 0
-                c = 1
-                while c < n:
-                    u = heap[c]
-                    b = act[u]
-                    if c + 1 < n:
-                        w = heap[c + 1]
-                        bw = act[w]
-                        if bw > b or (bw == b and w < u):
-                            c += 1
-                            u = w
-                            b = bw
-                    if a > b or (a == b and v < u):
-                        break
-                    heap[i] = u
-                    pos[u] = i
-                    i = c
-                    c = 2 * c + 1
-                heap[i] = v
-                pos[v] = i
-            if lval[2 * top] == _UNASSIGNED:
-                return 2 * top + (1 if self.phase[top] == 0 else 0)
+            key, v = heappop(heap)
+            if queued[v] and key == -act[v]:
+                queued[v] = False
+                if lval[2 * v] == _UNASSIGNED:
+                    return 2 * v + (1 if self.phase[v] == 0 else 0)
         return -1
 
     def work(self) -> int:

@@ -606,11 +606,11 @@ class Parser:
         self.expect("{")
         first = self.parse_expr()
         if self.at("{"):
-            # Replication {N{expr}}
+            # Replication {N{a}}; a list {N{a, b}} replicates {a, b}
             self.next()
-            value = self.parse_expr()
+            parts = self._comma_list(self.parse_expr, "}")
             self.expect("}")
-            self.expect("}")
+            value = parts[0] if len(parts) == 1 else ast.Concat(tuple(parts))
             return ast.Replicate(first, value)
         parts = [first]
         while self.at(","):

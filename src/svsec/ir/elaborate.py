@@ -90,7 +90,7 @@ def _elaborate(unit: ast.SourceUnit, top: str):
     if top not in modules:
         raise error(f"top module {top!r} not found")
     col = Collected()
-    _elab_module(modules, modules[top], Scope(prefix=""), col, is_top=True,
+    _elab_module(modules, modules[top], Scope(prefix=""), col, parents=(),
                  port_exprs=None)
 
     clock = _resolve_clock(col)
@@ -202,7 +202,12 @@ def _toposort_defines(col: Collected) -> list[str]:
 # Per-module elaboration
 
 def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
-                 is_top: bool, port_exprs: dict[str, ex.Expr] | None) -> None:
+                 parents: tuple[str, ...],
+                 port_exprs: dict[str, ex.Expr] | None) -> None:
+    """Elaborate `mod` into `col`; `parents` names the modules whose
+    instances lead to it, the top first."""
+    is_top = not parents
+    chain = parents + (mod.name,)
     for p in _params(mod):
         # an instantiation site's override (already in scope) wins
         if p.name not in scope.params:
@@ -214,6 +219,8 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
             raise error(f"inout port {port.name!r} is not supported", port.line,
                         severity=Severity.UNSUPPORTED)
         _check_not_param(port.name, "port", scope, port.line)
+        if port.name in scope.widths:
+            raise error(f"{port.name!r} is declared twice", port.line)
         scope.widths[port.name] = _at(port.line, _decl_width, port, scope)
         if port.direction == "input":
             scope.inputs.add(port.name)
@@ -268,6 +275,10 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
     for inst in _items(mod, ast.Instance):
         if inst.module not in modules:
             raise error(f"unknown module {inst.module!r}", inst.line)
+        if inst.module in chain:
+            cycle = chain[chain.index(inst.module):] + (inst.module,)
+            raise error("module instantiation cycle: " + " -> ".join(cycle),
+                        inst.line)
         child = modules[inst.module]
         child_scope = Scope(prefix=scope.prefix + inst.name + ".")
         # a header parameter list makes the body's parameters local
@@ -298,7 +309,7 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
                     raise error("output port connections must be plain identifiers",
                                 inst.line, severity=Severity.UNSUPPORTED)
                 out_conns.append((conn.expr.name, conn.port, inst.line))
-        _elab_module(modules, child, child_scope, col, is_top=False,
+        _elab_module(modules, child, child_scope, col, parents=chain,
                      port_exprs=in_exprs)
         for port in in_exprs:
             col.item_lines[child_scope.qual(port)] = inst.line

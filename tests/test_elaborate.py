@@ -483,6 +483,19 @@ def test_a_long_operator_chain_is_elaborated_without_recursion(op, clocked):
     assert verdict.status == "proven", verdict
 
 
+def test_a_replicated_list_replicates_its_concatenation():
+    # IEEE 1800-2017 11.4.12.1: {2{a, b}} is {2{{a, b}}}
+    source = ("module m(input logic a_in, input logic b_in,\n"
+              "         output logic [3:0] q_out);\n"
+              "  assign q_out = {2{a_in, b_in}};\nendmodule\n")
+    twin = source.replace("{2{a_in, b_in}}", "{2{{a_in, b_in}}}")
+    assert parse_source(source)[0] == parse_source(twin)[0]
+    verdict = check_design(source, "m", "q_out == {a_in, b_in, a_in, b_in}")
+    assert verdict.status == "proven", verdict
+    verdict = check_design(source, "m", "q_out == {a_in, a_in, b_in, b_in}")
+    assert verdict.status == "falsified", verdict
+
+
 def test_a_combinational_loop_names_its_cycle_and_line():
     source = """module m(input logic d, output logic q);
   logic a, b, c;

@@ -76,6 +76,7 @@ BODIES = {
     # IEEE 1800-2017 11.4.12.1: no negative count, and a count of 0 only
     # beside a concatenation operand of positive width
     "zero replication": "  assign q_out = {0{d_in}};",
+    "zero replication of a list": "  assign q_out = {0{d_in, d_in}};",
     "negative replication": "  assign q_out = {-1{d_in}};",
     # an error inside an expression takes its module item's line
     "undeclared name in an always block":
@@ -146,6 +147,16 @@ SOURCES = {
         body="  p #(.A(3) .B(4)) u(.a(d_in), .y(q_out));"),
     "trailing comma in the overrides": PAIR + MODULE.format(
         body="  p #(.A(3),) u(.a(d_in), .y(q_out));"),
+    "port named twice in the header":
+        "module m(input logic [3:0] d_in, input logic [3:0] d_in,\n"
+        "  output logic [3:0] q_out);\n  assign q_out = d_in;\nendmodule\n",
+    # an instance of a module being elaborated would never end
+    "module that instantiates itself": MODULE.format(
+        body="  m u(.clk_in(clk_in), .d_in(d_in), .q_out(q_out));"),
+    "instantiation cycle of two modules": MODULE.format(
+        body="  n u(.d_in(d_in), .q_out(q_out));")
+        + "module n(input logic [3:0] d_in, output logic [3:0] q_out);\n"
+        "  m v(.clk_in(1'b0), .d_in(d_in), .q_out(q_out));\nendmodule\n",
 }
 
 
@@ -227,6 +238,9 @@ DIAGNOSTICS = {
     "zero replication": (False, [(
         "error", "a replication count of 0 needs a concatenation operand "
         "of positive width", 11, 0)]),
+    "zero replication of a list": (False, [(
+        "error", "a replication count of 0 needs a concatenation operand "
+        "of positive width", 11, 0)]),
     "negative replication":
         (False, [("error", "replication count -1 is negative", 11, 0)]),
     "undeclared name in an always block":
@@ -266,6 +280,12 @@ DIAGNOSTICS = {
     "overrides without a comma": (False, [("error", "expected ')', got '.'", 7, 13)]),
     "trailing comma in the overrides":
         (False, [("error", "expected '.', got ')'", 7, 13)]),
+    "port named twice in the header":
+        (False, [("error", "'d_in' is declared twice", 1, 0)]),
+    "module that instantiates itself":
+        (False, [("error", "module instantiation cycle: m -> m", 3, 0)]),
+    "instantiation cycle of two modules":
+        (False, [("error", "module instantiation cycle: m -> n -> m", 6, 0)]),
     "$past without a comma": (True, [("error", "expected ')', got '1'", 1, 13)]),
     "$past with a trailing comma":
         (True, [("error", "unexpected ')' in expression", 1, 13)]),

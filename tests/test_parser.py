@@ -55,6 +55,12 @@ def test_parameters_round_trip_in_place(src):
     _assert_round_trips(src)
 
 
+def test_a_replicated_list_round_trips():
+    _assert_round_trips("module m(input logic a, input logic b,\n"
+                        "         output logic [5:0] y);\n"
+                        "  assign y = {3{a, b}};\nendmodule\n")
+
+
 def test_module_items_keep_source_order():
     src = ("module m(input logic a, output logic y);\n"
            "  assign y = w;\n  localparam P = 1;\n  logic w;\n"

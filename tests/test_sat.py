@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import random
+from collections import Counter
 from itertools import product
 
 import reference_sat
@@ -251,21 +253,21 @@ def test_a_full_trail_answers_sat_without_popping_the_heap(monkeypatch):
     # one assumption propagates to every variable, so the answer needs
     # no decision, and the heap is left as it was
     pops = []
+    real_heappop = sat.heappop
 
-    class Heap(list):
-        def pop(self, *args):
-            pops.append(args)
-            return super().pop(*args)
+    def heappop(heap):
+        pops.append(heap[0])
+        return real_heappop(heap)
 
     def no_decision(self):
         raise AssertionError("_decide called on a full trail")
 
+    monkeypatch.setattr(sat, "heappop", heappop)
     monkeypatch.setattr(sat.Solver, "_decide", no_decision)
     n = 12
     chain = [(-v, v + 1) for v in range(1, n)] + [(-1, -v) for v in
                                                   range(n + 1, n + 4)]
     new, ref = sat.Solver(), reference_sat.Solver()
-    new.heap = Heap()
     for s in (new, ref):
         s.ensure_vars(n + 3)
         s.add_clauses(chain)
@@ -280,19 +282,21 @@ def test_a_full_trail_answers_sat_without_popping_the_heap(monkeypatch):
 
 
 def _check_the_heap(s):
-    """Each variable is in the heap at most once, at the slot that
-    `heap_pos` names, and every unassigned variable is in it."""
-    assert len(set(s.heap)) == len(s.heap) <= len(s.activity)
-    for slot, v in enumerate(s.heap):
-        assert s.heap_pos[v] == slot
-    for v in range(len(s.level)):
-        assert s.heap_pos[v] >= 0 or s.lval[2 * v] != sat._UNASSIGNED
+    """The heap holds at most 2 * nvars + 64 entries; a queued variable
+    has exactly one entry keyed on its current activity, and any other
+    variable none; and every unassigned variable is queued."""
+    nvars = len(s.level)
+    assert len(s.heap) <= 2 * nvars + 64
+    current = Counter(e for e in s.heap if e[0] == -s.activity[e[1]])
+    for v in range(nvars):
+        assert current[-s.activity[v], v] == s.queued[v]
+        assert s.queued[v] or s.lval[2 * v] != sat._UNASSIGNED
 
 
-def test_order_heap_holds_one_entry_per_variable(monkeypatch):
-    # every bump and backtrack used to push an entry, so the heap grew
-    # with the search instead of with the problem; a full trail that
-    # answers SAT leaves its assigned variables in the heap
+def test_order_heap_grows_with_the_problem_not_the_search(monkeypatch):
+    # a heap that pushed on every bump and backtrack, with nothing to
+    # bound it, grew with the search; a full trail that answers SAT
+    # leaves its assigned variables queued
     from conftest import pipeline_design
     from svsec.catalog import list_problems
     from svsec.catalog.problems import design_text, instantiate_property_text
@@ -333,6 +337,75 @@ def test_order_heap_holds_one_entry_per_variable(monkeypatch):
         verdict = check_design(pipeline_design(d, 4, 2), "pipe", "!q_out[1]")
         assert verdict.status == "falsified" and verdict.depth == d
     assert solves > 250
+
+
+def test_decide_returns_the_unassigned_variable_of_highest_activity(
+        monkeypatch):
+    # random bumps (a rescale past 1e100 among them), new variables,
+    # root units, decisions and backtracks; after each step a decision
+    # is the unassigned variable of highest activity, the lowest index
+    # winning a tie, as a scan finds it
+    rebuilds = Counter()
+    rebuild = sat.Solver._rebuild_heap
+
+    def counted(self):
+        rebuilds[len(self.heap) > 2 * len(self.level) + 64] += 1
+        rebuild(self)
+
+    monkeypatch.setattr(sat.Solver, "_rebuild_heap", counted)
+    rng = random.Random(7)
+    for _ in range(30):
+        s = sat.Solver()
+        s.ensure_vars(rng.randint(1, 10))
+        for _ in range(200):
+            n = len(s.level)
+            step = rng.random()
+            if step < 0.5:
+                s._bump(rng.choices(range(n), k=rng.randint(1, 8)))
+                s.var_inc /= 0.95
+            elif step < 0.55:
+                s.var_inc = rng.choice((1e98, 1e100))
+                s._bump([rng.randrange(n)])
+            elif step < 0.7:
+                p = s._decide()
+                if p != -1:
+                    s.trail_lim.append(len(s.trail))
+                    s._enqueue(p, None)
+            elif step < 0.85:
+                s._backtrack(rng.randint(0, len(s.trail_lim)))
+            elif not s.trail_lim:
+                free = [v for v in range(n)
+                        if s.lval[2 * v] == sat._UNASSIGNED]
+                if free and rng.random() < 0.5:
+                    v = rng.choice(free) + 1
+                    assert s.add_clauses([(rng.choice((v, -v)),)])
+                else:
+                    s.ensure_vars(n + rng.randint(1, 2))
+            _check_the_heap(s)
+            free = [v for v in range(len(s.level))
+                    if s.lval[2 * v] == sat._UNASSIGNED]
+            best = min(free, key=lambda v: (-s.activity[v], v), default=-1)
+            p = copy.deepcopy(s)._decide()
+            assert (-1 if p == -1 else p >> 1) == best
+    # the heap was rebuilt on growth and on a rescale
+    assert rebuilds[True] > 20 and rebuilds[False] > 20
+
+
+def test_a_backtrack_that_grows_the_heap_past_its_bound_rebuilds_it():
+    # nine decisions leave one variable queued, whose bumps fill the
+    # heap to its bound with stale entries; the backtrack queues the
+    # nine again
+    s = sat.Solver()
+    s.ensure_vars(10)
+    for _ in range(9):
+        s.trail_lim.append(len(s.trail))
+        s._enqueue(s._decide(), None)
+    for _ in range(2 * 10 + 64 - 1):
+        s._bump([9])
+    assert len(s.heap) == 2 * 10 + 64
+    s._backtrack(0)
+    _check_the_heap(s)
+    assert len(s.heap) == 10
 
 
 # ------------------------------------------- agreement with the reference
