@@ -4,6 +4,11 @@ Flattens the module hierarchy (instance signals become `inst.sig`),
 turns clocked always blocks into state variables with next-state
 expressions, and combinational logic into ordered defines.
 
+Every name that a module declares (parameters, then ports, then nets,
+arrays and instances in source order) goes through `Scope.declare`,
+the one place that rejects a second declaration.  An instantiation's
+parameter overrides reach the child as their own map.
+
 Always blocks are executed symbolically.  `if` (a one-arm `case`) and
 `case` run each arm in source order on its own copy of the block's
 environment, and merge the arms back into one mux per slot.  Line
@@ -45,18 +50,29 @@ class ArrayInfo:
 class Scope:
     """Per-instance naming scope."""
 
-    def __init__(self, prefix: str, params: dict[str, int] | None = None,
-                 widths: dict[str, int] | None = None,
-                 arrays: dict[str, ArrayInfo] | None = None,
-                 inputs: set[str] | None = None):
+    def __init__(self, prefix: str, widths: dict[str, int] | None = None):
         self.prefix = prefix  # "" for top, "inst." for children
-        self.params = {} if params is None else params
+        self.params: dict[str, int] = {}
         self.widths = {} if widths is None else widths  # local name -> width
-        self.arrays = {} if arrays is None else arrays
-        self.inputs = set() if inputs is None else inputs  # input port names
+        self.arrays: dict[str, ArrayInfo] = {}
+        self.inputs: set[str] = set()  # input port names
+        self.kinds: dict[str, str] = {}  # declared name -> its kind
 
     def qual(self, name: str) -> str:
         return self.prefix + name
+
+    def declare(self, name: str, kind: str, line: int) -> None:
+        """Enter `name`, declared at `line` as a `kind` (parameter, port,
+        net or instance).  A module's parameters, ports, nets, arrays and
+        instances share one namespace (IEEE 1800-2017 3.13), and an ANSI
+        port is not declared again in the body (23.2.2.2)."""
+        first = self.kinds.get(name)
+        if first is None:
+            self.kinds[name] = kind
+        elif first == "parameter" and kind != "parameter":
+            raise error(f"{kind} {name!r} has the same name as a parameter", line)
+        else:
+            raise error(f"{name!r} is declared twice", line)
 
 
 class Collected:
@@ -91,7 +107,7 @@ def _elaborate(unit: ast.SourceUnit, top: str):
         raise error(f"top module {top!r} not found")
     col = Collected()
     _elab_module(modules, modules[top], Scope(prefix=""), col, parents=(),
-                 port_exprs=None)
+                 port_exprs=None, overrides={})
 
     clock = _resolve_clock(col)
     inputs = [(n, w) for n, w in col.input_widths.items() if n != clock]
@@ -203,34 +219,33 @@ def _toposort_defines(col: Collected) -> list[str]:
 
 def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
                  parents: tuple[str, ...],
-                 port_exprs: dict[str, ex.Expr] | None) -> None:
+                 port_exprs: dict[str, ex.Expr] | None,
+                 overrides: dict[str, int]) -> None:
     """Elaborate `mod` into `col`; `parents` names the modules whose
-    instances lead to it, the top first."""
+    instances lead to it, the top first, and `overrides` holds the
+    parameter values that its instantiation sets."""
     is_top = not parents
     chain = parents + (mod.name,)
     for p in _params(mod):
-        # an instantiation site's override (already in scope) wins
-        if p.name not in scope.params:
-            scope.params[p.name] = _at(p.line, _const_eval, p.value, scope)
+        scope.declare(p.name, "parameter", p.line)
+        scope.params[p.name] = (overrides[p.name] if p.name in overrides
+                                else _at(p.line, _const_eval, p.value, scope))
 
-    # Declare ports and nets.
+    # Declare ports, then nets and instances in source order.
     for port in mod.ports:
         if port.direction == "inout":
             raise error(f"inout port {port.name!r} is not supported", port.line,
                         severity=Severity.UNSUPPORTED)
-        _check_not_param(port.name, "port", scope, port.line)
-        if port.name in scope.widths:
-            raise error(f"{port.name!r} is declared twice", port.line)
+        scope.declare(port.name, "port", port.line)
         scope.widths[port.name] = _at(port.line, _decl_width, port, scope)
         if port.direction == "input":
             scope.inputs.add(port.name)
-    for d in _items(mod, ast.NetDecl):
-        _check_not_param(d.name, "net", scope, d.line)
-        if any(p.name == d.name for p in mod.ports):
-            # Redeclaration of a port with its net kind.
+    for d in mod.items:
+        if isinstance(d, ast.Instance):
+            scope.declare(d.name, "instance", d.line)
+        if not isinstance(d, ast.NetDecl):
             continue
-        if d.name in scope.widths or d.name in scope.arrays:
-            raise error(f"{d.name!r} is declared twice", d.line)
+        scope.declare(d.name, "net", d.line)
         w = _at(d.line, _decl_width, d, scope)
         if d.unpacked is not None:
             lo = _at(d.line, _const_eval, d.unpacked[0], scope)
@@ -285,11 +300,12 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
         # (IEEE 1800-2017 6.20.1)
         overridable = {p.name for p in child.params or _params(child)
                        if not p.local}
+        overrides = {}
         for pname, pval in inst.param_overrides:
             if pname not in overridable:
                 raise error(f"module {inst.module!r} has no parameter "
                             f"{pname!r} to override", inst.line)
-            child_scope.params[pname] = _at(inst.line, _const_eval, pval, scope)
+            overrides[pname] = _at(inst.line, _const_eval, pval, scope)
         child_ports = {p.name: p for p in child.ports}
         in_exprs: dict[str, ex.Expr] = {}
         out_conns: list[tuple[str, str, int]] = []
@@ -310,7 +326,7 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
                                 inst.line, severity=Severity.UNSUPPORTED)
                 out_conns.append((conn.expr.name, conn.port, inst.line))
         _elab_module(modules, child, child_scope, col, parents=chain,
-                     port_exprs=in_exprs)
+                     port_exprs=in_exprs, overrides=overrides)
         for port in in_exprs:
             col.item_lines[child_scope.qual(port)] = inst.line
         for parent_net, child_port, line in out_conns:
@@ -350,11 +366,6 @@ def _items(mod: ast.ModuleDecl, kind: type) -> list:
 def _params(mod: ast.ModuleDecl) -> list[ast.ParamDecl]:
     """The header's parameters, then the body's."""
     return [*mod.params, *_items(mod, ast.ParamDecl)]
-
-
-def _check_not_param(name: str, kind: str, scope: Scope, line: int) -> None:
-    if name in scope.params:
-        raise error(f"{kind} {name!r} has the same name as a parameter", line)
 
 
 def _check_target(name: str, scope: Scope, line: int) -> None:
@@ -820,6 +831,8 @@ def _elab_always(blk: ast.AlwaysBlock, scope: Scope, col: Collected) -> None:
         return
 
     edges = blk.sensitivity
+    for e in edges:
+        _lookup(e.signal, scope, {})  # an undeclared edge signal is an error
     posedges = [e for e in edges if e.edge == "posedge"]
     negedges = [e for e in edges if e.edge == "negedge"]
     if len(negedges) > 1 or len(posedges) > 2 or not posedges:
@@ -846,7 +859,7 @@ def _elab_always(blk: ast.AlwaysBlock, scope: Scope, col: Collected) -> None:
     clock_ev, *resets = posedges + negedges
     col.clock_candidates.add(scope.qual(clock_ev.signal))
     reset_env = {scope.qual(e.signal): int(e.edge == "posedge")
-                 for e in resets if e.signal in scope.widths}
+                 for e in resets}
 
     memo: dict[ex.Op, int | None] = {}  # one fold of the block under reset
     for local, next_e in assigned.items():

@@ -342,6 +342,27 @@ def test_instance_parameter_override_beats_the_default(overrides, width):
     assert ts.widths["u.a"] == ts.widths["u.y"] == width
 
 
+TWO_INSTANCES = """module c #(parameter W = 2) (input logic [W-1:0] a,
+  output logic [D-1:0] y);
+  localparam D = W * 2;
+  assign y = {a, a};
+endmodule
+module top(input logic [7:0] d, output logic [15:0] p, output logic [3:0] q);
+  c #(.W(8)) u(.a(d), .y(p));
+  c v(.a(d[1:0]), .y(q));
+endmodule
+"""
+
+
+def test_each_instance_gets_its_own_parameters():
+    ts, _ = compile_ts(TWO_INSTANCES, "top")
+    assert (ts.widths["u.a"], ts.widths["u.y"]) == (8, 16)
+    assert (ts.widths["v.a"], ts.widths["v.y"]) == (2, 4)
+    verdict = check_design(TWO_INSTANCES, "top",
+                           "p == {d, d} && q == {d[1:0], d[1:0]}")
+    assert verdict.status == "proven"
+
+
 @pytest.mark.parametrize("name", ["N", "L"])
 def test_override_of_an_undeclared_parameter_is_a_diagnostic(name):
     unit, diags = parse_source(CHILD_W.replace("{overrides}", f".{name}(8)"))

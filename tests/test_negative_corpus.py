@@ -68,6 +68,27 @@ BODIES = {
     "undeclared name": "  assign q_out = nope;",
     "net declared twice": "  logic [3:0] t;\n  logic [3:0] t;\n"
                           "  assign t = d_in;\n  assign q_out = t;",
+    # one namespace for parameters, ports, nets, arrays and instances
+    # (IEEE 1800-2017 3.13), and no body redeclaration of an ANSI port
+    # (23.2.2.2)
+    "port redeclared as a wider net":
+        "  logic [7:0] d_in;\n  assign q_out = d_in[3:0];",
+    "port redeclared as a net of its width":
+        "  logic [3:0] q_out;\n  assign q_out = d_in;",
+    "output port redeclared as an array":
+        "  logic [3:0] q_out [0:1];\n  assign q_out = d_in;",
+    "parameter declared twice": "  parameter W = 4;\n  parameter W = 8;\n"
+                                "  assign q_out = d_in + W;",
+    "instance named like a net": "  logic [3:0] u;\n"
+                                 "  c u(.a(d_in), .y(q_out));\n  assign u = d_in;",
+    "instance named like a port": "  c d_in(.a(4'd1), .y(q_out));",
+    "two instances with one name": "  logic [3:0] t;\n"
+                                   "  c u(.a(d_in), .y(t));\n"
+                                   "  c u(.a(t), .y(q_out));",
+    # sensitivity lists name declared signals
+    "undeclared reset": "  always_ff @(posedge clk_in or negedge rst_nope)\n"
+                        "    q_out <= d_in;",
+    "undeclared clock": "  always_ff @(posedge clk_nope)\n    q_out <= d_in;",
     "two continuous assigns": "  assign q_out = d_in;\n  assign q_out = ~d_in;",
     "assign and flip-flop drive": "  assign q_out = d_in;\n"
                                   "  always_ff @(posedge clk_in) q_out <= d_in;",
@@ -150,6 +171,10 @@ SOURCES = {
     "port named twice in the header":
         "module m(input logic [3:0] d_in, input logic [3:0] d_in,\n"
         "  output logic [3:0] q_out);\n  assign q_out = d_in;\nendmodule\n",
+    "header parameter beside a body localparam of its name":
+        "module m #(parameter W = 4) (input logic [W-1:0] d_in,\n"
+        "  output logic [3:0] q_out);\n  localparam W = 8;\n"
+        "  assign q_out = d_in;\nendmodule\n",
     # an instance of a module being elaborated would never end
     "module that instantiates itself": MODULE.format(
         body="  m u(.clk_in(clk_in), .d_in(d_in), .q_out(q_out));"),
@@ -226,6 +251,24 @@ DIAGNOSTICS = {
         (False, [("error", "case statement has a second default", 14, 5)]),
     "undeclared name": (False, [("error", "unknown identifier 'nope'", 11, 0)]),
     "net declared twice": (False, [("error", "'t' is declared twice", 12, 0)]),
+    "port redeclared as a wider net":
+        (False, [("error", "'d_in' is declared twice", 11, 0)]),
+    "port redeclared as a net of its width":
+        (False, [("error", "'q_out' is declared twice", 11, 0)]),
+    "output port redeclared as an array":
+        (False, [("error", "'q_out' is declared twice", 11, 0)]),
+    "parameter declared twice":
+        (False, [("error", "'W' is declared twice", 12, 0)]),
+    "instance named like a net":
+        (False, [("error", "'u' is declared twice", 12, 0)]),
+    "instance named like a port":
+        (False, [("error", "'d_in' is declared twice", 11, 0)]),
+    "two instances with one name":
+        (False, [("error", "'u' is declared twice", 13, 0)]),
+    "undeclared reset":
+        (False, [("error", "unknown identifier 'rst_nope'", 11, 0)]),
+    "undeclared clock":
+        (False, [("error", "unknown identifier 'clk_nope'", 11, 0)]),
     "two continuous assigns":
         (False, [("error", "multiple drivers for 'q_out'", 12, 0)]),
     "assign and flip-flop drive":
@@ -282,6 +325,8 @@ DIAGNOSTICS = {
         (False, [("error", "expected '.', got ')'", 7, 13)]),
     "port named twice in the header":
         (False, [("error", "'d_in' is declared twice", 1, 0)]),
+    "header parameter beside a body localparam of its name":
+        (False, [("error", "'W' is declared twice", 3, 0)]),
     "module that instantiates itself":
         (False, [("error", "module instantiation cycle: m -> m", 3, 0)]),
     "instantiation cycle of two modules":
