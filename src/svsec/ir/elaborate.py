@@ -300,19 +300,28 @@ def _elab_module(modules, mod: ast.ModuleDecl, scope: Scope, col: Collected,
         # (IEEE 1800-2017 6.20.1)
         overridable = {p.name for p in child.params or _params(child)
                        if not p.local}
+        # a named list names each parameter, and each port, at most once
+        # (IEEE 1800-2017 23.3.2.2)
         overrides = {}
         for pname, pval in inst.param_overrides:
             if pname not in overridable:
                 raise error(f"module {inst.module!r} has no parameter "
                             f"{pname!r} to override", inst.line)
+            if pname in overrides:
+                raise error(f"parameter {pname!r} is overridden twice",
+                            inst.line)
             overrides[pname] = _at(inst.line, _const_eval, pval, scope)
         child_ports = {p.name: p for p in child.ports}
         in_exprs: dict[str, ex.Expr] = {}
         out_conns: list[tuple[str, str, int]] = []
+        connected: set[str] = set()
         for conn in inst.conns:
             if conn.port not in child_ports:
                 raise error(f"module {inst.module!r} has no port {conn.port!r}",
                             inst.line)
+            if conn.port in connected:
+                raise error(f"port {conn.port!r} is connected twice", inst.line)
+            connected.add(conn.port)
             cp = child_ports[conn.port]
             if cp.direction == "input":
                 if conn.expr is not None:

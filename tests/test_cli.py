@@ -2,11 +2,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import svsec
 from clirun import invoke
+from conftest import pipeline_design
 from svsec.catalog import list_problems
 from svsec.catalog.problems import design_text, instantiate_property_text
 from svsec.check import check_design
@@ -77,7 +84,7 @@ def test_a_file_that_is_not_utf8_is_a_compile_error(tmp_path, bad_file,
         "(invalid continuation byte)"]
 
 
-@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_verify_reads_every_newline_convention(tmp_path, newline):
     lines = ["module m(input logic clk, input logic [3:0] d_in,",
              "         output logic [3:0] x);",
@@ -156,6 +163,12 @@ def usage_error(res, *needles):
         assert needle in line
 
 
+def written(root):
+    """Every path under `root`, with the bytes of each file."""
+    return {path: path.read_bytes() if path.is_file() else None
+            for path in root.rglob("*")}
+
+
 def test_an_unknown_cwe_is_a_usage_error(tmp_path):
     (spec,) = list_problems(cwe=1234, difficulty="basic")
     res = invoke("verify", write_design(tmp_path, spec, "correct"),
@@ -169,7 +182,7 @@ def test_every_usage_error_exits_64(tmp_path):
     prop = tmp_path / "prop.txt"
     prop.write_text("locked_out <= 1\n")
     catalog = ("--cwe", "1234", "--difficulty", "basic")
-    files = sorted(tmp_path.rglob("*"))
+    files = written(tmp_path)
     for args, *needles in [
         ((), "COMMAND", "see 'svsec --help'"),
         (("bogus",), "'bogus'"),
@@ -241,7 +254,7 @@ def test_every_usage_error_exits_64(tmp_path):
          "argument --stub: not allowed with argument --providers"),
     ]:
         usage_error(invoke(*args), *needles)
-    assert sorted(tmp_path.rglob("*")) == files
+    assert written(tmp_path) == files
 
 
 def test_generate_requires_a_source(tmp_path):
@@ -503,6 +516,17 @@ def test_full_pipeline(tmp_path):
     assert res.exit_code == 0, res.output
     assert "240 rows" in res.output
 
+    # The thread pool generates what the calling thread does.
+    pool = tmp_path / "pool"
+    for args in (("generate", "--stub", "--n", "2", "--seed", "1",
+                  "--workers", "4", "--out", str(pool)),
+                 ("label", "--cache", str(pool / "cache"), "--out",
+                  str(pool), "--seed", "1")):
+        res = invoke(*args)
+        assert res.exit_code == 0, res.output
+    assert (pool / "dataset.csv").read_bytes() == \
+        (tmp_path / "dataset.csv").read_bytes()
+
     res = invoke("metrics", "--dataset", str(tmp_path / "dataset.csv"),
                  "--cache", str(tmp_path / "cache"), "--out", out,
                  "--seed", "1")
@@ -613,17 +637,132 @@ def rendered(verdict, design):
                                 for d in verdict.diagnostics)]
 
 
+# design file -> the culprit line `svsec verify` prints for it
+CATALOG_LINES = {
+    "cwe1234_basic_vulnerable.sv":
+        "  root cause: line 15 (assignment to data_out)",
+    # the longest catalog counterexample (depth 5)
+    "cwe1302_advanced_vulnerable.sv":
+        "  root cause: line 21 (assignment to data_out)",
+}
+
+
 def test_verify_prints_each_catalog_verdict(tmp_path):
     specs = list_problems()
     assert len(specs) == 30
+    pinned = set()
     for spec in specs:
         for which in ("correct", "vulnerable"):
+            fname = getattr(spec, f"{which}_file")
             design = write_design(tmp_path, spec, which)
-            verdict = check_design(design_text(getattr(spec, f"{which}_file")),
-                                   spec.module_name,
+            verdict = check_design(design_text(fname), spec.module_name,
                                    instantiate_property_text(spec))
             res = invoke("verify", design, "--cwe", str(spec.cwe_id),
                          "--difficulty", spec.difficulty)
-            assert (res.exit_code, res.output.splitlines()) == \
+            lines = res.output.splitlines()
+            assert (res.exit_code, lines) == \
                 (EXIT_CODES[verdict.status], rendered(verdict, design)), \
                 design
+            if fname in CATALOG_LINES:
+                assert CATALOG_LINES[fname] in lines, design
+                pinned.add(fname)
+    assert pinned == set(CATALOG_LINES)
+
+
+def counter(arms: int) -> str:
+    """A 4-bit register that adds 1 for each set bit of `d_in`, ten
+    times over, in 40 blocking `if`s; with two arms, each branch of
+    `if (c)` holds the 40."""
+    increments = [f"      if (d_in[{i % 4}]) x = x + 4'd1;" for i in range(40)]
+    lines = ["module m(input logic clk, input logic rst_n, "
+             + ("input logic c, " if arms == 2 else "")
+             + "input logic [3:0] d_in,",
+             "         output logic [3:0] x);",
+             "  always_ff @(posedge clk or negedge rst_n) begin",
+             "    if (!rst_n) x = 4'd0;"]
+    if arms == 2:
+        lines += ["    else if (c) begin", *increments,
+                  "    end else begin", *increments, "    end"]
+    else:
+        lines += ["    else begin", *increments, "    end"]
+    return "\n".join([*lines, "  end", "endmodule", ""])
+
+
+# name -> (design, top, property, exit code, the lines printed first)
+VERIFY_OUTPUTS = {
+    # the culprit is the last assignment in the block
+    "40 increments": (counter(1), "m", "x != 4'd14", 1, [
+        "falsified at depth 1", "  root cause: line 45 (assignment to x)"]),
+    "80 increments in two arms": (counter(2), "m", "x != 4'd14", 1, [
+        "falsified at depth 1", "  root cause: line 86 (assignment to x)"]),
+    # a property's concatenation is elaborated as a design's is
+    "concatenation that holds": (counter(1), "m", "{x[3], x[0]} != 2'b11",
+                                 0, ["proven (k=5)"]),
+    "concatenation that fails": (counter(1), "m", "{x[3], x[1]} != 2'b11",
+                                 1, ["falsified at depth 1",
+                                     "  root cause: line 45 (assignment to x)"]),
+    # an 8-stage design of the deep family that masks the wrong input
+    # bit fails at depth 8
+    "8-stage leaky pipeline": (pipeline_design(8, 4, 2), "pipe", "!q_out[1]",
+                               1, ["falsified at depth 8",
+                                   "  root cause: line 32 (assignment to q_out)"]),
+}
+
+
+@pytest.mark.parametrize("name", list(VERIFY_OUTPUTS))
+def test_verify_prints_the_pinned_lines(tmp_path, name):
+    source, top, text, code, first = VERIFY_OUTPUTS[name]
+    design, prop = tmp_path / "design.sv", tmp_path / "prop.txt"
+    design.write_text(source)
+    prop.write_text(text + "\n")
+    start = time.monotonic()
+    res = invoke("verify", str(design), "--property", str(prop), "--top", top)
+    assert time.monotonic() - start < 60
+    assert res.exit_code == code, res.output
+    assert res.output.splitlines()[:len(first)] == first
+
+
+def fresh_cli(hash_seed: int, *args: str) -> subprocess.CompletedProcess:
+    """`svsec args` in a new interpreter under `PYTHONHASHSEED`."""
+    path = [str(Path(svsec.__file__).parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run([sys.executable, "-m", "svsec.cli", *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_generate_and_label_do_not_depend_on_the_hash_seed(tmp_path):
+    # Same-seed logs match line for line but for their timestamps, and
+    # one log labels to the same dataset.csv.
+    logs, datasets = [], []
+    for hash_seed in (1, 2):
+        out = tmp_path / f"hash{hash_seed}"
+        run = fresh_cli(hash_seed, "generate", "--stub", "--n", "2",
+                        "--workers", "1", "--out", str(out))
+        assert run.returncode == 0, run.stderr
+        log, stamped = re.subn(r'"timestamp": [^,}]*\}$', '"timestamp": 0}',
+                               (out / "cache" / "generations.jsonl").read_text(),
+                               flags=re.M)
+        assert stamped == len(log.splitlines()) == 240
+        logs.append(log)
+        run = fresh_cli(hash_seed, "label", "--cache",
+                        str(tmp_path / "hash1" / "cache"), "--out", str(out))
+        assert run.returncode == 0, run.stderr
+        datasets.append((out / "dataset.csv").read_bytes())
+    assert logs[0] == logs[1]
+    assert datasets[0] == datasets[1]
+
+
+def test_a_budget_verdict_does_not_depend_on_the_hash_seed(tmp_path):
+    (spec,) = list_problems(cwe=1261, difficulty="advanced")
+    design = write_design(tmp_path, spec, "correct")
+    outputs = []
+    for hash_seed in (1, 2):
+        run = fresh_cli(hash_seed, "verify", design, "--cwe", "1261",
+                        "--difficulty", "advanced", "--budget", "20000")
+        assert run.returncode == 2, run.stdout + run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("unknown (")

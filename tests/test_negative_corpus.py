@@ -122,6 +122,11 @@ BODIES = {
     # a header parameter list makes a body `parameter` local
     "override of a body parameter beside a header list":
         "  c #(.W(4), .X(1)) u(.a(d_in), .y(q_out));",
+    # a named list names each port and parameter once (23.3.2.2)
+    "input port connected twice": "  c u(.a(d_in), .a(4'd0), .y(q_out));",
+    "output port connected twice": "  logic [3:0] t;\n"
+                                   "  c u(.a(d_in), .y(q_out), .y(t));",
+    "parameter overridden twice": "  c #(.W(4), .W(8)) u(.a(d_in), .y(q_out));",
     **INPUT_PORT_DRIVES,
 }
 
@@ -308,6 +313,12 @@ DIAGNOSTICS = {
         (False, [("error", "module 'h' has no parameter 'L' to override", 11, 0)]),
     "override of an entry after a header localparam":
         (False, [("error", "module 'h' has no parameter 'W' to override", 11, 0)]),
+    "input port connected twice":
+        (False, [("error", "port 'a' is connected twice", 11, 0)]),
+    "output port connected twice":
+        (False, [("error", "port 'y' is connected twice", 12, 0)]),
+    "parameter overridden twice":
+        (False, [("error", "parameter 'W' is overridden twice", 11, 0)]),
     "assign to an input port":
         (False, [("error", "cannot assign to input port 'd_in'", 11, 0)]),
     "flip-flop drive of an input port":
