@@ -260,17 +260,14 @@ def metrics(args) -> None:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    write_heatmap_json(rows, out / "heatmap.json", seed=args.seed, n=n)
+    write_heatmap_json(rows, out / "heatmap.json", n, seed=args.seed)
 
-    excl = passatk_by_difficulty(rows, include_noncompilable=False, n=n)
-    incl = passatk_by_difficulty(rows, include_noncompilable=True, n=n)
     with open(out / "passatk.csv", "w", encoding="utf-8", newline="") as fh:
         w = _csv.writer(fh)
         w.writerow(["provider", "difficulty", "rate_excluding_noncompilable",
                     "rate_including_noncompilable"])
-        for key in sorted(excl):
-            w.writerow([key[0], key[1], round(excl[key], 6),
-                        round(incl[key], 6)])
+        for (p, d), (excl, incl) in passatk_by_difficulty(rows, n).items():
+            w.writerow([p, d, round(excl, 6), round(incl, 6)])
 
     hist, skipped = keyword_frequency(sources)
     write_keywords_csv(hist, out / "keywords.csv")
@@ -287,21 +284,19 @@ def report(args) -> None:
                                verdict_counts)
 
     rows, n = _dataset_rows(args.dataset)
-    excl = passatk_by_difficulty(rows, include_noncompilable=False, n=n)
-    incl = passatk_by_difficulty(rows, include_noncompilable=True, n=n)
-    providers = sorted({p for p, _ in excl})
+    table = passatk_by_difficulty(rows, n)
 
     if args.as_json:
         doc = {
             "toolkit_version": svsec.__version__,
             "rows": len(rows),
             "verdicts": verdict_counts(rows),
-            "passatk_excluding": {f"{p}/{d}": excl[(p, d)]
-                                  for p, d in sorted(excl)},
-            "passatk_including": {f"{p}/{d}": incl[(p, d)]
-                                  for p, d in sorted(incl)},
-            "heatmap_excluding": {f"{p}/cwe{c}": r for (p, c), r in
-                                  sorted(passatk_by_cwe(rows, n=n).items())},
+            "passatk_excluding": {f"{p}/{d}": excl
+                                  for (p, d), (excl, _) in table.items()},
+            "passatk_including": {f"{p}/{d}": incl
+                                  for (p, d), (_, incl) in table.items()},
+            "heatmap_excluding": {f"{p}/cwe{c}": excl for (p, c), (excl, _)
+                                  in passatk_by_cwe(rows, n).items()},
         }
         print(json.dumps(doc, indent=1, sort_keys=True))
         return
@@ -309,12 +304,13 @@ def report(args) -> None:
     print(f"{len(rows)} rows; verdicts "
           f"{json.dumps(verdict_counts(rows), sort_keys=True)}")
     header = f"{'provider':<12}" + "".join(f"{d:>14}" for d in DIFFICULTIES)
-    for title, table in (("excluding", excl), ("including", incl)):
+    providers = sorted({p for p, _ in table})
+    for variant, title in enumerate(("excluding", "including")):
         print()
         print(f"Pass@k ({title} non-compilable)")
         print(header)
         for p in providers:
-            print(f"{p:<12}" + "".join(f"{table[(p, d)]:>14.3f}"
+            print(f"{p:<12}" + "".join(f"{table[(p, d)][variant]:>14.3f}"
                                        for d in DIFFICULTIES))
 
 

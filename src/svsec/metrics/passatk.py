@@ -1,15 +1,17 @@
 """Pass@k: functionally correct designs over (CWE count x regenerations).
 
-Two variants per cell: excluding non-compilable designs (they leave
-both numerator and denominator) and including them (they stay in the
-denominator).  The including variant can never exceed the excluding
-one.  `unknown` verdicts always count against the rate but are never
-silently dropped — they are reported alongside.
+`pass_at_k` is the formula, and every table cell holds both of its
+variants as (excluding, including).  Including non-compilable designs,
+a cell is `pass_at_k(proven, groups, n)`; excluding them, they leave
+both numerator and denominator.  The including variant can never
+exceed the excluding one.  `unknown` verdicts always count against the
+rate but are never silently dropped — they are reported alongside.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import attrgetter
 
 from svsec.catalog.problems import CWE_IDS, DIFFICULTIES
 
@@ -23,11 +25,19 @@ def pass_at_k(num_correct: int, num_cwes: int, n: int) -> float:
 
 
 def check_scope(rows) -> int:
-    """Verify every (provider, cwe, difficulty) cell holds the same
-    regen count; returns n.  Raises ScopeError naming missing cells."""
+    """Verify every row is unique by (provider, cwe, difficulty, regen)
+    and lies inside the catalog, and every (provider, cwe, difficulty)
+    cell holds the same regen count; returns n.  Raises ScopeError
+    naming the repeated row, the foreign cell or the missing cells."""
     cells = defaultdict(set)
     for r in rows:
-        cells[(r.provider, r.cwe_id, r.difficulty)].add(r.regen_index)
+        if r.cwe_id not in CWE_IDS or r.difficulty not in DIFFICULTIES:
+            raise ScopeError(f"row {r.key()} lies outside the catalog's "
+                             f"CWEs x difficulties")
+        have = cells[(r.provider, r.cwe_id, r.difficulty)]
+        if r.regen_index in have:
+            raise ScopeError(f"duplicate row {r.key()}")
+        have.add(r.regen_index)
     if not cells:
         raise ScopeError("empty row set")
     n = max(len(v) for v in cells.values())
@@ -45,41 +55,36 @@ def check_scope(rows) -> int:
     return n
 
 
-def _rate(group, n_cells: int, include_noncompilable: bool) -> float:
-    proven = sum(1 for r in group if r.verdict == "proven")
-    if include_noncompilable:
-        denom = n_cells
-    else:
-        denom = n_cells - sum(1 for r in group
-                              if r.verdict == "compile_error")
-    return proven / denom if denom else 0.0
-
-
-def passatk_by_difficulty(rows, include_noncompilable: bool = False,
-                          n: int | None = None) -> dict:
-    """(provider, difficulty) -> rate over the 10 CWEs x n cell.  `n` is
-    what `check_scope(rows)` returned; when None, the scope is checked
-    here."""
-    if n is None:
-        n = check_scope(rows)
-    groups = defaultdict(list)
+def _table(rows, key, groups: int, n: int) -> dict:
+    """key(row) -> (excluding, including) over the `groups` x n designs
+    of each cell, in key order."""
+    counts = defaultdict(lambda: [0, 0])  # proven, compile_error
     for r in rows:
-        groups[(r.provider, r.difficulty)].append(r)
-    return {key: _rate(g, len(CWE_IDS) * n, include_noncompilable)
-            for key, g in sorted(groups.items())}
+        tally = counts[key(r)]
+        if r.verdict == "proven":
+            tally[0] += 1
+        elif r.verdict == "compile_error":
+            tally[1] += 1
+    table = {}
+    for cell, (proven, compile_errors) in sorted(counts.items()):
+        compiled = groups * n - compile_errors
+        table[cell] = (proven / compiled if compiled else 0.0,
+                       pass_at_k(proven, groups, n))
+    return table
 
 
-def passatk_by_cwe(rows, include_noncompilable: bool = False,
-                   n: int | None = None) -> dict:
-    """(provider, cwe) -> rate over the 3 difficulties x n cell; `n` as
-    for `passatk_by_difficulty`."""
-    if n is None:
-        n = check_scope(rows)
-    groups = defaultdict(list)
-    for r in rows:
-        groups[(r.provider, r.cwe_id)].append(r)
-    return {key: _rate(g, len(DIFFICULTIES) * n, include_noncompilable)
-            for key, g in sorted(groups.items())}
+def passatk_by_difficulty(rows, n: int) -> dict:
+    """(provider, difficulty) -> (excluding, including) over the 10 CWEs
+    x n cell.  `n` is what `check_scope(rows)` returned."""
+    return _table(rows, attrgetter("provider", "difficulty"),
+                  len(CWE_IDS), n)
+
+
+def passatk_by_cwe(rows, n: int) -> dict:
+    """(provider, cwe) -> (excluding, including) over the 3 difficulties
+    x n cell; `n` as for `passatk_by_difficulty`."""
+    return _table(rows, attrgetter("provider", "cwe_id"),
+                  len(DIFFICULTIES), n)
 
 
 def verdict_counts(rows) -> dict:

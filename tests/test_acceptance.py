@@ -7,6 +7,7 @@ criterion.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -25,10 +26,10 @@ from svsec.engine.induction import k_induction
 from svsec.engine.oracle import explicit_state_oracle
 from svsec.engine.result import Falsified, Proven
 from svsec.gen import StubProvider, generate_batch
-from svsec.metrics import (export_csv, heatmap, keyword_frequency,
-                           label_batch, pass_at_k, passatk_by_cwe,
-                           passatk_by_difficulty, verdict_counts,
-                           write_heatmap_json, write_keywords_csv)
+from svsec.metrics import (check_scope, export_csv, keyword_frequency,
+                           label_batch, pass_at_k, passatk_by_difficulty,
+                           verdict_counts, write_heatmap_json,
+                           write_keywords_csv)
 from svsec.props import compile_obligation, parse_property
 
 from conftest import compile_ts
@@ -424,11 +425,10 @@ def test_criterion_5_desk_scale_pipeline(stub_corpus):
     assert counts["compile_error"] == 120 * 4 == 480
     assert counts.get("unknown", 0) == 0
 
-    incl = passatk_by_difficulty(rows, include_noncompilable=True)
-    excl = passatk_by_difficulty(rows, include_noncompilable=False)
-    for key in incl:
-        assert incl[key] == pytest.approx(6 / 20, abs=0)      # 0.300
-        assert excl[key] == pytest.approx(6 / 16, abs=0)      # 0.375
+    table = passatk_by_difficulty(rows, check_scope(rows))
+    for excl, incl in table.values():
+        assert incl == pytest.approx(6 / 20, abs=0)      # 0.300
+        assert excl == pytest.approx(6 / 16, abs=0)      # 0.375
 
     # share of designs prone to a CWE (vulnerable + broken)
     prone = (1200 + 360) / 2400
@@ -446,12 +446,14 @@ def test_criterion_6_metric_fixture():
           "pass_at_k(2935,10,500)=0.587")
 
 
-def test_criterion_7_heatmap_dominance(stub_corpus):
+def test_criterion_7_heatmap_dominance(stub_corpus, tmp_path):
     _, _, rows = stub_corpus
 
     def assert_dominates(rws):
-        incl = heatmap(rws, include_noncompilable=True)["matrix"]
-        excl = heatmap(rws, include_noncompilable=False)["matrix"]
+        write_heatmap_json(rws, tmp_path / "heatmap.json", check_scope(rws))
+        doc = json.loads((tmp_path / "heatmap.json").read_text())
+        incl = doc["include_noncompilable"]
+        excl = doc["exclude_noncompilable"]
         for ri, re in zip(incl, excl):
             for ci, ce in zip(ri, re):
                 assert ci <= ce + 1e-12
@@ -504,7 +506,7 @@ def write_pipeline_artifacts(out) -> None:
     out.mkdir()
     gens, rows = run_pipeline(out, seed=0)
     export_csv(rows, out / "dataset.csv")
-    write_heatmap_json(rows, out / "heatmap.json", seed=0)
+    write_heatmap_json(rows, out / "heatmap.json", check_scope(rows), seed=0)
     hist, _ = keyword_frequency([g.source for g in gens if g.source])
     write_keywords_csv(hist, out / "keywords.csv")
 

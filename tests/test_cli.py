@@ -386,8 +386,9 @@ def test_metrics_and_report_check_the_scope_once(tmp_path, stub_run,
            for name in ("passatk.csv", "keywords.csv")}
     got["report"] = hashlib.sha256(text.encode()).hexdigest()
     assert got == SCOPE_RUN_DIGESTS
-    # The library checks the scope itself and writes the same heatmap.
-    write_heatmap_json(import_csv(dataset), tmp_path / "heatmap.json")
+    # The library, given the scope's n, writes the same heatmap.
+    rows = import_csv(dataset)
+    write_heatmap_json(rows, tmp_path / "heatmap.json", check_scope(rows))
     assert (tmp_path / "heatmap.json").read_bytes() == \
         (out / "heatmap.json").read_bytes()
 
@@ -428,6 +429,31 @@ def test_incomplete_dataset_names_the_missing_cell(tmp_path, stub_run):
     cell = f"('{provider}', {cwe}, '{difficulty}', 1)"
     for args in scope_commands(str(dataset), tmp_path):
         one_line_error(invoke(*args), "incomplete scope", cell)
+
+
+@pytest.mark.parametrize("column, cell, needle", [
+    (None, None, "duplicate row {key}"),
+    (3, "9999", "row {key} lies outside the catalog"),
+    (4, "expert", "row {key} lies outside the catalog"),
+], ids=["repeated", "cwe", "difficulty"])
+def test_a_repeated_or_foreign_row_is_one_line_error(tmp_path, stub_run,
+                                                     column, cell, needle):
+    from svsec.metrics import ScopeError, check_scope, import_csv
+
+    # The first row once more, as a proven row that would lift its cell.
+    lines = (stub_run / "dataset.csv").read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[5:8] = ["proven", "", "1"]  # verdict, cex_depth, k_used
+    if column:
+        cells[column - 1] = cell
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text("\n".join([*lines, ",".join(cells)]) + "\n")
+    needle = needle.format(key=import_csv(dataset)[-1].key())
+    with pytest.raises(ScopeError, match=re.escape(needle)):
+        check_scope(import_csv(dataset))
+    for args in scope_commands(str(dataset), tmp_path):
+        one_line_error(invoke(*args), str(dataset), needle)
+    assert not (tmp_path / "out").exists()
 
 
 def edited(dataset, line, column, cell):

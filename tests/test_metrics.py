@@ -9,9 +9,9 @@ from svsec.catalog.problems import design_text
 from svsec.frontend.lexer import tokenize
 from svsec.gen.batch import Generation
 from svsec.metrics import (CSV_HEADER, DatasetRow, RowError, ScopeError,
-                           export_csv, heatmap, import_csv, keyword_frequency,
-                           label_batch, label_design, pass_at_k,
-                           passatk_by_cwe, passatk_by_difficulty,
+                           check_scope, export_csv, import_csv,
+                           keyword_frequency, label_batch, label_design,
+                           pass_at_k, passatk_by_cwe, passatk_by_difficulty,
                            verdict_counts, write_heatmap_json,
                            write_keywords_csv)
 from svsec.metrics.keywords import DEFAULT_KEYWORDS
@@ -161,12 +161,12 @@ def test_rates_by_difficulty_and_cwe():
     # one provider: proven iff regen 0, n=4 -> rate 0.25 everywhere
     rows = full_grid(["p"], 4,
                      lambda p, c, d, i: "proven" if i == 0 else "falsified")
-    by_diff = passatk_by_difficulty(rows)
+    by_diff = passatk_by_difficulty(rows, check_scope(rows))
     assert set(by_diff) == {("p", d) for d in DIFFICULTIES}
-    assert all(v == 0.25 for v in by_diff.values())
-    by_cwe = passatk_by_cwe(rows)
+    assert all(v == (0.25, 0.25) for v in by_diff.values())
+    by_cwe = passatk_by_cwe(rows, check_scope(rows))
     assert set(by_cwe) == {("p", c) for c in CWE_IDS}
-    assert all(v == 0.25 for v in by_cwe.values())
+    assert all(v == (0.25, 0.25) for v in by_cwe.values())
 
 
 def test_including_never_exceeds_excluding():
@@ -177,10 +177,9 @@ def test_including_never_exceeds_excluding():
     for _ in range(50):
         rows = full_grid(["p", "q"], 3,
                          lambda p, c, d, i: rng.choice(verdicts))
-        incl = passatk_by_difficulty(rows, include_noncompilable=True)
-        excl = passatk_by_difficulty(rows, include_noncompilable=False)
-        for key in incl:
-            assert incl[key] <= excl[key] + 1e-12, key
+        table = passatk_by_difficulty(rows, check_scope(rows))
+        for key, (excl, incl) in table.items():
+            assert incl <= excl + 1e-12, key
 
 
 def test_compile_errors_leave_the_excluding_denominator():
@@ -189,22 +188,22 @@ def test_compile_errors_leave_the_excluding_denominator():
         return ("proven", "proven", "falsified", "compile_error")[i]
 
     rows = full_grid(["p"], 4, verdict)
-    incl = passatk_by_difficulty(rows, include_noncompilable=True)
-    excl = passatk_by_difficulty(rows, include_noncompilable=False)
+    table = passatk_by_difficulty(rows, check_scope(rows))
     for d in DIFFICULTIES:
-        assert incl[("p", d)] == pytest.approx(2 / 4)
-        assert excl[("p", d)] == pytest.approx(2 / 3)
+        excl, incl = table[("p", d)]
+        assert incl == pytest.approx(2 / 4)
+        assert excl == pytest.approx(2 / 3)
 
 
 def test_scope_errors():
     with pytest.raises(ScopeError, match="empty"):
-        passatk_by_difficulty([])
+        check_scope([])
     rows = full_grid(["p"], 2, lambda *a: "proven")
     missing = [r for r in rows
                if not (r.cwe_id == 1234 and r.difficulty == "advanced"
                        and r.regen_index == 1)]
     with pytest.raises(ScopeError, match="1234"):
-        passatk_by_difficulty(missing)
+        check_scope(missing)
 
 
 def test_verdict_counts():
@@ -215,22 +214,24 @@ def test_verdict_counts():
 
 # -------------------------------------------------------------- heatmap
 
-def test_heatmap_shape_and_values():
+def test_heatmap_shape_and_values(tmp_path):
     rows = full_grid(["a", "b"], 2,
                      lambda p, c, d, i: "proven" if p == "a" else "falsified")
-    hm = heatmap(rows)
+    write_heatmap_json(rows, tmp_path / "h.json", check_scope(rows))
+    hm = json.loads((tmp_path / "h.json").read_text())
     assert hm["providers"] == ["a", "b"]
     assert hm["cwes"] == list(CWE_IDS)
-    assert hm["matrix"][0] == [1.0] * 10
-    assert hm["matrix"][1] == [0.0] * 10
+    for variant in ("exclude_noncompilable", "include_noncompilable"):
+        assert hm[variant][0] == [1.0] * 10
+        assert hm[variant][1] == [0.0] * 10
 
 
 def test_heatmap_outputs_are_deterministic(tmp_path):
     rows = full_grid(["a"], 2,
                      lambda p, c, d, i: "proven" if (c + i) % 2 else "unknown")
     p1, p2 = tmp_path / "h1.json", tmp_path / "h2.json"
-    write_heatmap_json(rows, p1, seed=7)
-    write_heatmap_json(rows, p2, seed=7)
+    write_heatmap_json(rows, p1, check_scope(rows), seed=7)
+    write_heatmap_json(rows, p2, check_scope(rows), seed=7)
     assert p1.read_bytes() == p2.read_bytes()
     doc = json.loads(p1.read_text())
     assert doc["seed"] == 7 and doc["cwes"] == list(CWE_IDS)
