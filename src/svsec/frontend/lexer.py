@@ -5,12 +5,12 @@ never an exception.  Comments and whitespace produce no tokens.  Based
 literals (8'b0101, 'h1, '0) are single tokens.
 
 One compiled master regex of named groups scans the source, one match
-per token or skipped run; line and column come from the offset of the
-last newline.  The classes follow `str.isalpha`/`isalnum`/`isdigit`:
-`\\w` is exactly `isalnum` or `_`, but `\\d` is narrower than
-`isdigit` (it misses e.g. '²'), so the regex only starts words and
-numbers at ASCII characters and a non-ASCII letter or digit takes the
-`other` branch, which applies the `str` predicates directly.
+per token, error or skipped run; line and column come from the offset
+of the last newline.  Outside comments and strings the source is the
+ASCII character set of IEEE 1800-2017 Annex A.9.3: identifiers are
+`[a-zA-Z_][a-zA-Z0-9_$]*` and numbers take `0-9` only (5.6, 5.7), so
+the master regex is ASCII and any other character there, a non-ASCII
+letter or digit among them, is an unexpected character.
 """
 
 from __future__ import annotations
@@ -90,16 +90,14 @@ _GROUPS = (
     ("newline", r"\n[ \t\r\n]*"),
     ("line_comment", r"//[^\n]*"),
     ("block_comment", r"/\*(?s:.*?)\*/"),
-    ("open_comment", r"/\*"),
+    # An unclosed comment takes the rest of the input.
+    ("open_comment", r"/\*(?s:.*)"),
     ("op", "|".join(map(re.escape, _OPERATORS))),
-    # A number that `_number` would lex as these digits and their base,
-    # or as these digits alone; any other number takes `number`.
     ("sized", rf"[0-9][0-9_]*{_BASE}\w+"),
-    ("unsized", r"[0-9][0-9_]*(?![\w'])"),
-    ("number", r"[0-9][0-9_]*"),
+    ("no_digits", rf"(?:[0-9][0-9_]*)?{_BASE}(?!\w)"),
+    ("unsized", r"[0-9][0-9_]*"),
     # Unbased forms ('0, 'x) only without a size prefix or a sign.
     ("based", rf"{_BASE}\w+|'[01xXzZ]"),
-    ("based_no_digits", rf"{_BASE}(?!\w)"),
     ("tick", r"'"),
     ("string", r'"[^"\n]*"'),
     ("open_string", r'"[^"\n]*'),
@@ -110,12 +108,7 @@ _GROUPS = (
 )
 _MASTER = re.compile("(?:" + "|".join(f"(?P<{name}>{pattern})"
                                       for name, pattern in _GROUPS)
-                     + r")[ \t\r]*")
-
-# What may follow the digits of a number: a base makes it one sized
-# literal, and a base without digits is an error.
-_SIZE = re.compile(rf"{_BASE}(\w*)")
-_WORD_TAIL = re.compile(r"[\w$]*")
+                     + r")[ \t\r]*", re.ASCII)
 
 # A Token from its (kind, text, line, col) tuple: the namedtuple's own
 # constructor takes its fields one by one, which costs a Python call.
@@ -130,6 +123,15 @@ _KIND_OF_GROUP = {
     "based": TokenKind.UNSIZED_LIT,
     "string": TokenKind.UNSIZED_LIT,
     "system_name": TokenKind.IDENT,
+}
+
+# Groups that yield no token but one error at their first character.
+_ERROR_OF_GROUP = {
+    "no_digits": "based literal missing digits",
+    "tick": "stray ' in input",
+    "dollar": "stray $ in input",
+    "open_string": "unterminated string literal",
+    "open_comment": "unterminated block comment",
 }
 
 
@@ -161,56 +163,13 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
             if breaks:
                 line += breaks
                 line_start = pos + text.rindex("\n") + 1
-        elif group == "number":
-            pos = _number(source, pos, m.end(group), line, col, tokens, diags)
-            continue
-        elif group == "based_no_digits":
-            diags.append(Diagnostic(Severity.ERROR, "based literal missing digits",
+        elif group in _ERROR_OF_GROUP:
+            diags.append(Diagnostic(Severity.ERROR, _ERROR_OF_GROUP[group],
                                     line, col))
-        elif group == "tick":
-            diags.append(Diagnostic(Severity.ERROR, "stray ' in input", line, col))
-        elif group == "dollar":
-            diags.append(Diagnostic(Severity.ERROR, "stray $ in input", line, col))
-        elif group == "open_string":
-            diags.append(Diagnostic(Severity.ERROR, "unterminated string literal",
-                                    line, col))
-        elif group == "open_comment":
-            diags.append(Diagnostic(Severity.ERROR, "unterminated block comment",
-                                    line, col))
-            break
-        elif group == "other":  # one character no ASCII-only group takes
-            c = m.group(group)
-            if c.isalpha():  # not a keyword: keywords are ASCII
-                end = _WORD_TAIL.match(source, pos + 1).end()
-                tokens.append(Token(TokenKind.IDENT, source[pos:end], line, col))
-                pos = end
-                continue
-            if c.isdigit():
-                pos = _number(source, pos, pos + 1, line, col, tokens, diags)
-                continue
-            diags.append(Diagnostic(Severity.ERROR, f"unexpected character {c!r}",
+        elif group == "other":
+            diags.append(Diagnostic(Severity.ERROR,
+                                    f"unexpected character {m[group]!r}",
                                     line, col))
         pos = m.end()
 
     return tokens, diags
-
-
-def _number(source, start, end, line, col, tokens, diags) -> int:
-    """Lex the number whose first digits span source[start:end]; returns
-    where it ends.  Digits run on as far as `str.isdigit` (or `_`) does,
-    and a following base (8'hFF) makes the number a sized literal.  A
-    base without digits (8'h) is reported once and yields no token."""
-    n = len(source)
-    while end < n and (source[end].isdigit() or source[end] == "_"):
-        end += 1
-    size = _SIZE.match(source, end)
-    if size is not None:
-        if size.group(1):
-            tokens.append(Token(TokenKind.SIZED_LIT, source[start:size.end()],
-                                line, col))
-            return size.end()
-        diags.append(Diagnostic(Severity.ERROR, "based literal missing digits",
-                                line, col))
-        return size.end()
-    tokens.append(Token(TokenKind.UNSIZED_LIT, source[start:end], line, col))
-    return end

@@ -625,8 +625,6 @@ class Parser:
         if text[0] == '"':
             raise self._error(t, "string literals are not supported",
                               Severity.UNSUPPORTED)
-        if not text.isascii():  # int() would take any Unicode digit
-            raise self._error(t, f"invalid digits in literal {text!r}")
         size_part, tick, rest = text.partition("'")
         if not tick:
             return ast.Number(int(text.replace("_", "")), None, None)

@@ -2,8 +2,9 @@
 
 Counts language-keyword tokens only — comments, string-free prose, and
 identifiers never contribute — over a fixed set of 44 commonly
-used SystemVerilog keywords.  Untokenizable files are skipped and
-tallied as warnings.
+used SystemVerilog keywords.  Untokenizable files, those with any lexer
+diagnostic (a non-ASCII letter or digit outside comments and strings
+among them), are skipped and tallied as warnings.
 
 Regenerations often repeat a source verbatim, so each distinct source is
 tokenized once and its counts (or its skip) weigh by how many times it

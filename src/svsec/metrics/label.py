@@ -15,7 +15,7 @@ from svsec.catalog.problems import ProblemSpec, instantiate_property_text
 from svsec.check import DEFAULT_BUDGET, DEFAULT_MAX_K, check_design
 from svsec.engine import sat
 from svsec.gen.batch import Generation
-from svsec.metrics.rows import DatasetRow
+from svsec.metrics.rows import DatasetRow, design_id
 
 
 def _lines_of_code(source: str) -> int:
@@ -34,7 +34,7 @@ def label_design(gen: Generation, spec: ProblemSpec,
     verdict, cex_depth, k_used = outcome
     # By position, in the order of CSV_HEADER.
     return DatasetRow(
-        f"{gen.provider_id}:{spec.problem_id}:{gen.regen_index}",
+        design_id(gen.provider_id, spec.problem_id, gen.regen_index),
         gen.provider_id, spec.cwe_id, spec.difficulty, gen.regen_index,
         verdict, cex_depth, k_used, lines, work, "",
         spec.property_template_id, svsec.__version__, seed)

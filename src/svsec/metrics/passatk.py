@@ -13,7 +13,8 @@ from __future__ import annotations
 from collections import defaultdict
 from operator import attrgetter
 
-from svsec.catalog.problems import CWE_IDS, DIFFICULTIES
+from svsec.catalog.problems import CWE_IDS, DIFFICULTIES, list_problems
+from svsec.metrics.rows import design_id
 
 
 class ScopeError(ValueError):
@@ -25,15 +26,24 @@ def pass_at_k(num_correct: int, num_cwes: int, n: int) -> float:
 
 
 def check_scope(rows) -> int:
-    """Verify every row is unique by (provider, cwe, difficulty, regen)
-    and lies inside the catalog, and every (provider, cwe, difficulty)
-    cell holds the same regen count; returns n.  Raises ScopeError
-    naming the repeated row, the foreign cell or the missing cells."""
+    """Verify every row is unique by (provider, cwe, difficulty, regen),
+    lies inside the catalog and is named `<provider>:<problem id>:<regen>`
+    by its design_id, and every (provider, cwe, difficulty) cell holds
+    the same regen count; returns n.  Raises ScopeError naming the
+    repeated row, the foreign cell, the misnamed row or the missing
+    cells."""
+    problem_ids = {(s.cwe_id, s.difficulty): s.problem_id
+                   for s in list_problems()}
     cells = defaultdict(set)
     for r in rows:
-        if r.cwe_id not in CWE_IDS or r.difficulty not in DIFFICULTIES:
+        problem_id = problem_ids.get((r.cwe_id, r.difficulty))
+        if problem_id is None:
             raise ScopeError(f"row {r.key()} lies outside the catalog's "
                              f"CWEs x difficulties")
+        name = design_id(r.provider, problem_id, r.regen_index)
+        if r.design_id != name:
+            raise ScopeError(f"row {r.key()} has design_id "
+                             f"{r.design_id!r}, not {name!r}")
         have = cells[(r.provider, r.cwe_id, r.difficulty)]
         if r.regen_index in have:
             raise ScopeError(f"duplicate row {r.key()}")

@@ -78,6 +78,11 @@ class DatasetRow(namedtuple("DatasetRow", CSV_HEADER)):
         return self[1:5]
 
 
+def design_id(provider: str, problem_id: str, regen_index: int) -> str:
+    """The design_id of the row for one generation."""
+    return f"{provider}:{problem_id}:{regen_index}"
+
+
 def export_csv(rows, path) -> None:
     """Write `rows` to `path` through a temporary file in the same
     directory, so an interrupted write leaves any old file whole."""

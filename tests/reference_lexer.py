@@ -1,10 +1,14 @@
 """The character-at-a-time tokenizer that `svsec.frontend.lexer` replaced,
-kept verbatim as the reference the regex scanner must agree with on every
-input: the same tokens (kind, text, line, col) and the same diagnostics.
+kept as the reference the regex scanner must agree with on every input:
+the same tokens (kind, text, line, col) and the same diagnostics.  Its
+letters and digits are the ASCII classes of IEEE 1800-2017 Annex A.9.3
+(`string.ascii_letters`, `string.digits`), so any other character
+outside a comment or string is an unexpected character.
 """
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 from svsec.frontend.diagnostics import Diagnostic, Severity
@@ -33,6 +37,9 @@ _OPERATORS = (
 )
 
 _BASE_CHARS = "bodhBODH"
+_LETTERS = frozenset(string.ascii_letters)
+_DIGITS = frozenset(string.digits)
+_ALNUM = _LETTERS | _DIGITS
 
 
 def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
@@ -87,24 +94,21 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
             advance(j + 1 - i)
             continue
 
-        if c.isalpha() or c == "_":
+        if c in _LETTERS or c == "_":
             start_line, start_col = line, col
             j = i
-            while j < n and (source[j].isalnum() or source[j] in "_$"):
+            while j < n and (source[j] in _ALNUM or source[j] in "_$"):
                 j += 1
             word = source[i:j]
-            # A size prefix glued to a based literal: 8'hFF
-            if j < n and source[j] == "'" and word.isdigit():
-                pass  # handled by the numeric branch below; cannot occur here
             kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
             tokens.append(Token(kind, word, start_line, start_col))
             advance(j - i)
             continue
 
-        if c.isdigit():
+        if c in _DIGITS:
             start_line, start_col = line, col
             j = i
-            while j < n and (source[j].isdigit() or source[j] == "_"):
+            while j < n and (source[j] in _DIGITS or source[j] == "_"):
                 j += 1
             if j < n and source[j] == "'":
                 based = _lex_based(source, i, j, diags, start_line, start_col)
@@ -136,7 +140,7 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
         if c == "$":
             start_line, start_col = line, col
             j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
+            while j < n and (source[j] in _ALNUM or source[j] == "_"):
                 j += 1
             if j > i + 1:
                 tokens.append(Token(TokenKind.IDENT, source[i:j], start_line, start_col))
@@ -188,7 +192,7 @@ def _lex_based(source: str, start: int, tick: int, diags, line: int, col: int):
     if c in _BASE_CHARS:
         j += 1
         k = j
-        while k < n and (source[k].isalnum() or source[k] == "_"):
+        while k < n and (source[k] in _ALNUM or source[k] == "_"):
             k += 1
         if k == j:
             diags.append(Diagnostic(Severity.ERROR, "based literal missing digits", line, col))

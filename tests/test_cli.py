@@ -497,6 +497,19 @@ def test_a_malformed_dataset_is_one_line_error(tmp_path, stub_run, case,
     assert not (tmp_path / "out").exists()
 
 
+def test_a_row_named_as_another_design_is_one_line_error(tmp_path, stub_run):
+    # The first row (stub-a, 1209, advanced, 0) named as another provider's
+    # design of another problem and regeneration.
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text(edited(stub_run / "dataset.csv", 2, 1,
+                              "stub-z:cwe1302_basic:7"))
+    needle = ("row ('stub-a', 1209, 'advanced', 0) has design_id "
+              "'stub-z:cwe1302_basic:7', not 'stub-a:cwe1209_advanced:0'")
+    for args in scope_commands(str(dataset), tmp_path):
+        one_line_error(invoke(*args), str(dataset), needle)
+    assert not (tmp_path / "out").exists()
+
+
 def test_label_names_a_problem_not_in_the_catalog(tmp_path):
     entry = {"problem_id": "cwe9999_basic", "provider_id": "stub-a",
              "regen_index": 0, "raw": "module m(); endmodule", "error": "",

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import reference_lexer
 from svsec.catalog import list_problems
 from svsec.catalog.problems import design_text
-from svsec.frontend import KEYWORDS, TokenKind, tokenize
+from svsec.frontend import KEYWORDS, TokenKind, lexer, tokenize
 from svsec.gen.extract import extract_code
 from svsec.gen.stub import StubProvider
 
@@ -57,6 +57,59 @@ def test_signed_unbased_forms_are_not_literals(src):
     toks, diags = tokenize(src)
     assert [(d.message, d.col) for d in diags] == [("stray ' in input", 1)]
     assert [t.kind for t in toks] == [TokenKind.IDENT]
+
+
+KW, ID, OP, PUNCT = (TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.OP,
+                     TokenKind.PUNCT)
+SIZED, UNSIZED = TokenKind.SIZED_LIT, TokenKind.UNSIZED_LIT
+
+# (group of the first match, source, tokens as (kind, text), diagnostics
+# as (message, column)): one source per alternative of the master regex,
+# and the sources on the boundaries between them.
+GROUP_CASES = [
+    ("word", "module", [(KW, "module")], []),
+    ("word", "a_b$1", [(ID, "a_b$1")], []),
+    ("word", "a_é", [(ID, "a_")], [("unexpected character 'é'", 3)]),
+    ("punct", "@", [(PUNCT, "@")], []),
+    ("newline", "\n\r\n \t", [], []),
+    ("line_comment", "// 'é", [], []),
+    ("block_comment", "/* é\n */", [], []),
+    ("open_comment", "/* é", [], [("unterminated block comment", 1)]),
+    ("op", "|->", [(OP, "|->")], []),
+    ("sized", "4'sb0_1", [(SIZED, "4'sb0_1")], []),
+    ("no_digits", "8'h;", [(PUNCT, ";")], [("based literal missing digits", 1)]),
+    ("no_digits", "'h;", [(PUNCT, ";")], [("based literal missing digits", 1)]),
+    ("no_digits", "4'sb ;", [(PUNCT, ";")],
+     [("based literal missing digits", 1)]),
+    ("unsized", "1_0", [(UNSIZED, "1_0")], []),
+    ("unsized", "12abc", [(UNSIZED, "12"), (ID, "abc")], []),
+    ("unsized", "8'x", [(UNSIZED, "8"), (UNSIZED, "'x")], []),
+    ("based", "'hF", [(UNSIZED, "'hF")], []),
+    ("tick", "'s1", [(ID, "s1")], [("stray ' in input", 1)]),
+    ("string", '"é"', [(UNSIZED, '"é"')], []),
+    ("open_string", '"é\n', [], [("unterminated string literal", 1)]),
+    ("system_name", "$past", [(ID, "$past")], []),
+    ("dollar", "$ ", [], [("stray $ in input", 1)]),
+    ("space", " \tx", [(ID, "x")], []),
+    ("other", "`", [], [("unexpected character '`'", 1)]),
+    ("other", "é", [], [("unexpected character 'é'", 1)]),
+    ("other", "²", [], [("unexpected character '²'", 1)]),
+]
+
+
+@pytest.mark.parametrize("group, src, want_tokens, want_diags", GROUP_CASES,
+                         ids=[repr(case[1]) for case in GROUP_CASES])
+def test_each_group_has_one_outcome(group, src, want_tokens, want_diags):
+    assert lexer._MASTER.match(src).lastgroup == group
+    toks, diags = tokenize(src)
+    assert [(t.kind, t.text) for t in toks] == want_tokens
+    assert [(d.message, d.line, d.col) for d in diags] == \
+        [(message, 1, col) for message, col in want_diags]
+
+
+def test_every_group_has_a_case():
+    assert {group for group, *_ in GROUP_CASES} == \
+        {name for name, _ in lexer._GROUPS}
 
 
 def test_operators_longest_match():
@@ -134,9 +187,8 @@ def test_printable_text_matches_reference(src):
 
 
 # Pieces that sit on the lexer's boundaries: bases and ticks, comment and
-# string delimiters, and non-ASCII characters on which the `str`
-# predicates and the regex classes part ('²' is a digit but not decimal,
-# '½' is alphanumeric but neither a letter nor a digit).
+# string delimiters, and non-ASCII letters and digits, which are kept
+# inside comments and strings and are unexpected characters anywhere else.
 _FRAGMENTS = ["'", "'s", "'b", "'h", "8", "1_", "0", "x", "z", "s", "b",
               "_", "$", "/", "*", "//", "/*", "*/", '"', "\n", " ", "\t",
               "|->", "<=", "=", ";", "é", "²", "½", "٣", "Ⅷ", "\x0b"]

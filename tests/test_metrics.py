@@ -291,6 +291,13 @@ def test_untokenizable_sources_are_skipped():
     assert hist["module"] == 1
 
 
+def test_a_non_ascii_identifier_makes_a_source_untokenizable():
+    hist, skipped = keyword_frequency(["module m(input logic é_in);\n"
+                                       "endmodule\n"])
+    assert skipped == 1
+    assert not any(hist.values())
+
+
 def _per_source_sum(sources):
     """The histogram summed over one keyword_frequency call per source."""
     total = {kw: 0 for kw in DEFAULT_KEYWORDS}

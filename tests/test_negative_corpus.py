@@ -52,6 +52,11 @@ BODIES = {
     "zero-width literal": "  assign q_out = 0'd1;",
     "superscript size": "  assign q_out = ²'b1;",
     "Arabic-Indic digits": "  assign q_out = 3٣2;",
+    # identifiers are ASCII (IEEE 1800-2017 5.6, Annex A.9.3)
+    "non-ASCII identifier":
+        "  logic [3:0] é_q;\n  assign é_q = d_in;\n  assign q_out = é_q;",
+    "non-ASCII letter inside an identifier":
+        "  logic [3:0] a_é;\n  assign a_é = d_in;\n  assign q_out = a_é;",
     "stray tick": "  assign q_out = d_in';",
     "unterminated comment": "  assign q_out = d_in; /* open",
     # syntax
@@ -238,10 +243,17 @@ DIAGNOSTICS = {
         (False, [("error", 'invalid digits in based literal "4\'hG"', 11, 18)]),
     "zero-width literal":
         (False, [("error", 'literal "0\'d1" has zero width', 11, 18)]),
-    "superscript size":
-        (False, [("error", 'invalid digits in literal "²\'b1"', 11, 18)]),
+    "superscript size": (False, [("error", "unexpected character '²'", 11, 18)]),
     "Arabic-Indic digits":
-        (False, [("error", "invalid digits in literal '3٣2'", 11, 18)]),
+        (False, [("error", "unexpected character '٣'", 11, 19)]),
+    "non-ASCII identifier": (False, [
+        ("error", "unexpected character 'é'", 11, 15),
+        ("error", "unexpected character 'é'", 12, 10),
+        ("error", "unexpected character 'é'", 13, 18)]),
+    "non-ASCII letter inside an identifier": (False, [
+        ("error", "unexpected character 'é'", 11, 17),
+        ("error", "unexpected character 'é'", 12, 12),
+        ("error", "unexpected character 'é'", 13, 20)]),
     "stray tick": (False, [("error", "stray ' in input", 11, 22)]),
     "unterminated comment": (False, [("error", "unterminated block comment", 11, 24)]),
     "missing operand": (False, [("error", "unexpected ';' in expression", 11, 24)]),
