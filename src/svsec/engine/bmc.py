@@ -1,4 +1,5 @@
-"""Bounded model checking over an obligation's augmented system.
+"""The base case of k-induction, one depth per query, and the template
+and unroller that it and the induction step each build on.
 
 A check blasts its transition relation once, into one `Template` that
 the base case and the induction step share and that keeps only the
@@ -8,11 +9,12 @@ property sees nothing outside the cone, so dropping it keeps every
 verdict (Clarke, Grumberg & Peled, "Model Checking", 1999).  Each frame
 copies the template into one growing AIG, which an incremental Tseitin
 encoder feeds into one persistent solver; a first frame whose state
-bits are all free is the template as it is.  Depths are checked
-shallowest first, each with its `bad` bit as an assumption, so the
-first hit is at the minimal depth; a depth shown clean keeps `not bad`
-as a permanent unit and is not checked again.  So a new depth costs
-its own frame alone: one copy, and the encoding of its new nodes.
+bits are all free is the template as it is.  `bmc` asks about one
+depth, with its `bad` bit as an assumption, and depths come in order,
+so the first hit is at the minimal depth; a depth shown clean keeps
+`not bad` as a permanent unit and is not asked about again.  So a new
+depth costs its own frame alone: one copy, and the encoding of its new
+nodes.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import compress
 from svsec.engine import sat
 from svsec.engine.aig import Aig, FALSE, TRUE, blast_frame
 from svsec.engine.cnf import TseitinEncoder
-from svsec.engine.result import Falsified, NoCexUpTo, Unknown
+from svsec.engine.result import Falsified
 from svsec.engine.trace import Trace
 from svsec.props.obligation import SafetyObligation, evaluate_on_trace
 
@@ -124,21 +126,19 @@ class Unroller:
     list copy of its nodes and of its hash table, each node its own
     literal.
     `k_induction` builds one template and gives it to both its base and
-    its step unroller; without one, the unroller builds its own.  Only
-    the cone's state bits are unrolled, so `state_lits` covers only
-    them, and a bus bit outside the cone reads as FALSE.
+    its step unroller.  Only the cone's state bits are unrolled, so
+    `state_lits` covers only them, and a bus bit outside the cone reads
+    as FALSE.
     """
 
-    def __init__(self, obl: SafetyObligation, free_initial: bool = False,
-                 template: Template | None = None):
+    def __init__(self, obl: SafetyObligation, template: Template,
+                 free_initial: bool = False):
         self.obl = obl
         self.ts = obl.augmented
-        self.template = template or Template(obl)
+        self.template = template
         self.aig = Aig()
         self.cnf = TseitinEncoder(self.aig)
         self.solver = sat.Solver()
-        # depths below this one are shown violation-free (bmc only)
-        self.clean = 0
         self.frames: list[list[int]] = []
         # the template literal of `bad`
         self._bad = self.template.buses[obl.bad_name][0]
@@ -218,42 +218,31 @@ class Unroller:
         return Trace(initial=initial, inputs=inputs)
 
 
-def out_of_budget(phase: str, k: int, budget: int) -> Unknown:
-    return Unknown(max_k=k, reason=(
-        f"{phase} at k={k} exceeded the work budget of {budget}"))
+def bmc(un: Unroller, depth: int, budget: int):
+    """The base case at `depth`: search the reset-constrained unroller
+    for a violation there; depths come in order, 0, 1, 2, ...
 
-
-def bmc(obl: SafetyObligation, max_depth: int,
-        budget: int = DEFAULT_BUDGET,
-        unroller: Unroller | None = None):
-    """Search for a violation at depths 0..max_depth, shallowest first.
-
-    `budget` bounds the solver work of the whole search; a depth whose
-    query runs out of it gives Unknown.  With an `unroller` from an
-    earlier call, the depths it already showed clean are not searched
-    again; once depth 0 is clean, frame 0's state bits, which the first
-    call encoded, are not asked for again.
+    Returns Falsified, `sat.UNKNOWN` when the query runs out of
+    `budget` work units, or None when the depth is clean, which keeps
+    `not bad` at it as a permanent unit.  Depth 0 also encodes frame
+    0's free state bits, so that models assign every input a trace
+    reads; each depth encodes its own inputs.
     """
-    un = unroller or Unroller(obl)
-    start = un.solver.work()
-    if un.clean == 0:
-        # encode every input a trace reads, so that models assign them
-        # all; the depths' own inputs are encoded as they are searched
+    assert len(un.frames) == depth, f"depth {depth} after {len(un.frames)}"
+    if depth == 0:
         un.cnf.encode(lit for lit in un.state_lits(0) if lit > TRUE)
-    for d in range(un.clean, max_depth + 1):
-        bad = un.bad(d)
-        un.cnf.encode(un.input_lits(d))
-        if bad != FALSE:
-            (bad_lit,) = un.cnf.encode([bad])
-            status, model = un.solve(
-                [bad_lit], budget - (un.solver.work() - start))
-            if status == sat.UNKNOWN:
-                return out_of_budget("base case", d, budget)
-            if status == sat.SAT:
-                tr = un.extract_trace(model, d)
-                hit = evaluate_on_trace(obl, tr)
-                assert hit == d, f"trace replay mismatch: {hit} != {d}"
-                return Falsified(trace=tr, depth=d)
-            un.add_unit(-bad_lit)
-        un.clean = d + 1
-    return NoCexUpTo(depth=max_depth)
+    bad = un.bad(depth)
+    un.cnf.encode(un.input_lits(depth))
+    if bad == FALSE:
+        return None
+    (bad_lit,) = un.cnf.encode([bad])
+    status, model = un.solve([bad_lit], budget)
+    if status == sat.UNKNOWN:
+        return status
+    if status == sat.SAT:
+        tr = un.extract_trace(model, depth)
+        hit = evaluate_on_trace(un.obl, tr)
+        assert hit == depth, f"trace replay mismatch: {hit} != {depth}"
+        return Falsified(trace=tr, depth=depth)
+    un.add_unit(-bad_lit)
+    return None

@@ -1,4 +1,5 @@
-"""k-induction: BMC base case plus an inductive step over free states.
+"""k-induction: two queries per k over one template, the base case
+over reset-constrained frames and the inductive step over free ones.
 
 proven(k) means: no violation at depths 0..k (base), and k consecutive
 violation-free frames starting anywhere imply a violation-free frame
@@ -9,13 +10,15 @@ given a large enough k.
 
 Both phases are incremental (Een & Sorensson, "Temporal Induction by
 Incremental SAT Solving", BMC 2003): each keeps one unroller whose
-solver and Tseitin encoder persist across k.  The base case checks
-depth k only, since bmc already showed depths below k clean.  The step
-adds `not bad(k-1)` as a permanent unit and assumes `bad(k)`.  So each
-k costs one new frame per phase: its copy (the step's first frame is
-the template as it is), one read of its state literals, which the step
-keeps for every later k, and the encoding of its new nodes; asking the
-encoder again for `bad(k-1)`, already encoded, walks nothing.
+solver and Tseitin encoder persist across k, and each adds one frame
+and one query per k.  The base case (`bmc.bmc`) checks depth k only:
+depths below k are clean, and each keeps `not bad` as a permanent
+unit.  The step adds `not bad(k-1)` as a permanent unit and assumes
+`bad(k)`.  So each k costs one new frame per phase: its copy (the
+step's first frame is the template as it is), one read of its state
+literals, which the step keeps for every later k, and the encoding of
+its new nodes; asking the encoder again for `bad(k-1)`, already
+encoded, walks nothing.
 Simple-path constraints are added lazily (Sheeran, Singh & Stalmarck,
 FMCAD 2000): only for the frame pairs that a step model does not show
 distinct, after which the step is solved again.  These constraints hold
@@ -40,9 +43,8 @@ from collections.abc import Callable
 
 from svsec.engine import sat
 from svsec.engine.aig import TRUE
-from svsec.engine.bmc import (DEFAULT_BUDGET, Template, Unroller, bmc,
-                              out_of_budget)
-from svsec.engine.result import Falsified, NoCexUpTo, Proven, Unknown
+from svsec.engine.bmc import DEFAULT_BUDGET, Template, Unroller, bmc
+from svsec.engine.result import Proven, Unknown
 from svsec.props.obligation import SafetyObligation
 
 
@@ -56,20 +58,19 @@ def k_induction(obl: SafetyObligation, max_k: int,
     does not depend on machine speed or load.
     """
     template = Template(obl)
-    base_un = Unroller(obl, template=template)
-    step_un = Unroller(obl, free_initial=True, template=template)
+    base_un = Unroller(obl, template)
+    step_un = Unroller(obl, template, free_initial=True)
     states: list[list[int]] = []  # the step's state literals per frame
 
     def left() -> int:
         return budget - base_un.solver.work() - step_un.solver.work()
 
     for k in range(max_k + 1):
-        res = bmc(obl, max_depth=k, budget=left(), unroller=base_un)
-        if isinstance(res, Falsified):
-            return res
-        if isinstance(res, Unknown):
+        res = bmc(base_un, k, left())
+        if res == sat.UNKNOWN:
             return out_of_budget("base case", k, budget)
-        assert isinstance(res, NoCexUpTo)
+        if res is not None:
+            return res
 
         status = _step(step_un, k, left, states)
         if status == sat.UNSAT:
@@ -77,6 +78,11 @@ def k_induction(obl: SafetyObligation, max_k: int,
         if status == sat.UNKNOWN:
             return out_of_budget("induction step", k, budget)
     return Unknown(max_k=max_k, reason="induction depth exhausted")
+
+
+def out_of_budget(phase: str, k: int, budget: int) -> Unknown:
+    return Unknown(max_k=k, reason=(
+        f"{phase} at k={k} exceeded the work budget of {budget}"))
 
 
 def _step(un: Unroller, k: int, left: Callable[[], int],

@@ -25,13 +25,6 @@ class Falsified:
         self.culprit_signal = culprit_signal
 
 
-class NoCexUpTo:
-    status = "no_cex_up_to"
-
-    def __init__(self, depth: int):
-        self.depth = depth
-
-
 class Unknown:
     status = "unknown"
 

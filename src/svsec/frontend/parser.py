@@ -53,7 +53,7 @@ _BINARY_PRECEDENCE = {
     "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
     "==": 6, "!=": 6,
     "<": 7, "<=": 7, ">": 7, ">=": 7,
-    "<<": 8, ">>": 8, ">>>": 8,
+    "<<": 8, "<<<": 8, ">>": 8, ">>>": 8,
     "+": 9, "-": 9,
     "*": 10, "/": 10, "%": 10,
 }

@@ -439,7 +439,7 @@ def _const_binop(op: str, a: int, b: int) -> int:
         return a // b if b else 0
     if op == "%":
         return a % b if b else 0
-    if op == "<<":
+    if op in ("<<", "<<<"):
         return a << b
     if op == ">>":
         return a >> b
@@ -594,11 +594,12 @@ def _binop(op: str, a: ex.Expr, b: ex.Expr) -> ex.Expr:
         if op == ">":
             return ex.binop("ult", b, a)
         return ex.binop("ule", b, a)
-    if op in ("<<", ">>", ">>>"):
+    if op in ("<<", "<<<", ">>", ">>>"):
         if op == ">>>":
             raise error("arithmetic shift is not supported (unsigned semantics)",
                         severity=Severity.UNSUPPORTED)
-        return ex.binop({"<<": "shl", ">>": "shr"}[op], a, b, width=a.width)
+        # `<<<` fills with zeros, as `<<` does (IEEE 1800-2017 11.4.10)
+        return ex.binop("shr" if op == ">>" else "shl", a, b, width=a.width)
     if op in ("/", "%"):
         raise error(f"operator {op!r} is not supported", severity=Severity.UNSUPPORTED)
     raise error(f"unsupported operator {op!r}", severity=Severity.UNSUPPORTED)

@@ -218,7 +218,7 @@ SUPPORTED_FORMS = [
     "a_in + b_in * 4'd3", "a_in - b_in", "a_in < b_in", "a_in != b_in",
     "^a_in", "&b_in", "a_in[0] ? a_in : b_in", "{a_in, b_in}", "{2{a_in}}",
     "a_in[2]", "a_in[i_in]", "mem_q[1]", "mem_q[i_in]", "a_in[2:1]",
-    "a_in << i_in", "{a_in, {0{b_in}}}",
+    "a_in << i_in", "a_in <<< i_in", "{a_in, {0{b_in}}}",
 ]
 UNSUPPORTED_FORMS = [
     "a_in >>> 1", "a_in / b_in", "a_in % b_in", "a_in[7]", "a_in[5:1]",

@@ -14,12 +14,11 @@ import svsec
 from svsec.check import check_design
 from svsec.engine import sat
 from svsec.engine.aig import FALSE, TRUE, Aig, blast_frame
-from svsec.engine.bmc import Template, Unroller, bmc
+from svsec.engine.bmc import DEFAULT_BUDGET, Template, Unroller, bmc
 from svsec.engine.cnf import to_cnf
 from svsec.engine.induction import _known_state, k_induction
 from svsec.engine.oracle import OracleRefused, explicit_state_oracle
-from svsec.engine.result import (CompileError, Falsified, NoCexUpTo, Proven,
-                                 Unknown)
+from svsec.engine.result import CompileError, Falsified, Proven, Unknown
 from svsec.props import compile_obligation, parse_property
 from svsec.props.obligation import evaluate_on_trace
 
@@ -52,10 +51,25 @@ def obligation(source, top, text):
     return compile_obligation(prop, ts)
 
 
+def unroller(obl, free_initial: bool = False) -> Unroller:
+    return Unroller(obl, Template(obl), free_initial)
+
+
+def base_case(obl, max_depth: int):
+    """The base-case query at depths 0..max_depth in order, on one
+    unroller: the first answer that is not clean, else None."""
+    un = unroller(obl)
+    for depth in range(max_depth + 1):
+        res = bmc(un, depth, DEFAULT_BUDGET)
+        if res is not None:
+            return res
+    return None
+
+
 def test_bmc_reports_minimal_depth_and_matches_oracle(counter_ts):
     obl = obligation(COUNTER, "counter",
                      "disable iff (!rst_n_in) count_out != 4'h3")
-    res = bmc(obl, max_depth=10)
+    res = base_case(obl, max_depth=10)
     assert isinstance(res, Falsified) and res.depth == 3
     oracle = explicit_state_oracle(obl)
     assert oracle.violated and oracle.min_depth == 3
@@ -64,14 +78,35 @@ def test_bmc_reports_minimal_depth_and_matches_oracle(counter_ts):
 def test_bmc_bound_short_of_the_bug(counter_ts):
     obl = obligation(COUNTER, "counter",
                      "disable iff (!rst_n_in) count_out != 4'h3")
-    res = bmc(obl, max_depth=2)
-    assert isinstance(res, NoCexUpTo) and res.depth == 2
+    un = unroller(obl)
+    assert [bmc(un, d, DEFAULT_BUDGET) for d in range(3)] == [None] * 3
+    assert len(un.frames) == 3
+    res = bmc(un, 3, DEFAULT_BUDGET)
+    assert isinstance(res, Falsified) and res.depth == 3
+
+
+def test_bmc_takes_depths_in_order():
+    # A clean depth leaves `not bad` as a unit, so a depth asked out of
+    # order, skipped or again would rest on units that are not there.
+    obl = obligation(COUNTER, "counter",
+                     "disable iff (!rst_n_in) count_out != 4'h3")
+    un = unroller(obl)
+    with pytest.raises(AssertionError, match="depth 1 after 0"):
+        bmc(un, 1, DEFAULT_BUDGET)
+    assert bmc(un, 0, DEFAULT_BUDGET) is None
+    for depth in (0, 2):
+        with pytest.raises(AssertionError, match=f"depth {depth} after 1"):
+            bmc(un, depth, DEFAULT_BUDGET)
+    assert bmc(un, 1, DEFAULT_BUDGET) is None
+    assert bmc(un, 2, DEFAULT_BUDGET) is None
+    # the violation at depth 3 takes search: out of work, it is unknown
+    assert bmc(un, 3, 0) == sat.UNKNOWN and len(un.frames) == 4
 
 
 def test_bmc_trace_is_a_real_execution():
     obl = obligation(COUNTER, "counter",
                      "disable iff (!rst_n_in) count_out != 4'h5")
-    res = bmc(obl, max_depth=10)
+    res = base_case(obl, max_depth=10)
     assert isinstance(res, Falsified)
     tr = res.trace
     assert tr.depth == res.depth == 5
@@ -161,15 +196,15 @@ def test_oracle_refuses_oversized_designs(counter_ts):
 def test_free_initial_unroller_relaxes_reset():
     obl = obligation(COUNTER, "counter", "count_out != 4'h7")
     # reset-constrained frame 0 cannot be bad; a free frame 0 can
-    assert isinstance(bmc(obl, max_depth=0), NoCexUpTo)
-    res = bmc(obl, max_depth=0, unroller=Unroller(obl, free_initial=True))
+    assert bmc(unroller(obl), 0, DEFAULT_BUDGET) is None
+    res = bmc(unroller(obl, free_initial=True), 0, DEFAULT_BUDGET)
     assert isinstance(res, Falsified) and res.depth == 0
 
 
 def test_vcd_export():
     obl = obligation(COUNTER, "counter",
                      "disable iff (!rst_n_in) count_out != 4'h2")
-    res = bmc(obl, max_depth=8)
+    res = base_case(obl, max_depth=8)
     vcd = res.trace.to_vcd(obl.augmented, module="counter")
     assert "$scope module counter $end" in vcd
     assert "$var wire 4" in vcd and "$enddefinitions $end" in vcd
@@ -243,7 +278,7 @@ def test_copying_the_template_builds_the_blasted_aig(name):
     obl = obligation(source, top, text)
     ts = obl.augmented
     for free_initial in (False, True):
-        un = Unroller(obl, free_initial)
+        un = unroller(obl, free_initial)
         un.bad(2)
         aig, frames = _blasted_frames(obl, free_initial, 2)
         assert len(un.aig.nodes) <= len(aig.nodes)
@@ -289,7 +324,7 @@ def test_a_free_first_frame_is_the_template_copied(name):
     obl = obligation(*_check(name))
     resets = {s.name: s.reset for s in obl.augmented.states}
     for free_initial in (False, True):
-        un = Unroller(obl, free_initial)
+        un = unroller(obl, free_initial)
         template = un.template
         copied = Aig()
         state = [copied.new_input() if free_initial or resets[n] is None
@@ -327,7 +362,7 @@ def test_known_state_matches_the_reference(name):
     # Random models over frames that are partly encoded, and random
     # literal lists with constants, inversions and unencoded nodes.
     rng = random.Random(name)
-    un = Unroller(obligation(*_check(name)), free_initial=True)
+    un = unroller(obligation(*_check(name)), free_initial=True)
     states = [un.state_lits(t) for t in range(4)]
     lits = [2 * node for node in range(1, len(un.aig.nodes))]
     un.cnf.encode(rng.sample(lits, len(lits) // 3))
@@ -369,10 +404,10 @@ def _eager_step_holds(un: Unroller, k: int) -> bool:
 
 
 def _eager_k_induction(obl, max_k: int):
-    base, step = Unroller(obl), Unroller(obl, free_initial=True)
+    base, step = unroller(obl), unroller(obl, free_initial=True)
     for k in range(max_k + 1):
-        res = bmc(obl, max_depth=k, unroller=base)
-        if isinstance(res, Falsified):
+        res = bmc(base, k, DEFAULT_BUDGET)
+        if res is not None:
             return res
         if _eager_step_holds(step, k):
             return Proven(k_used=k)
@@ -451,7 +486,7 @@ def test_state_outside_the_cone_is_not_unrolled():
     text = "disable iff (!rst_n_in) state_out != 2'd2"
     obl = obligation(_beside_a_counter(STUCK, 0), "stuck", text)
     alone = obligation(STUCK, "stuck", text)
-    step, step_alone = (Unroller(o, free_initial=True) for o in (obl, alone))
+    step, step_alone = (unroller(o, free_initial=True) for o in (obl, alone))
     assert all(name != "tick_out" for name, _ in step.template.state_bits)
     assert step.bus(0, "tick_out") == (FALSE,) * 8
     assert step.template.state_bits == step_alone.template.state_bits

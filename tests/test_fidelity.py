@@ -53,6 +53,21 @@ INTEGER_COMPARE = """module m(input logic a, output logic y);
 endmodule
 """
 
+WIDEN = """module m(input logic [3:0] a_in, input logic [3:0] b_in,
+  output logic [{msb}:0] y_out);
+  assign y_out = {rhs};
+endmodule
+"""
+
+
+def widen(msb: int, rhs: str, prop: str, twin_rhs: str) -> Case:
+    """11.6.1: the operands of `rhs` take the width of the assignment
+    before the operation, so a 4-bit result that overflows into `y_out`
+    violates `prop` at once.  The twin widens them by hand."""
+    return Case(WIDEN.format(msb=msb, rhs=rhs), prop, ("falsified", 0),
+                item=1, twin=WIDEN.format(msb=msb, rhs=twin_rhs))
+
+
 MOD6 = """module m(input logic clk_in, input logic rst_n_in, output logic [2:0] c);
   always_ff @(posedge clk_in{edge}) begin
     if (!rst_n_in) c <= 3'd0;
@@ -132,6 +147,28 @@ CASES = {
         INTEGER_COMPARE, "y == 1'b1", ("proven", None), item=1,
         twin=INTEGER_COMPARE.replace("integer i;", "logic [31:0] i;").replace(
             "i < 0", "(i ^ 32'h80000000) < 32'h80000000")),
+    # 11.4.10: `<<<` shifts in zeros, as `<<` does
+    "arithmetic left shift": Case(
+        WIDEN.format(msb=3, rhs="a_in <<< 1"), "y_out == (a_in << 1)",
+        ("proven", None)),
+    "arithmetic left shift in a parameter": Case(
+        WIDEN.format(msb=3, rhs="P").replace(
+            "module m(", "module m #(parameter P = 1 <<< 2) ("),
+        "y_out == 4'd4", ("proven", None)),
+    "add widened to the context": widen(
+        4, "a_in + b_in", "y_out < 5'd16", "{1'b0, a_in} + {1'b0, b_in}"),
+    "subtract widened to the context": widen(
+        4, "a_in - b_in", "y_out < 5'd16", "{1'b0, a_in} - {1'b0, b_in}"),
+    "multiply widened to the context": widen(
+        7, "a_in * b_in", "y_out < 8'd16", "{4'd0, a_in} * {4'd0, b_in}"),
+    "invert widened to the context": widen(
+        7, "~a_in", "y_out[7:4] == 4'd0", "~{4'd0, a_in}"),
+    "shift widened to the context": widen(
+        7, "a_in << 1", "y_out < 8'd16", "{4'd0, a_in} << 1"),
+    # 5.7.1: an unsized '1 sets every bit of its context
+    "unsized all-ones fill": Case(
+        WIDEN.format(msb=7, rhs="'1"), "y_out == 8'hFF", ("proven", None),
+        item=1, twin=WIDEN.format(msb=7, rhs="8'hFF")),
     # 9.4.2: a synchronous reset loads the reset value on the clock
     # edge, so the counter only takes 0..5 once reset has been applied,
     # as it does for the asynchronous twin

@@ -61,6 +61,14 @@ def test_a_replicated_list_round_trips():
                         "  assign y = {3{a, b}};\nendmodule\n")
 
 
+def test_arithmetic_left_shift_round_trips():
+    src = ("module m(input logic [3:0] a, output logic [3:0] y);\n"
+           "  assign y = a <<< 1 + a;\nendmodule\n")
+    _assert_round_trips(src)
+    (assign,) = parse_source(src)[0].modules[0].items
+    assert assign.value.op == "<<<" and assign.value.right.op == "+"
+
+
 def test_module_items_keep_source_order():
     src = ("module m(input logic a, output logic y);\n"
            "  assign y = w;\n  localparam P = 1;\n  logic w;\n"
@@ -172,7 +180,7 @@ def test_empty_lists_parse():
 
 # The binary operators by level, loosest first.
 BINARY_LEVELS = [("||",), ("&&",), ("|",), ("^",), ("&",), ("==", "!="),
-                 ("<", "<=", ">", ">="), ("<<", ">>", ">>>"), ("+", "-"),
+                 ("<", "<=", ">", ">="), ("<<", "<<<", ">>", ">>>"), ("+", "-"),
                  ("*", "/", "%")]
 
 
