@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import gc
-import sys
 
 from svsec.engine.bmc import DEFAULT_BUDGET
 from svsec.engine.induction import k_induction
-from svsec.engine.result import CompileError, Falsified, Proven, Unknown
+from svsec.engine.result import CompileError, Falsified
 from svsec.frontend import ast, parse_source
 from svsec.frontend.diagnostics import DiagnosticError
 from svsec.ir import expr as ex
@@ -27,8 +26,9 @@ def check_design(source: str, top: str, property_text: str,
     verdicts carry the source line whose assignment produced the
     violating value.  `budget` bounds the check's solver work in the
     units of `sat.work_units()`; a check that runs out of it is Unknown,
-    on every machine and under any load.  So is a design whose
-    expressions nest deeper than the interpreter's recursion limit.
+    on every machine and under any load.  A design or property that
+    nests deeper than the parser's `NESTING_CAP` is a CompileError, so
+    the verdict does not depend on the caller's stack either.
 
     The check runs with the cyclic garbage collector paused, and leaves
     it on or off as it found it.  A check makes no reference cycle
@@ -40,9 +40,6 @@ def check_design(source: str, top: str, property_text: str,
     gc.disable()
     try:
         return _check(source, top, property_text, max_k, budget)
-    except RecursionError:
-        return Unknown(max_k=0, reason="expressions nest too deep for the "
-                       f"recursion limit of {sys.getrecursionlimit()}")
     finally:
         if collecting:
             gc.enable()
@@ -81,7 +78,8 @@ def locate_culprit(obl: SafetyObligation, line_map: dict,
     environment.
     """
     consequent = obl.prop.consequent
-    names = sorted(_ast_idents(consequent))
+    names = sorted({e.name for e in ast.walk(consequent)
+                    if isinstance(e, ast.Ident)})
     depth = verdict.depth
     candidates = []
     for name in names:
@@ -100,12 +98,3 @@ def locate_culprit(obl: SafetyObligation, line_map: dict,
         return candidates[0]
     return "", 0
 
-
-def _ast_idents(e: ast.Expr, acc: set[str] | None = None) -> set[str]:
-    if acc is None:
-        acc = set()
-    if isinstance(e, ast.Ident):
-        acc.add(e.name)
-    for sub in ast.children(e):
-        _ast_idents(sub, acc)
-    return acc

@@ -174,7 +174,8 @@ def verify(args) -> int:
 
 def generate(args) -> None:
     """Produce the generation corpus into OUT/cache."""
-    from svsec.gen import StubProvider, generate_batch, load_providers
+    from svsec.gen import (ProviderError, StubProvider, generate_batch,
+                           load_providers)
     from svsec.gen.batch import DEFAULT_WORKERS
 
     if not args.stub and not args.providers_file:
@@ -183,8 +184,11 @@ def generate(args) -> None:
     if workers is None:
         # The stub is CPU-bound: more threads only contend for the GIL.
         workers = 1 if args.stub else DEFAULT_WORKERS
-    providers = (load_providers(args.providers_file) if args.providers_file
-                 else None)
+    try:
+        providers = (load_providers(args.providers_file)
+                     if args.providers_file else None)
+    except ProviderError as exc:
+        raise CliError(f"{args.providers_file}: {exc}") from None
     stub_provider = (StubProvider(seed=args.seed, n=args.n) if args.stub
                      else None)
     specs = list_problems()

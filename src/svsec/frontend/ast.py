@@ -103,6 +103,16 @@ def children(e: Expr) -> list[Expr]:
     return out
 
 
+def walk(e: Expr):
+    """`e` and every expression under it in pre-order, on a stack of its
+    own: an operator chain may be thousands of nodes deep."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        stack += reversed(children(e))
+
+
 def map_children(e: Expr, fn) -> Expr:
     """`e` with each direct sub-expression replaced by `fn` of it; `e`
     itself when `fn` returns every sub-expression unchanged."""

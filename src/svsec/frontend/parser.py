@@ -60,6 +60,10 @@ _BINARY_PRECEDENCE = {
 
 _UNARY_OPS = frozenset(("~", "!", "-", "+", "&", "|", "^"))
 
+# The most `parse_expr` and `parse_stmt` calls open at once in a module
+# item or property, so that no later stage runs out of stack.
+NESTING_CAP = 150
+
 _BASE_RADIX = {"b": 2, "o": 8, "d": 10, "h": 16}
 _FOUR_STATE = re.compile(r"[xXzZ?]")
 
@@ -69,6 +73,7 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self.diags: list[Diagnostic] = []
+        self.depth = 0  # open parse_expr and parse_stmt calls
         # The token and the text at each position, then three Nones: the
         # position never passes one beyond the end (`_skip_item` steps
         # over `: label` after a final `:`), and a look reads one further.
@@ -105,6 +110,14 @@ class Parser:
             t = self.tokens[-1]
         line, col = (t.line, t.col) if t is not None else (1, 1)
         return error(message, line, col, severity)
+
+    def _open(self) -> None:
+        """Count a level opened at the next token, up to `NESTING_CAP`."""
+        self.depth += 1
+        if self.depth > NESTING_CAP:
+            raise self._error(self._toks[self.pos], "nesting deeper than "
+                              f"{NESTING_CAP} levels is not supported",
+                              Severity.UNSUPPORTED)
 
     def _comma_list(self, item, close: str, empty: bool = False) -> list:
         """`item {, item} close`; with `empty`, a bare `close` too."""
@@ -159,6 +172,7 @@ class Parser:
                 except DiagnosticError as e:
                     self.diags.append(e.diag)
                     self._skip_until("endmodule")
+                    self.depth = 0
             elif t.text in _UNSUPPORTED_UNITS:
                 self.diags.append(Diagnostic(
                     Severity.UNSUPPORTED, f"{t.text} declarations are not supported",
@@ -216,6 +230,7 @@ class Parser:
             except DiagnosticError as e:
                 self.diags.append(e.diag)
                 self._skip_item(start)
+                self.depth = 0  # the failed item's levels are closed
         self.expect("endmodule")
         return ast.ModuleDecl(name, tuple(ports), tuple(params), tuple(items),
                               kw.line)
@@ -412,8 +427,12 @@ class Parser:
 
     def parse_stmt(self) -> ast.Stmt:
         t = self.peek()
+        while t is not None and t.text in ("unique", "priority"):
+            self.pos += 1
+            t = self.peek()
         if t is None:
             raise self._error(t, "unexpected end of input")
+        self._open()
         if t.kind is TokenKind.IDENT:  # no keyword below is an identifier
             if t.text.startswith("$"):
                 raise self._error(t, f"system task {t.text} is not supported",
@@ -426,8 +445,8 @@ class Parser:
             self.pos += 1
             value = self.parse_expr()
             self.expect(";")
-            return ast.Assign(target, value, op.text == "<=", t.line)
-        if t.text == "begin":
+            stmt = ast.Assign(target, value, op.text == "<=", t.line)
+        elif t.text == "begin":
             self.pos += 1
             if self.at(":"):
                 self.pos += 1
@@ -441,8 +460,8 @@ class Parser:
             if self.at(":"):
                 self.pos += 1
                 self._expect_ident("block label")
-            return ast.Block(tuple(stmts))
-        if t.text == "if":
+            stmt = ast.Block(tuple(stmts))
+        elif t.text == "if":
             self.pos += 1
             self.expect("(")
             cond = self.parse_expr()
@@ -452,20 +471,20 @@ class Parser:
             if self.at("else"):
                 self.pos += 1
                 other = self.parse_stmt()
-            return ast.If(cond, then, other, t.line)
-        if t.text in ("case", "casez", "casex"):
-            return self._parse_case()
-        if t.text in ("unique", "priority"):
+            stmt = ast.If(cond, then, other, t.line)
+        elif t.text in ("case", "casez", "casex"):
+            stmt = self._parse_case()
+        elif t.text == ";":
             self.pos += 1
-            return self.parse_stmt()
-        if t.text == ";":
-            self.pos += 1
-            return ast.Block(())
-        if t.text in ("for", "while", "repeat", "forever", "wait", "fork", "disable",
-                      "return", "break", "continue"):
+            stmt = ast.Block(())
+        elif t.text in ("for", "while", "repeat", "forever", "wait", "fork",
+                        "disable", "return", "break", "continue"):
             raise self._error(t, f"{t.text} statements are not supported",
                               Severity.UNSUPPORTED)
-        raise self._error(t, f"unexpected {t.text!r} in statement")
+        else:
+            raise self._error(t, f"unexpected {t.text!r} in statement")
+        self.depth -= 1
+        return stmt
 
     def _parse_case(self) -> ast.Case:
         kw = self.next()
@@ -523,8 +542,9 @@ class Parser:
         each operator still waiting for its right operand, weakest
         first, so an operator folds the ones before it that bind at
         least as tightly.  Only parentheses, selects, concatenations,
-        calls and ternary arms recurse: two frames per parenthesis."""
+        calls and ternary arms recurse, and each opens a level."""
         texts = self._texts
+        self._open()
         left = self._parse_operand()
         prec = _BINARY_PRECEDENCE.get(texts[self.pos], 0)
         if prec:
@@ -546,8 +566,8 @@ class Parser:
             self.pos += 1
             then = self.parse_expr()
             self.expect(":")
-            other = self.parse_expr()
-            return ast.Ternary(left, then, other)
+            left = ast.Ternary(left, then, self.parse_expr())
+        self.depth -= 1
         return left
 
     def _parse_operand(self) -> ast.Expr:

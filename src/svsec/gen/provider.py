@@ -41,7 +41,8 @@ class ProviderConfig:
 def load_providers(path: str) -> list[ProviderConfig]:
     """Read provider configs from YAML; `id`, `endpoint` and `model` are
     required, and every other field is optional with ProviderConfig's
-    default and the type of that default.
+    default and the type of that default.  A file that breaks these
+    rules raises one ProviderError that names the entry and the field.
 
     PyYAML's libyaml-backed `CSafeLoader` parses about eight times
     faster than the pure-Python `SafeLoader`, which remains for a PyYAML
@@ -50,14 +51,31 @@ def load_providers(path: str) -> list[ProviderConfig]:
     import yaml  # here, not at module level: only this reads YAML
 
     loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-    with open(path, encoding="utf-8") as fh:
-        doc = yaml.load(fh, Loader=loader)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = yaml.load(fh, Loader=loader)
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise ProviderError(f"not YAML: {' '.join(str(exc).split())}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("providers"), list):
+        raise ProviderError("no 'providers' list")
     optional = [f for f in fields(ProviderConfig) if f.default is not MISSING]
-    return [ProviderConfig(provider_id=item["id"], endpoint=item["endpoint"],
-                           model=item["model"],
-                           **{f.name: type(f.default)(item[f.name])
+    return [ProviderConfig(provider_id=_field(i, item, "id"),
+                           endpoint=_field(i, item, "endpoint"),
+                           model=_field(i, item, "model"),
+                           **{f.name: _field(i, item, f.name, type(f.default))
                               for f in optional if f.name in item})
-            for item in doc["providers"]]
+            for i, item in enumerate(doc["providers"], 1)]
+
+
+def _field(i: int, item, key: str, kind=None):
+    """Field `key` of entry `i` of the providers list, as a `kind`."""
+    if not isinstance(item, dict) or key not in item:
+        raise ProviderError(f"providers entry {i} has no {key!r}")
+    try:
+        return kind(item[key]) if kind else item[key]
+    except (TypeError, ValueError):
+        raise ProviderError(f"providers entry {i}: {key!r} must be "
+                            f"{kind.__name__}, not {item[key]!r}") from None
 
 
 def request_completion(cfg: ProviderConfig, prompt: str,

@@ -80,23 +80,33 @@ def _lower_sampled(e: ast.Expr, scope: Scope, hist: _History,
 
     The argument is lowered before its own chain is registered, so
     chains are allocated in post-order; their order fixes the variable
-    order of everything downstream.
+    order of everything downstream.  Operator chains, which the parser
+    does not count as nesting, are walked in a loop down their spine.
     """
+    spine = []
+    while isinstance(e, (ast.Binary, ast.Unary)):
+        spine.append(e)
+        e = ast.children(e)[0]  # the left operand, or the only one
     if not isinstance(e, ast.SysCall):
-        return ast.map_children(
+        low = ast.map_children(
             e, lambda sub: _lower_sampled(sub, scope, hist, refs))
-    arg = _lower_sampled(e.args[0], scope, hist, refs)
-    ir = _elab_expr(arg, scope, refs)
-    name = hist.register(ir, _past_depth(e))
-    refs["$" + name] = ex.Ref(ir.width, name)
-    past = ast.Ident("$" + name)
-    if e.name == "$rose":
-        return ast.Binary("&&", arg, ast.Unary("!", past))
-    if e.name == "$fell":
-        return ast.Binary("&&", ast.Unary("!", arg), past)
-    if e.name == "$stable":
-        return ast.Binary("==", arg, past)
-    return past
+    else:
+        arg = _lower_sampled(e.args[0], scope, hist, refs)
+        ir = _elab_expr(arg, scope, refs)
+        name = hist.register(ir, _past_depth(e))
+        refs["$" + name] = ex.Ref(ir.width, name)
+        low = past = ast.Ident("$" + name)
+        if e.name == "$rose":
+            low = ast.Binary("&&", arg, ast.Unary("!", past))
+        elif e.name == "$fell":
+            low = ast.Binary("&&", ast.Unary("!", arg), past)
+        elif e.name == "$stable":
+            low = ast.Binary("==", arg, past)
+    for node in reversed(spine):
+        below = ast.children(node)[0]
+        low = ast.map_children(node, lambda sub: low if sub is below else
+                               _lower_sampled(sub, scope, hist, refs))
+    return low
 
 
 def compile_obligation(prop: PropertyAst,

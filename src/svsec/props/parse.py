@@ -87,28 +87,27 @@ def _validate(e: ast.Expr, clock: str | None, errs: list[Diagnostic]) -> None:
     the sampled-value functions take their own arguments.  Names,
     selects and operators are the elaborator's to judge, as in a design
     (`compile_obligation`)."""
-    if isinstance(e, ast.Ident) and e.name == clock:
-        errs.append(Diagnostic(Severity.ERROR,
-                               f"clock {e.name!r} cannot appear in a property"))
-    elif isinstance(e, ast.SysCall) and e.name not in _SAMPLED:
-        errs.append(Diagnostic(Severity.UNSUPPORTED,
-                               f"system function {e.name} not supported"))
-    elif isinstance(e, ast.SysCall) and e.name != "$past":
-        if len(e.args) != 1:
-            errs.append(Diagnostic(Severity.ERROR,
-                                   f"{e.name} takes exactly one argument"))
-    elif isinstance(e, ast.SysCall):
-        if not 1 <= len(e.args) <= 2:
-            errs.append(Diagnostic(Severity.ERROR,
-                                   "$past takes one or two arguments"))
-        elif (n := _past_depth(e)) is None or n < 1:
-            errs.append(Diagnostic(Severity.ERROR,
-                                   "$past depth must be a positive constant"))
-        elif n > PAST_DEPTH_CAP:
-            errs.append(Diagnostic(Severity.ERROR,
-                                   f"$past depth {n} exceeds cap {PAST_DEPTH_CAP}"))
-    for sub in ast.children(e):
-        _validate(sub, clock, errs)
+    for x in ast.walk(e):
+        if isinstance(x, ast.Ident) and x.name == clock:
+            errs.append(Diagnostic(
+                Severity.ERROR, f"clock {x.name!r} cannot appear in a property"))
+        elif isinstance(x, ast.SysCall) and x.name not in _SAMPLED:
+            errs.append(Diagnostic(Severity.UNSUPPORTED,
+                                   f"system function {x.name} not supported"))
+        elif isinstance(x, ast.SysCall) and x.name != "$past":
+            if len(x.args) != 1:
+                errs.append(Diagnostic(Severity.ERROR,
+                                       f"{x.name} takes exactly one argument"))
+        elif isinstance(x, ast.SysCall):
+            if not 1 <= len(x.args) <= 2:
+                errs.append(Diagnostic(Severity.ERROR,
+                                       "$past takes one or two arguments"))
+            elif (n := _past_depth(x)) is None or n < 1:
+                errs.append(Diagnostic(
+                    Severity.ERROR, "$past depth must be a positive constant"))
+            elif n > PAST_DEPTH_CAP:
+                errs.append(Diagnostic(
+                    Severity.ERROR, f"$past depth {n} exceeds cap {PAST_DEPTH_CAP}"))
 
 
 def _past_depth(call: ast.SysCall) -> int | None:
@@ -121,11 +120,15 @@ def _past_depth(call: ast.SysCall) -> int | None:
 
 
 def _max_past(e: ast.Expr) -> int:
-    if isinstance(e, ast.SysCall):
-        if e.name == "$past":
-            n = _past_depth(e) or 1
-            return n + max((_max_past(a) for a in e.args[:1]), default=0)
-        if e.name in ("$rose", "$fell", "$stable"):
-            return 1 + _max_past(e.args[0])
-        return 0
-    return max(map(_max_past, ast.children(e)), default=0)
+    """The most cycles of history one path down `e` reads."""
+    deepest = 0
+    stack = [(e, 0)]
+    while stack:
+        e, d = stack.pop()
+        if not isinstance(e, ast.SysCall):
+            stack += [(sub, d) for sub in ast.children(e)]
+        elif e.name in _SAMPLED:
+            d += (_past_depth(e) or 1) if e.name == "$past" else 1
+            deepest = max(deepest, d)
+            stack += [(a, d) for a in e.args[:1]]
+    return deepest

@@ -30,7 +30,7 @@ def _exits() -> dict:
     """Name -> (status, check_design arguments, keyword arguments) of
     each way out of a check."""
     source, top, prop = _catalog(1234, "basic", "correct")
-    parens = "(" * 2000 + "a" + ")" * 2000
+    parens = "(" * 2000 + "a" + ")" * 2000  # past the parser's cap
     return {
         "proven": ("proven", (source, top, prop), {}),
         "falsified": ("falsified", _catalog(1234, "basic", "vulnerable"),
@@ -43,10 +43,10 @@ def _exits() -> dict:
                            (source, top, "no_such_signal == 1'b0"), {}),
         "property compile": ("compile_error",
                              (source, top, "data_out / 2 == 0"), {}),
-        "recursion": ("unknown",
-                      ("module m(input logic a, output logic p);\n"
-                       f"  assign p = {parens};\nendmodule\n", "m",
-                       "p == a"), {}),
+        "nesting": ("compile_error",
+                    ("module m(input logic a, output logic p);\n"
+                     f"  assign p = {parens};\nendmodule\n", "m",
+                     "p == a"), {}),
     }
 
 

@@ -18,6 +18,7 @@ from svsec.catalog import list_problems
 from svsec.catalog.problems import design_text, instantiate_property_text
 from svsec.check import check_design
 from svsec.cli import EXIT_CODES, CliError, UsageError, main
+from svsec.frontend.parser import NESTING_CAP
 
 
 def write_design(tmp_path, spec, which):
@@ -283,6 +284,30 @@ def test_generate_workers_default_to_one_for_the_stub(
     res = invoke("generate", *args)
     assert res.exit_code == 0, res.output
     assert seen == [workers]
+
+
+@pytest.mark.parametrize("config, needles", [
+    (b"providers:\n  - {endpoint: https://example.invalid, model: m}\n",
+     ["providers entry 1 has no 'id'"]),
+    (b"providers:\n  - {id: a, endpoint: https://example.invalid, model: m}\n"
+     b"  - {id: b, endpoint: https://example.invalid, model: m,\n"
+     b"     temperature: hot}\n",
+     ["providers entry 2: 'temperature' must be float, not 'hot'"]),
+    (b"models:\n  - {id: a, endpoint: https://example.invalid, model: m}\n",
+     ["no 'providers' list"]),
+    (b"providers:\n  - {id: a, endpoint: https://example.invalid\n",
+     ["not YAML: ", "line 3, column 1"]),
+    (b"providers: [\xff]\n", ["not YAML: ", "can't decode byte 0xff"]),
+])
+def test_a_malformed_providers_file_is_one_line_error(tmp_path, config,
+                                                      needles):
+    path = tmp_path / "providers.yaml"
+    path.write_bytes(config)
+    out = tmp_path / "out"
+    res = invoke("generate", "--providers", str(path), "--out", str(out))
+    line = one_line_error(res, *needles)
+    assert line.startswith(f"Error: {path}: ")
+    assert not out.exists()
 
 
 def test_label_without_cache_fails(tmp_path):
@@ -727,7 +752,9 @@ def counter(arms: int) -> str:
     return "\n".join([*lines, "  end", "endmodule", ""])
 
 
-# name -> (design, top, property, exit code, the lines printed first)
+# name -> (design, top, property, exit code, the lines printed first, or
+# all lines of a compile error, with `{design}` and `{prop}` for the
+# files' paths)
 VERIFY_OUTPUTS = {
     # the culprit is the last assignment in the block
     "40 increments": (counter(1), "m", "x != 4'd14", 1, [
@@ -745,6 +772,17 @@ VERIFY_OUTPUTS = {
     "8-stage leaky pipeline": (pipeline_design(8, 4, 2), "pipe", "!q_out[1]",
                                1, ["falsified at depth 8",
                                    "  root cause: line 32 (assignment to q_out)"]),
+    # nesting past the parser's cap is one diagnostic, in the file that
+    # holds it, and no traceback
+    "design past the nesting cap": (
+        "module m(input logic a, output logic p);\n  assign p = "
+        + "(" * NESTING_CAP + "a" + ")" * NESTING_CAP + ";\nendmodule\n",
+        "m", "p == a", 3, ["compile error:", "  {design}:2:164: unsupported: "
+                                "nesting deeper than 150 levels is not supported"]),
+    "property past the nesting cap": (
+        counter(1), "m", "$past(" * NESTING_CAP + "x" + ")" * NESTING_CAP
+        + " != 4'd14", 3, ["compile error:", "  {prop}:1:901: unsupported: "
+                           "nesting deeper than 150 levels is not supported"]),
 }
 
 
@@ -758,7 +796,10 @@ def test_verify_prints_the_pinned_lines(tmp_path, name):
     res = invoke("verify", str(design), "--property", str(prop), "--top", top)
     assert time.monotonic() - start < 60
     assert res.exit_code == code, res.output
-    assert res.output.splitlines()[:len(first)] == first
+    first = [line.format(design=design, prop=prop) for line in first]
+    lines = res.output.splitlines()
+    assert (lines if code == EXIT_CODES["compile_error"]
+            else lines[:len(first)]) == first
 
 
 def fresh_cli(hash_seed: int, *args: str) -> subprocess.CompletedProcess:

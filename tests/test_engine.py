@@ -19,6 +19,7 @@ from svsec.engine.cnf import to_cnf
 from svsec.engine.induction import _known_state, k_induction
 from svsec.engine.oracle import OracleRefused, explicit_state_oracle
 from svsec.engine.result import CompileError, Falsified, Proven, Unknown
+from svsec.frontend.parser import NESTING_CAP
 from svsec.props import compile_obligation, parse_property
 from svsec.props.obligation import evaluate_on_trace
 
@@ -602,7 +603,7 @@ def test_shared_terms_are_walked_once():
         f"falsified 0 {10 + 2 * n}", "14 14"], run.stdout
 
 
-def test_nesting_past_the_recursion_limit_is_unknown():
+def test_nesting_past_the_cap_is_unsupported():
     def parity(n):
         terms = " ^ ".join(f"d_in[{i}]" for i in range(n))
         return (f"module m(input logic [{n - 1}:0] d_in, output logic p);\n"
@@ -616,14 +617,18 @@ def test_nesting_past_the_recursion_limit_is_unknown():
         return ("module m(input logic a, output logic p);\n"
                 f"  assign p = {ops}a;\nendmodule\n", "p == a")
 
-    source, prop = parens(300)
+    # The assignment's expression is one level, and each parenthesis
+    # one more.
+    source, prop = parens(NESTING_CAP - 1)
     assert check_design(source, "m", prop).status == "proven"
     source, prop = parens(2000)
     deep = check_design(source, "m", prop)
-    assert isinstance(deep, Unknown) and deep.max_k == 0
-    assert "recursion limit" in deep.reason
-    # An operator chain nests only down its left operands, which
-    # elaboration walks in a loop: it stays below the limit.
+    assert isinstance(deep, CompileError) and not deep.in_property
+    assert [(d.severity.value, d.message, d.line) for d in deep.diagnostics] \
+        == [("unsupported", f"nesting deeper than {NESTING_CAP} levels is "
+             "not supported", 2)]
+    # An operator chain nests only down its left operands, which the
+    # parser does not count and elaboration walks in a loop.
     for n in (8, 2000):
         source, prop = parity(n)
         assert check_design(source, "m", prop).status == "proven"

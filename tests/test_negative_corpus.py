@@ -13,6 +13,7 @@ import pytest
 
 from svsec.check import check_design
 from svsec.engine.result import CompileError
+from svsec.frontend.parser import NESTING_CAP
 
 MODULE = """module m(input logic clk_in, input logic [3:0] d_in,
   output logic [3:0] q_out);
@@ -37,6 +38,30 @@ INPUT_PORT_DRIVES = {
         "  assign q_out = d_in;",
     "instance output into an input port":
         "  c u(.a(q_out), .y(d_in));\n  assign q_out = 4'd1;",
+}
+
+# An assignment's expression opens one level, and an `always_comb`
+# statement one and its assignment's expression one more; each form then
+# nests one level past `NESTING_CAP`.
+N = NESTING_CAP
+NESTING_PAST_THE_CAP = {
+    "right-nested parentheses past the nesting cap":
+        "  assign q_out = " + "d_in ^ (" * N + "d_in" + ")" * N + ";",
+    "ternary past the nesting cap":
+        "  assign q_out = " + "d_in[0] ? d_in : " * N + "d_in;",
+    "concatenation past the nesting cap":
+        "  assign q_out = " + "{" * N + "d_in" + "}" * N + ";",
+    "replication past the nesting cap":
+        "  assign q_out = " + "{1{" * N + "d_in" + "}}" * N + ";",
+    "select past the nesting cap":
+        "  assign q_out = " + "d_in[" * N + "0" + "]" * N + ";",
+    "if / else if chain past the nesting cap": "  always_comb "
+        + "if (d_in[0]) q_out = d_in; else " * (N - 1) + "q_out = d_in;",
+    "case past the nesting cap": "  always_comb "
+        + "case (d_in) default: " * (N - 1) + "q_out = d_in;"
+        + " endcase" * (N - 1),
+    "begin past the nesting cap": "  always_comb "
+        + "begin " * (N - 1) + "q_out = d_in;" + " end" * (N - 1),
 }
 
 BODIES = {
@@ -133,6 +158,11 @@ BODIES = {
                                    "  c u(.a(d_in), .y(q_out), .y(t));",
     "parameter overridden twice": "  c #(.W(4), .W(8)) u(.a(d_in), .y(q_out));",
     **INPUT_PORT_DRIVES,
+    **NESTING_PAST_THE_CAP,
+    # the count restarts at the next item, which is judged on its own
+    "item past the nesting cap before a bad item":
+        NESTING_PAST_THE_CAP["case past the nesting cap"]
+        + "\n  assign q_out = d_in +;",
 }
 
 
@@ -215,6 +245,8 @@ PROPERTIES = {
     "part select out of range": "q_out[5:2] == 0",
     "index of an expression": "(q_out + 1)[0] == 0",
     "zero replication in a property": "{0{q_out}} == 0",
+    "parentheses past the nesting cap in a property":
+        "(" * NESTING_CAP + "q_out" + ")" * NESTING_CAP + " == 0",
 }
 
 
@@ -224,6 +256,8 @@ def test_illegal_property_is_a_compile_error(name):
     assert isinstance(verdict, CompileError), (name, verdict.status)
     assert verdict.diagnostics
 
+
+CAP = "nesting deeper than 150 levels is not supported"
 
 # Every case's diagnostics as (severity, message, line, col), after
 # whether they point into the property: a change to the frontend keeps
@@ -337,6 +371,20 @@ DIAGNOSTICS = {
         (False, [("error", "cannot assign to input port 'd_in'", 11, 0)]),
     "instance output into an input port":
         (False, [("error", "cannot assign to input port 'd_in'", 11, 0)]),
+    "right-nested parentheses past the nesting cap":
+        (False, [("unsupported", CAP, 11, 1218)]),
+    "ternary past the nesting cap": (False, [("unsupported", CAP, 11, 2556)]),
+    "concatenation past the nesting cap":
+        (False, [("unsupported", CAP, 11, 168)]),
+    "replication past the nesting cap": (False, [("unsupported", CAP, 11, 466)]),
+    "select past the nesting cap": (False, [("unsupported", CAP, 11, 768)]),
+    "if / else if chain past the nesting cap":
+        (False, [("unsupported", CAP, 11, 4760)]),
+    "case past the nesting cap": (False, [("unsupported", CAP, 11, 3152)]),
+    "begin past the nesting cap": (False, [("unsupported", CAP, 11, 917)]),
+    "item past the nesting cap before a bad item": (False, [
+        ("unsupported", CAP, 11, 3152),
+        ("error", "unexpected ';' in expression", 12, 24)]),
     "trailing comma in the port list":
         (False, [("error", "expected port name, got ')'", 1, 59)]),
     "header parameters without a comma":
@@ -372,6 +420,8 @@ DIAGNOSTICS = {
     "zero replication in a property": (True, [(
         "error", "a replication count of 0 needs a concatenation operand "
         "of positive width", 0, 0)]),
+    "parentheses past the nesting cap in a property":
+        (True, [("unsupported", CAP, 1, 151)]),
 }
 
 
